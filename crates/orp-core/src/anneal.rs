@@ -1,19 +1,18 @@
 //! Randomized search for ORP (Section 5): simulated annealing with the
 //! swap operation (restricted to regular host-switch graphs, §5.1) and
 //! with the 2-neighbor swing operation (arbitrary host-switch graphs,
-//! §5.2), plus the end-to-end [`solve_orp`] pipeline of §5.3 that first
-//! predicts `m_opt` from the continuous Moore bound.
+//! §5.2). The end-to-end pipeline of §5.3, which first predicts `m_opt`
+//! from the continuous Moore bound, is [`crate::solver::Solver`].
 
 use crate::ckpt::{self, CkptError, Decoder, Encoder};
 use crate::construct::{random_general, random_regular};
-use crate::error::{GraphError, SaError, WorkerPanic};
+use crate::error::{GraphError, SaError};
 use crate::graph::HostSwitchGraph;
 use crate::metrics::PathMetrics;
 use crate::ops::{sample_swap, sample_swing, Swing};
 use crate::search::{
     resolve_parallel_eval, EvalOutcome, EvalPathKind, SearchConfig, SearchState, EARLY_REJECT_LOG,
 };
-use crate::solver::Solver;
 use crate::watchdog::{ProgressHandle, WatchSource, Watchdog, WatchdogConfig};
 use orp_obs::{Event, Recorder, StreamSink};
 use rand::Rng;
@@ -84,8 +83,8 @@ pub struct SaConfig {
     pub parallel_eval: Option<bool>,
     /// Exact evaluation worker-thread count. `None` (the default) defers
     /// to `parallel_eval`; `Some(w)` pins the persistent pool to `w`
-    /// workers regardless of the heuristic — [`solve_orp_multi`] uses
-    /// this to split the machine's cores across restart workers.
+    /// workers regardless of the heuristic — [`crate::solver::Solver`]
+    /// uses this to split the machine's cores across restart workers.
     /// Results are bit-identical for every worker count.
     pub eval_workers: Option<usize>,
     /// Enables the Δh-ASPL lower-bound early reject: a proposal the
@@ -1228,119 +1227,12 @@ pub fn anneal_general(n: u32, m: u32, r: u32, cfg: &SaConfig) -> Result<SaResult
     anneal(start, MoveKind::TwoNeighborSwing, cfg)
 }
 
-/// §5.3, the proposed method end-to-end: choose `m = m_opt` by minimising
-/// the continuous Moore bound, then run the 2-neighbor-swing annealer.
-///
-/// Returns the result together with the predicted `m_opt`.
-#[deprecated(since = "0.3.0", note = "use `Solver::builder(n, r)` instead")]
-pub fn solve_orp(n: u32, r: u32, cfg: &SaConfig) -> Result<(SaResult, u32), SaError> {
-    let report = Solver::builder(n, r).config(cfg.clone()).run()?;
-    Ok((report.result, report.m_opt))
-}
-
-/// Robustness knobs for [`solve_orp_multi_report`]: per-restart
-/// checkpoints, resume, and stall supervision.
-#[derive(Debug, Clone, Default)]
-pub struct MultiOpts {
-    /// Per-restart checkpoint prefix: restart `i` checkpoints to
-    /// `<prefix>.r<i>` (see [`restart_ckpt_path`]), so one crashed
-    /// worker never loses its siblings' progress.
-    pub checkpoint: Option<PathBuf>,
-    /// Checkpoint stride (0 = [`DEFAULT_CHECKPOINT_EVERY`]).
-    pub checkpoint_every: usize,
-    /// Resume each restart whose checkpoint file already exists;
-    /// restarts without one start fresh.
-    pub resume: bool,
-    /// Arm a per-restart stall watchdog with this window.
-    pub watchdog: Option<Duration>,
-}
-
-/// Outcome of a multi-restart solve that survived at least one restart:
-/// the best result plus a structured account of what happened to the
-/// rest.
-#[derive(Debug, Clone)]
-pub struct MultiReport {
-    /// Best result over the restarts that completed.
-    pub result: SaResult,
-    /// The predicted optimal switch count the restarts annealed with.
-    pub m_opt: u32,
-    /// Restarts that ran to completion.
-    pub completed: usize,
-    /// Restarts that panicked, with per-worker diagnostics. A panicked
-    /// sibling no longer poisons the solve — the surviving results are
-    /// still returned.
-    pub panics: Vec<WorkerPanic>,
-    /// Restarts that returned a structured error (e.g. stalled), with
-    /// their indices.
-    pub errors: Vec<(usize, SaError)>,
-}
-
 /// Checkpoint path for restart `i` of a multi-restart solve: the
 /// configured prefix with `.r<i>` appended.
 pub fn restart_ckpt_path(prefix: &Path, i: usize) -> PathBuf {
     let mut os = prefix.as_os_str().to_owned();
     os.push(format!(".r{i}"));
     PathBuf::from(os)
-}
-
-/// Builds the [`crate::solver::Solver`] equivalent of a historical
-/// multi-restart call.
-fn multi_solver(n: u32, r: u32, cfg: &SaConfig, restarts: usize, opts: &MultiOpts) -> Solver {
-    let mut b = Solver::builder(n, r)
-        .config(cfg.clone())
-        .restarts(restarts.max(1));
-    if let Some(prefix) = &opts.checkpoint {
-        b = b.checkpoint(prefix).resume(opts.resume);
-        if opts.checkpoint_every > 0 {
-            b = b.checkpoint_every(opts.checkpoint_every);
-        }
-    }
-    if let Some(window) = opts.watchdog {
-        b = b.watchdog(window);
-    }
-    b
-}
-
-/// Multi-restart solve with the full robustness surface: independently
-/// seeded annealers on parallel OS threads, per-restart
-/// checkpoints/resume/watchdog via [`MultiOpts`], and panic isolation —
-/// a crashed worker is reported in [`MultiReport::panics`] while its
-/// siblings' results survive. Restart `i` uses seed `cfg.seed + i`, so
-/// the single-restart case reproduces a plain [`Anneal`] run exactly.
-///
-/// Fails only when *no* restart completes: with the first structured
-/// error if one exists, else [`SaError::AllWorkersPanicked`].
-#[deprecated(since = "0.3.0", note = "use `Solver::builder(n, r)` instead")]
-pub fn solve_orp_multi_report(
-    n: u32,
-    r: u32,
-    cfg: &SaConfig,
-    restarts: usize,
-    opts: &MultiOpts,
-) -> Result<MultiReport, SaError> {
-    let report = multi_solver(n, r, cfg, restarts, opts).run()?;
-    Ok(MultiReport {
-        result: report.result,
-        m_opt: report.m_opt,
-        completed: report.completed,
-        panics: report.panics,
-        errors: report.errors,
-    })
-}
-
-/// Multi-restart solve: runs `restarts` independently seeded annealers
-/// on parallel OS threads and keeps the best result. Restart `i` uses
-/// seed `cfg.seed + i`, so the single-restart case reproduces a plain
-/// [`Anneal`] run exactly.
-#[deprecated(since = "0.3.0", note = "use `Solver::builder(n, r)` instead")]
-pub fn solve_orp_multi(
-    n: u32,
-    r: u32,
-    cfg: &SaConfig,
-    restarts: usize,
-) -> Result<(SaResult, u32), SaError> {
-    let report = multi_solver(n, r, cfg, restarts, &MultiOpts::default()).run()?;
-    Ok((report.result, report.m_opt))
 }
 
 /// Calibrates an initial temperature from the instance itself: samples
@@ -1462,32 +1354,6 @@ mod tests {
         for w in res.history.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-12);
         }
-    }
-
-    /// The deprecated free functions stay thin wrappers over
-    /// [`Solver`]: identical results, identical single-restart
-    /// degeneration.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_solver() {
-        let cfg = small_cfg(300);
-        let (res, m_opt) = solve_orp(64, 10, &cfg).unwrap();
-        assert_eq!(res.graph.num_switches(), m_opt);
-        assert_eq!(res.graph.num_hosts(), 64);
-        res.graph.validate().unwrap();
-        let lb = haspl_lower_bound(64, 10);
-        assert!(res.metrics.haspl >= lb - 1e-9);
-        let report = Solver::builder(64, 10).config(cfg.clone()).run().unwrap();
-        assert_eq!(res.graph, report.result.graph);
-        assert_eq!(res.metrics, report.result.metrics);
-        // solve_orp_multi(·, 1) degenerates to solve_orp.
-        let (b, _) = solve_orp_multi(64, 10, &cfg, 1).unwrap();
-        assert_eq!(res.graph, b.graph);
-        // solve_orp_multi_report keeps the MultiReport surface intact.
-        let multi = solve_orp_multi_report(64, 10, &cfg, 2, &MultiOpts::default()).unwrap();
-        assert_eq!(multi.completed, 2);
-        assert!(multi.panics.is_empty() && multi.errors.is_empty());
-        assert!(multi.result.metrics.haspl <= res.metrics.haspl + 1e-12);
     }
 
     #[test]
@@ -1771,45 +1637,6 @@ mod tests {
             .unwrap();
         assert_eq!(resumed.graph, reference.graph);
         assert_eq!(resumed.metrics, reference.metrics);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn multi_report_writes_per_restart_checkpoints_and_resumes() {
-        let dir = temp_dir("multi");
-        let prefix = dir.join("solve.ckpt");
-        let cfg = small_cfg(300);
-        let opts = MultiOpts {
-            checkpoint: Some(prefix.clone()),
-            checkpoint_every: 100,
-            ..Default::default()
-        };
-        let report = solve_orp_multi_report(64, 10, &cfg, 2, &opts).unwrap();
-        assert_eq!(report.completed, 2);
-        assert!(report.panics.is_empty());
-        assert!(report.errors.is_empty());
-        assert!(restart_ckpt_path(&prefix, 0).exists());
-        assert!(restart_ckpt_path(&prefix, 1).exists());
-        // Plain multi-restart must agree with the checkpointed one.
-        let (plain, m) = solve_orp_multi(64, 10, &cfg, 2).unwrap();
-        assert_eq!(report.m_opt, m);
-        assert_eq!(report.result.graph, plain.graph);
-        // Resuming from the completed checkpoints lands on the same
-        // answer immediately.
-        let resumed = solve_orp_multi_report(
-            64,
-            10,
-            &cfg,
-            2,
-            &MultiOpts {
-                resume: true,
-                ..opts
-            },
-        )
-        .unwrap();
-        assert_eq!(resumed.result.graph, report.result.graph);
-        assert_eq!(resumed.result.metrics, report.result.metrics);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

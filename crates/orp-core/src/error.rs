@@ -101,7 +101,7 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// Diagnostic record for one crashed restart worker of
-/// [`crate::anneal::solve_orp_multi`]: which restart it was, the seed
+/// [`crate::solver::Solver`]: which restart it was, the seed
 /// it ran with (for offline reproduction), and the panic payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
@@ -161,7 +161,7 @@ pub enum SaError {
     /// Every restart worker of a multi-restart solve panicked, so there
     /// is no surviving result to return. Partial crashes (some workers
     /// survive) do **not** produce this — see
-    /// [`crate::anneal::MultiReport`].
+    /// [`crate::solver::SolveReport::panics`].
     AllWorkersPanicked(
         /// One record per crashed worker.
         Vec<WorkerPanic>,

@@ -61,7 +61,7 @@ pub mod temper;
 pub mod watchdog;
 pub mod wsdeque;
 
-pub use anneal::{Anneal, MoveKind, MultiOpts, MultiReport, SaConfig, SaConfigBuilder, SaResult};
+pub use anneal::{Anneal, MoveKind, SaConfig, SaConfigBuilder, SaResult};
 pub use ckpt::{Checkpointable, CkptError};
 pub use error::{GraphError, SaError, WorkerPanic};
 pub use fault::{DegradedMetrics, FaultSet, FaultView};

@@ -1,9 +1,7 @@
 //! The unified end-to-end ORP solver (§5.3), builder style.
 //!
-//! [`Solver::builder`] replaces the former free functions `solve_orp`,
-//! `solve_orp_multi` and `solve_orp_multi_report` with one surface,
-//! consistent with [`crate::anneal::Anneal`] and
-//! [`crate::temper::Temper`]: pick `m = m_opt` from the continuous
+//! [`Solver::builder`] is the one solve surface, consistent with
+//! [`crate::anneal::Anneal`] and [`crate::temper::Temper`]: pick `m = m_opt` from the continuous
 //! Moore bound, then run either independently seeded restarts of the
 //! annealer or a parallel-tempering ensemble (when
 //! [`Solver::replicas`] `> 1`), with per-restart checkpoints, resume,
@@ -401,8 +399,8 @@ mod tests {
 
     #[test]
     fn single_restart_matches_plain_anneal() {
-        // The builder with defaults reproduces the historical
-        // `solve_orp` pipeline bit-for-bit.
+        // The builder with defaults reproduces a plain 2-neighbor-swing
+        // anneal at `m_opt` bit-for-bit.
         let cfg = small_cfg(300);
         let report = Solver::builder(64, 10).config(cfg.clone()).run().unwrap();
         let (m_opt, _) = optimal_switch_count(64, 10);
@@ -474,8 +472,19 @@ mod tests {
                 .unwrap()
         };
         let report = run(false);
+        assert_eq!(report.completed, 2);
+        assert!(report.panics.is_empty() && report.errors.is_empty());
         assert!(restart_ckpt_path(&prefix, 0).exists());
         assert!(restart_ckpt_path(&prefix, 1).exists());
+        // Plain multi-restart must agree with the checkpointed one.
+        let plain = Solver::builder(64, 10)
+            .config(cfg.clone())
+            .restarts(2)
+            .run()
+            .unwrap();
+        assert_eq!(plain.m_opt, report.m_opt);
+        assert_eq!(plain.result.graph, report.result.graph);
+        assert_eq!(plain.result.metrics, report.result.metrics);
         // Resuming from the completed checkpoints lands on the same
         // answer immediately.
         let resumed = run(true);

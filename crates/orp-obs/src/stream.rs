@@ -1182,30 +1182,6 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
             }
             let _ = writeln!(o, "{line}");
         }
-        // parallel staging lanes (present when running with --workers)
-        let mut lanes: Vec<(usize, f64, f64)> = Vec::new();
-        for (name, v) in &cur.gauges {
-            if let Some(rest) = name.strip_prefix("sim.w") {
-                if let Some(k) = rest
-                    .strip_suffix(".staged")
-                    .and_then(|s| s.parse::<usize>().ok())
-                {
-                    let busy = cur.gauge(&format!("sim.w{k}.busy_ms")).unwrap_or(0.0);
-                    lanes.push((k, *v, busy));
-                }
-            }
-        }
-        if !lanes.is_empty() {
-            lanes.sort_by_key(|&(k, _, _)| k);
-            let _ = writeln!(o, "sim workers ({}):", lanes.len());
-            for (k, staged, busy) in lanes {
-                let rate = delta(&format!("sim.w{k}.staged")).unwrap_or(0.0) / dt_s;
-                let _ = writeln!(
-                    o,
-                    "  w{k:<2} staged {staged:>9.0} ({rate:>7.0}/s)  busy {busy:>8.1} ms"
-                );
-            }
-        }
     }
     // recent events footer
     if !cur.events.is_empty() {

@@ -139,7 +139,7 @@ impl From<core::CkptError> for Error {
 /// One-stop imports for the builder-style API:
 /// `use orp::prelude::*;`.
 pub mod prelude {
-    pub use crate::core::anneal::{Anneal, MoveKind, MultiOpts, MultiReport, SaConfig, SaResult};
+    pub use crate::core::anneal::{Anneal, MoveKind, SaConfig, SaResult};
     pub use crate::core::ckpt::{Checkpointable, CkptError};
     pub use crate::core::error::SaError;
     pub use crate::core::graph::HostSwitchGraph;

@@ -1,0 +1,83 @@
+//! The `orp` binary rejects `--` flags a subcommand does not know: the
+//! run fails with a usage error naming the flag instead of ignoring it
+//! or misreading it as a positional argument (a benchmark name, an
+//! iteration count).
+
+use orp::core::construct::random_general;
+use orp::core::io;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// A small saved graph in a scratch directory unique to `tag`.
+fn saved_graph(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("orp-cli-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("g.hsg");
+    let g = random_general(16, 4, 8, 1).unwrap();
+    std::fs::write(&path, io::to_string(&g)).unwrap();
+    path
+}
+
+fn orp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_orp"))
+        .args(args)
+        .output()
+        .expect("run orp")
+}
+
+/// Asserts `orp args…` exits non-zero with `flag` named on stderr.
+fn assert_rejects(args: &[&str], flag: &str) {
+    let out = orp(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} succeeded");
+    assert!(
+        stderr.contains(&format!("unknown flag {flag}")),
+        "{args:?}: stderr does not name {flag}: {stderr}"
+    );
+}
+
+#[test]
+fn simulate_rejects_unknown_and_retired_flags() {
+    let path = saved_graph("simulate");
+    let g = path.to_str().unwrap();
+    assert_rejects(
+        &["simulate", g, "--inject", "1000", "--bogus", "2"],
+        "--bogus",
+    );
+    // without --inject a leftover flag would be read as the benchmark
+    assert_rejects(&["simulate", g, "--workers", "2"], "--workers");
+    // known flags alone still run
+    let out = orp(&["simulate", g, "--inject", "50", "--seed", "3"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("sim-state:"));
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_flags() {
+    let path = saved_graph("all");
+    let g = path.to_str().unwrap();
+    let cases: [&[&str]; 10] = [
+        &["bounds", "16", "4"],
+        &["solve", "16", "4", "10"],
+        &["eval", g],
+        &["compare", "16", "4"],
+        &["simulate", g, "EP"],
+        &["watch", "m.jsonl", "--once"],
+        &["report", "t.json"],
+        &["diff", "a.json", "b.json"],
+        &["partition", g, "2"],
+        &["layout", g],
+    ];
+    for case in cases {
+        let mut args = case.to_vec();
+        args.push("--frobnicate");
+        assert_rejects(&args, "--frobnicate");
+    }
+    assert!(orp(&["bounds", "16", "4"]).status.success());
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
