@@ -9,6 +9,25 @@
 //! * [`optimal_switch_count`] — the `m_opt` prediction: the `m` minimising
 //!   the continuous Moore bound.
 
+use crate::error::GraphError;
+
+/// Checks that `(n, r)` is an instance the bounds below are defined for
+/// — at least two hosts and radix at least 3 — so callers facing user
+/// input can report a structured error instead of hitting their panics.
+pub fn check_instance(n: u64, r: u64) -> Result<(), GraphError> {
+    if n < 2 {
+        return Err(GraphError::InvalidParameters(format!(
+            "need at least two hosts, got n = {n}"
+        )));
+    }
+    if r < 3 {
+        return Err(GraphError::InvalidParameters(format!(
+            "radix must be at least 3, got r = {r}"
+        )));
+    }
+    Ok(())
+}
+
 /// Theorem 1: `D(G) ≥ ⌈log_{r−1}(n−1)⌉ + 1` for any host-switch graph of
 /// order `n` and radix `r`, clamped to 2 (a host-to-host path always
 /// crosses at least one switch).

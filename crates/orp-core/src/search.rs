@@ -72,9 +72,14 @@
 //!   instances (`n = 65536`) fit a few GiB. ORP diameters are
 //!   single-digit, so the tighter cap never binds on real searches.
 //!
-//! Transactional row snapshots are run-length encoded (a repaired row
-//! differs from its pre-image in a handful of runs), so rejected
-//! proposals at large `m` do not copy whole rows around.
+//! Inside a transaction every cache write is undo-logged entry by entry:
+//! a row's header (validity and aggregates) the first time an evaluation
+//! writes it, then `(v, d_old)` per overwritten entry. A repair changes a
+//! handful of entries per row, so a rejected proposal costs
+//! `O(entries changed)` to log and to roll back at any `m`. The header
+//! aggregates are those of the evaluation's host counts, so a rollback
+//! restores the logged rows at the evaluation's place in the undo log —
+//! after undoing every later host move, before any earlier one.
 //!
 //! # Sharded parallel repair
 //!
@@ -469,21 +474,55 @@ fn row_get(store: &RowStore, m: usize, s: usize, v: usize) -> u16 {
     }
 }
 
-/// Run-length encodes row `s` as flattened `(value, run)` `u16` pairs
-/// appended to `out`; runs split at `u16::MAX`.
-fn encode_row_rle(store: &RowStore, m: usize, s: usize, out: &mut Vec<u16>) {
-    let mut v = 0usize;
-    while v < m {
-        let val = row_get(store, m, s, v);
-        let mut run = 1usize;
-        while v + run < m && run < u16::MAX as usize && row_get(store, m, s, v + run) == val {
-            run += 1;
+/// Writes entry `(s, v)` of the row store from a logical `u16` distance.
+#[inline]
+fn row_set(store: &mut RowStore, m: usize, s: usize, v: usize, d: u16) {
+    match store {
+        RowStore::Dense(rows) => rows[s * m + v] = d,
+        RowStore::Packed(rows) => {
+            rows[s * m + v] = if d == INVALID_DIST {
+                PACKED_INVALID
+            } else {
+                d as u8
+            }
         }
-        out.push(val);
-        out.push(run as u16);
-        v += run;
     }
 }
+
+/// Undo-log header of one row: its state just before an in-transaction
+/// evaluation first wrote it. The row's overwritten entries follow in
+/// the owning entry log, from `start` up to the next header's `start`.
+#[derive(Debug, Clone, Copy)]
+struct RowUndo {
+    s: u32,
+    was_valid: bool,
+    ecc: u16,
+    nreach: u32,
+    wsum: u64,
+    start: usize,
+}
+
+impl RowUndo {
+    /// Captures the header of row `s`, whose entries will be logged
+    /// from `start` on.
+    ///
+    /// # Safety
+    /// The caller must own source `s` for the duration of the job.
+    #[inline]
+    unsafe fn capture(c: &CachePtrs, s: usize, start: usize) -> Self {
+        Self {
+            s: s as u32,
+            was_valid: *c.valid.add(s),
+            ecc: *c.ecc.add(s),
+            nreach: *c.nreach.add(s),
+            wsum: *c.wsum.add(s),
+            start,
+        }
+    }
+}
+
+/// One logged entry write: `(v, d_old)`.
+type EntryUndo = (u32, u16);
 
 /// Raw views into the cache arrays, so one sweep/repair implementation
 /// serves both the sequential path and the worker pool (each task writes
@@ -697,22 +736,21 @@ struct DistCache {
     /// Set when a sweep or repair overflowed the distance cap; the
     /// engine then falls back to full sweeps forever.
     disabled: bool,
-    // -- transactional snapshots ------------------------------------
-    /// Sources whose rows were overwritten inside an open transaction,
-    /// with their pre-overwrite validity and the start offset of their
-    /// RLE image in [`Self::snap_rle`]. Restored in reverse on
-    /// rollback, so the earliest (pre-transaction) copy wins.
-    snap_src: Vec<(u32, bool, u32)>,
-    /// Run-length arena backing [`Self::snap_src`]: flattened
-    /// `(value, run)` `u16` pairs per saved row.
-    snap_rle: Vec<u16>,
-    /// `snap_src` boundary per open transaction level.
-    snap_marks: Vec<usize>,
-    /// Copy of [`Self::edge_delta`] at each `begin`, restored wholesale
-    /// on rollback (the restored rows match the restored graph, so the
-    /// inverse notes pushed by undo replay are discarded).
-    saved_deltas: Vec<Vec<(Switch, Switch, i32)>>,
-    // -- scan scratch (never snapshotted) ---------------------------
+    // -- transactional undo log --------------------------------------
+    /// Headers of the rows in-transaction evaluations rewrote, in
+    /// write order; an [`UndoOp::RewroteRows`] on the engine's undo log
+    /// names where each evaluation's headers begin.
+    undo_rows: Vec<RowUndo>,
+    /// Entries backing [`Self::undo_rows`], one per overwrite.
+    undo_entries: Vec<EntryUndo>,
+    /// [`Self::edge_delta`] at each open `begin`, stacked flat and
+    /// restored wholesale on rollback (the restored rows match the
+    /// restored graph, so the inverse notes pushed by undo replay are
+    /// discarded).
+    saved_deltas: Vec<(Switch, Switch, i32)>,
+    /// `saved_deltas` boundary per open transaction level.
+    delta_marks: Vec<usize>,
+    // -- scan scratch (never undo-logged) ---------------------------
     /// Per-source classification bits (`ADD_AFF` / `DEL_AFF` /
     /// `NO_STRICT`).
     flags: Vec<u8>,
@@ -786,10 +824,10 @@ impl DistCache {
             nreach: vec![0; m],
             edge_delta: Vec::new(),
             disabled: false,
-            snap_src: Vec::new(),
-            snap_rle: Vec::new(),
-            snap_marks: Vec::new(),
+            undo_rows: Vec::new(),
+            undo_entries: Vec::new(),
             saved_deltas: Vec::new(),
+            delta_marks: Vec::new(),
             flags: vec![0; m],
             wneed: vec![0; m],
             wit: vec![0; m],
@@ -799,7 +837,7 @@ impl DistCache {
     }
 
     /// Resident bytes of the bulk row store, the per-source aggregates,
-    /// and the live transactional snapshot arena.
+    /// and the live transactional undo log.
     fn resident_bytes(&self) -> usize {
         let rows = match &self.store {
             RowStore::Dense(r) => r.len() * 2,
@@ -810,142 +848,111 @@ impl DistCache {
             + self.nreach.len() * 4
             + self.ecc.len() * 2
             + self.valid.len()
-            + self.snap_rle.len() * 2
+            + self.undo_rows.len() * std::mem::size_of::<RowUndo>()
+            + self.undo_entries.len() * std::mem::size_of::<EntryUndo>()
     }
 
-    // -- transactional snapshots --------------------------------------
+    // -- transactional undo log ---------------------------------------
 
-    /// Opens a snapshot level (called from [`SearchState::begin`]).
+    /// Opens a transaction level (called from [`SearchState::begin`]).
     fn mark(&mut self) {
         if self.disabled {
             return;
         }
-        self.snap_marks.push(self.snap_src.len());
-        self.saved_deltas.push(self.edge_delta.clone());
+        self.delta_marks.push(self.saved_deltas.len());
+        self.saved_deltas.extend_from_slice(&self.edge_delta);
     }
 
-    /// Folds the innermost snapshot level into its parent (commit): the
-    /// entries stay restorable by an enclosing rollback and are dropped
-    /// only when the outermost transaction commits.
+    /// Folds the innermost level into its parent (commit): logged rows
+    /// stay restorable by an enclosing rollback and are dropped only
+    /// when the outermost transaction commits.
     fn commit_mark(&mut self) {
         if self.disabled {
             return;
         }
-        self.snap_marks.pop();
-        self.saved_deltas.pop();
-        if self.snap_marks.is_empty() {
-            self.snap_src.clear();
-            self.snap_rle.clear();
+        if let Some(boundary) = self.delta_marks.pop() {
+            self.saved_deltas.truncate(boundary);
+        }
+        if self.delta_marks.is_empty() {
+            self.undo_rows.clear();
+            self.undo_entries.clear();
         }
     }
 
-    /// Restores every row dirtied since the innermost `mark` (reverse
-    /// order, so the earliest copy wins) and rewinds the edge delta to
-    /// its state at `begin`. Aggregates of restored rows are recomputed
-    /// against `counts`, which the caller passes *after* replaying the
-    /// undo log — so host counts are already rolled back.
-    fn rollback_mark(&mut self, counts: &[u32]) {
+    /// Rewinds the edge delta to its state at the innermost `begin`.
+    /// The rows themselves were restored by the [`UndoOp::RewroteRows`]
+    /// entries of the replayed undo log.
+    fn rollback_mark(&mut self) {
         if self.disabled {
             return;
         }
-        let (Some(boundary), Some(saved)) = (self.snap_marks.pop(), self.saved_deltas.pop()) else {
+        let Some(boundary) = self.delta_marks.pop() else {
             return;
         };
-        while self.snap_src.len() > boundary {
-            let (s, was_valid, start) = self.snap_src.pop().expect("len > boundary");
-            let s = s as usize;
-            let start = start as usize;
-            self.decode_snap_row(s, start);
-            self.snap_rle.truncate(start);
-            self.valid[s] = was_valid;
-            if was_valid {
-                // restored rows were validated when first stored
-                let ok = self.recompute_aggregates(s, counts);
-                debug_assert!(ok, "snapshot row of source {s} holds an oversized distance");
-            }
+        self.edge_delta.clear();
+        self.edge_delta
+            .extend_from_slice(&self.saved_deltas[boundary..]);
+        self.saved_deltas.truncate(boundary);
+    }
+
+    /// Restores every row logged from header `from` on, newest first:
+    /// writes the old entries back, reverses their histogram patches and
+    /// reinstates the saved validity and aggregates. `counts` must be
+    /// the host counts of the evaluation that logged the rows, which
+    /// replaying the undo log in order guarantees: every later host move
+    /// is already undone, every earlier one not yet.
+    fn restore_rows(&mut self, from: usize, counts: &[u32]) {
+        if self.disabled {
+            return;
         }
-        self.edge_delta = saved;
-    }
-
-    /// Decodes the RLE image at `snap_rle[start..]` back into row `s`.
-    fn decode_snap_row(&mut self, s: usize, start: usize) {
-        let m = self.m;
-        let rle = &self.snap_rle[start..];
-        let mut v = 0usize;
-        let mut i = 0usize;
-        match &mut self.store {
-            RowStore::Dense(rows) => {
-                let base = s * m;
-                while v < m {
-                    let (val, run) = (rle[i], rle[i + 1] as usize);
-                    i += 2;
-                    rows[base + v..base + v + run].fill(val);
-                    v += run;
-                }
-            }
-            RowStore::Packed(rows) => {
-                let base = s * m;
-                while v < m {
-                    let (val, run) = (rle[i], rle[i + 1] as usize);
-                    i += 2;
-                    let b = if val == INVALID_DIST {
-                        PACKED_INVALID
-                    } else {
-                        val as u8
-                    };
-                    rows[base + v..base + v + run].fill(b);
-                    v += run;
-                }
-            }
-        }
-        debug_assert_eq!(i, rle.len(), "trailing RLE data after row {s}");
-    }
-
-    /// Saves row `s` (and its validity) before a sweep or repair
-    /// overwrites it. Only meaningful while a snapshot level is open.
-    fn snapshot_row(&mut self, s: u32) {
-        debug_assert!(!self.snap_marks.is_empty());
-        let s_idx = s as usize;
-        let start = self.snap_rle.len() as u32;
-        self.snap_src.push((s, self.valid[s_idx], start));
-        encode_row_rle(&self.store, self.m, s_idx, &mut self.snap_rle);
-    }
-
-    /// Rebuilds `wsum`/`hist`/`ecc`/`nreach` of source `s` from its row
-    /// and the given host counts — one sequential scan. Returns `false`
-    /// if the row holds a finite distance beyond what the histogram can
-    /// index (only reachable through formula repair).
-    #[must_use]
-    fn recompute_aggregates(&mut self, s: usize, counts: &[u32]) -> bool {
         let m = self.m;
         let max_dist = self.max_dist;
-        let hist = &mut self.hist[s * max_dist..(s + 1) * max_dist];
-        hist.fill(0);
-        let mut wsum = 0u64;
-        let mut nreach = 0u32;
-        let mut ecc = 0u16;
-        for (v, &k) in counts.iter().enumerate().take(m) {
-            let d = row_get(&self.store, m, s, v);
-            if v == s || d == INVALID_DIST {
-                continue;
+        while self.undo_rows.len() > from {
+            let h = self.undo_rows.pop().expect("len > from");
+            let s = h.s as usize;
+            if h.was_valid {
+                let hist = &mut self.hist[s * max_dist..(s + 1) * max_dist];
+                for &(v, d_old) in self.undo_entries[h.start..].iter().rev() {
+                    let v = v as usize;
+                    let d_cur = row_get(&self.store, m, s, v);
+                    if d_cur != d_old && counts[v] != 0 && v != s {
+                        if d_cur != INVALID_DIST {
+                            hist[d_cur as usize] -= 1;
+                        }
+                        if d_old != INVALID_DIST {
+                            hist[d_old as usize] += 1;
+                        }
+                    }
+                    row_set(&mut self.store, m, s, v, d_old);
+                }
+                self.wsum[s] = h.wsum;
+                self.nreach[s] = h.nreach;
+                self.ecc[s] = h.ecc;
             }
-            // hostless switches count too: a later host move must be
-            // able to index `hist[d]`
-            if d >= max_dist as u16 {
-                return false;
-            }
-            if k == 0 {
-                continue;
-            }
-            wsum += k as u64 * (d as u64 + 2);
-            hist[d as usize] += 1;
-            nreach += 1;
-            ecc = ecc.max(d);
+            self.undo_entries.truncate(h.start);
+            self.valid[s] = h.was_valid;
         }
-        self.wsum[s] = wsum;
-        self.nreach[s] = nreach;
-        self.ecc[s] = ecc;
-        true
+    }
+
+    /// Logs row `s` before a re-BFS sweep rewrites it wholesale: a
+    /// valid row logs every entry, an invalid one only its header (its
+    /// content is refilled before any sweep reads it).
+    fn log_swept_row(&mut self, s: u32) {
+        let s = s as usize;
+        self.undo_rows.push(RowUndo {
+            s: s as u32,
+            was_valid: self.valid[s],
+            ecc: self.ecc[s],
+            nreach: self.nreach[s],
+            wsum: self.wsum[s],
+            start: self.undo_entries.len(),
+        });
+        if self.valid[s] {
+            let m = self.m;
+            let store = &self.store;
+            self.undo_entries
+                .extend((0..m).map(|v| (v as u32, row_get(store, m, s, v))));
+        }
     }
 
     fn ptrs(&mut self) -> CachePtrs {
@@ -1032,7 +1039,23 @@ impl DistCache {
         }
     }
 
-    /// Classifies every row against the pending edge delta, pushing the
+    /// Splits the pending edge delta into net-added links (with their
+    /// multiplicity) and net-removed ones, into reused buffers; swings
+    /// keep `|adds| = |dels| = 1`, swaps 2 and 2.
+    fn split_delta(&self, adds: &mut Vec<(u32, u32, u32)>, dels: &mut Vec<(u32, u32)>) {
+        adds.clear();
+        dels.clear();
+        for &(a, b, net) in &self.edge_delta {
+            if net > 0 {
+                adds.push((a, b, net as u32));
+            } else if net < 0 {
+                dels.push((a, b));
+            }
+        }
+    }
+
+    /// Classifies every row against the pending edge delta, split by
+    /// [`DistCache::split_delta`] into `adds` and `dels`, pushing the
     /// sources that must be re-swept (affected or invalid, hostful or
     /// not — the cache keeps every row warm so host moves onto hostless
     /// switches never cold-start) into `rebfs`. Read-only on the cache
@@ -1042,6 +1065,8 @@ impl DistCache {
         &mut self,
         csr: &SlotCsr,
         counts: &[u32],
+        adds: &[(u32, u32, u32)],
+        dels: &[(u32, u32)],
         rebfs: &mut Vec<u32>,
         repair: &mut Vec<u32>,
     ) -> DeltaScan {
@@ -1049,17 +1074,6 @@ impl DistCache {
         repair.clear();
         let mut scan = DeltaScan::default();
         let m = self.m;
-        // Split the pending delta once; swings keep |adds| = |dels| = 1,
-        // swaps 2 and 2.
-        let mut adds: Vec<(u32, u32)> = Vec::with_capacity(4);
-        let mut dels: Vec<(u32, u32)> = Vec::with_capacity(4);
-        for &(a, b, net) in &self.edge_delta {
-            if net > 0 {
-                adds.push((a, b));
-            } else if net < 0 {
-                dels.push((a, b));
-            }
-        }
         scan.guardable = adds.len() <= 1;
         for (s, (&ok, &k)) in self.valid.iter().zip(counts).enumerate().take(m) {
             if !ok {
@@ -1081,9 +1095,10 @@ impl DistCache {
         // impossible and every row is conservatively re-swept.
         let mut conservative = adds
             .iter()
-            .chain(&dels)
-            .any(|&(u, v)| !self.valid[u as usize] || !self.valid[v as usize]);
-        for &(u, v) in &dels {
+            .map(|&(u, v, _)| (u, v))
+            .chain(dels.iter().copied())
+            .any(|(u, v)| !self.valid[u as usize] || !self.valid[v as usize]);
+        for &(u, v) in dels {
             conservative |= csr
                 .neighbors(u)
                 .iter()
@@ -1107,7 +1122,7 @@ impl DistCache {
         // Accumulates the behind-u / behind-v host masses of the
         // single-add improvement allowance (see `DeltaScan::allowance`).
         let (mut su, mut ku, mut sv, mut kv) = (0u64, 0u64, 0u64, 0u64);
-        for &(u, v) in &adds {
+        for &(u, v, _) in adds {
             for (s, &ks) in counts.iter().enumerate().take(m) {
                 if !self.valid[s] {
                     continue;
@@ -1152,7 +1167,7 @@ impl DistCache {
         // delta leaves `s` unchanged, not the removals alone, so it does
         // not count as a *strict* witness (bit 1), which is what formula
         // repair needs.
-        for &(u, v) in &dels {
+        for &(u, v) in dels {
             for s in 0..m {
                 // add-affected sources still need their removal bits:
                 // they decide repair eligibility (strict increments are
@@ -1189,7 +1204,11 @@ impl DistCache {
             for (far, need) in [(v, 1u8), (u, 2u8)] {
                 for &w in csr.neighbors(far) {
                     let key = if far < w { (far, w) } else { (w, far) };
-                    let strict_bit = if adds.contains(&key) { 1 } else { 3 };
+                    let strict_bit = if adds.iter().any(|&(a, b, _)| (a, b) == key) {
+                        1
+                    } else {
+                        3
+                    };
                     for s in 0..m {
                         if self.wneed[s] == need {
                             let dw = row_get(&self.store, m, w as usize, s);
@@ -1285,10 +1304,10 @@ impl DistCache {
         self.nreach = Vec::new();
         self.valid = vec![false; self.m];
         self.edge_delta = Vec::new();
-        self.snap_src = Vec::new();
-        self.snap_rle = Vec::new();
-        self.snap_marks = Vec::new();
+        self.undo_rows = Vec::new();
+        self.undo_entries = Vec::new();
         self.saved_deltas = Vec::new();
+        self.delta_marks = Vec::new();
         self.flags = Vec::new();
         self.wneed = Vec::new();
         self.wit = Vec::new();
@@ -1299,9 +1318,8 @@ impl DistCache {
 // ---- sharded in-place repair -------------------------------------------
 
 /// Per-worker scratch of the sharded repair path: epoch-stamped marker
-/// arrays, the bucket queue, and the worker-local RLE snapshot arena
-/// (merged into the cache's snapshot stack after the job, so workers
-/// never contend on it).
+/// arrays, the bucket queue, and the worker-local undo log (merged into
+/// the cache's log after the job, so workers never contend on it).
 #[derive(Debug, Default)]
 struct RepairScratch {
     /// Current epoch; a stamp array entry equals it iff set this source.
@@ -1317,11 +1335,11 @@ struct RepairScratch {
     buckets: Vec<Vec<u32>>,
     /// Orphans of the current source.
     orphans: Vec<u32>,
-    /// Rows this worker snapshotted during the current job, as
-    /// `(source, was_valid, start into snap_rle)`.
-    snaps: Vec<(u32, bool, u32)>,
-    /// RLE arena backing [`Self::snaps`].
-    snap_rle: Vec<u16>,
+    /// Headers of the rows this worker's repairs wrote during the
+    /// current job, with `start` indexing [`Self::undo_entries`].
+    undo_rows: Vec<RowUndo>,
+    /// Entries backing [`Self::undo_rows`].
+    undo_entries: Vec<EntryUndo>,
     /// Rows this worker's repairs actually rewrote during the job.
     touched: u32,
 }
@@ -1341,8 +1359,8 @@ impl RepairScratch {
 
     fn reset_job(&mut self) {
         self.touched = 0;
-        self.snaps.clear();
-        self.snap_rle.clear();
+        self.undo_rows.clear();
+        self.undo_entries.clear();
     }
 }
 
@@ -1361,9 +1379,8 @@ struct RepairCtx {
     adds_len: usize,
     dels: *const (u32, u32),
     dels_len: usize,
-    /// Whether a transaction is open (rows must be snapshotted before
-    /// their first write).
-    snap: bool,
+    /// Whether a transaction is open (every write must be undo-logged).
+    log: bool,
 }
 
 // SAFETY: every task dereferences only its own source's row, aggregate
@@ -1372,26 +1389,37 @@ struct RepairCtx {
 unsafe impl Send for RepairCtx {}
 unsafe impl Sync for RepairCtx {}
 
-/// RLE-snapshots the pre-image of row `s` into this worker's local
-/// arena (merged into the cache's snapshot stack after the job).
+/// Logs the header of row `s` into this worker's undo log just before
+/// the row's first write of the job (a no-op outside transactions).
 ///
 /// # Safety
 /// The caller must own source `s` for the duration of the job.
-unsafe fn snapshot_into(rs: &mut RepairScratch, c: &CachePtrs, s: usize) {
-    let start = rs.snap_rle.len() as u32;
-    rs.snaps.push((s as u32, *c.valid.add(s), start));
-    let m = c.m;
-    let mut v = 0usize;
-    while v < m {
-        let val = c.get(s, v);
-        let mut run = 1usize;
-        while v + run < m && run < u16::MAX as usize && c.get(s, v + run) == val {
-            run += 1;
-        }
-        rs.snap_rle.push(val);
-        rs.snap_rle.push(run as u16);
-        v += run;
+#[inline]
+unsafe fn log_row(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) {
+    if ctx.log {
+        let start = rs.undo_entries.len();
+        rs.undo_rows.push(RowUndo::capture(&ctx.cache, s, start));
     }
+}
+
+/// Writes entry `(s, v)`, first logging its old value `d_old` when a
+/// transaction is open.
+///
+/// # Safety
+/// The caller must own source `s` for the duration of the job.
+#[inline]
+unsafe fn write_entry(
+    ctx: &RepairCtx,
+    rs: &mut RepairScratch,
+    s: usize,
+    v: usize,
+    d_old: u16,
+    d: u16,
+) {
+    if ctx.log {
+        rs.undo_entries.push((v as u32, d_old));
+    }
+    ctx.cache.set(s, v, d);
 }
 
 /// The added-link copies incident to `x`, as `(other endpoint,
@@ -1465,8 +1493,9 @@ unsafe fn strict_parent_survives(
 /// links excluded). Orphan descent finds exactly the vertices whose
 /// every strict shortest-path parent is gone, then a bucket-Dijkstra
 /// re-settles them from the unorphaned boundary, patching
-/// `wsum`/`hist`/`ecc`/`nreach` per rewritten entry. Snapshots the row
-/// just before the first write when a transaction is open. Returns
+/// `wsum`/`hist`/`ecc`/`nreach` per rewritten entry. Undo-logs the row
+/// header before the first write and every entry it overwrites when a
+/// transaction is open. Returns
 /// `None` on distance overflow, otherwise whether any entry was
 /// rewritten (a row whose every on-DAG removal keeps a surviving
 /// strict parent is untouched, and its aggregates stay exact).
@@ -1539,11 +1568,9 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     if rs.orphans.is_empty() {
         return Some(false);
     }
-    // The row is about to be rewritten: save it now if a snapshot
-    // level is open, so witness-protected rows never pay for one.
-    if ctx.snap {
-        snapshot_into(rs, c, s);
-    }
+    // The row is about to be rewritten: log its header now, so
+    // witness-protected rows never pay for one.
+    log_row(ctx, rs, s);
     // -- re-relaxation (unit-weight Dijkstra from the boundary) ---
     let mut lo = max_dist;
     for oi in 0..rs.orphans.len() {
@@ -1586,7 +1613,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
             // Patch the aggregates in place: orphan distances grow
             // strictly, so the eccentricity only ratchets up here.
             let d_old = c.get(s, xi);
-            c.set(s, xi, key as u16);
+            write_entry(ctx, rs, s, xi, d_old, key as u16);
             debug_assert!((key as u16) > d_old);
             let kx = counts[xi];
             if kx != 0 {
@@ -1617,7 +1644,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
         let xi = rs.orphans[oi] as usize;
         if rs.settled_ep[xi] != ep {
             let d_old = c.get(s, xi);
-            c.set(s, xi, INVALID_DIST);
+            write_entry(ctx, rs, s, xi, d_old, INVALID_DIST);
             let kx = counts[xi];
             if kx != 0 {
                 *wsum -= kx as u64 * (d_old as u64 + 2);
@@ -1653,7 +1680,7 @@ unsafe fn add_repair_source(
     ctx: &RepairCtx,
     rs: &mut RepairScratch,
     s: usize,
-    snapshotted: bool,
+    logged: bool,
 ) -> Option<bool> {
     let c = &ctx.cache;
     let max_dist = c.max_dist;
@@ -1676,8 +1703,8 @@ unsafe fn add_repair_source(
     if !seeded {
         return Some(false);
     }
-    if !snapshotted && ctx.snap {
-        snapshot_into(rs, c, s);
+    if !logged {
+        log_row(ctx, rs, s);
     }
     let hist = std::slice::from_raw_parts_mut(c.hist.add(s * max_dist), max_dist);
     let wsum = &mut *c.wsum.add(s);
@@ -1697,7 +1724,7 @@ unsafe fn add_repair_source(
                 overflow = true; // finite but beyond histogram range
                 continue; // keep draining the buckets
             }
-            c.set(s, xi, key as u16);
+            write_entry(ctx, rs, s, xi, d_old, key as u16);
             let kx = counts[xi];
             if d_old == INVALID_DIST {
                 // newly reachable through an added link
@@ -2151,6 +2178,10 @@ enum UndoOp {
     RemovedLink(Switch, Switch),
     /// Host `.0` was moved; it previously sat on switch `.1`.
     MovedHost(Host, Switch),
+    /// An evaluation rewrote the cache rows logged from header `.0` of
+    /// the cache's undo log on. Kept in order with the host moves: the
+    /// logged aggregates hold for the host counts of that evaluation.
+    RewroteRows(usize),
 }
 
 /// The single source of truth for everything the local search reads or
@@ -2192,8 +2223,8 @@ pub struct SearchState {
     adds_buf: Vec<(u32, u32, u32)>,
     dels_buf: Vec<(u32, u32)>,
     /// Reusable `(source, worker, index)` keys for the deterministic
-    /// post-job snapshot merge.
-    snap_order: Vec<(u32, u32, u32)>,
+    /// post-job undo-log merge.
+    undo_order: Vec<(u32, u32, u32)>,
     stats: EvalStats,
 }
 
@@ -2288,7 +2319,7 @@ impl SearchState {
             rscratch: (0..workers).map(|_| RepairScratch::default()).collect(),
             adds_buf: Vec::new(),
             dels_buf: Vec::new(),
-            snap_order: Vec::new(),
+            undo_order: Vec::new(),
             stats: EvalStats::default(),
         };
         if state.evaluate().is_none() {
@@ -2401,7 +2432,7 @@ impl SearchState {
     }
 
     /// Resident bytes of the live distance cache (row store, per-source
-    /// aggregates, and transactional snapshots). 0 when no cache is
+    /// aggregates, and transactional undo log). 0 when no cache is
     /// provisioned or it disabled itself.
     pub fn cache_resident_bytes(&self) -> usize {
         self.cache
@@ -2446,11 +2477,11 @@ impl SearchState {
 
     /// Reverts every mutation of the innermost transaction, restoring the
     /// graph, CSR, host counts, and edge set to their state at `begin`.
-    /// The distance cache restores the snapshots of every row an
-    /// in-transaction evaluation overwrote and rewinds its pending edge
-    /// delta, so a rejected proposal leaves the cache exactly as `begin`
-    /// found it — the *next* proposal's affected set is not inflated by
-    /// the rejected one.
+    /// The distance cache writes back every entry an in-transaction
+    /// evaluation overwrote, at that evaluation's place in the undo log,
+    /// and rewinds its pending edge delta, so a rejected proposal leaves
+    /// the cache exactly as `begin` found it — the *next* proposal's
+    /// affected set is not inflated by the rejected one.
     pub fn rollback(&mut self) {
         let mark = self.txn_marks.pop().expect("rollback without begin");
         while self.undo.len() > mark {
@@ -2458,10 +2489,15 @@ impl SearchState {
                 UndoOp::AddedLink(a, b) => self.raw_unlink(a, b),
                 UndoOp::RemovedLink(a, b) => self.raw_link(a, b),
                 UndoOp::MovedHost(h, from) => self.raw_move_host(h, from),
+                UndoOp::RewroteRows(from) => {
+                    if let Some(c) = &mut self.cache {
+                        c.restore_rows(from, &self.counts);
+                    }
+                }
             }
         }
         if let Some(c) = &mut self.cache {
-            c.rollback_mark(&self.counts);
+            c.rollback_mark();
         }
     }
 
@@ -2605,14 +2641,18 @@ impl SearchState {
     /// touch only their own source's row and aggregates, so the tasks
     /// are independent and the pool schedules them over its
     /// work-stealing deques in any order. All reductions (path sums,
-    /// snapshot merge) happen in deterministic sequential order
+    /// undo-log merge) happen in deterministic sequential order
     /// afterwards, so the result is bit-identical for any worker count.
     fn evaluate_cached(&mut self, n: u64, reject_above: Option<f64>) -> Option<EvalOutcome> {
         let in_txn = self.in_txn();
         let cache = self.cache.as_mut().expect("cache_active checked");
+        // split the pending delta once for the scan and every repair task
+        cache.split_delta(&mut self.adds_buf, &mut self.dels_buf);
         let scan = cache.scan_delta(
             &self.csr,
             &self.counts,
+            &self.adds_buf,
+            &self.dels_buf,
             &mut self.rebfs_buf,
             &mut self.repair_buf,
         );
@@ -2632,23 +2672,14 @@ impl SearchState {
         let full = self.rebfs_buf.len() == self.csr.len();
         let m = self.csr.len();
         let cache = self.cache.as_mut().expect("cache_active checked");
+        let logged_from = cache.undo_rows.len();
         if in_txn {
-            // Rows rewritten wholesale by re-BFS are snapshotted here;
-            // the repair path saves its rows lazily at the write sites,
-            // so conservatively-routed rows a witness protects never
-            // pay for a copy.
+            // Rows rewritten wholesale by re-BFS are logged here; the
+            // repair path logs at its write sites, so
+            // conservatively-routed rows a witness protects never pay
+            // for a log entry.
             for &s in self.rebfs_buf.iter() {
-                cache.snapshot_row(s);
-            }
-        }
-        // split the pending delta once for every repair task
-        self.adds_buf.clear();
-        self.dels_buf.clear();
-        for &(a, b, net) in &cache.edge_delta {
-            if net > 0 {
-                self.adds_buf.push((a, b, net as u32));
-            } else if net < 0 {
-                self.dels_buf.push((a, b));
+                cache.log_swept_row(s);
             }
         }
         let max_dist = cache.max_dist;
@@ -2663,7 +2694,7 @@ impl SearchState {
             adds_len: self.adds_buf.len(),
             dels: self.dels_buf.as_ptr(),
             dels_len: self.dels_buf.len(),
-            snap: in_txn,
+            log: in_txn,
         };
         for rs in &mut self.rscratch {
             rs.ensure(m, max_dist);
@@ -2717,33 +2748,35 @@ impl SearchState {
         }
         let cache = self.cache.as_mut().expect("cache_active checked");
         if in_txn {
-            // Merge the worker-local row snapshots into the cache's
-            // stack in ascending source order — deterministic no matter
-            // which worker executed (or stole) each repair task. Within
-            // one evaluation each source is saved at most once, and
-            // across evaluations append order preserves time order, so
-            // rollback's reverse replay still restores the earliest
-            // (pre-transaction) image last.
-            self.snap_order.clear();
+            // Merge the worker-local undo logs into the cache's log in
+            // ascending source order — deterministic no matter which
+            // worker executed (or stole) each repair task. Within one
+            // evaluation each source is logged at most once, so the
+            // rows of one `RewroteRows` entry are disjoint.
+            self.undo_order.clear();
             for (w, rs) in self.rscratch.iter().enumerate() {
-                for (i, &(s, _, _)) in rs.snaps.iter().enumerate() {
-                    self.snap_order.push((s, w as u32, i as u32));
+                for (i, h) in rs.undo_rows.iter().enumerate() {
+                    self.undo_order.push((h.s, w as u32, i as u32));
                 }
             }
-            self.snap_order.sort_unstable();
-            for &(s, w, i) in &self.snap_order {
+            self.undo_order.sort_unstable();
+            for &(_, w, i) in &self.undo_order {
                 let rs = &self.rscratch[w as usize];
-                let (_, was_valid, start) = rs.snaps[i as usize];
+                let h = rs.undo_rows[i as usize];
                 let end = rs
-                    .snaps
+                    .undo_rows
                     .get(i as usize + 1)
-                    .map_or(rs.snap_rle.len(), |&(_, _, e)| e as usize);
+                    .map_or(rs.undo_entries.len(), |next| next.start);
+                cache.undo_rows.push(RowUndo {
+                    start: cache.undo_entries.len(),
+                    ..h
+                });
                 cache
-                    .snap_src
-                    .push((s, was_valid, cache.snap_rle.len() as u32));
-                cache
-                    .snap_rle
-                    .extend_from_slice(&rs.snap_rle[start as usize..end]);
+                    .undo_entries
+                    .extend_from_slice(&rs.undo_entries[h.start..end]);
+            }
+            if cache.undo_rows.len() > logged_from {
+                self.undo.push(UndoOp::RewroteRows(logged_from));
             }
         }
         cache.touched = self.rscratch.iter().map(|rs| rs.touched).sum();
@@ -2990,7 +3023,9 @@ mod tests {
                 let counts = st.counts.clone();
                 let cache = st.cache.as_mut().unwrap();
                 let (mut rebfs, mut repair) = (Vec::new(), Vec::new());
-                cache.scan_delta(&st.csr, &counts, &mut rebfs, &mut repair);
+                let (mut adds, mut dels) = (Vec::new(), Vec::new());
+                cache.split_delta(&mut adds, &mut dels);
+                cache.scan_delta(&st.csr, &counts, &adds, &dels, &mut rebfs, &mut repair);
                 let mu = cache.m;
                 let count = |bit: u8| (0..mu).filter(|&s| cache.flags[s] & bit != 0).count();
                 println!(

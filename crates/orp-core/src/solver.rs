@@ -21,7 +21,7 @@
 use crate::anneal::{
     restart_ckpt_path, Anneal, MoveKind, SaConfig, SaResult, DEFAULT_CHECKPOINT_EVERY,
 };
-use crate::bounds::optimal_switch_count;
+use crate::bounds::{check_instance, optimal_switch_count};
 use crate::construct::random_general;
 use crate::error::{GraphError, SaError, WorkerPanic};
 use crate::search::SearchConfig;
@@ -193,10 +193,12 @@ impl Solver {
         self
     }
 
-    /// Runs the solve. Fails only when *no* restart completes: with
-    /// the first structured error if one exists, else
-    /// [`SaError::AllWorkersPanicked`].
+    /// Runs the solve. Fails with [`GraphError::InvalidParameters`] on
+    /// fewer than two hosts or a radix below 3, and otherwise only when
+    /// *no* restart completes: with the first structured error if one
+    /// exists, else [`SaError::AllWorkersPanicked`].
     pub fn run(self) -> Result<SolveReport, SaError> {
+        check_instance(self.n as u64, self.r as u64)?;
         let (m_opt, _) = optimal_switch_count(self.n as u64, self.r as u64);
         let m_opt = m_opt as u32;
         let restarts = self.restarts;
@@ -395,6 +397,20 @@ mod tests {
             "{} vs {lb}",
             report.result.metrics.haspl
         );
+    }
+
+    #[test]
+    fn degenerate_instances_are_structured_errors() {
+        for (n, r) in [(16, 2), (1, 4), (0, 0)] {
+            let err = Solver::builder(n, r)
+                .config(small_cfg(10))
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(err, SaError::Graph(GraphError::InvalidParameters(_))),
+                "({n}, {r}): {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,9 @@
 //! error instead of ignoring it.
 
 use orp::core::anneal::{Anneal, SaConfig, SaResult};
-use orp::core::bounds::{diameter_lower_bound, haspl_lower_bound, optimal_switch_count};
+use orp::core::bounds::{
+    check_instance, diameter_lower_bound, haspl_lower_bound, optimal_switch_count,
+};
 use orp::core::io;
 use orp::core::metrics::path_metrics;
 use orp::core::search::SearchConfig;
@@ -107,6 +109,14 @@ fn reject_unknown_flags(pos: &[String], usage: &str) -> Result<(), String> {
     }
 }
 
+/// Rejects an `(n, r)` the bounds and the solver are not defined for
+/// (fewer than two hosts, radix below 3) with a usage error.
+fn instance(n: u64, r: u64, usage: &str) -> Result<(), String> {
+    check_instance(n, r)
+        .map_err(orp::Error::from)
+        .map_err(|e| format!("{e}\n{usage}"))
+}
+
 /// A recorder sized for full-fidelity trace export: NPB runs at n=128
 /// emit hundreds of thousands of flow/hop events, far past the default
 /// journal ring.
@@ -122,6 +132,7 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(args, usage)?;
     let n: u64 = args.first().and_then(|a| a.parse().ok()).ok_or(usage)?;
     let r: u64 = args.get(1).and_then(|a| a.parse().ok()).ok_or(usage)?;
+    instance(n, r, usage)?;
     let (m_opt, a_opt) = optimal_switch_count(n, r);
     println!("order n = {n}, radix r = {r}");
     println!(
@@ -161,6 +172,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     }
     let n: u32 = pos.first().and_then(|a| a.parse().ok()).ok_or(usage)?;
     let r: u32 = pos.get(1).and_then(|a| a.parse().ok()).ok_or(usage)?;
+    instance(n.into(), r.into(), usage)?;
     let iters: usize = arg_num(&pos, 2, 8000);
     let mut search = SearchConfig::default();
     if let Some(mode) = cache_mode {
@@ -335,6 +347,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(args, usage)?;
     let g = load(args.first().ok_or(usage)?)?;
     g.validate().map_err(|e| e.to_string())?;
+    instance(g.num_hosts().into(), g.radix().into(), usage)?;
     let pm = path_metrics(&g).ok_or("graph is disconnected")?;
     println!(
         "n = {}, m = {}, r = {}",
@@ -363,9 +376,11 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     use orp::topo::prelude::*;
-    reject_unknown_flags(args, "usage: orp compare [n] [r]")?;
+    let usage = "usage: orp compare [n] [r]";
+    reject_unknown_flags(args, usage)?;
     let n: u32 = arg_num(args, 0, 1024);
     let r: u32 = arg_num(args, 1, 16);
+    instance(n.into(), r.into(), usage)?;
     println!(
         "{:<28} {:>5} {:>4} {:>8} {:>3}",
         "topology", "m", "r", "h-ASPL", "D"

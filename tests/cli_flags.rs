@@ -1,7 +1,8 @@
 //! The `orp` binary rejects `--` flags a subcommand does not know: the
 //! run fails with a usage error naming the flag instead of ignoring it
 //! or misreading it as a positional argument (a benchmark name, an
-//! iteration count).
+//! iteration count). Instances outside the paper's domain (fewer than
+//! two hosts, radix below 3) fail the same way instead of panicking.
 
 use orp::core::construct::random_general;
 use orp::core::io;
@@ -80,4 +81,26 @@ fn every_subcommand_rejects_unknown_flags() {
     }
     assert!(orp(&["bounds", "16", "4"]).status.success());
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn degenerate_instances_fail_with_a_usage_error() {
+    let cases: [&[&str]; 5] = [
+        &["solve", "16", "2"],
+        &["solve", "1", "4"],
+        &["bounds", "1", "2"],
+        &["bounds", "16", "2"],
+        &["compare", "1", "4"],
+    ];
+    for args in cases {
+        let out = orp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            stderr.contains("invalid parameters") && stderr.contains("usage: orp"),
+            "{args:?}: no usage error: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+    assert!(orp(&["bounds", "2", "3"]).status.success());
 }

@@ -12,11 +12,13 @@
 //! `SearchState::check_consistency` cross-checks the cache internally
 //! (row distances vs `switch_distances`, per-source aggregates vs rows),
 //! so calling it after every step also exercises the transactional cache
-//! protocol.
+//! protocol. The rollback tests below pin that protocol's exactness: a
+//! rolled-back transaction leaves nothing behind, whatever happened
+//! between its evaluations and its end.
 
 use orp_core::construct::random_general;
 use orp_core::metrics::{path_metrics, PathMetrics};
-use orp_core::ops::{sample_swap, sample_swing};
+use orp_core::ops::{sample_swap, sample_swing, Swing};
 use orp_core::search::{EvalOutcome, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -190,4 +192,117 @@ proptest! {
         }
         prop_assert_eq!(st.eval_stats().early_rejected, u64::from(fired));
     }
+}
+
+/// Asserts that `st`, just rolled back to rest, is consistent and scores
+/// `want` bit for bit without re-sweeping or repairing any row.
+fn assert_restored(st: &mut SearchState, want: &PathMetrics, what: &str) {
+    if let Err(e) = st.check_consistency() {
+        panic!("{what}: inconsistent after rollback: {e}");
+    }
+    let got = st.evaluate().expect("restored graph is connected");
+    assert_eq!(got.haspl.to_bits(), want.haspl.to_bits(), "{what}");
+    assert_eq!(got.total_length, want.total_length, "{what}");
+    assert_eq!(got.diameter, want.diameter, "{what}");
+    assert_eq!(
+        st.eval_stats().last_affected,
+        0,
+        "{what}: rollback left work behind"
+    );
+}
+
+/// A swing sampled from `st`'s current graph.
+fn swing(st: &SearchState, rng: &mut ChaCha8Rng) -> Swing {
+    sample_swing(st.graph(), st.edges(), rng, 64).expect("a valid swing exists")
+}
+
+/// The logged aggregates of an evaluation hold for the host counts of
+/// that evaluation, so a host move applied *after* it in the same
+/// transaction must be undone before the rows are restored.
+#[test]
+fn rollback_after_a_post_evaluation_host_move_is_exact() {
+    for seed in 0..6 {
+        let g = random_general(64, 16, 8, seed).unwrap();
+        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(100 + seed);
+        let base = st.evaluate().unwrap();
+        for step in 0..20 {
+            let what = format!("seed {seed} step {step}");
+            st.begin();
+            let first = swing(&st, &mut rng);
+            st.apply_swing(first).unwrap();
+            st.evaluate_guarded(None);
+            let second = swing(&st, &mut rng);
+            st.apply_swing(second).unwrap();
+            st.rollback();
+            assert_restored(&mut st, &base, &what);
+        }
+    }
+}
+
+/// Evaluations at both levels of a nested transaction, then a rollback
+/// of each: the inner one must restore the outer evaluation's cache, the
+/// outer one the pre-`begin` cache.
+#[test]
+fn nested_rollback_with_evaluations_at_both_levels_is_exact() {
+    for seed in 0..6 {
+        let g = random_general(64, 16, 8, seed).unwrap();
+        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(200 + seed);
+        let base = st.evaluate().unwrap();
+        for step in 0..20 {
+            let what = format!("seed {seed} step {step}");
+            st.begin();
+            let outer = swing(&st, &mut rng);
+            st.apply_swing(outer).unwrap();
+            let Some(mid) = st.evaluate() else {
+                st.rollback();
+                assert_restored(&mut st, &base, &what);
+                continue;
+            };
+            st.begin();
+            if rng.gen::<bool>() {
+                let inner = swing(&st, &mut rng);
+                st.apply_swing(inner).unwrap();
+            } else if let Some(s) = sample_swap(st.graph(), st.edges(), &mut rng, 64) {
+                st.apply_swap(s).unwrap();
+            }
+            st.evaluate_guarded(None);
+            st.rollback();
+            assert_restored(&mut st, &mid, &format!("{what} (inner)"));
+            st.rollback();
+            assert_restored(&mut st, &base, &format!("{what} (outer)"));
+        }
+    }
+}
+
+/// The undo log grows by the entries a repair changes, not by the rows
+/// it touches: one evaluated swing at m = 1024 logs well under `m`
+/// bytes per rewritten row, and the rollback returns every byte.
+#[test]
+fn undo_log_grows_by_changed_entries_not_rows() {
+    let m = 1024u32;
+    let g = random_general(2 * m, m, 8, 3).unwrap();
+    let mut st = SearchState::with_options(g, 1, true).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let rest = st.cache_resident_bytes();
+    let mut measured = 0;
+    for _ in 0..12 {
+        st.begin();
+        let s = swing(&st, &mut rng);
+        st.apply_swing(s).unwrap();
+        st.evaluate_guarded(None);
+        let grown = st.cache_resident_bytes() - rest;
+        let rows = st.eval_stats().last_affected as usize;
+        if rows > 0 {
+            measured += 1;
+            assert!(
+                grown < rows * m as usize,
+                "{grown} undo bytes for {rows} rewritten rows at m = {m}"
+            );
+        }
+        st.rollback();
+        assert_eq!(st.cache_resident_bytes(), rest, "rollback kept undo bytes");
+    }
+    assert!(measured > 0, "no swing rewrote a row");
 }
