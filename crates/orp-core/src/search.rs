@@ -53,12 +53,20 @@
 //!   therefore every distance below it intact; if `d(s,u) = d(s,v)` the
 //!   link lies on no shortest path at all.
 //!
-//! Only the affected sources are repacked into 64-wide batches and
-//! re-swept; everything else is scored from the cached aggregates in
-//! `O(m)`. Edge deltas accumulate *lazily* (rollback pushes the inverse
-//! delta, so a rejected proposal that never re-evaluated cancels to a
-//! no-op), and the full sweep remains both the fallback (large `m`, deep
-//! graphs) and the correctness oracle of the equivalence suites.
+//! The classification is a handful of `O(m)` whole-row passes: one per
+//! added link, one per removed link, and — when at most one link is
+//! added, so the early-reject guard can use the result — `deg(u) +
+//! deg(v)` witness passes per removed link `{u, v}`. Each pass matches
+//! the row codec once and then runs over plain `&[u16]` / `&[u8]` row
+//! slices, so its branch-free body vectorizes. The affected sources are
+//! repaired in place (decremental re-relaxation for the removals, then
+//! insertion relaxation for the adds); only invalid rows are re-swept
+//! in 64-wide batches, and everything else is scored from the cached
+//! aggregates in `O(m)`. Edge deltas accumulate *lazily* (rollback
+//! pushes the inverse delta, so a rejected proposal that never
+//! re-evaluated cancels to a no-op), and the full sweep remains both the
+//! fallback (over-budget `m`, deep graphs) and the correctness oracle of
+//! the equivalence suites.
 //!
 //! # Row codecs and memory budget
 //!
@@ -458,19 +466,79 @@ enum RowStore {
     Packed(Vec<u8>),
 }
 
+/// One stored distance in its codec's native width: `u16` for the dense
+/// codec, `u8` for the packed one. A whole-row pass matches the codec
+/// once, takes typed row slices through [`Dist::rows`] and compares
+/// entries in this width, with no per-entry codec match, index
+/// arithmetic or marker mapping, so its straight-line loop vectorizes.
+trait Dist: Copy + PartialEq + PartialOrd + Into<u32> {
+    /// The codec's unreachable marker (all ones).
+    const INVALID: Self;
+
+    /// The rows of `store`, whose codec must store this type.
+    fn rows(store: &RowStore) -> &[Self];
+
+    /// `self + 1`, wrapping (the marker wraps to 0).
+    fn succ(self) -> Self;
+
+    /// The entry as a logical distance, [`INVALID_DIST`] if unreachable.
+    fn logical(self) -> u16;
+}
+
+impl Dist for u16 {
+    const INVALID: Self = INVALID_DIST;
+
+    #[inline]
+    fn rows(store: &RowStore) -> &[Self] {
+        match store {
+            RowStore::Dense(rows) => rows,
+            RowStore::Packed(_) => unreachable!("u16 pass over packed rows"),
+        }
+    }
+
+    #[inline]
+    fn succ(self) -> Self {
+        self.wrapping_add(1)
+    }
+
+    #[inline]
+    fn logical(self) -> u16 {
+        self
+    }
+}
+
+impl Dist for u8 {
+    const INVALID: Self = PACKED_INVALID;
+
+    #[inline]
+    fn rows(store: &RowStore) -> &[Self] {
+        match store {
+            RowStore::Packed(rows) => rows,
+            RowStore::Dense(_) => unreachable!("u8 pass over dense rows"),
+        }
+    }
+
+    #[inline]
+    fn succ(self) -> Self {
+        self.wrapping_add(1)
+    }
+
+    #[inline]
+    fn logical(self) -> u16 {
+        if self == PACKED_INVALID {
+            INVALID_DIST
+        } else {
+            u16::from(self)
+        }
+    }
+}
+
 /// Reads entry `(s, v)` of the row store as a logical `u16` distance.
 #[inline]
 fn row_get(store: &RowStore, m: usize, s: usize, v: usize) -> u16 {
     match store {
         RowStore::Dense(rows) => rows[s * m + v],
-        RowStore::Packed(rows) => {
-            let b = rows[s * m + v];
-            if b == PACKED_INVALID {
-                INVALID_DIST
-            } else {
-                u16::from(b)
-            }
-        }
+        RowStore::Packed(rows) => rows[s * m + v].logical(),
     }
 }
 
@@ -556,14 +624,7 @@ impl CachePtrs {
     unsafe fn get(&self, s: usize, v: usize) -> u16 {
         match self.codec {
             CacheCodec::Dense => *(self.rows as *const u16).add(s * self.m + v),
-            CacheCodec::Packed => {
-                let b = *self.rows.add(s * self.m + v);
-                if b == PACKED_INVALID {
-                    INVALID_DIST
-                } else {
-                    u16::from(b)
-                }
-            }
+            CacheCodec::Packed => (*self.rows.add(s * self.m + v)).logical(),
         }
     }
 
@@ -948,11 +1009,22 @@ impl DistCache {
             start: self.undo_entries.len(),
         });
         if self.valid[s] {
-            let m = self.m;
-            let store = &self.store;
-            self.undo_entries
-                .extend((0..m).map(|v| (v as u32, row_get(store, m, s, v))));
+            match self.codec {
+                CacheCodec::Dense => self.log_entries::<u16>(s),
+                CacheCodec::Packed => self.log_entries::<u8>(s),
+            }
         }
+    }
+
+    /// Appends every entry of row `s` to the entry undo log.
+    fn log_entries<E: Dist>(&mut self, s: usize) {
+        let m = self.m;
+        let row = &E::rows(&self.store)[s * m..(s + 1) * m];
+        self.undo_entries.extend(
+            row.iter()
+                .enumerate()
+                .map(|(v, &d)| (v as u32, d.logical())),
+        );
     }
 
     fn ptrs(&mut self) -> CachePtrs {
@@ -997,27 +1069,56 @@ impl DistCache {
         if self.disabled || old_k == new_k {
             return;
         }
-        let m = self.m;
-        let max_dist = self.max_dist;
-        let v = v as usize;
-        let dk = new_k as i64 - old_k as i64;
+        match self.codec {
+            CacheCodec::Dense => self.reweight::<u16>(v as usize, old_k, new_k),
+            CacheCodec::Packed => self.reweight::<u8>(v as usize, old_k, new_k),
+        }
+    }
+
+    /// [`Self::note_host_delta`] over one codec's rows. All valid rows
+    /// describe the same graph, so `d(s,v)` is read from `v`'s own row:
+    /// one sequential, branch-free pass re-weights `wsum`. The scalar
+    /// pass below runs only when the hostful set changes (`v` gains its
+    /// first host or loses its last, so histograms move too) or when
+    /// row `v` is invalid and `d(s,v)` must come from each row `s`.
+    fn reweight<E: Dist>(&mut self, v: usize, old_k: u32, new_k: u32) {
+        let (m, max_dist) = (self.m, self.max_dist);
+        let rows = E::rows(&self.store);
+        let (dk, gain) = (old_k.abs_diff(new_k), new_k > old_k);
+        let from_row = self.valid[v];
+        if from_row {
+            // every source but `v` itself
+            let row = &rows[v * m..(v + 1) * m];
+            let (valid, wsum) = (&self.valid, &mut self.wsum);
+            add_weights(&row[..v], &valid[..v], &mut wsum[..v], dk, gain);
+            add_weights(&row[v + 1..], &valid[v + 1..], &mut wsum[v + 1..], dk, gain);
+            if old_k != 0 && new_k != 0 {
+                return;
+            }
+        }
         for s in 0..m {
             if !self.valid[s] || s == v {
                 continue;
             }
-            // All valid rows describe the same graph, so `d(s,v)` can be
-            // read from `v`'s own row — a sequential scan instead of an
-            // `m`-stride column walk (one cache miss per source).
-            let d = if self.valid[v] {
-                row_get(&self.store, m, v, s)
+            let d = if from_row {
+                rows[v * m + s]
             } else {
-                row_get(&self.store, m, s, v)
+                rows[s * m + v]
             };
-            if d == INVALID_DIST {
+            if d == E::INVALID {
                 continue;
             }
+            let d = d.logical();
             let du = d as usize;
-            self.wsum[s] = (self.wsum[s] as i64 + dk * (du as i64 + 2)) as u64;
+            if !from_row {
+                let step = u64::from(dk) * (du as u64 + 2);
+                let w = &mut self.wsum[s];
+                *w = if gain {
+                    w.wrapping_add(step)
+                } else {
+                    w.wrapping_sub(step)
+                };
+            }
             if old_k == 0 {
                 self.hist[s * max_dist + du] += 1;
                 self.nreach[s] += 1;
@@ -1062,6 +1163,152 @@ impl DistCache {
     /// itself, so an early reject can abandon the result without repair
     /// work.
     fn scan_delta(
+        &mut self,
+        csr: &SlotCsr,
+        counts: &[u32],
+        adds: &[(u32, u32, u32)],
+        dels: &[(u32, u32)],
+        rebfs: &mut Vec<u32>,
+        repair: &mut Vec<u32>,
+    ) -> DeltaScan {
+        rebfs.clear();
+        repair.clear();
+        let mut scan = DeltaScan::default();
+        let m = self.m;
+        scan.guardable = adds.len() <= 1;
+        for (s, (&ok, &k)) in self.valid.iter().zip(counts).enumerate().take(m) {
+            if !ok {
+                if k > 0 {
+                    scan.invalid_hostful = true;
+                }
+                rebfs.push(s as u32);
+            }
+        }
+        if adds.is_empty() && dels.is_empty() {
+            return scan;
+        }
+        // Every pass reads whole rows sequentially (d(s,x) is read from
+        // x's row — valid rows all describe the same graph, so the
+        // symmetric entry is identical and the `m`-stride column walk of
+        // a per-source formulation is avoided). That needs the rows of
+        // every delta endpoint and witness candidate; if any is missing
+        // (only possible before the first full sweep), classification is
+        // impossible and every row is conservatively re-swept.
+        let mut conservative = adds
+            .iter()
+            .map(|&(u, v, _)| (u, v))
+            .chain(dels.iter().copied())
+            .any(|(u, v)| !self.valid[u as usize] || !self.valid[v as usize]);
+        for &(u, v) in dels {
+            conservative |= csr
+                .neighbors(u)
+                .iter()
+                .chain(csr.neighbors(v))
+                .any(|&w| !self.valid[w as usize]);
+        }
+        if conservative {
+            scan.guardable = false;
+            rebfs.extend((0..m as u32).filter(|&s| self.valid[s as usize]));
+            rebfs.sort_unstable();
+            return scan;
+        }
+        scan.allowance = match self.codec {
+            CacheCodec::Dense => self.classify::<u16>(csr, counts, adds, dels),
+            CacheCodec::Packed => self.classify::<u8>(csr, counts, adds, dels),
+        };
+        // Every affected source — add endpoints included — is repaired
+        // in place (decremental orphan re-relaxation for the removals,
+        // then incremental insertion relaxation for the adds — see
+        // `repair_one_source`); re-BFS is reserved for invalid rows.
+        // Strict increments count only for sources the add cannot
+        // rescue. The repair list is compacted branch-free: every
+        // source's index is written, and the cursor advances past the
+        // affected ones.
+        repair.resize(m, 0);
+        let mut n = 0;
+        let marks = self.flags.iter().zip(&self.strict);
+        for (s, ((&ok, &k), (&f, &st))) in self.valid.iter().zip(counts).zip(marks).enumerate() {
+            let counted = ok & (f & ADD_AFF == 0);
+            scan.strict_sum += if counted {
+                u64::from(k) * u64::from(st)
+            } else {
+                0
+            };
+            repair[n] = s as u32;
+            n += usize::from(ok & (f & (ADD_AFF | DEL_AFF) != 0));
+        }
+        repair.truncate(n);
+        scan
+    }
+
+    /// The whole-row passes of [`Self::scan_delta`] over one codec's
+    /// rows, all of them valid: one pass per added link, one on-DAG
+    /// marking pass per removal and, when the delta is guardable (at
+    /// most one add), `deg(u) + deg(v)` witness passes per removal.
+    /// Fills `flags` and `strict`; returns the single-add improvement
+    /// allowance (see [`DeltaScan::allowance`]).
+    fn classify<E: Dist>(
+        &mut self,
+        csr: &SlotCsr,
+        counts: &[u32],
+        adds: &[(u32, u32, u32)],
+        dels: &[(u32, u32)],
+    ) -> u64 {
+        let m = self.m;
+        let rows = E::rows(&self.store);
+        let row = move |s: u32| &rows[s as usize * m..(s as usize + 1) * m];
+        let (valid, counts) = (&self.valid[..m], &counts[..m]);
+        let flags = &mut self.flags[..m];
+        let strict = &mut self.strict[..m];
+        let (wneed, wit) = (&mut self.wneed[..m], &mut self.wit[..m]);
+        flags.fill(0);
+        strict.fill(0);
+        let guardable = adds.len() <= 1;
+        let mut allowance = 0;
+        for &(u, v, _) in adds {
+            let [su, ku, sv, kv] = add_pass(row(u), row(v), valid, counts, flags);
+            if guardable {
+                allowance = 2 * (su * kv).min(sv * ku);
+            }
+        }
+        // Removed links, one at a time: `s` lengthens iff the link was on
+        // a shortest path from `s` and its far endpoint has no alternate
+        // parent (a witness) in the post-delta adjacency.
+        for &(u, v) in dels {
+            on_dag_pass(row(u), row(v), valid, wneed);
+            if !guardable {
+                // No guard will read the strict increments, so the
+                // witness passes buy nothing: every on-DAG source goes
+                // to the decremental phase, which rediscovers surviving
+                // parents at O(deg) per source.
+                for (f, &need) in flags.iter_mut().zip(wneed.iter()) {
+                    *f |= DEL_AFF * u8::from(need != 0);
+                }
+                continue;
+            }
+            wit.fill(0);
+            for (far, need) in [(v, 1u8), (u, 2u8)] {
+                for &w in csr.neighbors(far) {
+                    let key = (far.min(w), far.max(w));
+                    let bit = if adds.iter().any(|&(a, b, _)| (a, b) == key) {
+                        1
+                    } else {
+                        3
+                    };
+                    witness_pass(row(w), row(far), wneed, need, bit, wit);
+                }
+            }
+            let k_far = [counts[v as usize], counts[u as usize]];
+            removal_verdict(wneed, wit, k_far, flags, strict);
+        }
+        allowance
+    }
+
+    /// The per-entry formulation of [`Self::scan_delta`], reading every
+    /// entry through [`row_get`]: the reference the codec-generic passes
+    /// are tested against, field by field.
+    #[cfg(test)]
+    fn scan_delta_reference(
         &mut self,
         csr: &SlotCsr,
         counts: &[u32],
@@ -1312,6 +1559,121 @@ impl DistCache {
         self.wneed = Vec::new();
         self.wit = Vec::new();
         self.strict = Vec::new();
+    }
+}
+
+// ---- whole-row passes --------------------------------------------------
+//
+// Each pass walks row slices in lockstep with the per-source arrays;
+// `du`/`dv`/`dw`/`dfar` hold `d(x, s)` for every source `s`, read from
+// row `x` (valid rows are symmetric). The bodies are branch-free
+// selects so that the loops vectorize.
+
+/// The weighted-sum half of a host move at `v`: adds `dk·(d + 2)` to
+/// (`gain`) or subtracts it from `wsum[s]` for every valid source whose
+/// distance `d` to `v` is finite.
+fn add_weights<E: Dist>(dists: &[E], valid: &[bool], wsum: &mut [u64], dk: u32, gain: bool) {
+    for ((&d, &ok), w) in dists.iter().zip(valid).zip(wsum) {
+        let hops: u32 = d.into();
+        let live = ok & (d != E::INVALID);
+        let step = if live {
+            u64::from(dk) * u64::from(hops + 2)
+        } else {
+            0
+        };
+        *w = if gain {
+            w.wrapping_add(step)
+        } else {
+            w.wrapping_sub(step)
+        };
+    }
+}
+
+/// Added link `{u, v}`: flags [`ADD_AFF`] on every valid source whose
+/// endpoint distances differ by ≥ 2 (the shortcut strictly improves the
+/// farther endpoint, and only then can anything downstream improve) or
+/// that reaches exactly one endpoint (reachability gain: pairs only
+/// appear, so no allowance is needed, but the row must be re-derived).
+/// Returns the allowance masses `[Su, Ku, Sv, Kv]` of
+/// [`DeltaScan::allowance`]: improving pairs enter the link at the near
+/// endpoint of a source strictly behind it.
+fn add_pass<E: Dist>(
+    du: &[E],
+    dv: &[E],
+    valid: &[bool],
+    counts: &[u32],
+    flags: &mut [u8],
+) -> [u64; 4] {
+    let (mut su, mut ku, mut sv, mut kv) = (0u64, 0u64, 0u64, 0u64);
+    for ((((&a, &b), &ok), &k), f) in du.iter().zip(dv).zip(valid).zip(counts).zip(flags) {
+        let reach_gain = (a == E::INVALID) != (b == E::INVALID);
+        let both = (a != E::INVALID) & (b != E::INVALID);
+        let (a, b): (u32, u32) = (a.into(), b.into());
+        let behind_u = ok & both & (a + 2 <= b);
+        let behind_v = ok & both & (b + 2 <= a);
+        *f |= ADD_AFF * u8::from((ok & reach_gain) | behind_u | behind_v);
+        let k = u64::from(k);
+        su += if behind_u {
+            k * u64::from(b - a - 1)
+        } else {
+            0
+        };
+        ku += if behind_u { k } else { 0 };
+        sv += if behind_v {
+            k * u64::from(a - b - 1)
+        } else {
+            0
+        };
+        kv += if behind_v { k } else { 0 };
+    }
+    [su, ku, sv, kv]
+}
+
+/// Removed link `{u, v}`: marks which endpoint is the far one on each
+/// valid source's shortest-path DAG — 0 when the link lies on none
+/// (equal levels, or an endpoint unreachable), 1 when the far endpoint
+/// is `v`, 2 when it is `u` (levels then differ by exactly 1, since it
+/// was an edge).
+fn on_dag_pass<E: Dist>(du: &[E], dv: &[E], valid: &[bool], wneed: &mut [u8]) {
+    for (((&a, &b), &ok), need) in du.iter().zip(dv).zip(valid).zip(wneed) {
+        let on = ok & (a != E::INVALID) & (b != E::INVALID) & (a != b);
+        *need = u8::from(on) * (1 + u8::from(a > b));
+    }
+}
+
+/// One surviving neighbour `w` of a removal's far endpoint: sets `bit`
+/// in `wit[s]` for every source whose far endpoint this is
+/// (`wneed[s] == need`) and for which `w` is an alternate BFS parent,
+/// `d(s,w) + 1 = d(s,far)`. A parent in the post-delta adjacency keeps
+/// every distance below it intact; one reached through an added link
+/// only proves the *combined* delta harmless, so the caller passes
+/// `bit = 1` for it and `bit = 3` (also a strict witness) otherwise.
+fn witness_pass<E: Dist>(dw: &[E], dfar: &[E], wneed: &[u8], need: u8, bit: u8, wit: &mut [u8]) {
+    for (((&a, &f), &nd), x) in dw.iter().zip(dfar).zip(wneed).zip(wit) {
+        let hit = (nd == need) & (a != E::INVALID) & (a.succ() == f);
+        *x |= bit * u8::from(hit);
+    }
+}
+
+/// A removal's verdict from its witness bits: an on-DAG source with no
+/// witness lengthens ([`DEL_AFF`]) and its far endpoint strictly recedes
+/// by ≥ 1, so `strict[s]` takes that endpoint's host count
+/// (`k_far = [k_v, k_u]`); one with no strict witness must run the
+/// decremental phase ([`NO_STRICT`]).
+fn removal_verdict(
+    wneed: &[u8],
+    wit: &[u8],
+    k_far: [u32; 2],
+    flags: &mut [u8],
+    strict: &mut [u32],
+) {
+    for (((&need, &w), f), st) in wneed.iter().zip(wit).zip(flags).zip(strict) {
+        let on = need != 0;
+        let orphaned = on & (w & 1 == 0);
+        let no_strict = on & (w & 2 == 0);
+        *f |= (DEL_AFF * u8::from(orphaned)) | (NO_STRICT * u8::from(no_strict));
+        let k = if need == 1 { k_far[0] } else { k_far[1] };
+        *st = (*st).max(if orphaned { k } else { 0 });
     }
 }
 
@@ -2994,6 +3356,54 @@ mod tests {
         }
     }
 
+    /// Per-call cost of the codec-generic scan against the per-entry
+    /// reference on single swings, at the two perf-ledger solve sizes
+    /// (dense rows at m = 195, packed at m = 6177); run with
+    /// `--release -- --ignored --nocapture` when tuning the scan.
+    #[test]
+    #[ignore = "perf harness, not a correctness check"]
+    fn scan_kernel_cost_comparison() {
+        for (n, m, r) in [(1024u32, 195u32, 15u32), (16384, 6177, 12)] {
+            let g = random_general(n, m, r, 1).unwrap();
+            let mut st = SearchState::with_workers(g, 1).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(1);
+            let (mut adds, mut dels) = (Vec::new(), Vec::new());
+            let (mut rebfs, mut repair) = (Vec::new(), Vec::new());
+            let (mut kernel, mut reference, mut calls) = (0.0, 0.0, 0);
+            for _ in 0..400 {
+                let Some(s) = sample_swing(st.graph(), st.edges(), &mut rng, 24) else {
+                    continue;
+                };
+                st.begin();
+                st.apply_swing(s).unwrap();
+                let cache = st.cache.as_mut().unwrap();
+                cache.split_delta(&mut adds, &mut dels);
+                let t0 = Instant::now();
+                cache.scan_delta(&st.csr, &st.counts, &adds, &dels, &mut rebfs, &mut repair);
+                kernel += t0.elapsed().as_secs_f64();
+                let t0 = Instant::now();
+                cache.scan_delta_reference(
+                    &st.csr,
+                    &st.counts,
+                    &adds,
+                    &dels,
+                    &mut rebfs,
+                    &mut repair,
+                );
+                reference += t0.elapsed().as_secs_f64();
+                calls += 1;
+                st.rollback();
+            }
+            let us = |t: f64| t / calls as f64 * 1e6;
+            println!(
+                "m = {m} ({:?}): kernel {:.1} us, reference {:.1} us per swing scan ({calls} scans)",
+                st.cache_codec().unwrap(),
+                us(kernel),
+                us(reference)
+            );
+        }
+    }
+
     /// Prints how swap/swing proposals classify sources (re-BFS vs
     /// formula repair vs untouched); run with `--ignored --nocapture`
     /// when tuning the scan.
@@ -3577,6 +3987,151 @@ mod tests {
         // the rejected proposals must not have corrupted the cache
         assert_eq!(st.evaluate().unwrap(), cur);
         st.check_consistency().unwrap();
+    }
+
+    /// Runs the codec-generic scan and the per-entry reference on the
+    /// pending delta and asserts that they agree field by field.
+    /// Returns the scan, the number of removed links and the number of
+    /// rows queued for re-BFS.
+    fn scan_against_reference(st: &mut SearchState, what: &str) -> (DeltaScan, usize, usize) {
+        let counts = st.counts.clone();
+        let cache = st.cache.as_mut().expect("cache provisioned");
+        let (mut adds, mut dels) = (Vec::new(), Vec::new());
+        cache.split_delta(&mut adds, &mut dels);
+        let (mut rebfs, mut repair) = (Vec::new(), Vec::new());
+        let got = cache.scan_delta(&st.csr, &counts, &adds, &dels, &mut rebfs, &mut repair);
+        let (flags, strict) = (cache.flags.clone(), cache.strict.clone());
+        let (mut want_rebfs, mut want_repair) = (Vec::new(), Vec::new());
+        let want = cache.scan_delta_reference(
+            &st.csr,
+            &counts,
+            &adds,
+            &dels,
+            &mut want_rebfs,
+            &mut want_repair,
+        );
+        assert_eq!(flags, cache.flags, "{what}: flags");
+        assert_eq!(strict, cache.strict, "{what}: strict");
+        assert_eq!(rebfs, want_rebfs, "{what}: rebfs");
+        assert_eq!(repair, want_repair, "{what}: repair");
+        assert_eq!(got.guardable, want.guardable, "{what}: guardable");
+        assert_eq!(
+            got.invalid_hostful, want.invalid_hostful,
+            "{what}: invalid_hostful"
+        );
+        assert_eq!(got.strict_sum, want.strict_sum, "{what}: strict_sum");
+        assert_eq!(got.allowance, want.allowance, "{what}: allowance");
+        (got, dels.len(), rebfs.len())
+    }
+
+    #[test]
+    fn scan_kernel_matches_per_entry_reference() {
+        // The scan decides which rows are repaired; a kernel flagging too
+        // many would still score every proposal correctly (more repairs,
+        // same answer), so only a field-by-field comparison catches it.
+        // Odd switch counts leave a partial vector at the end of each row.
+        for (mode, m, seed) in [
+            (CacheMode::Dense, 101u32, 41u64),
+            (CacheMode::Compressed, 77, 43),
+        ] {
+            let g = random_general(4 * m, m, 10, seed).unwrap();
+            let cfg = SearchConfig {
+                cache_mode: mode,
+                ..SearchConfig::default()
+            };
+            let mut st = SearchState::with_search(g, 1, cfg).unwrap();
+            let mut cur = st.evaluate().unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (mut witnessed, mut unguarded, mut conservative, mut flagged) = (0, 0, 0, 0);
+            for step in 0..240 {
+                let what = format!("{mode:?} step {step}");
+                st.begin();
+                // 0, 1: a single swing (guardable: the witness passes
+                // run); 2: a swap; 3: a nested 2-neighbor swing with no
+                // evaluation in between (both unguardable)
+                let levels = if step % 4 == 3 { 2 } else { 1 };
+                let mut applied = true;
+                for level in 0..levels {
+                    if level > 0 {
+                        st.begin();
+                    }
+                    applied &= if step % 4 == 2 {
+                        sample_swap(st.graph(), st.edges(), &mut rng, 24)
+                            .map(|s| st.apply_swap(s).unwrap())
+                            .is_some()
+                    } else {
+                        sample_swing(st.graph(), st.edges(), &mut rng, 24)
+                            .map(|s| st.apply_swing(s).unwrap())
+                            .is_some()
+                    };
+                }
+                if !applied {
+                    (0..levels).for_each(|_| st.rollback());
+                    continue;
+                }
+                // Every fifth step also scans with an invalid row: a
+                // delta endpoint, a witness candidate (both take the
+                // conservative path) or an unrelated switch. The row's
+                // content is untouched, so it is revalidated after.
+                let cache = st.cache.as_ref().unwrap();
+                let endpoint = cache.edge_delta.first().map(|&(a, _, _)| a);
+                let invalid = match (step % 5, endpoint) {
+                    (0, Some(a)) => Some(a),
+                    (1, Some(a)) => st.csr.neighbors(a).first().copied(),
+                    (2, Some(_)) => {
+                        let near = |s: u32| {
+                            cache.edge_delta.iter().any(|&(a, b, _)| {
+                                [a, b]
+                                    .iter()
+                                    .any(|&x| x == s || st.csr.neighbors(x).contains(&s))
+                            })
+                        };
+                        (0..m).find(|&s| !near(s))
+                    }
+                    _ => None,
+                };
+                if let Some(s) = invalid {
+                    st.cache.as_mut().unwrap().valid[s as usize] = false;
+                    let what = format!("{what}, row {s} invalid");
+                    let (_, _, swept) = scan_against_reference(&mut st, &what);
+                    conservative += usize::from(swept == m as usize);
+                    st.cache.as_mut().unwrap().valid[s as usize] = true;
+                }
+                let (scan, dels, _) = scan_against_reference(&mut st, &what);
+                if dels > 0 {
+                    if scan.guardable {
+                        witnessed += 1;
+                    } else {
+                        unguarded += 1;
+                    }
+                }
+                let cache = st.cache.as_ref().unwrap();
+                flagged += cache.flags.iter().filter(|&&f| f & NO_STRICT != 0).count();
+                let accept = match st.evaluate_guarded(Some(cur.haspl)) {
+                    EvalOutcome::Metrics(now) if step % 3 != 0 => {
+                        cur = now;
+                        true
+                    }
+                    _ => false,
+                };
+                for _ in 0..levels {
+                    if accept {
+                        st.commit();
+                    } else {
+                        st.rollback();
+                    }
+                }
+            }
+            assert!(witnessed > 20, "{mode:?}: {witnessed} guardable removals");
+            assert!(unguarded > 20, "{mode:?}: {unguarded} unguardable removals");
+            assert!(
+                conservative > 5,
+                "{mode:?}: {conservative} conservative scans"
+            );
+            assert!(flagged > 0, "{mode:?}: no NO_STRICT source");
+            st.check_consistency().unwrap();
+            assert_eq!(st.evaluate().unwrap(), path_metrics(st.graph()).unwrap());
+        }
     }
 
     #[test]

@@ -69,6 +69,7 @@ use orp::partition::{partition, Graph as CutGraph, PartitionConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn load(path: &str) -> Result<HostSwitchGraph, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -115,6 +116,22 @@ fn instance(n: u64, r: u64, usage: &str) -> Result<(), String> {
     check_instance(n, r)
         .map_err(orp::Error::from)
         .map_err(|e| format!("{e}\n{usage}"))
+}
+
+/// Parses a `--watchdog` stall timeout: a finite, non-negative number
+/// of seconds that fits a `Duration`.
+fn watchdog_timeout(secs: Option<String>, usage: &str) -> Result<Option<Duration>, String> {
+    secs.map(|s| {
+        s.parse()
+            .ok()
+            .and_then(|x| Duration::try_from_secs_f64(x).ok())
+            .ok_or_else(|| {
+                format!(
+                    "--watchdog needs a finite, non-negative number of seconds, got {s}\n{usage}"
+                )
+            })
+    })
+    .transpose()
 }
 
 /// A recorder sized for full-fidelity trace export: NPB runs at n=128
@@ -190,9 +207,9 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         None => 1,
     };
     let exchange_every: usize = match exchange_every {
-        Some(e) => e
-            .parse()
-            .map_err(|_| "--exchange-every needs an iteration count")?,
+        Some(e) => e.parse().ok().filter(|&k| k > 0).ok_or(format!(
+            "--exchange-every needs a positive iteration count\n{usage}"
+        ))?,
         None => 1000,
     };
     // parallel_eval defaults to None: the engine auto-selects threading
@@ -240,10 +257,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         Some(e) => Some(e.parse().map_err(|_| "--every needs an iteration count")?),
         None => None,
     };
-    let watchdog: Option<f64> = match watchdog {
-        Some(w) => Some(w.parse().map_err(|_| "--watchdog needs seconds")?),
-        None => None,
-    };
+    let watchdog = watchdog_timeout(watchdog, usage)?;
     let res: SaResult = if replicas >= 2 {
         // parallel tempering over a geometric temperature ladder
         let mut builder = Temper::builder(start)
@@ -268,8 +282,8 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         if let Some(e) = every {
             builder = builder.checkpoint_every_rounds(e.div_ceil(exchange_every).max(1));
         }
-        if let Some(secs) = watchdog {
-            builder = builder.watchdog(std::time::Duration::from_secs_f64(secs));
+        if let Some(timeout) = watchdog {
+            builder = builder.watchdog(timeout);
         }
         let tr = builder.run().map_err(|e| e.to_string())?;
         println!(
@@ -293,12 +307,10 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         if let Some(e) = every {
             builder = builder.checkpoint_every(e);
         }
-        if let Some(secs) = watchdog {
+        if let Some(timeout) = watchdog {
             // the CLI opts into hard process exit: a loop too wedged to
             // reach its own iteration boundary must not hang the terminal
-            builder = builder
-                .watchdog(std::time::Duration::from_secs_f64(secs))
-                .watchdog_hard_exit(true);
+            builder = builder.watchdog(timeout).watchdog_hard_exit(true);
         }
         builder.run().map_err(|e| e.to_string())?
     };
@@ -483,10 +495,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     } else {
         Recorder::disabled()
     };
-    let watchdog: Option<f64> = match watchdog {
-        Some(w) => Some(w.parse().map_err(|_| "--watchdog needs seconds")?),
-        None => None,
-    };
+    let watchdog = watchdog_timeout(watchdog, usage)?;
     let sink = match &metrics {
         Some(p) => {
             let s = StreamSink::create(p).map_err(|e| format!("{p}: {e}"))?;
@@ -518,8 +527,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                     eprintln!("resuming from {ck}");
                 }
             }
-            if let Some(secs) = watchdog {
-                b = b.watchdog(std::time::Duration::from_secs_f64(secs));
+            if let Some(timeout) = watchdog {
+                b = b.watchdog(timeout);
             }
             b
         },

@@ -2,7 +2,9 @@
 //! run fails with a usage error naming the flag instead of ignoring it
 //! or misreading it as a positional argument (a benchmark name, an
 //! iteration count). Instances outside the paper's domain (fewer than
-//! two hosts, radix below 3) fail the same way instead of panicking.
+//! two hosts, radix below 3) and flag values no run can use (a
+//! non-finite or negative `--watchdog`, a zero `--exchange-every`) fail
+//! the same way instead of panicking.
 
 use orp::core::construct::random_general;
 use orp::core::io;
@@ -103,4 +105,40 @@ fn degenerate_instances_fail_with_a_usage_error() {
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
     assert!(orp(&["bounds", "2", "3"]).status.success());
+}
+
+#[test]
+fn unusable_flag_values_fail_with_a_usage_error() {
+    let path = saved_graph("values");
+    let g = path.to_str().unwrap();
+    let ck = path.with_file_name("ck.orp");
+    let ck = ck.to_str().unwrap();
+    let words = |cmd: &'static str| cmd.split(' ').collect::<Vec<_>>();
+    let mut cases = Vec::new();
+    for secs in ["nan", "-1", "inf", "1e300", "soon"] {
+        let solve = [words("solve 64 8 100 --watchdog"), vec![secs]].concat();
+        cases.push((solve, "--watchdog"));
+        cases.push((vec!["simulate", g, "EP", "--watchdog", secs], "--watchdog"));
+    }
+    let tempering = words("solve 64 8 100 --replicas 2 --exchange-every 0");
+    let checkpointed = [&tempering[..], &["--checkpoint", ck, "--every", "10"]].concat();
+    cases.push((tempering, "--exchange-every"));
+    cases.push((checkpointed, "--exchange-every"));
+    for (args, flag) in cases {
+        let out = orp(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains("usage: orp"),
+            "{args:?}: no usage error naming {flag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+    // a finite watchdog and a positive exchange interval still run
+    let ok = orp(&words(
+        "solve 64 8 100 --replicas 2 --exchange-every 10 --watchdog 30",
+    ));
+    let stderr = String::from_utf8_lossy(&ok.stderr);
+    assert!(ok.status.success(), "{stderr}");
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
