@@ -1,8 +1,8 @@
 //! Open-loop scale scenario for the event-queue simulation core, up to
 //! one million concurrent flows under the approximate fair-sharing model
-//! (the exact max-min model re-solves a global allocation per flow
-//! change and is quadratic at this scale — the whole point of the
-//! pluggable model).
+//! (the exact max-min model refills the connected flow groups a change
+//! touches, which at this density is most of the network, and is
+//! quadratic at this scale — the whole point of the pluggable model).
 //!
 //! Writes `results/BENCH_eventsim.json` with one row per flow count:
 //! makespan, event-queue throughput (events/sec of wall time), peak

@@ -1,15 +1,22 @@
-//! Simulation-compatibility gate for the event-queue engine refactor.
+//! Simulation-compatibility gate for the exact max-min sharing model.
 //!
-//! The committed `results/SIM_COMPAT_npb.json` holds the NPB skeleton
-//! reports produced by the pre-refactor synchronous engine, with every
-//! floating-point field stored as its exact IEEE-754 bit pattern.
+//! Two committed references hold NPB skeleton reports with every
+//! floating-point field stored as its exact IEEE-754 bit pattern:
+//!
+//! * `results/SIM_COMPAT_npb.json` — 64 ranks on four §6 topologies,
+//!   produced by the pre-event-queue synchronous engine (32 rows);
+//! * `results/SIM_COMPAT_npb1024.json` — the eight kernels at 1,024
+//!   ranks on `random_general(1024, 195, 15, 1)` (the paper's Fig. 9
+//!   instance), identity placement, paper classes, one iteration,
+//!   produced by the whole-network progressive filling that preceded
+//!   the grouped re-solve (8 rows).
 //!
 //! * default (check) mode — reruns every scenario under the exact
 //!   max-min sharing model and fails on any bit drift against the
-//!   committed reference; then reruns under the approximate fair-sharing
-//!   model and asserts the per-benchmark makespan stays within the
-//!   documented contention bound (see DESIGN.md §5d).
-//! * `ORP_SIM_COMPAT_WRITE=1` — regenerates the reference (only
+//!   committed references; then reruns CG at 64 ranks under the
+//!   approximate fair-sharing model and asserts its makespan stays
+//!   within the documented contention bound (see DESIGN.md §5d).
+//! * `ORP_SIM_COMPAT_WRITE=1` — regenerates both references (only
 //!   legitimate when an attributed behaviour change is being committed;
 //!   explain any rewrite in EXPERIMENTS.md).
 //!
@@ -47,7 +54,31 @@ struct CompatFile {
     rows: Vec<CompatRow>,
 }
 
-fn topologies(ranks: u32) -> Vec<(String, HostSwitchGraph)> {
+/// One committed reference: its artifact name, rank count, engine
+/// label and topologies.
+struct Suite {
+    artifact: &'static str,
+    ranks: u32,
+    engine: &'static str,
+    topologies: fn(u32) -> Vec<(String, HostSwitchGraph)>,
+}
+
+const SUITES: [Suite; 2] = [
+    Suite {
+        artifact: "SIM_COMPAT_npb",
+        ranks: 64,
+        engine: "exact max-min",
+        topologies: small_topologies,
+    },
+    Suite {
+        artifact: "SIM_COMPAT_npb1024",
+        ranks: 1024,
+        engine: "exact max-min, whole-network progressive filling",
+        topologies: paper_topology,
+    },
+];
+
+fn small_topologies(ranks: u32) -> Vec<(String, HostSwitchGraph)> {
     vec![
         (
             "torus3d".into(),
@@ -78,9 +109,18 @@ fn topologies(ranks: u32) -> Vec<(String, HostSwitchGraph)> {
     ]
 }
 
-fn reference_rows(ranks: u32, iters: usize) -> Vec<CompatRow> {
+/// The Fig. 9 instance (m_opt = 195 switches of radix 15), seed 1.
+fn paper_topology(ranks: u32) -> Vec<(String, HostSwitchGraph)> {
+    vec![(
+        "random_general(1024,195,15,1)".into(),
+        random_general(ranks, 195, 15, 1).expect("feasible"),
+    )]
+}
+
+fn reference_rows(suite: &Suite, iters: usize) -> Vec<CompatRow> {
+    let ranks = suite.ranks;
     let mut rows = Vec::new();
-    for (name, g) in topologies(ranks) {
+    for (name, g) in (suite.topologies)(ranks) {
         let net = Network::builder(&g).build();
         for bench in Benchmark::all() {
             let r = run_benchmark(&net, bench, ranks, bench.paper_class(), iters)
@@ -100,26 +140,15 @@ fn reference_rows(ranks: u32, iters: usize) -> Vec<CompatRow> {
     rows
 }
 
-fn main() {
-    let ranks = 64u32;
-    let iters = 1usize;
-    let write = std::env::var("ORP_SIM_COMPAT_WRITE").map(|v| v == "1") == Ok(true);
-    if write {
-        let file = CompatFile {
-            engine: "exact max-min".into(),
-            ranks,
-            npb_iters: iters,
-            rows: reference_rows(ranks, iters),
-        };
-        let path = write_json("SIM_COMPAT_npb", &file);
-        println!("wrote {} ({} rows)", path.display(), file.rows.len());
-        return;
-    }
-    let text = std::fs::read_to_string("results/SIM_COMPAT_npb.json").expect("committed reference");
+/// Reruns `suite` and counts the rows that drifted from its committed
+/// reference, printing each.
+fn drifted_rows(suite: &Suite, iters: usize) -> usize {
+    let path = format!("results/{}.json", suite.artifact);
+    let text = std::fs::read_to_string(&path).expect("committed reference");
     let reference: CompatFile = serde_json::from_str(&text).expect("parse reference");
-    assert_eq!(reference.ranks, ranks);
-    assert_eq!(reference.npb_iters, iters);
-    let fresh = reference_rows(ranks, iters);
+    assert_eq!(reference.ranks, suite.ranks, "{path}: rank count");
+    assert_eq!(reference.npb_iters, iters, "{path}: iterations");
+    let fresh = reference_rows(suite, iters);
     assert_eq!(fresh.len(), reference.rows.len(), "scenario set changed");
     let mut drift = 0usize;
     for (new, old) in fresh.iter().zip(&reference.rows) {
@@ -134,9 +163,10 @@ fn main() {
         {
             drift += 1;
             eprintln!(
-                "DRIFT {}/{}: time {} -> {} (bits {:#x} -> {:#x}), flows {} -> {}",
+                "DRIFT {}/{} ({} ranks): time {} -> {} (bits {:#x} -> {:#x}), flows {} -> {}",
                 old.topology,
                 old.bench,
+                suite.ranks,
                 f64::from_bits(old.time_bits),
                 f64::from_bits(new.time_bits),
                 old.time_bits,
@@ -146,15 +176,38 @@ fn main() {
             );
         }
     }
+    println!(
+        "sim-compat: {} of {} scenarios at {} ranks bit-identical to {}",
+        reference.rows.len() - drift,
+        reference.rows.len(),
+        suite.ranks,
+        path
+    );
+    drift
+}
+
+fn main() {
+    let iters = 1usize;
+    let write = std::env::var("ORP_SIM_COMPAT_WRITE").map(|v| v == "1") == Ok(true);
+    if write {
+        for suite in &SUITES {
+            let file = CompatFile {
+                engine: suite.engine.into(),
+                ranks: suite.ranks,
+                npb_iters: iters,
+                rows: reference_rows(suite, iters),
+            };
+            let path = write_json(suite.artifact, &file);
+            println!("wrote {} ({} rows)", path.display(), file.rows.len());
+        }
+        return;
+    }
+    let drift: usize = SUITES.iter().map(|s| drifted_rows(s, iters)).sum();
     assert_eq!(
         drift, 0,
-        "exact max-min engine drifted from the committed pre-refactor reports; \
+        "exact max-min engine drifted from the committed reference reports; \
          attribute the diff via `orp diff` and explain it in EXPERIMENTS.md \
          before regenerating the reference"
-    );
-    println!(
-        "sim-compat: {} scenarios bit-identical to the pre-refactor engine",
-        reference.rows.len()
     );
 
     // second pass: CG under the approximate fair-sharing model must stay
@@ -163,7 +216,12 @@ fn main() {
     // multiplicity, easily tens here); makespans agree far more tightly
     // in practice, so gate at a fixed factor that still catches a broken
     // model without flaking on approximation error.
-    for (name, g) in topologies(ranks) {
+    let small = &SUITES[0];
+    let ranks = small.ranks;
+    let text = std::fs::read_to_string(format!("results/{}.json", small.artifact))
+        .expect("committed reference");
+    let reference: CompatFile = serde_json::from_str(&text).expect("parse reference");
+    for (name, g) in (small.topologies)(ranks) {
         let net = Network::builder(&g).build();
         let bench = Benchmark::Cg;
         let exact = reference

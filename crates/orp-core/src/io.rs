@@ -90,6 +90,16 @@ pub fn from_str(text: &str) -> Result<HostSwitchGraph, ParseError> {
     let (Some(n), Some(m), Some(r)) = (n, m, r) else {
         return Err(ParseError::BadHeader("missing n/m/r declaration".into()));
     };
+    // every switch carries a host or a link end, so the lines bound the
+    // switch count a file can describe; check before allocating for it
+    let ends = hosts.len() as u64 + 2 * edges.len() as u64;
+    if u64::from(m) > ends {
+        return Err(ParseError::BadHeader(format!(
+            "declared m = {m} switches but the {} host and {} link lines reach at most {ends}",
+            hosts.len(),
+            edges.len()
+        )));
+    }
     let mut g = HostSwitchGraph::new(m, r)?;
     for (a, b) in edges {
         g.add_link(a, b)?;
@@ -168,6 +178,32 @@ mod tests {
         // radix overflow
         let text = "orp-hsg 1\nn 4\nm 1\nr 3\nh 0 0\nh 1 0\nh 2 0\nh 3 0\n";
         assert!(matches!(from_str(text), Err(ParseError::Graph(_))));
+    }
+
+    #[test]
+    fn declared_sizes_beyond_the_lines_are_rejected_before_allocating() {
+        // m = 4e9 would allocate ~190 GB of switch tables
+        let text = "orp-hsg 1\nn 2\nm 4000000000\nr 4000000000\n";
+        assert!(matches!(from_str(text), Err(ParseError::BadHeader(_))));
+        // two host lines and one link line reach at most four switches
+        let text = "orp-hsg 1\nn 2\nm 5\nr 4\nh 0 0\nh 1 1\ne 0 1\n";
+        assert!(matches!(from_str(text), Err(ParseError::BadHeader(_))));
+        let text = "orp-hsg 1\nn 2\nm 4\nr 4\nh 0 0\nh 1 1\ne 0 1\ne 2 3\n";
+        assert!(from_str(text).is_ok());
+    }
+
+    #[test]
+    fn every_written_graph_reparses() {
+        use crate::construct::random_general;
+        for (n, m, r, seed) in [
+            (2, 1, 3, 1),
+            (16, 4, 8, 1),
+            (64, 16, 10, 5),
+            (1024, 195, 15, 1),
+        ] {
+            let g = random_general(n, m, r, seed).unwrap();
+            assert_eq!(to_string(&from_str(&to_string(&g)).unwrap()), to_string(&g));
+        }
     }
 
     #[test]

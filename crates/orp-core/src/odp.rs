@@ -95,6 +95,15 @@ pub fn from_edge_list(text: &str, radix: u32) -> Result<HostSwitchGraph, ParseEr
     if edges.is_empty() {
         return Err(ParseError::BadHeader("empty edge list".into()));
     }
+    // vertices are named only by edges, so E lines name at most 2E of
+    // them; check before allocating (and before `max_v + 1` can wrap)
+    if u64::from(max_v) >= 2 * edges.len() as u64 {
+        return Err(ParseError::BadHeader(format!(
+            "vertex id {max_v} but {} edges name at most {} vertices",
+            edges.len(),
+            2 * edges.len()
+        )));
+    }
     let mut g = HostSwitchGraph::new(max_v + 1, radix).map_err(ParseError::Graph)?;
     for (a, b) in edges {
         g.add_link(a, b).map_err(ParseError::Graph)?;
@@ -180,6 +189,15 @@ mod tests {
         ));
         // duplicate edge
         assert!(from_edge_list("0 1\n1 0\n", 4).is_err());
+        // vertex ids one edge cannot name: `max_v + 1` would wrap, or
+        // allocate ~190 GB of switch tables
+        for text in ["0 4294967295\n", "0 4000000000\n", "0 1\n1 4\n"] {
+            assert!(
+                matches!(from_edge_list(text, 4), Err(ParseError::BadHeader(_))),
+                "{text:?}"
+            );
+        }
+        assert_eq!(from_edge_list("0 1\n2 3\n", 4).unwrap().num_switches(), 4);
     }
 
     #[test]

@@ -1092,7 +1092,7 @@ impl<'a> Simulator<'a> {
             return Err(bad("injection cursor past the end of the injection list"));
         }
         let mut mdec = Decoder::new(&ck.model);
-        self.model.decode_state(&mut mdec, flows.len())?;
+        self.model.decode_state(&mut mdec, &flows)?;
         if self.tel.tracking() {
             // timing table only matters while recording; a snapshot
             // saved without a recorder restores as zeros (same contract
@@ -2837,6 +2837,91 @@ mod tests {
                 "{tag}: no cut landed mid-burst after a degenerate demand"
             );
         }
+    }
+
+    /// The exact model's streaming-flow list inside a checkpoint.
+    fn exact_model_active(ck: &SimCheckpoint) -> Vec<u32> {
+        let mut dec = Decoder::new(&ck.model);
+        dec.get_f64().unwrap();
+        dec.get_u32_vec().unwrap()
+    }
+
+    #[test]
+    fn exact_resume_mid_alltoall_is_bit_identical() {
+        // IS is all-to-all bound: in each pairwise-exchange step every
+        // rank streams to a partner, so a cut lands with tens of flows
+        // spread over merged link groups, some rates set by earlier
+        // fills and some dirty
+        let g = orp_core::construct::random_general(64, 16, 8, 3).unwrap();
+        let net = Network::builder(&g).build();
+        let bench = crate::npb::Benchmark::Is;
+        let programs = bench.build(64, bench.paper_class(), 1);
+        let make = || Simulator::builder(&net).programs(programs.clone());
+        let reference = make().run().unwrap();
+        let every = (reference.events / 40).max(1) as usize;
+        let mut mid_alltoall = 0;
+        for cut in (1..reference.events).step_by(every) {
+            let ck = cut_and_resume(make, "is exact", cut, &reference);
+            // at least half the ranks streaming: an exchange is in flight
+            if exact_model_active(&ck).len() >= 32 {
+                mid_alltoall += 1;
+            }
+        }
+        assert!(
+            mid_alltoall >= 10,
+            "{mid_alltoall} cuts landed mid-alltoall"
+        );
+    }
+
+    #[test]
+    fn exact_resume_rejects_duplicate_and_idle_flow_ids() {
+        let net = ring_net();
+        let dir = temp_dir("crafted");
+        let path = dir.join("sim-crafted.orp");
+        let reference = busy_builder(&net, SharingMode::ExactMaxMin).run().unwrap();
+        // a cut with two flows streaming and an idle id below them
+        let (ck, active, idle) = (1..reference.events)
+            .find_map(|cut| {
+                let mut sim = busy_builder(&net, SharingMode::ExactMaxMin)
+                    .checkpoint(&path)
+                    .build();
+                sim.stop_after_events = Some(cut);
+                sim.run().unwrap_err();
+                let ck = SimCheckpoint::load(&path).unwrap();
+                let active = exact_model_active(&ck);
+                let top = *active.iter().max()?;
+                let idle = (0..top).find(|f| !active.contains(f))?;
+                (active.len() >= 2).then_some((ck, active, idle))
+            })
+            .expect("some cut has two streaming flows above an idle one");
+        let crafted = |list: Vec<u32>| {
+            let mut enc = Encoder::new();
+            enc.put_f64(net.config().bandwidth);
+            enc.put_u32_slice(&list);
+            enc.put_bool(true);
+            let mut bad = ck.clone();
+            bad.model = enc.into_bytes();
+            bad.save(&path).unwrap();
+            busy_builder(&net, SharingMode::ExactMaxMin)
+                .resume_from(&path)
+                .run()
+        };
+        // the untouched list resumes (the crafting itself is sound)
+        let resumed = crafted(active.clone()).unwrap();
+        assert_reports_identical(&reference, &resumed, "re-encoded model");
+        let mut twice = active.clone();
+        twice.push(active[0]);
+        let mut with_idle = active.clone();
+        with_idle.push(idle);
+        for (what, list) in [("duplicate", twice), ("idle", with_idle)] {
+            match crafted(list) {
+                Err(SimError::Ckpt(CkptError::BadSection(msg))) => {
+                    assert!(msg.contains("max-min model"), "{what}: {msg}")
+                }
+                other => panic!("{what} id: expected BadSection, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

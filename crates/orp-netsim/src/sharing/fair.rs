@@ -1,13 +1,15 @@
 //! Approximate fair sharing with per-link lazy completion times.
 //!
-//! The exact model re-solves a global allocation on every flow change;
-//! this model touches **only the links the change crosses**, following
-//! the `FairThroughputSharingModel` idiom: each link serves the flows
-//! queued on it processor-sharing style in a *virtual-time* domain,
-//! where a flow's finish tag is fixed at insertion and population
-//! changes only rescale the clock rate — so a change is O(route length
-//! × log flows): settle each touched link's virtual clock, cancel its
-//! pending drain event, and reschedule from the (unchanged) heap head.
+//! The exact model refills every flow group a change touches (whole
+//! connected components, often most of the network under all-to-all
+//! load); this model touches **only the links the change crosses**,
+//! following the `FairThroughputSharingModel` idiom: each link serves
+//! the flows queued on it processor-sharing style in a *virtual-time*
+//! domain, where a flow's finish tag is fixed at insertion and
+//! population changes only rescale the clock rate — so a change is
+//! O(route length × log flows): settle each touched link's virtual
+//! clock, cancel its pending drain event, and reschedule from the
+//! (unchanged) heap head.
 //!
 //! Approximation: a flow queues on its single most-contended link at
 //! insertion time (its bottleneck); other links on the route count the
@@ -439,7 +441,8 @@ impl ThroughputSharingModel for ApproxFairSharing {
         // `dead` counts are recomputed from the heaps at decode
     }
 
-    fn decode_state(&mut self, dec: &mut Decoder<'_>, num_flows: usize) -> Result<(), CkptError> {
+    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &[Flow]) -> Result<(), CkptError> {
+        let num_flows = flows.len();
         let bad = |what: &str| CkptError::BadSection(format!("approx-fair model: {what}"));
         let bw = dec.get_f64()?;
         if bw.to_bits() != self.bw.to_bits() {

@@ -5,8 +5,11 @@
 //! flows* is delegated to a [`ThroughputSharingModel`]. Two models ship:
 //!
 //! * [`maxmin::MaxMinFair`] — exact max-min fairness by progressive
-//!   filling, re-solved globally whenever the active set changes. This
-//!   is the original engine's model, bit-compatible with its reports.
+//!   filling. Rates stay bit-identical to filling every streaming flow
+//!   after every change (the original engine's model and reports), but
+//!   only the flow groups a change touches — unions of link-connected
+//!   components, merged on shared links and near-tied shares — are
+//!   refilled.
 //! * [`fair::ApproxFairSharing`] — approximate fair sharing that only
 //!   touches the links a flow change actually crosses, with completion
 //!   times kept lazily correct by cancelling and reinserting per-link
@@ -32,8 +35,9 @@ pub enum SharingMode {
     #[default]
     ExactMaxMin,
     /// Approximate per-link fair sharing with lazy completion-time
-    /// recomputation; use for very large concurrent-flow counts where
-    /// the exact model's global re-solve is quadratic.
+    /// recomputation; use for very large concurrent-flow counts, where
+    /// the exact model's refills of large connected flow groups are
+    /// quadratic.
     ApproxFair,
 }
 
@@ -239,7 +243,7 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
     fn settle(&mut self, flows: &mut [Flow], tel: &mut LinkStats);
 
     /// Late settle after the engine drained its event batch; models that
-    /// solve globally refresh here so rates are current for the next
+    /// solve on settle refresh here so rates are current for the next
     /// advance (the exact model skips it when nothing streams).
     fn settle_tail(&mut self, flows: &mut [Flow], tel: &mut LinkStats);
 
@@ -290,11 +294,12 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
 
     /// Restores state written by [`encode_state`] into a freshly
     /// constructed model of the same mode/size, validating flow ids
-    /// against `num_flows` and structural parameters against the
-    /// construction arguments.
+    /// against the decoded flow table `flows` (and rebuilding whatever
+    /// the model derives from their routes) and structural parameters
+    /// against the construction arguments.
     ///
     /// [`encode_state`]: ThroughputSharingModel::encode_state
-    fn decode_state(&mut self, dec: &mut Decoder<'_>, num_flows: usize) -> Result<(), CkptError>;
+    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &[Flow]) -> Result<(), CkptError>;
 }
 
 /// Constructs the model for `mode` on a fabric of `num_links` links with

@@ -4,7 +4,8 @@
 //! iteration count). Instances outside the paper's domain (fewer than
 //! two hosts, radix below 3) and flag values no run can use (a
 //! non-finite or negative `--watchdog`, a zero `--exchange-every`) fail
-//! the same way instead of panicking.
+//! the same way instead of panicking, and so does a graph file
+//! declaring more switches than its lines can describe.
 
 use orp::core::construct::random_general;
 use orp::core::io;
@@ -105,6 +106,18 @@ fn degenerate_instances_fail_with_a_usage_error() {
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
     assert!(orp(&["bounds", "2", "3"]).status.success());
+}
+
+#[test]
+fn graph_files_declaring_impossible_sizes_fail_cleanly() {
+    let path = saved_graph("sizes");
+    // 4e9 switches: the reader used to allocate for them and abort
+    std::fs::write(&path, "orp-hsg 1\nn 2\nm 4000000000\nr 4000000000\n").unwrap();
+    let out = orp(&["eval", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("bad header"), "{stderr}");
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
 #[test]
