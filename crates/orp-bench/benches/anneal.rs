@@ -7,7 +7,7 @@ use orp_core::anneal::{anneal, MoveKind, SaConfig};
 use orp_core::construct::{random_general, random_regular};
 use orp_core::metrics::path_metrics;
 use orp_core::ops::sample_swing;
-use orp_core::search::SearchState;
+use orp_core::search::{SearchConfig, SearchState};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -23,7 +23,7 @@ fn cfg(iters: usize) -> SaConfig {
 /// sample → begin → apply → evaluate → rollback.
 fn bench_engine_proposal(c: &mut Criterion) {
     let g = random_general(256, 55, 12, 3).expect("constructible");
-    let mut st = SearchState::new(g, Some(false)).expect("connected");
+    let mut st = SearchState::with_search(g, 1, SearchConfig::default()).expect("connected");
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     c.bench_function("engine_proposal_cycle", |b| {
         b.iter(|| {

@@ -18,7 +18,7 @@ use orp_bench::write_json;
 use orp_core::construct::random_general;
 use orp_core::metrics::path_metrics;
 use orp_core::ops::{sample_swing, EdgeSet};
-use orp_core::search::SearchState;
+use orp_core::search::{SearchConfig, SearchState};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -51,7 +51,8 @@ fn bench_eval(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("incremental", m), &g, |b, g| {
-            let mut st = SearchState::new(g.clone(), Some(false)).expect("connected");
+            let mut st =
+                SearchState::with_search(g.clone(), 1, SearchConfig::default()).expect("connected");
             let mut rng = ChaCha8Rng::seed_from_u64(11);
             b.iter(|| {
                 let Some(s) = sample_swing(st.graph(), st.edges(), &mut rng, 32) else {

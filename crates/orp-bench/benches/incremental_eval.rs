@@ -8,7 +8,7 @@
 use criterion::{black_box, BenchmarkId, Criterion};
 use orp_core::construct::random_general;
 use orp_core::ops::sample_swing;
-use orp_core::search::SearchState;
+use orp_core::search::{SearchConfig, SearchState};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -20,9 +20,12 @@ fn bench_cached_eval(c: &mut Criterion) {
     group.sample_size(10);
     for m in SWITCH_COUNTS {
         let g = random_general(4 * m, m, RADIX, 7).expect("constructible");
-        for (label, cache) in [("full", false), ("cached", true)] {
+        for (label, search) in [
+            ("full", SearchConfig::off()),
+            ("cached", SearchConfig::default()),
+        ] {
             group.bench_with_input(BenchmarkId::new(label, m), &g, |b, g| {
-                let mut st = SearchState::with_options(g.clone(), 1, cache).expect("connected");
+                let mut st = SearchState::with_search(g.clone(), 1, search).expect("connected");
                 let mut rng = ChaCha8Rng::seed_from_u64(11);
                 b.iter(|| {
                     let Some(s) = sample_swing(st.graph(), st.edges(), &mut rng, 32) else {

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orp_core::construct::random_general;
 use orp_core::metrics::{path_metrics, path_metrics_par};
-use orp_core::search::SearchState;
+use orp_core::search::{SearchConfig, SearchState};
 
 fn bench_path_metrics(c: &mut Criterion) {
     let mut group = c.benchmark_group("path_metrics");
@@ -25,7 +25,8 @@ fn bench_path_metrics(c: &mut Criterion) {
             BenchmarkId::new("engine_batched", format!("n{n}_m{m}_r{r}")),
             &g,
             |b, g| {
-                let mut st = SearchState::new(g.clone(), Some(false)).expect("connected");
+                let mut st = SearchState::with_search(g.clone(), 1, SearchConfig::default())
+                    .expect("connected");
                 b.iter(|| st.evaluate().unwrap())
             },
         );
@@ -41,7 +42,8 @@ fn bench_large_fabric(c: &mut Criterion) {
     group.bench_function("sequential", |b| b.iter(|| path_metrics(&g).unwrap()));
     group.bench_function("parallel", |b| b.iter(|| path_metrics_par(&g).unwrap()));
     group.bench_function("engine_batched", |b| {
-        let mut st = SearchState::new(g.clone(), Some(false)).expect("connected");
+        let mut st =
+            SearchState::with_search(g.clone(), 1, SearchConfig::default()).expect("connected");
         b.iter(|| st.evaluate().unwrap())
     });
     group.finish();

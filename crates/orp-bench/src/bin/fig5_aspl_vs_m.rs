@@ -94,7 +94,7 @@ fn main() {
                 continue;
             }
             let moore = moore_haspl(n as u64, m as u64, r as u64);
-            // parallel_eval stays None: the engine auto-selects threading
+            // eval_workers stays None: the engine auto-selects threading
             let mut cfg = effort.sa_config();
             // scale effort down for the biggest fabrics
             if m > 512 {

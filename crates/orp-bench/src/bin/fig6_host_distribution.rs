@@ -27,7 +27,8 @@ fn main() {
     let combos = [(128u32, 24u32), (1024, 12), (1024, 24)];
     let mut out = Vec::new();
     for (n, r) in combos {
-        // parallel_eval stays None: the engine auto-selects threading
+        // eval_workers stays None: the Solver splits the CPUs across
+        // its restarts
         let cfg = effort.sa_config();
         let report = Solver::builder(n, r).config(cfg).run().expect("feasible");
         let (res, m_opt) = (report.result, report.m_opt);

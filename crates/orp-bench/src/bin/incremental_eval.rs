@@ -18,7 +18,7 @@ use orp_bench::write_json;
 use orp_core::construct::random_general;
 use orp_core::metrics::PathMetrics;
 use orp_core::ops::{sample_swap, sample_swing};
-use orp_core::search::{EvalOutcome, SearchState};
+use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -139,8 +139,10 @@ fn main() {
         let m = n / 4;
         let g = random_general(n, m, RADIX, 7).expect("constructible");
         for mix in [Mix::Swing, Mix::Swap, Mix::Mixed] {
-            let mut cached = SearchState::with_options(g.clone(), 1, true).expect("connected");
-            let mut plain = SearchState::with_options(g.clone(), 1, false).expect("connected");
+            let mut cached =
+                SearchState::with_search(g.clone(), 1, SearchConfig::default()).expect("connected");
+            let mut plain =
+                SearchState::with_search(g.clone(), 1, SearchConfig::off()).expect("connected");
             assert!(cached.cache_active(), "cache must engage at m = {m}");
             let (lat_inc, stream_inc, affected) = walk(&mut cached, mix, proposals, 11);
             let (lat_full, stream_full, _) = walk(&mut plain, mix, proposals, 11);

@@ -6,8 +6,8 @@
 //!    sharded, cached engine (worker pool + dense/packed rows) against
 //!    the sequential reference (one worker, no cache, full sweeps).
 //!    The final h-ASPL must match bit for bit — the cache codec, the
-//!    worker count and the work-stealing schedule are pure wall-clock
-//!    knobs.
+//!    worker count and which worker claims which task are pure
+//!    wall-clock knobs.
 //! 2. **Throughput** (n = 16384, m = 8192): aggregate proposals/sec of
 //!    a 3-replica tempering ensemble on the compressed sharded cache
 //!    vs the single-annealer baseline in its pre-cache configuration —

@@ -76,16 +76,14 @@ pub struct SaConfig {
     /// Record `(iteration, best h-ASPL)` every this many iterations
     /// (0 = no history).
     pub history_stride: usize,
-    /// Threaded h-ASPL evaluation. `None` (the default) auto-selects:
-    /// threads are used when the instance has at least
-    /// [`crate::search::PARALLEL_SWITCH_THRESHOLD`] switches and more
-    /// than one CPU is available. `Some(_)` overrides the heuristic.
-    pub parallel_eval: Option<bool>,
-    /// Exact evaluation worker-thread count. `None` (the default) defers
-    /// to `parallel_eval`; `Some(w)` pins the persistent pool to `w`
-    /// workers regardless of the heuristic — [`crate::solver::Solver`]
-    /// uses this to split the machine's cores across restart workers.
-    /// Results are bit-identical for every worker count.
+    /// Evaluation worker-thread count. `None` (the default) picks
+    /// [`crate::search::resolve_parallel_eval`]: every CPU when the
+    /// instance has at least [`crate::search::PARALLEL_SWITCH_THRESHOLD`]
+    /// switches and more than one CPU is available, else 1. `Some(w)`
+    /// pins the persistent pool to `w` workers (clamped to `1..=m`) —
+    /// [`crate::solver::Solver`] uses this to split the machine's cores
+    /// across restart workers. Results are bit-identical for every
+    /// worker count.
     pub eval_workers: Option<usize>,
     /// Enables the Δh-ASPL lower-bound early reject: a proposal the
     /// distance cache can prove is uphill by more than
@@ -112,7 +110,6 @@ impl Default for SaConfig {
             seed: 1,
             sample_attempts: 32,
             history_stride: 0,
-            parallel_eval: None,
             eval_workers: None,
             early_reject: true,
             search: SearchConfig::default(),
@@ -186,12 +183,6 @@ impl SaConfigBuilder {
     /// Best-so-far history stride (0 = no history).
     pub fn history_stride(mut self, stride: usize) -> Self {
         self.cfg.history_stride = stride;
-        self
-    }
-
-    /// Overrides the parallel-evaluation heuristic.
-    pub fn parallel_eval(mut self, parallel: bool) -> Self {
-        self.cfg.parallel_eval = Some(parallel);
         self
     }
 
@@ -352,8 +343,7 @@ impl Annealer {
 
     fn resolved_workers(g_switches: u32, cfg: &SaConfig) -> usize {
         cfg.eval_workers
-            .map(|w| w.max(1))
-            .unwrap_or_else(|| resolve_parallel_eval(cfg.parallel_eval, g_switches))
+            .unwrap_or_else(|| resolve_parallel_eval(g_switches))
     }
 
     /// Serializes the complete mid-run state. Everything that feeds the
@@ -426,7 +416,7 @@ impl Annealer {
 
     /// Rebuilds an annealer from a checkpoint payload. The config and
     /// move kind of the resuming call must match the checkpointed ones
-    /// (`eval_workers`/`parallel_eval`/`search` excepted — worker count
+    /// (`eval_workers`/`search` excepted — worker count
     /// and cache policy are pure wall-clock/memory knobs; every codec
     /// evaluates bit-identically). After restoring, the search state is
     /// re-evaluated from scratch and the result is required to match
@@ -959,7 +949,6 @@ impl Annealer {
             put(format_args!("pool.w{i}.steal_fails"), w.steal_fails as f64);
             put(format_args!("pool.w{i}.busy_ns"), w.busy_ns as f64);
             put(format_args!("pool.w{i}.idle_ns"), w.idle_ns as f64);
-            put(format_args!("pool.w{i}.peak_depth"), w.peak_depth as f64);
         }
     }
 
@@ -1129,7 +1118,7 @@ impl Anneal {
     /// Resumes from a checkpoint previously written by this builder
     /// (the starting graph is ignored). The config and move kind must
     /// match the checkpointed run — everything except
-    /// `eval_workers`/`parallel_eval`, which are pure wall-clock knobs.
+    /// `eval_workers`, which is a pure wall-clock knob.
     /// Fails with [`SaError::Ckpt`] if the file is missing, corrupt,
     /// truncated, of the wrong kind/version, or config-incompatible.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
@@ -1240,7 +1229,7 @@ pub fn restart_ckpt_path(prefix: &Path, i: usize) -> PathBuf {
 /// |Δh-ASPL| (so roughly half of all degrading moves are accepted at the
 /// start) and `t_end` three orders of magnitude below.
 pub fn auto_temperature(start: &HostSwitchGraph, cfg: &SaConfig) -> SaConfig {
-    let Ok(mut state) = SearchState::new(start.clone(), Some(false)) else {
+    let Ok(mut state) = SearchState::with_search(start.clone(), 1, SearchConfig::default()) else {
         return cfg.clone();
     };
     let Some(base) = state.evaluate() else {
@@ -1416,7 +1405,6 @@ mod tests {
             .seed(9)
             .sample_attempts(8)
             .history_stride(10)
-            .parallel_eval(false)
             .eval_workers(3)
             .early_reject(false)
             .search(SearchConfig::off())
@@ -1427,7 +1415,6 @@ mod tests {
         assert_eq!(built.seed, 9);
         assert_eq!(built.sample_attempts, 8);
         assert_eq!(built.history_stride, 10);
-        assert_eq!(built.parallel_eval, Some(false));
         assert_eq!(built.eval_workers, Some(3));
         assert!(!built.early_reject);
         assert_eq!(built.search, SearchConfig::off());

@@ -59,7 +59,6 @@ pub mod search;
 pub mod solver;
 pub mod temper;
 pub mod watchdog;
-pub mod wsdeque;
 
 pub use anneal::{Anneal, MoveKind, SaConfig, SaConfigBuilder, SaResult};
 pub use ckpt::{Checkpointable, CkptError};

@@ -91,22 +91,26 @@
 //!
 //! # Sharded parallel repair
 //!
-//! Re-BFS batches **and** per-source repairs are scheduled together on
-//! the persistent worker pool through per-worker Chase–Lev deques
-//! ([`crate::wsdeque`]): the publisher seeds each worker with a
-//! contiguous shard of the task list, workers drain their own deque and
-//! steal from siblings when idle. Every repair touches only its own
-//! source's row, aggregates, and flags, so workers never contend; the
-//! totals are reduced sequentially afterwards, which keeps the result
-//! bit-identical for every worker count and codec.
+//! Re-BFS batches **and** per-source repairs of one evaluation form one
+//! job, and one task function runs each of its tasks on a worker's
+//! scratch. With a single worker, or a job too small to pay for a
+//! wake-up, the evaluating thread runs the tasks inline in order. On the
+//! persistent worker pool each worker owns one claim cursor (an
+//! `AtomicUsize`): the publisher points it at the start of the worker's
+//! contiguous shard of the task list, the worker claims its shard with
+//! `fetch_add`, then claims the rest of each sibling's shard through the
+//! sibling's cursor. Every repair touches only its own source's row,
+//! aggregates, and flags, so workers never contend on data; sweep sums
+//! are integer sums and the worker-local undo logs are merged in source
+//! order afterwards, which keeps the result bit-identical for every
+//! worker count, schedule and codec.
 
 use crate::error::GraphError;
 use crate::graph::{Host, HostSwitchGraph, Switch};
 use crate::metrics::{finalize_metrics, PathMetrics, SwitchCsr};
 use crate::ops::{EdgeSet, Swap, Swing};
-use crate::wsdeque::{Deque, Steal};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -150,16 +154,13 @@ pub const DEFAULT_CACHE_BUDGET: usize = 1 << 33;
 /// round trip costs more than the work.
 const POOL_TASK_THRESHOLD: usize = 32;
 
-/// Resolves the effective number of evaluation worker threads from the
-/// user's override (`SaConfig::parallel_eval`) and the instance size:
-/// `Some(false)` forces 1, `Some(true)` forces threading, `None` picks
-/// threading iff `m >=` [`PARALLEL_SWITCH_THRESHOLD`] and the machine has
-/// more than one CPU. Returns at least 1.
-pub fn resolve_parallel_eval(override_flag: Option<bool>, num_switches: u32) -> usize {
+/// The automatic evaluation worker count (`SaConfig::eval_workers:
+/// None`): every CPU when `m >=` [`PARALLEL_SWITCH_THRESHOLD`] and the
+/// machine has more than one, else 1.
+pub fn resolve_parallel_eval(num_switches: u32) -> usize {
     let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let parallel = override_flag.unwrap_or(num_switches >= PARALLEL_SWITCH_THRESHOLD && cpus > 1);
-    if parallel {
-        cpus.max(1)
+    if num_switches >= PARALLEL_SWITCH_THRESHOLD && cpus > 1 {
+        cpus
     } else {
         1
     }
@@ -2177,6 +2178,66 @@ struct JobPacket {
 unsafe impl Send for JobPacket {}
 unsafe impl Sync for JobPacket {}
 
+impl JobPacket {
+    /// Sweep batches plus repair sources.
+    fn ntasks(&self) -> usize {
+        self.srcs_len.div_ceil(64) + self.repair_len
+    }
+}
+
+/// Runs task `t` of `job` on worker `w`'s scratch — the one unit of work
+/// of both the pool and the inline path. A plain sweep batch adds its
+/// sums to `acc`. Returns `false` when the task overflowed the cache's
+/// distance cap (the cache must then be released).
+///
+/// # Safety
+/// Every pointer of `job` must be live for the call, worker `w`'s
+/// buffers (`scratch.add(w)`, `rscratch.add(w)`) must be exclusive to
+/// the calling thread, `t < job.ntasks()`, and no other call may run
+/// task `t` of this job.
+unsafe fn run_task(job: &JobPacket, w: usize, t: usize, acc: &mut BatchSums) -> bool {
+    let csr = &*job.csr;
+    let counts = std::slice::from_raw_parts(job.counts, job.counts_len);
+    let nbatches = job.srcs_len.div_ceil(64);
+    if t < nbatches {
+        let srcs = std::slice::from_raw_parts(job.srcs, job.srcs_len);
+        let batch = &srcs[t * 64..(t * 64 + 64).min(srcs.len())];
+        let scratch = &mut *job.scratch.add(w);
+        match &job.cache {
+            Some(c) => return sweep_batch_cached(csr, counts, batch, scratch, c),
+            None => acc.absorb(sweep_batch(csr, counts, batch, scratch)),
+        }
+        true
+    } else {
+        let ctx = job.rctx.as_ref().expect("repair task without context");
+        let s = *job.repair.add(t - nbatches) as usize;
+        repair_one_source(ctx, &mut *job.rscratch.add(w), s)
+    }
+}
+
+/// Runs every task of `job` — on `pool` when given (the caller joins as
+/// worker 0), else inline over `0..ntasks` as worker 0 — and returns the
+/// plain sweeps' combined sums plus whether any task overflowed.
+///
+/// # Safety
+/// Every pointer of `job` must stay live, and every buffer it points to
+/// untouched by anything else, until the call returns; `job.scratch` and
+/// `job.rscratch` must hold one buffer per worker of `pool` (one inline).
+unsafe fn run_job(pool: Option<&EvalPool>, job: JobPacket) -> (BatchSums, bool) {
+    if let Some(pool) = pool {
+        return pool.run(job);
+    }
+    let mut acc = BatchSums::default();
+    let mut overflow = false;
+    for t in 0..job.ntasks() {
+        // SAFETY: the caller's guarantees above, and this thread is the
+        // job's only worker, so worker 0's buffers are exclusive and each
+        // task runs once.
+        overflow |= !run_task(&job, 0, t, &mut acc);
+    }
+    (acc, overflow)
+}
+
 #[derive(Debug)]
 struct PoolCtl {
     seq: u64,
@@ -2187,8 +2248,8 @@ struct PoolCtl {
 }
 
 /// One worker's cumulative scheduler counters. Written with relaxed
-/// atomics — once per job by the owning worker, pushes/peak by the
-/// publisher at seed time — and read by [`SearchState::pool_stats`].
+/// atomics — once per job by the owning worker, pushes by the
+/// publisher at shard time — and read by [`SearchState::pool_stats`].
 /// Untouched (a single relaxed load per job) unless telemetry is on.
 #[derive(Debug, Default)]
 struct LaneStats {
@@ -2198,7 +2259,6 @@ struct LaneStats {
     steal_fails: AtomicU64,
     busy_ns: AtomicU64,
     idle_ns: AtomicU64,
-    peak_depth: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -2206,11 +2266,12 @@ struct PoolShared {
     ctl: Mutex<PoolCtl>,
     go: Condvar,
     done: Condvar,
-    /// One work-stealing deque per worker (index 0 = the publisher).
-    /// The publisher seeds each with a contiguous shard of the task
-    /// list before the job is published; tasks are never re-pushed, so
-    /// an observed-empty deque stays empty for the rest of the job.
-    deques: Vec<Deque<u32>>,
+    /// One claim cursor per worker (index 0 = the publisher): the next
+    /// unclaimed task of the worker's shard `[w·per, (w+1)·per)`. The
+    /// publisher stores each shard start before the job is published;
+    /// a claim is one `fetch_add`, and a value at or past the shard end
+    /// means the shard is exhausted for the rest of the job.
+    cursors: Vec<AtomicUsize>,
     overflow: AtomicBool,
     /// Per-worker scheduler telemetry; populated only while
     /// [`PoolShared::telemetry`] is set.
@@ -2228,96 +2289,47 @@ struct EvalPool {
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Executes this worker's share of `job`: drains the worker's own deque
-/// (LIFO), then steals the oldest tasks from siblings until every deque
-/// has been observed empty.
+/// Executes this worker's share of `job`: claims tasks through its own
+/// cursor until its shard is exhausted, then through each sibling's
+/// cursor in turn. A claim on a sibling's shard counts as a steal, and
+/// the first claim past a sibling's shard end as a steal-fail.
 fn pool_process(job: &JobPacket, worker: usize, shared: &PoolShared) -> BatchSums {
     let telemetry = shared.telemetry.load(Ordering::Relaxed);
     let job_start = telemetry.then(Instant::now);
     let (mut busy_ns, mut pops, mut steals, mut steal_fails) = (0u64, 0u64, 0u64, 0u64);
-    // SAFETY: the publisher keeps every pointer alive until the job is
-    // complete, and `scratch.add(worker)` / `rscratch.add(worker)` are
-    // this worker's exclusive buffers.
-    let (csr, counts, srcs, scratch) = unsafe {
-        (
-            &*job.csr,
-            std::slice::from_raw_parts(job.counts, job.counts_len),
-            std::slice::from_raw_parts(job.srcs, job.srcs_len),
-            &mut *job.scratch.add(worker),
-        )
-    };
-    let repair: &[u32] = if job.repair_len == 0 {
-        &[]
-    } else {
-        // SAFETY: as above.
-        unsafe { std::slice::from_raw_parts(job.repair, job.repair_len) }
-    };
-    let nbatches = srcs.len().div_ceil(64);
+    let nw = shared.cursors.len();
+    let ntasks = job.ntasks();
+    let per = ntasks.div_ceil(nw);
     let mut acc = BatchSums::default();
-    let exec = |t: usize, acc: &mut BatchSums, scratch: &mut EvalScratch| {
-        if t < nbatches {
-            let lo = t * 64;
-            let hi = (lo + 64).min(srcs.len());
-            match &job.cache {
-                Some(c) => {
-                    if !sweep_batch_cached(csr, counts, &srcs[lo..hi], scratch, c) {
-                        shared.overflow.store(true, Ordering::Relaxed);
-                    }
-                }
-                None => acc.absorb(sweep_batch(csr, counts, &srcs[lo..hi], scratch)),
+    for k in 0..nw {
+        let owner = (worker + k) % nw;
+        let end = ((owner + 1) * per).min(ntasks);
+        loop {
+            // Relaxed suffices: the job mutex orders the publisher's
+            // shard-start store before this load, and the cursor's own
+            // modification order hands each value to exactly one claim.
+            let t = shared.cursors[owner].fetch_add(1, Ordering::Relaxed);
+            if t >= end {
+                steal_fails += u64::from(k > 0);
+                break;
             }
-        } else {
-            let s = repair[t - nbatches] as usize;
-            let ctx = job.rctx.as_ref().expect("repair task without context");
-            // SAFETY: worker-indexed exclusive scratch (see above).
-            let rs = unsafe { &mut *job.rscratch.add(worker) };
-            if !repair_one_source(ctx, rs, s) {
+            if k == 0 {
+                pops += 1;
+            } else {
+                steals += 1;
+            }
+            // Telemetry brackets each task with two clock reads (tens of
+            // ns against µs-scale BFS batches and repairs).
+            let t0 = telemetry.then(Instant::now);
+            // SAFETY: the publisher keeps `job`'s pointers alive until
+            // every worker finished, buffer index `worker` belongs to
+            // this thread alone, `t < end <= ntasks`, and the `fetch_add`
+            // above gave task `t` to this claim only.
+            if !unsafe { run_task(job, worker, t, &mut acc) } {
                 shared.overflow.store(true, Ordering::Relaxed);
             }
-        }
-    };
-    // When telemetry is on, each task execution is bracketed by two
-    // clock reads (tens of ns against µs-scale BFS batches); when off,
-    // `exec` runs bare and the whole function costs one relaxed load.
-    let timed_exec =
-        |t: usize, acc: &mut BatchSums, scratch: &mut EvalScratch, busy_ns: &mut u64| {
-            if telemetry {
-                let t0 = Instant::now();
-                exec(t, acc, scratch);
-                *busy_ns += t0.elapsed().as_nanos() as u64;
-            } else {
-                exec(t, acc, scratch);
-            }
-        };
-    while let Some(t) = shared.deques[worker].pop() {
-        pops += 1;
-        timed_exec(t as usize, &mut acc, scratch, &mut busy_ns);
-    }
-    let nw = shared.deques.len();
-    if nw > 1 {
-        let mut victim = (worker + 1) % nw;
-        let mut empties = 0usize;
-        while empties < nw - 1 {
-            if victim == worker {
-                victim = (victim + 1) % nw;
-                continue;
-            }
-            match shared.deques[victim].steal() {
-                Steal::Success(t) => {
-                    steals += 1;
-                    timed_exec(t as usize, &mut acc, scratch, &mut busy_ns);
-                    empties = 0;
-                }
-                Steal::Retry => {
-                    steal_fails += 1;
-                    std::hint::spin_loop();
-                    empties = 0;
-                }
-                Steal::Empty => {
-                    steal_fails += 1;
-                    empties += 1;
-                    victim = (victim + 1) % nw;
-                }
+            if let Some(t0) = t0 {
+                busy_ns += t0.elapsed().as_nanos() as u64;
             }
         }
     }
@@ -2336,8 +2348,9 @@ fn pool_process(job: &JobPacket, worker: usize, shared: &PoolShared) -> BatchSum
 
 impl EvalPool {
     /// Spawns `extra` parked workers (the evaluating thread itself acts
-    /// as worker 0); each deque holds up to `task_cap` tasks.
-    fn spawn(extra: usize, task_cap: usize) -> Self {
+    /// as worker 0). If a spawn fails, the workers already started are
+    /// shut down and joined before the error is returned.
+    fn spawn(extra: usize) -> std::io::Result<Self> {
         let shared = Arc::new(PoolShared {
             ctl: Mutex::new(PoolCtl {
                 seq: 0,
@@ -2348,76 +2361,71 @@ impl EvalPool {
             }),
             go: Condvar::new(),
             done: Condvar::new(),
-            deques: (0..=extra)
-                .map(|_| Deque::with_capacity(task_cap))
-                .collect(),
+            cursors: (0..=extra).map(|_| AtomicUsize::new(0)).collect(),
             overflow: AtomicBool::new(false),
             lanes: (0..=extra).map(|_| LaneStats::default()).collect(),
             telemetry: AtomicBool::new(false),
         });
-        let handles = (1..=extra)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut last_seen = 0u64;
-                    loop {
-                        let job = {
-                            let mut ctl = shared.ctl.lock().expect("pool lock");
-                            loop {
-                                if ctl.shutdown {
-                                    return;
-                                }
-                                if ctl.seq != last_seen {
-                                    if let Some(job) = ctl.job {
-                                        last_seen = ctl.seq;
-                                        break job;
-                                    }
-                                }
-                                ctl = shared.go.wait(ctl).expect("pool wait");
-                            }
-                        };
-                        let acc = pool_process(&job, w, &shared);
+        let mut pool = Self {
+            shared,
+            handles: Vec::with_capacity(extra),
+        };
+        for w in 1..=extra {
+            let shared = Arc::clone(&pool.shared);
+            // `?` drops `pool`, whose `Drop` joins the started workers.
+            let handle = std::thread::Builder::new().spawn(move || {
+                let mut last_seen = 0u64;
+                loop {
+                    let job = {
                         let mut ctl = shared.ctl.lock().expect("pool lock");
-                        ctl.partials[w] = acc;
-                        ctl.active -= 1;
-                        if ctl.active == 0 {
-                            shared.done.notify_one();
+                        loop {
+                            if ctl.shutdown {
+                                return;
+                            }
+                            if ctl.seq != last_seen {
+                                if let Some(job) = ctl.job {
+                                    last_seen = ctl.seq;
+                                    break job;
+                                }
+                            }
+                            ctl = shared.go.wait(ctl).expect("pool wait");
                         }
+                    };
+                    let acc = pool_process(&job, w, &shared);
+                    let mut ctl = shared.ctl.lock().expect("pool lock");
+                    ctl.partials[w] = acc;
+                    ctl.active -= 1;
+                    if ctl.active == 0 {
+                        shared.done.notify_one();
                     }
-                })
-            })
-            .collect();
-        Self { shared, handles }
+                }
+            })?;
+            pool.handles.push(handle);
+        }
+        Ok(pool)
     }
 
-    /// Runs one job of `ntasks` tasks across the pool (the caller
-    /// participates as worker 0) and returns the combined sums plus the
-    /// overflow flag.
-    fn run(&self, job: JobPacket, ntasks: usize) -> (BatchSums, bool) {
+    /// Runs one job across the pool (the caller participates as worker
+    /// 0) and returns the combined sums plus the overflow flag.
+    fn run(&self, job: JobPacket) -> (BatchSums, bool) {
         self.shared.overflow.store(false, Ordering::Relaxed);
-        // Seed each worker's deque with a contiguous shard of the task
-        // list (worker i owns tasks [i·per, (i+1)·per)): contiguous
+        // Point each worker's cursor at its contiguous shard of the task
+        // list (worker w owns tasks [w·per, (w+1)·per)): contiguous
         // source ranges keep each worker's row writes dense in memory,
-        // and stealing rebalances the tail. The job publish below
-        // (mutex + condvar) orders these pushes before any worker's
-        // first pop or steal.
-        let nw = self.handles.len() + 1;
-        let per = ntasks.div_ceil(nw);
+        // and claims through siblings' cursors rebalance the tail. The
+        // job publish below (mutex + condvar) orders these stores before
+        // any worker's first claim.
+        let ntasks = job.ntasks();
+        let per = ntasks.div_ceil(self.shared.cursors.len());
         let telemetry = self.shared.telemetry.load(Ordering::Relaxed);
-        for (w, dq) in self.shared.deques.iter().enumerate() {
-            debug_assert!(dq.is_empty());
-            let lo = (w * per).min(ntasks);
-            let hi = ((w + 1) * per).min(ntasks);
-            for t in lo..hi {
-                assert!(dq.push(t as u32), "deque sized below the job's task count");
-            }
-            if telemetry && hi > lo {
-                // Tasks are never re-pushed mid-job, so the seeded
-                // shard size is this job's peak depth for the deque.
-                let lane = &self.shared.lanes[w];
-                lane.pushes.fetch_add((hi - lo) as u64, Ordering::Relaxed);
-                lane.peak_depth
-                    .fetch_max((hi - lo) as u64, Ordering::Relaxed);
+        for (w, cursor) in self.shared.cursors.iter().enumerate() {
+            let start = w * per;
+            cursor.store(start, Ordering::Relaxed);
+            if telemetry {
+                let shard = ntasks.min(start + per).saturating_sub(start);
+                self.shared.lanes[w]
+                    .pushes
+                    .fetch_add(shard as u64, Ordering::Relaxed);
             }
         }
         {
@@ -2486,7 +2494,7 @@ pub struct EvalStats {
     /// Cache rows rewritten by a full re-BFS sweep (the expensive
     /// complement of [`EvalStats::repaired`]).
     pub swept: u64,
-    /// Jobs dispatched to the work-stealing worker pool.
+    /// Jobs dispatched to the worker pool.
     pub pool_jobs: u64,
     /// Path taken by the most recent evaluation.
     pub last_kind: EvalPathKind,
@@ -2502,21 +2510,21 @@ pub struct EvalStats {
 /// was spawned (telemetry-off stretches contribute nothing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolWorkerStats {
-    /// Tasks seeded into this worker's deque by job publishers.
+    /// Tasks in this worker's shards (its cursor's start-to-end span,
+    /// summed over jobs).
     pub pushes: u64,
-    /// Tasks this worker took from its own deque.
+    /// Tasks this worker claimed from its own shard.
     pub pops: u64,
-    /// Tasks this worker stole from siblings.
+    /// Tasks this worker claimed from siblings' shards.
     pub steals: u64,
-    /// Steal attempts that lost a race or found the victim empty.
+    /// Sibling shards this worker found exhausted (one per sibling per
+    /// job, counted at the first claim past the shard's end).
     pub steal_fails: u64,
     /// Wall nanoseconds spent executing tasks.
     pub busy_ns: u64,
-    /// Wall nanoseconds inside jobs but not executing (stealing,
-    /// spinning, observing empty deques).
+    /// Wall nanoseconds inside jobs but not executing (claiming tasks
+    /// and probing exhausted shards).
     pub idle_ns: u64,
-    /// Largest task count ever seeded into this worker's deque.
-    pub peak_depth: u64,
 }
 
 /// Result of [`SearchState::evaluate_guarded`].
@@ -2554,14 +2562,14 @@ enum UndoOp {
 /// [`SearchState::apply_swing`] inside a [`SearchState::begin`] …
 /// [`SearchState::commit`]/[`SearchState::rollback`] transaction, which
 /// keeps all four structures consistent by construction; the structures
-/// are never rebuilt after [`SearchState::new`]. Scoring via
+/// are never rebuilt after [`SearchState::with_search`]. Scoring via
 /// [`SearchState::evaluate`] reuses per-worker [`EvalScratch`] buffers —
 /// after warm-up a proposal allocates nothing — and, whenever the
 /// [`SearchConfig`] provisions a distance cache (dense or packed),
 /// re-sweeps only the sources whose distance vectors the move can
-/// actually change (see the module docs). On multi-worker engines the
-/// re-sweeps *and* per-source repairs of one evaluation are scheduled
-/// over the pool's work-stealing deques as a single job.
+/// actually change (see the module docs). The re-sweeps *and*
+/// per-source repairs of one evaluation form a single job, run inline
+/// or over the worker pool's per-shard claim cursors.
 #[derive(Debug)]
 pub struct SearchState {
     g: HostSwitchGraph,
@@ -2591,60 +2599,16 @@ pub struct SearchState {
 }
 
 impl SearchState {
-    /// Builds the engine around `start`. `parallel` follows
-    /// [`resolve_parallel_eval`]: `None` auto-selects threading from the
-    /// switch count, `Some(_)` overrides.
+    /// Builds the engine around `start` with `workers` evaluation
+    /// threads (the caller's thread counts as one; clamped to
+    /// `1..=m`) and the given cache provisioning policy (see
+    /// [`SearchConfig::resolve_codec`]). [`resolve_parallel_eval`] is
+    /// the automatic worker count.
     ///
     /// Fails with [`GraphError::Disconnected`] if some host pair is
     /// unreachable (the annealer requires a connected start), and with
-    /// [`GraphError::InvalidParameters`] on fewer than two hosts.
-    pub fn new(start: HostSwitchGraph, parallel: Option<bool>) -> Result<Self, GraphError> {
-        let workers = resolve_parallel_eval(parallel, start.num_switches());
-        Self::with_search(start, workers, SearchConfig::default())
-    }
-
-    /// As [`SearchState::new`] with an explicit evaluation worker count
-    /// (clamped to at least 1).
-    pub fn with_workers(start: HostSwitchGraph, workers: usize) -> Result<Self, GraphError> {
-        Self::with_search(start, workers, SearchConfig::default())
-    }
-
-    /// Compatibility constructor: explicit worker count and whether the
-    /// incremental distance cache may be used (`false` forces the full
-    /// batched sweep on every evaluation — the correctness oracle and
-    /// the baseline of the `incremental_eval` benchmark).
-    pub fn with_options(
-        start: HostSwitchGraph,
-        workers: usize,
-        distance_cache: bool,
-    ) -> Result<Self, GraphError> {
-        let cfg = if distance_cache {
-            SearchConfig::default()
-        } else {
-            SearchConfig::off()
-        };
-        Self::with_search(start, workers, cfg)
-    }
-
-    /// Checkpoint-restore constructor: as [`SearchState::with_workers`]
-    /// but with an explicit [`EdgeSet`] storage order.
-    ///
-    /// The edge set's internal order after a long run is a function of
-    /// the whole move history (swap-remove on every removal), and move
-    /// sampling indexes into it — so resuming a run bit-identically
-    /// requires restoring that exact order, not rebuilding it from the
-    /// graph. `edge_order` must hold exactly the graph's links, each
-    /// once, in the checkpointed order.
-    pub fn with_edge_order(
-        start: HostSwitchGraph,
-        workers: usize,
-        edge_order: &[(Switch, Switch)],
-    ) -> Result<Self, GraphError> {
-        Self::with_search_edge_order(start, workers, SearchConfig::default(), edge_order)
-    }
-
-    /// Full-control constructor: explicit worker count and cache
-    /// provisioning policy (see [`SearchConfig::resolve_codec`]).
+    /// [`GraphError::InvalidParameters`] on fewer than two hosts or
+    /// when the worker threads cannot be started.
     pub fn with_search(
         start: HostSwitchGraph,
         workers: usize,
@@ -2656,11 +2620,20 @@ impl SearchState {
             ));
         }
         let counts = start.host_counts();
-        let workers = workers.max(1);
         let m = start.num_switches() as usize;
-        // worst case per job: every source re-swept in 64-wide batches
-        // plus every source repaired
-        let task_cap = m + m.div_ceil(64);
+        // A job holds at most m + ⌈m/64⌉ tasks (every source re-swept
+        // and repaired), so workers beyond m would find next to nothing
+        // to claim: clamp before any per-worker buffer or thread exists.
+        let requested = workers;
+        let workers = workers.min(m).max(1);
+        let pool = (workers > 1)
+            .then(|| EvalPool::spawn(workers - 1))
+            .transpose()
+            .map_err(|e| {
+                GraphError::InvalidParameters(format!(
+                    "cannot start {workers} evaluation workers ({requested} requested): {e}"
+                ))
+            })?;
         let mut state = Self {
             csr: SlotCsr::from_graph(&start),
             edges: EdgeSet::from_graph(&start),
@@ -2675,7 +2648,7 @@ impl SearchState {
             cache: cfg
                 .resolve_codec(m)
                 .map(|codec| DistCache::with_codec(m, codec)),
-            pool: (workers > 1).then(|| EvalPool::spawn(workers - 1, task_cap)),
+            pool,
             rebfs_buf: Vec::new(),
             repair_buf: Vec::new(),
             rscratch: (0..workers).map(|_| RepairScratch::default()).collect(),
@@ -2690,8 +2663,15 @@ impl SearchState {
         Ok(state)
     }
 
-    /// As [`SearchState::with_search`] with an explicit [`EdgeSet`]
-    /// storage order (see [`SearchState::with_edge_order`]).
+    /// Checkpoint-restore constructor: as [`SearchState::with_search`]
+    /// but with an explicit [`EdgeSet`] storage order.
+    ///
+    /// The edge set's internal order after a long run is a function of
+    /// the whole move history (swap-remove on every removal), and move
+    /// sampling indexes into it — so resuming a run bit-identically
+    /// requires restoring that exact order, not rebuilding it from the
+    /// graph. `edge_order` must hold exactly the graph's links, each
+    /// once, in the checkpointed order.
     pub fn with_search_edge_order(
         start: HostSwitchGraph,
         workers: usize,
@@ -2787,7 +2767,6 @@ impl SearchState {
                     steal_fails: l.steal_fails.load(Ordering::Relaxed),
                     busy_ns: l.busy_ns.load(Ordering::Relaxed),
                     idle_ns: l.idle_ns.load(Ordering::Relaxed),
-                    peak_depth: l.peak_depth.load(Ordering::Relaxed),
                 })
                 .collect()
         })
@@ -3001,10 +2980,12 @@ impl SearchState {
     /// Re-sweeps and per-source repairs are one combined job: sweeps
     /// rewrite *invalid* rows, repairs rewrite *valid* rows, and both
     /// touch only their own source's row and aggregates, so the tasks
-    /// are independent and the pool schedules them over its
-    /// work-stealing deques in any order. All reductions (path sums,
-    /// undo-log merge) happen in deterministic sequential order
-    /// afterwards, so the result is bit-identical for any worker count.
+    /// are independent and may run in any order — inline in task order
+    /// on small jobs and single-worker engines, else claimed through the
+    /// pool's per-shard cursors. Every task runs even after one
+    /// overflows (the cache is then released either way). The undo-log
+    /// merge happens in source order afterwards, so the result is
+    /// bit-identical for any worker count and schedule.
     fn evaluate_cached(&mut self, n: u64, reject_above: Option<f64>) -> Option<EvalOutcome> {
         let in_txn = self.in_txn();
         let cache = self.cache.as_mut().expect("cache_active checked");
@@ -3062,50 +3043,28 @@ impl SearchState {
             rs.ensure(m, max_dist);
             rs.reset_job();
         }
-        let nbatches = self.rebfs_buf.len().div_ceil(64);
-        let ntasks = nbatches + self.repair_buf.len();
-        let ok = if ntasks == 0 {
-            true
-        } else if self.workers > 1 && (self.rebfs_buf.len() > 64 || ntasks >= POOL_TASK_THRESHOLD) {
-            self.stats.pool_jobs += 1;
-            let job = JobPacket {
-                csr: &self.csr,
-                counts: self.counts.as_ptr(),
-                counts_len: self.counts.len(),
-                srcs: self.rebfs_buf.as_ptr(),
-                srcs_len: self.rebfs_buf.len(),
-                scratch: self.scratch.as_mut_ptr(),
-                cache: Some(ptrs),
-                repair: self.repair_buf.as_ptr(),
-                repair_len: self.repair_buf.len(),
-                rctx: Some(rctx),
-                rscratch: self.rscratch.as_mut_ptr(),
-            };
-            let (_, overflow) = self.pool.as_ref().expect("workers > 1").run(job, ntasks);
-            !overflow
-        } else {
-            let mut ok = true;
-            for lo in (0..self.rebfs_buf.len()).step_by(64) {
-                let hi = (lo + 64).min(self.rebfs_buf.len());
-                ok &= sweep_batch_cached(
-                    &self.csr,
-                    &self.counts,
-                    &self.rebfs_buf[lo..hi],
-                    &mut self.scratch[0],
-                    &ptrs,
-                );
-            }
-            if ok {
-                for &s in &self.repair_buf {
-                    if !repair_one_source(&rctx, &mut self.rscratch[0], s as usize) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            ok
+        let job = JobPacket {
+            csr: &self.csr,
+            counts: self.counts.as_ptr(),
+            counts_len: self.counts.len(),
+            srcs: self.rebfs_buf.as_ptr(),
+            srcs_len: self.rebfs_buf.len(),
+            scratch: self.scratch.as_mut_ptr(),
+            cache: Some(ptrs),
+            repair: self.repair_buf.as_ptr(),
+            repair_len: self.repair_buf.len(),
+            rctx: Some(rctx),
+            rscratch: self.rscratch.as_mut_ptr(),
         };
-        if !ok {
+        let pool = self
+            .pool
+            .as_ref()
+            .filter(|_| self.rebfs_buf.len() > 64 || job.ntasks() >= POOL_TASK_THRESHOLD);
+        self.stats.pool_jobs += u64::from(pool.is_some());
+        // SAFETY: `job` points into this engine's buffers, which the
+        // exclusive borrow of `self` keeps alive and untouched until the
+        // call returns, with one scratch per worker.
+        if unsafe { run_job(pool, job) }.1 {
             return None;
         }
         let cache = self.cache.as_mut().expect("cache_active checked");
@@ -3162,36 +3121,23 @@ impl SearchState {
     /// Full batched sweep with no cache involvement, on the pool when
     /// the instance is large enough.
     fn sweep_all_plain(&mut self) -> BatchSums {
-        if self.workers > 1 && self.srcs.len() > 64 {
-            self.stats.pool_jobs += 1;
-            let job = JobPacket {
-                csr: &self.csr,
-                counts: self.counts.as_ptr(),
-                counts_len: self.counts.len(),
-                srcs: self.srcs.as_ptr(),
-                srcs_len: self.srcs.len(),
-                scratch: self.scratch.as_mut_ptr(),
-                cache: None,
-                repair: std::ptr::null(),
-                repair_len: 0,
-                rctx: None,
-                rscratch: self.rscratch.as_mut_ptr(),
-            };
-            let ntasks = self.srcs.len().div_ceil(64);
-            self.pool.as_ref().expect("workers > 1").run(job, ntasks).0
-        } else {
-            let mut totals = BatchSums::default();
-            for lo in (0..self.srcs.len()).step_by(64) {
-                let hi = (lo + 64).min(self.srcs.len());
-                totals.absorb(sweep_batch(
-                    &self.csr,
-                    &self.counts,
-                    &self.srcs[lo..hi],
-                    &mut self.scratch[0],
-                ));
-            }
-            totals
-        }
+        let job = JobPacket {
+            csr: &self.csr,
+            counts: self.counts.as_ptr(),
+            counts_len: self.counts.len(),
+            srcs: self.srcs.as_ptr(),
+            srcs_len: self.srcs.len(),
+            scratch: self.scratch.as_mut_ptr(),
+            cache: None,
+            repair: std::ptr::null(),
+            repair_len: 0,
+            rctx: None,
+            rscratch: self.rscratch.as_mut_ptr(),
+        };
+        let pool = self.pool.as_ref().filter(|_| self.srcs.len() > 64);
+        self.stats.pool_jobs += u64::from(pool.is_some());
+        // SAFETY: as in `evaluate_cached`.
+        unsafe { run_job(pool, job) }.0
     }
 
     /// Connectivity check plus the shared metric accounting.
@@ -3321,7 +3267,7 @@ mod tests {
     fn bfs_sweep_cost_comparison() {
         let m = 4096u32;
         let g = random_general(4 * m, m, 12, 7).unwrap();
-        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let srcs: Vec<u32> = (0..m).collect();
         let mut scratch = EvalScratch::default();
         for round in 0..3 {
@@ -3365,7 +3311,7 @@ mod tests {
     fn scan_kernel_cost_comparison() {
         for (n, m, r) in [(1024u32, 195u32, 15u32), (16384, 6177, 12)] {
             let g = random_general(n, m, r, 1).unwrap();
-            let mut st = SearchState::with_workers(g, 1).unwrap();
+            let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(1);
             let (mut adds, mut dels) = (Vec::new(), Vec::new());
             let (mut rebfs, mut repair) = (Vec::new(), Vec::new());
@@ -3412,7 +3358,7 @@ mod tests {
     fn delta_classification_profile() {
         let m = 1024u32;
         let g = random_general(4 * m, m, 12, 7).unwrap();
-        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         for round in 0..8 {
             for swing in [false, true] {
@@ -3566,13 +3512,15 @@ mod tests {
 
     #[test]
     fn sharded_repair_pool_matches_sequential() {
-        // the combined sweep+repair job on the work-stealing pool must be
-        // bit-identical to the sequential engine, including rollbacks
+        // the combined sweep+repair job on the pool must be bit-identical
+        // to the sequential engine, including rollbacks, and must run
+        // every task exactly once (3 workers on any core count)
         let g = random_general(768, 192, 10, 29).unwrap();
-        let mut seq = SearchState::with_workers(g.clone(), 1).unwrap();
-        let mut par = SearchState::with_workers(g, 3).unwrap();
+        let mut seq = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut par = SearchState::with_search(g, 3, SearchConfig::default()).unwrap();
         assert_eq!(par.workers(), 3);
         assert!(par.eval_stats().pool_jobs > 0, "initial fill uses the pool");
+        par.set_pool_telemetry(true);
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         for step in 0..60 {
             let applied = if step % 2 == 0 {
@@ -3607,6 +3555,14 @@ mod tests {
         assert_eq!(seq.eval_stats().repaired, par.eval_stats().repaired);
         assert!(par.eval_stats().repaired > 0, "walk exercised the repairs");
         par.check_consistency().unwrap();
+        let lanes = par.pool_stats();
+        let shards: u64 = lanes.iter().map(|w| w.pushes).sum();
+        let claimed: u64 = lanes.iter().map(|w| w.pops + w.steals).sum();
+        assert!(shards > 0, "walk ran pool jobs with telemetry on");
+        assert_eq!(
+            claimed, shards,
+            "every task claimed exactly once: {lanes:?}"
+        );
     }
 
     #[test]
@@ -3614,7 +3570,7 @@ mod tests {
         for seed in 0..4 {
             let g = random_general(96, 24, 8, seed).unwrap();
             let expect = path_metrics(&g).unwrap();
-            let mut st = SearchState::new(g, Some(false)).unwrap();
+            let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
             let got = st.evaluate().unwrap();
             assert_eq!(got.total_length, expect.total_length, "seed {seed}");
             assert_eq!(got.diameter, expect.diameter, "seed {seed}");
@@ -3634,7 +3590,7 @@ mod tests {
         }
         g.attach_host(2).unwrap();
         let expect = path_metrics(&g).unwrap();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         assert_eq!(st.evaluate().unwrap(), expect);
     }
 
@@ -3643,54 +3599,53 @@ mod tests {
         // more than 64 hostful switches exercises multi-batch sweeps
         let g = ring(130, 1, 4);
         let expect = path_metrics(&g).unwrap();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         assert_eq!(st.evaluate().unwrap(), expect);
     }
 
     #[test]
-    fn threaded_evaluation_is_bit_identical() {
-        let g = random_general(256, 72, 10, 9).unwrap();
-        let mut seq = SearchState::new(g.clone(), Some(false)).unwrap();
-        let mut par = SearchState::new(g, Some(true)).unwrap();
-        assert!(par.workers() >= 1);
-        assert_eq!(seq.evaluate().unwrap(), par.evaluate().unwrap());
-    }
-
-    #[test]
     fn worker_pool_matches_sequential_across_random_walk() {
-        // explicit worker count so the pool is exercised even on 1-CPU
-        // machines; both engines must follow bit-identical trajectories
+        // explicit worker counts so the pool is exercised even on 1-CPU
+        // machines (usize::MAX clamps to one worker per switch); every
+        // engine must follow the sequential trajectory bit for bit
         let g = random_general(256, 72, 10, 21).unwrap();
-        let mut seq = SearchState::with_workers(g.clone(), 1).unwrap();
-        let mut par = SearchState::with_workers(g, 3).unwrap();
-        assert_eq!(par.workers(), 3);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for step in 0..60 {
-            let Some(s) = sample_swing(seq.graph(), seq.edges(), &mut rng, 24) else {
-                continue;
-            };
-            seq.begin();
-            par.begin();
-            seq.apply_swing(s).unwrap();
-            par.apply_swing(s).unwrap();
-            assert_eq!(seq.evaluate(), par.evaluate(), "step {step}");
-            if step % 3 == 0 {
-                seq.commit();
-                par.commit();
-            } else {
-                seq.rollback();
-                par.rollback();
+        for (workers, resolved) in [(3, 3), (usize::MAX, 72)] {
+            let mut seq = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+            let mut par =
+                SearchState::with_search(g.clone(), workers, SearchConfig::default()).unwrap();
+            assert_eq!(par.workers(), resolved);
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            for step in 0..60 {
+                let Some(s) = sample_swing(seq.graph(), seq.edges(), &mut rng, 24) else {
+                    continue;
+                };
+                seq.begin();
+                par.begin();
+                seq.apply_swing(s).unwrap();
+                par.apply_swing(s).unwrap();
+                assert_eq!(
+                    seq.evaluate(),
+                    par.evaluate(),
+                    "{workers} workers, step {step}"
+                );
+                if step % 3 == 0 {
+                    seq.commit();
+                    par.commit();
+                } else {
+                    seq.rollback();
+                    par.rollback();
+                }
             }
+            assert_eq!(seq.evaluate(), par.evaluate());
+            par.check_consistency().unwrap();
         }
-        assert_eq!(seq.evaluate(), par.evaluate());
-        par.check_consistency().unwrap();
     }
 
     #[test]
     fn cache_disabled_engine_matches_cached() {
         let g = random_general(96, 24, 8, 3).unwrap();
-        let mut plain = SearchState::with_options(g.clone(), 1, false).unwrap();
-        let mut cached = SearchState::with_options(g, 1, true).unwrap();
+        let mut plain = SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap();
+        let mut cached = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         assert!(!plain.cache_active());
         assert!(cached.cache_active());
         let mut rng = ChaCha8Rng::seed_from_u64(9);
@@ -3719,7 +3674,7 @@ mod tests {
         g.attach_host(0).unwrap();
         g.attach_host(3).unwrap();
         assert!(matches!(
-            SearchState::new(g, Some(false)),
+            SearchState::with_search(g, 1, SearchConfig::default()),
             Err(GraphError::Disconnected)
         ));
     }
@@ -3739,7 +3694,7 @@ mod tests {
         for s in 0..8 {
             g.attach_host(s).unwrap();
         }
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let before = st.evaluate().unwrap();
         st.begin();
         // {0,4},{6,2} -> {0,2},{6,4}: both new links are intra-cycle
@@ -3763,7 +3718,7 @@ mod tests {
         g.add_link(0, 3).unwrap();
         g.add_link(1, 4).unwrap();
         let snapshot = g.clone();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let s = Swap {
             a: 0,
             b: 1,
@@ -3790,7 +3745,7 @@ mod tests {
     fn swing_rollback_restores_host() {
         let g = ring(5, 2, 6);
         let snapshot = g.clone();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let s = Swing { a: 0, b: 1, c: 3 };
         st.begin();
         let h = st.apply_swing(s).unwrap();
@@ -3806,7 +3761,7 @@ mod tests {
     fn nested_transactions_support_two_neighbor_flow() {
         let g = ring(8, 2, 6);
         let snapshot = g.clone();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
 
         // outer swing, inner swing stacked on top, roll both back
         st.begin();
@@ -3836,7 +3791,7 @@ mod tests {
     fn invalid_moves_leave_state_untouched() {
         let g = ring(5, 1, 5);
         let snapshot = g.clone();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         st.begin();
         assert!(st
             .apply_swap(Swap {
@@ -3855,7 +3810,7 @@ mod tests {
     #[test]
     fn long_random_walk_stays_consistent() {
         let g = random_general(64, 16, 8, 5).unwrap();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         for step in 0..300 {
             let accept = step % 3 != 0;
@@ -3908,7 +3863,7 @@ mod tests {
             g.attach_host(3).unwrap();
             g.attach_host(4).unwrap();
         }
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let cur = st.evaluate().unwrap();
         st.begin();
         let s = Swing { a: 3, b: 0, c: 1 };
@@ -3938,7 +3893,7 @@ mod tests {
         // Every early reject must prove a genuine lower bound, and a
         // guarded engine must stay bit-identical to an unguarded one.
         let g = random_general(128, 32, 8, 7).unwrap();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let cur = st.evaluate().unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         for step in 0..300 {
@@ -4141,7 +4096,7 @@ mod tests {
         // still score correctly
         let g = ring(300, 1, 4);
         let expect = path_metrics(&g).unwrap();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         assert!(!st.cache_active());
         assert_eq!(st.cache_codec(), None);
         assert_eq!(st.evaluate().unwrap(), expect);
@@ -4162,13 +4117,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_parallel_eval_honours_override() {
-        assert_eq!(resolve_parallel_eval(Some(false), 100_000), 1);
-        assert!(resolve_parallel_eval(Some(true), 4) >= 1);
-        // auto: small instances stay sequential
-        assert_eq!(
-            resolve_parallel_eval(None, PARALLEL_SWITCH_THRESHOLD - 1),
-            1
-        );
+    fn resolve_parallel_eval_follows_the_auto_rule() {
+        // small instances stay sequential, large ones take every CPU
+        assert_eq!(resolve_parallel_eval(PARALLEL_SWITCH_THRESHOLD - 1), 1);
+        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(resolve_parallel_eval(PARALLEL_SWITCH_THRESHOLD), cpus);
     }
 }

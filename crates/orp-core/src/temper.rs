@@ -138,7 +138,7 @@ impl TemperRun {
     fn encode_ckpt(&self, kind: MoveKind, cfg: &SaConfig, ladder: &[f64], enc: &mut Encoder) {
         // Config echo (validated bitwise on resume). `t0`/`t_end` of the
         // base config are not echoed — the ladder replaces them — and
-        // `eval_workers`/`parallel_eval`/`search` stay exempt as usual.
+        // `eval_workers`/`search` stay exempt as usual.
         enc.put_u64(cfg.iters as u64);
         enc.put_u64(cfg.seed);
         enc.put_u64(cfg.sample_attempts as u64);
@@ -542,7 +542,7 @@ impl Temper {
 
     /// Resumes from an ensemble checkpoint previously written by this
     /// builder (the starting graph is ignored). The config and ladder
-    /// must match bitwise; `eval_workers`/`parallel_eval`/`search` may
+    /// must match bitwise; `eval_workers`/`search` may
     /// differ (pure wall-clock/memory knobs).
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());

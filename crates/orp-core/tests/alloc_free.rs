@@ -9,7 +9,7 @@
 
 use orp_core::construct::random_general;
 use orp_core::ops::{sample_swap, sample_swing};
-use orp_core::search::{EvalOutcome, SearchState};
+use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,7 +96,7 @@ fn propose(st: &mut SearchState, rng: &mut ChaCha8Rng, cur: &mut f64) {
 #[test]
 fn steady_state_proposals_allocate_nothing() {
     let g = random_general(256, 64, 8, 1).unwrap();
-    let mut st = SearchState::with_options(g, 1, true).unwrap();
+    let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
     assert!(st.cache_active());
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let mut cur = st.evaluate().unwrap().haspl;

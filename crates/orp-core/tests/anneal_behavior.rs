@@ -129,14 +129,14 @@ fn temperature_controls_acceptance() {
 /// Parallel evaluation must not change the search trajectory.
 #[test]
 fn parallel_eval_is_bit_identical() {
-    let mk = |parallel| SaConfig {
+    let mk = |workers| SaConfig {
         iters: 600,
         seed: 17,
-        parallel_eval: parallel,
+        eval_workers: Some(workers),
         ..Default::default()
     };
-    let a = anneal_general(96, 24, 8, &mk(Some(false))).unwrap();
-    let b = anneal_general(96, 24, 8, &mk(Some(true))).unwrap();
+    let a = anneal_general(96, 24, 8, &mk(1)).unwrap();
+    let b = anneal_general(96, 24, 8, &mk(3)).unwrap();
     assert_eq!(a.graph, b.graph);
     assert_eq!(a.metrics.total_length, b.metrics.total_length);
 }

@@ -16,7 +16,7 @@
 use orp_core::construct::random_general;
 use orp_core::metrics::path_metrics;
 use orp_core::ops::{sample_swap, sample_swing, Swing};
-use orp_core::search::SearchState;
+use orp_core::search::{SearchConfig, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -59,7 +59,7 @@ proptest! {
         // 16 switches × radix 8, 2 hosts/switch on average: hostless and
         // crowded switches both occur, and swings stay plentiful.
         let g = random_general(32, 16, 8, gseed).unwrap();
-        let mut st = SearchState::new(g, Some(false)).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(opseed);
 
         for step in 0..steps {

@@ -753,11 +753,12 @@ struct WorkerRow {
     steal_fails: f64,
     busy_ns: f64,
     idle_ns: f64,
-    peak_depth: f64,
 }
 
-fn worker_rows(state: &StreamState) -> Vec<WorkerRow> {
-    let mut rows: Vec<WorkerRow> = Vec::new();
+/// Worker rows keyed by the index parsed from the gauge name — only the
+/// indexes present, so a crafted `pool.w{huge}.*` name costs one row.
+fn worker_rows(state: &StreamState) -> BTreeMap<u64, WorkerRow> {
+    let mut rows = BTreeMap::new();
     for (name, v) in &state.gauges {
         let Some(rest) = name
             .strip_prefix("pool.w")
@@ -766,13 +767,10 @@ fn worker_rows(state: &StreamState) -> Vec<WorkerRow> {
             continue;
         };
         let Some(dot) = rest.find('.') else { continue };
-        let Ok(idx) = rest[..dot].parse::<usize>() else {
+        let Ok(idx) = rest[..dot].parse::<u64>() else {
             continue;
         };
-        if rows.len() <= idx {
-            rows.resize(idx + 1, WorkerRow::default());
-        }
-        let row = &mut rows[idx];
+        let row: &mut WorkerRow = rows.entry(idx).or_default();
         // labeled replicas (`r0.pool.w3.steals`) sum into one view
         match &rest[dot + 1..] {
             "pushes" => row.pushes += v,
@@ -781,7 +779,6 @@ fn worker_rows(state: &StreamState) -> Vec<WorkerRow> {
             "steal_fails" => row.steal_fails += v,
             "busy_ns" => row.busy_ns += v,
             "idle_ns" => row.idle_ns += v,
-            "peak_depth" => row.peak_depth = row.peak_depth.max(*v),
             _ => {}
         }
     }
@@ -855,17 +852,16 @@ pub fn render_stream_report(state: &StreamState) -> String {
     if !rows.is_empty() {
         let _ = writeln!(
             o,
-            "workers:   {:>12} {:>12} {:>12} {:>12} {:>9} {:>10}",
-            "pops", "steals", "fail-steals", "peak-depth", "busy-s", "idle-s"
+            "workers:   {:>12} {:>12} {:>12} {:>9} {:>10}",
+            "pops", "steals", "fail-steals", "busy-s", "idle-s"
         );
-        for (i, r) in rows.iter().enumerate() {
+        for (i, r) in &rows {
             let _ = writeln!(
                 o,
-                "  w{i:<7} {:>12} {:>12} {:>12} {:>12} {:>9.2} {:>10.2}",
+                "  w{i:<7} {:>12} {:>12} {:>12} {:>9.2} {:>10.2}",
                 r.pops as u64,
                 r.steals as u64,
                 r.steal_fails as u64,
-                r.peak_depth as u64,
                 r.busy_ns / 1e9,
                 r.idle_ns / 1e9
             );
@@ -1094,7 +1090,7 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
     if !rows.is_empty() {
         let prev_rows = prev.map(worker_rows).unwrap_or_default();
         let _ = writeln!(o, "workers ({}):", rows.len());
-        for (i, r) in rows.iter().enumerate() {
+        for (i, r) in &rows {
             let p = prev_rows.get(i).cloned().unwrap_or_default();
             let (db, di) = (r.busy_ns - p.busy_ns, r.idle_ns - p.idle_ns);
             let (tb, ti) = if db + di > 0.0 {
@@ -1105,13 +1101,12 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
             let util = if tb + ti > 0.0 { tb / (tb + ti) } else { 0.0 };
             let _ = writeln!(
                 o,
-                "  w{i:<2} {} {:>5.1}%  pops {:>9}  steals {:>7} (fail {:>7})  peak {:>4}",
+                "  w{i:<2} {} {:>5.1}%  pops {:>9}  steals {:>7} (fail {:>7})",
                 bar(util, 20),
                 100.0 * util,
                 r.pops as u64,
                 r.steals as u64,
-                r.steal_fails as u64,
-                r.peak_depth as u64
+                r.steal_fails as u64
             );
         }
     }
@@ -1385,6 +1380,10 @@ mod tests {
         rec.gauge("cache.packed", 1.0);
         rec.gauge("watchdog.heartbeat_us", 1.0);
         rec.incr("watchdog.stalls", 1);
+        // crafted worker indexes cost one row each, not an allocation
+        // sized by the index
+        rec.gauge_dyn("pool.w1000000000000.pops", 3.0);
+        rec.gauge_dyn("pool.w18446744073709551615.pops", 4.0);
         sink.finish(&rec, || {});
         let state = read_stream(&path).unwrap();
 
@@ -1393,6 +1392,8 @@ mod tests {
             "telemetry stream report",
             "eval path mix",
             "workers",
+            "w1000000000000 ",
+            "w18446744073709551615 ",
             "tempering",
             "watchdog: 1 stall",
             "best h-ASPL",
@@ -1403,7 +1404,15 @@ mod tests {
             );
         }
         let dash = render_dashboard(&state, None);
-        for needle in ["orp watch", "DONE", "w0", "progress", "exchanges accepted"] {
+        for needle in [
+            "orp watch",
+            "DONE",
+            "workers (3):",
+            "w0",
+            "w18446744073709551615",
+            "progress",
+            "exchanges accepted",
+        ] {
             assert!(
                 dash.contains(needle),
                 "dashboard missing {needle:?}:\n{dash}"

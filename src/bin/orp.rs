@@ -212,9 +212,10 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         ))?,
         None => 1000,
     };
-    // parallel_eval defaults to None: the engine auto-selects threading
+    // eval_workers defaults to None: the engine auto-selects threading
     // from the switch count and available CPUs. --workers pins the pool
-    // to an exact thread count (results are bit-identical either way).
+    // to an exact thread count, clamped to the switch count (results
+    // are bit-identical either way).
     let mut cfg = SaConfig {
         iters,
         seed: 1,

@@ -5,7 +5,9 @@
 //! two hosts, radix below 3) and flag values no run can use (a
 //! non-finite or negative `--watchdog`, a zero `--exchange-every`) fail
 //! the same way instead of panicking, and so does a graph file
-//! declaring more switches than its lines can describe.
+//! declaring more switches than its lines can describe. A `--workers`
+//! count beyond the instance's switch count runs, clamped to one
+//! evaluation worker per switch.
 
 use orp::core::construct::random_general;
 use orp::core::io;
@@ -147,11 +149,16 @@ fn unusable_flag_values_fail_with_a_usage_error() {
         );
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
-    // a finite watchdog and a positive exchange interval still run
-    let ok = orp(&words(
+    // a finite watchdog, a positive exchange interval and a worker
+    // count far beyond the switch count (it used to abort allocating
+    // per-worker scratch) still run
+    for args in [
         "solve 64 8 100 --replicas 2 --exchange-every 10 --watchdog 30",
-    ));
-    let stderr = String::from_utf8_lossy(&ok.stderr);
-    assert!(ok.status.success(), "{stderr}");
+        "solve 64 4 10 --workers 10000000000",
+    ] {
+        let ok = orp(&words(args));
+        let stderr = String::from_utf8_lossy(&ok.stderr);
+        assert!(ok.status.success(), "{args}: {stderr}");
+    }
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }

@@ -19,7 +19,7 @@
 use orp_core::construct::random_general;
 use orp_core::metrics::{path_metrics, PathMetrics};
 use orp_core::ops::{sample_swap, sample_swing, Swing};
-use orp_core::search::{EvalOutcome, SearchState};
+use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -53,8 +53,8 @@ proptest! {
         steps in 8usize..32,
     ) {
         let g = random_general(48, 16, 8, gseed).unwrap();
-        let mut cached = SearchState::with_options(g.clone(), 1, true).unwrap();
-        let mut plain = SearchState::with_options(g, 1, false).unwrap();
+        let mut cached = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
         prop_assert!(cached.cache_active());
         prop_assert!(!plain.cache_active());
         let mut rng = ChaCha8Rng::seed_from_u64(opseed);
@@ -136,7 +136,7 @@ proptest! {
         slack_millis in 0u64..200,
     ) {
         let g = random_general(64, 16, 8, gseed).unwrap();
-        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(opseed);
         let mut cur = st.evaluate().expect("start graph connected");
         let slack = slack_millis as f64 * 1e-3;
@@ -223,7 +223,7 @@ fn swing(st: &SearchState, rng: &mut ChaCha8Rng) -> Swing {
 fn rollback_after_a_post_evaluation_host_move_is_exact() {
     for seed in 0..6 {
         let g = random_general(64, 16, 8, seed).unwrap();
-        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(100 + seed);
         let base = st.evaluate().unwrap();
         for step in 0..20 {
@@ -247,7 +247,7 @@ fn rollback_after_a_post_evaluation_host_move_is_exact() {
 fn nested_rollback_with_evaluations_at_both_levels_is_exact() {
     for seed in 0..6 {
         let g = random_general(64, 16, 8, seed).unwrap();
-        let mut st = SearchState::with_options(g, 1, true).unwrap();
+        let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(200 + seed);
         let base = st.evaluate().unwrap();
         for step in 0..20 {
@@ -283,7 +283,7 @@ fn nested_rollback_with_evaluations_at_both_levels_is_exact() {
 fn undo_log_grows_by_changed_entries_not_rows() {
     let m = 1024u32;
     let g = random_general(2 * m, m, 8, 3).unwrap();
-    let mut st = SearchState::with_options(g, 1, true).unwrap();
+    let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let rest = st.cache_resident_bytes();
     let mut measured = 0;

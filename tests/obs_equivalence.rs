@@ -24,7 +24,7 @@ fn sa_cfg(seed: u64) -> SaConfig {
     SaConfig::builder()
         .iters(400)
         .seed(seed)
-        .parallel_eval(false)
+        .eval_workers(1)
         .build()
 }
 
@@ -169,7 +169,7 @@ fn recording_swap_anneal_is_identical() {
     let cfg = SaConfig::builder()
         .iters(300)
         .seed(9)
-        .parallel_eval(false)
+        .eval_workers(1)
         .build();
     let plain = Anneal::builder(start.clone())
         .kind(MoveKind::Swap)
