@@ -128,7 +128,7 @@ fn median(mut v: Vec<u64>) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::var("ORP_BENCH_QUICK").map_or(false, |v| v == "1");
+    let quick = std::env::var("ORP_BENCH_QUICK").is_ok_and(|v| v == "1");
     let grid: &[(u32, usize)] = if quick {
         &[(1024, 24)]
     } else {

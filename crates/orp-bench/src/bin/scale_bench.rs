@@ -291,7 +291,7 @@ fn scale_row(n: u32, iters: usize, exchange_every: usize) -> ScaleRow {
 }
 
 fn main() {
-    let smoke = std::env::var("ORP_SCALE_SMOKE").map_or(false, |v| v == "1");
+    let smoke = std::env::var("ORP_SCALE_SMOKE").is_ok_and(|v| v == "1");
     if smoke {
         let row = identity_row(8192, 160);
         assert!(row.identical);

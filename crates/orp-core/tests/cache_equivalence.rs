@@ -106,10 +106,10 @@ proptest! {
         let g = random_general(32, 16, 8, gseed).unwrap();
         let dense = SearchConfig { cache_mode: orp_core::search::CacheMode::Dense, ..SearchConfig::default() };
         let packed = SearchConfig { cache_mode: orp_core::search::CacheMode::Compressed, ..SearchConfig::default() };
-        let mut engines = vec![
+        let mut engines = [
             ("oracle", SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap()),
-            ("dense", SearchState::with_search(g.clone(), 1, dense.clone()).unwrap()),
-            ("packed", SearchState::with_search(g.clone(), 1, packed.clone()).unwrap()),
+            ("dense", SearchState::with_search(g.clone(), 1, dense).unwrap()),
+            ("packed", SearchState::with_search(g.clone(), 1, packed).unwrap()),
             ("dense-sharded", SearchState::with_search(g.clone(), 3, dense).unwrap()),
             ("packed-sharded", SearchState::with_search(g, 4, packed).unwrap()),
         ];

@@ -189,7 +189,9 @@ mod tests {
         // extremes
         assert_eq!(bucket_index(0), 0);
         let top = bucket_index(u64::MAX);
-        assert!(bucket_low(top) <= u64::MAX);
+        assert_eq!(bucket_index(bucket_low(top)), top);
+        // the top bucket spans the last 2^(63 - SUB_BITS) values
+        assert_eq!(bucket_low(top), u64::MAX - (u64::MAX >> (SUB_BITS + 1)));
     }
 
     #[test]
