@@ -12,7 +12,7 @@ use orp_core::solver::Solver;
 use serde::Serialize;
 
 #[derive(Serialize)]
-struct Dist {
+struct HostDistribution {
     n: u32,
     r: u32,
     m_opt: u32,
@@ -53,7 +53,7 @@ fn main() {
                 "regular"
             }
         );
-        out.push(Dist {
+        out.push(HostDistribution {
             n,
             r,
             m_opt,

@@ -3,19 +3,23 @@
 //! Three measurements, committed as `results/BENCH_scale.json`:
 //!
 //! 1. **Bit-identity** (n ≤ 8192): a short tempering solve on the
-//!    sharded, cached engine (worker pool + dense/packed rows) against
+//!    sharded, cached engine (worker pool + distance cache) against
 //!    the sequential reference (one worker, no cache, full sweeps).
-//!    The final h-ASPL must match bit for bit — the cache codec, the
-//!    worker count and which worker claims which task are pure
-//!    wall-clock knobs.
+//!    The final h-ASPL must match bit for bit — the cache, the worker
+//!    count and which worker claims which task are pure wall-clock
+//!    knobs.
 //! 2. **Throughput** (n = 16384, m = 8192): aggregate proposals/sec of
-//!    a 3-replica tempering ensemble on the compressed sharded cache
-//!    vs the single-annealer baseline in its pre-cache configuration —
-//!    at m > 4096 the old engine's hard `CACHE_MAX_SWITCHES` cap meant
-//!    every proposal paid a full 64-wide sweep. The run asserts ≥ 3×.
+//!    a 3-replica tempering ensemble on the sharded cache vs the
+//!    single-annealer baseline in its pre-cache configuration — at
+//!    m > 4096 the first cached engine had no cache, so every proposal
+//!    paid a full 64-wide sweep. The run asserts ≥ 3×.
 //! 3. **Scale** (n = 65536, m = 32768): sustained proposals/sec of a
-//!    2-replica tempering solve under the packed (`u8`) codec — a
-//!    scale the paper only extrapolates bounds for, never anneals at.
+//!    2-replica tempering solve on the cache (one byte per row entry)
+//!    — a scale the paper only extrapolates bounds for, never anneals
+//!    at.
+//!
+//! The artifact's `sharded_codec`, `cache_mode` and `codec` fields read
+//! `packed` for a cached run and `none` or `off` for an uncached one.
 //!
 //! `ORP_SCALE_SMOKE=1` runs only the n = 8192 bit-identity check with
 //! a short walk and writes no artifact — the CI configuration.
@@ -23,7 +27,7 @@
 use orp_bench::write_json;
 use orp_core::anneal::{Anneal, SaConfig};
 use orp_core::construct::random_general;
-use orp_core::search::{CacheMode, SearchConfig};
+use orp_core::search::SearchConfig;
 use orp_core::temper::{geometric_ladder, Temper, TemperResult};
 use serde::Serialize;
 use std::time::Instant;
@@ -99,6 +103,12 @@ struct Artifact {
     scale: ScaleRow,
 }
 
+/// The artifact's row-format word for `cfg` on an `m`-switch instance.
+fn cache_word(cfg: &SaConfig, m: u32) -> String {
+    let cached = cfg.search.cache_fits(m as usize);
+    (if cached { "packed" } else { "none" }).into()
+}
+
 fn instance(n: u32, seed: u64) -> orp_core::graph::HostSwitchGraph {
     let m = n / HOSTS_PER_SWITCH;
     random_general(n, m, RADIX, seed).expect("constructible instance")
@@ -130,10 +140,7 @@ fn identity_row(n: u32, iters: usize) -> IdentityRow {
 
     cfg.eval_workers = Some(3);
     cfg.search = SearchConfig::default();
-    let codec = cfg
-        .search
-        .resolve_codec(m as usize)
-        .map_or("none".to_string(), |c| format!("{c:?}").to_lowercase());
+    let codec = cache_word(&cfg, m);
     let (sharded, t_sharded) = temper(&g, &cfg, ladder.clone(), iters.div_ceil(4));
 
     cfg.eval_workers = Some(1);
@@ -172,8 +179,8 @@ fn throughput_row(n: u32, base_iters: usize, sharded_iters: usize) -> Throughput
     let m = g.num_switches();
 
     // Baseline: exactly the pre-sharding engine at this size — one
-    // annealer, no distance cache (the old dense cache was hard-capped
-    // at 4096 switches), one worker.
+    // annealer, no distance cache (the first cache was hard-capped at
+    // 4096 switches), one worker.
     let mut cfg = SaConfig::builder().iters(base_iters).seed(11).build();
     cfg.eval_workers = Some(1);
     cfg.search = SearchConfig::off();
@@ -193,7 +200,7 @@ fn throughput_row(n: u32, base_iters: usize, sharded_iters: usize) -> Throughput
         proposals_per_sec: base.proposed as f64 / base_s,
     };
 
-    // Sharded: a 3-replica tempering ensemble on the compressed cache.
+    // Sharded: a 3-replica tempering ensemble on the cache.
     // One worker per replica — how `Solver` divides this machine's
     // cores — and the Solver's default ladder, spanning the same
     // temperature range as the baseline's schedule so cold rungs pay
@@ -201,10 +208,7 @@ fn throughput_row(n: u32, base_iters: usize, sharded_iters: usize) -> Throughput
     let mut cfg = SaConfig::builder().iters(sharded_iters).seed(11).build();
     cfg.eval_workers = Some(1);
     cfg.search = SearchConfig::default();
-    let codec = cfg
-        .search
-        .resolve_codec(m as usize)
-        .map_or("none".to_string(), |c| format!("{c:?}").to_lowercase());
+    let codec = cache_word(&cfg, m);
     let (res, sharded_s) = temper(
         &g,
         &cfg,
@@ -247,15 +251,9 @@ fn scale_row(n: u32, iters: usize, exchange_every: usize) -> ScaleRow {
     let m = g.num_switches();
     let mut cfg = SaConfig::builder().iters(iters).seed(11).build();
     cfg.eval_workers = Some(2);
-    cfg.search = SearchConfig {
-        cache_mode: CacheMode::Compressed,
-        ..SearchConfig::default()
-    };
-    let codec = cfg
-        .search
-        .resolve_codec(m as usize)
-        .map_or("none".to_string(), |c| format!("{c:?}").to_lowercase());
-    assert_eq!(codec, "packed", "n = {n} must run on the packed codec");
+    cfg.search = SearchConfig::default();
+    let codec = cache_word(&cfg, m);
+    assert_eq!(codec, "packed", "n = {n} must run cached");
 
     let (res, elapsed) = temper(
         &g,
@@ -280,11 +278,11 @@ fn scale_row(n: u32, iters: usize, exchange_every: usize) -> ScaleRow {
         sustained_proposals_per_sec: proposed as f64 / elapsed,
         haspl_initial: 0.0, // filled by caller
         haspl_final: best.metrics.haspl,
-        cache_bytes_per_replica: SearchConfig::compressed_cache_bytes(m as usize),
+        cache_bytes_per_replica: SearchConfig::cache_bytes(m as usize),
     };
     println!(
         "scale      n = {n} (m = {m}): {} proposals in {elapsed:.1} s = {:.1} pps sustained \
-         (packed cache, {} exchanges accepted), h-ASPL -> {:.6}",
+         (cached, {} exchanges accepted), h-ASPL -> {:.6}",
         row.proposals, row.sustained_proposals_per_sec, row.exchanges_accepted, row.haspl_final
     );
     row

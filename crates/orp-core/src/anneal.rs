@@ -93,11 +93,10 @@ pub struct SaConfig {
     /// differently, so toggling this changes trajectories (each setting
     /// remains fully seed-reproducible).
     pub early_reject: bool,
-    /// Distance-cache policy for the evaluation engine (codec selection
-    /// and memory budget). Like `eval_workers`, this is a pure
-    /// wall-clock/memory knob: cached, uncached, dense and compressed
-    /// evaluation all produce bit-identical metrics, so it is exempt
-    /// from the checkpoint config echo and may differ on resume.
+    /// Distance-cache memory budget of the evaluation engine. Like
+    /// `eval_workers`, this is a pure wall-clock/memory knob: cached and
+    /// uncached evaluation produce bit-identical metrics, so it is
+    /// exempt from the checkpoint config echo and may differ on resume.
     pub search: SearchConfig,
 }
 
@@ -198,8 +197,7 @@ impl SaConfigBuilder {
         self
     }
 
-    /// Distance-cache policy (codec and memory budget) for the
-    /// evaluation engine.
+    /// Distance-cache memory budget of the evaluation engine.
     pub fn search(mut self, search: SearchConfig) -> Self {
         self.cfg.search = search;
         self
@@ -416,9 +414,9 @@ impl Annealer {
 
     /// Rebuilds an annealer from a checkpoint payload. The config and
     /// move kind of the resuming call must match the checkpointed ones
-    /// (`eval_workers`/`search` excepted — worker count
-    /// and cache policy are pure wall-clock/memory knobs; every codec
-    /// evaluates bit-identically). After restoring, the search state is
+    /// (`eval_workers`/`search` excepted — worker count and cache
+    /// budget are pure wall-clock/memory knobs; cached and uncached
+    /// evaluation agree bit for bit). After restoring, the search state is
     /// re-evaluated from scratch and the result is required to match
     /// the checkpointed metrics bit-for-bit, so silent drift between
     /// the stored graph and stored metrics is impossible.
@@ -936,12 +934,6 @@ impl Annealer {
             format_args!("cache.resident_bytes"),
             self.state.cache_resident_bytes() as f64,
         );
-        if let Some(codec) = self.state.cache_codec() {
-            put(
-                format_args!("cache.packed"),
-                matches!(codec, crate::search::CacheCodec::Packed) as u8 as f64,
-            );
-        }
         for (i, w) in self.state.pool_stats().iter().enumerate() {
             put(format_args!("pool.w{i}.pushes"), w.pushes as f64);
             put(format_args!("pool.w{i}.pops"), w.pops as f64);

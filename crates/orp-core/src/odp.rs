@@ -1,5 +1,5 @@
 //! Order/Degree Problem (ODP) interop — the Graph Golf competition the
-//! paper cites as [4].
+//! paper cites as \[4\].
 //!
 //! ODP works on plain graphs (the paper's predecessor problem): given
 //! order and degree, minimise diameter then ASPL. This module exports a

@@ -68,7 +68,7 @@ pub fn erdos_renyi(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGraph,
 
 /// Bollobás–Chung: a Hamiltonian cycle over the switches plus a random
 /// perfect matching (requires even `m`); the classic diameter-
-/// `O(log m)` construction the paper cites as [6]. Remaining ports hold
+/// `O(log m)` construction the paper cites as \[6\]. Remaining ports hold
 /// hosts.
 pub fn cycle_plus_matching(
     n: u32,

@@ -56,29 +56,27 @@
 //! The classification is a handful of `O(m)` whole-row passes: one per
 //! added link, one per removed link, and — when at most one link is
 //! added, so the early-reject guard can use the result — `deg(u) +
-//! deg(v)` witness passes per removed link `{u, v}`. Each pass matches
-//! the row codec once and then runs over plain `&[u16]` / `&[u8]` row
-//! slices, so its branch-free body vectorizes. The affected sources are
-//! repaired in place (decremental re-relaxation for the removals, then
-//! insertion relaxation for the adds); only invalid rows are re-swept
-//! in 64-wide batches, and everything else is scored from the cached
+//! deg(v)` witness passes per removed link `{u, v}`. Each pass runs over
+//! plain `&[u8]` row slices, so its branch-free body vectorizes. The
+//! affected sources are repaired in place (decremental re-relaxation
+//! for the removals, then insertion relaxation for the adds); only
+//! invalid rows are re-swept in 64-wide batches, and everything else
+//! is scored from the cached
 //! aggregates in `O(m)`. Edge deltas accumulate *lazily* (rollback
 //! pushes the inverse delta, so a rejected proposal that never
 //! re-evaluated cancels to a no-op), and the full sweep remains both the
 //! fallback (over-budget `m`, deep graphs) and the correctness oracle of
 //! the equivalence suites.
 //!
-//! # Row codecs and memory budget
+//! # Rows and memory budget
 //!
-//! The cache rows come in two codecs, picked by [`SearchConfig`]:
-//!
-//! * **Dense** — one `u16` per entry, distances up to 127 (the legacy
-//!   layout, and the [`CacheMode::Auto`] choice up to
-//!   [`CACHE_MAX_SWITCHES`] switches);
-//! * **Packed** ([`CacheMode::Compressed`]) — one `u8` per entry,
-//!   distances up to 63, halving the matrix so Graph-Golf-scale
-//!   instances (`n = 65536`) fit a few GiB. ORP diameters are
-//!   single-digit, so the tighter cap never binds on real searches.
+//! A cache row stores one `u8` per switch: distances up to 63, and
+//! `0xFF` for an unreachable switch, so the cache of a Graph-Golf-scale
+//! instance (`n = 65536`) fits in about 4 GiB. ORP diameters are
+//! single-digit, so the cap never binds on real searches; a finite
+//! distance of 64 or more releases the cache to the plain sweep. The
+//! cache is built when [`SearchConfig::cache_bytes`] fits the memory
+//! budget, the engine's only cache knob.
 //!
 //! Inside a transaction every cache write is undo-logged entry by entry:
 //! a row's header (validity and aggregates) the first time an evaluation
@@ -103,13 +101,12 @@
 //! aggregates, and flags, so workers never contend on data; sweep sums
 //! are integer sums and the worker-local undo logs are merged in source
 //! order afterwards, which keeps the result bit-identical for every
-//! worker count, schedule and codec.
+//! worker count and schedule.
 
 use crate::error::GraphError;
 use crate::graph::{Host, HostSwitchGraph, Switch};
 use crate::metrics::{finalize_metrics, PathMetrics, SwitchCsr};
 use crate::ops::{EdgeSet, Swap, Swing};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -118,35 +115,23 @@ use std::time::Instant;
 /// evaluation (when more than one CPU is available).
 pub const PARALLEL_SWITCH_THRESHOLD: u32 = 256;
 
-/// Largest switch count for which [`CacheMode::Auto`] picks the dense
-/// (`u16`) row codec; above it the auto mode switches to the packed
-/// (`u8`) codec while the memory budget allows.
-pub const CACHE_MAX_SWITCHES: usize = 4096;
+/// Distance cap of the cache rows and stride of the per-source
+/// histograms: a finite distance reaching it permanently disables the
+/// cache for the instance (ORP graphs have single-digit diameters, so
+/// this only triggers on degenerate path-like inputs).
+const MAX_DIST: usize = 64;
 
-/// Distance cap of the dense (`u16`) rows; a BFS level reaching it
-/// permanently disables the cache for the instance (ORP graphs have
-/// single-digit diameters, so this only triggers on degenerate
-/// path-like inputs).
-const DENSE_MAX_DIST: usize = 128;
-
-/// Distance cap of the packed (`u8`) rows.
-const PACKED_MAX_DIST: usize = 64;
-
-/// Cache marker for an unreachable switch.
-const INVALID_DIST: u16 = u16::MAX;
-
-/// Packed-row byte marking an unreachable switch.
-const PACKED_INVALID: u8 = u8::MAX;
+/// Row entry marking an unreachable switch.
+const INVALID_DIST: u8 = u8::MAX;
 
 /// `−ln` of the Metropolis acceptance probability below which guarded
 /// evaluation may early-reject without running a BFS
 /// (`exp(−40) ≈ 4·10⁻¹⁸`, far below one draw in a lifetime of runs).
 pub const EARLY_REJECT_LOG: f64 = 40.0;
 
-/// Default [`SearchConfig::memory_budget_bytes`]: 8 GiB — enough for
-/// the packed codec at m = 65536 switches (~4.3 GiB) and the dense
-/// codec up to m = 16384, so [`CacheMode::Auto`] covers the whole
-/// Graph-Golf range out of the box.
+/// Default [`SearchConfig::memory_budget_bytes`]: 8 GiB, about twice
+/// what the cache needs at m = 65536 switches, so the whole Graph-Golf
+/// range runs cached out of the box.
 pub const DEFAULT_CACHE_BUDGET: usize = 1 << 33;
 
 /// Minimum combined task count (sweep batches + repairs) before a
@@ -168,111 +153,46 @@ pub fn resolve_parallel_eval(num_switches: u32) -> usize {
 
 // ---- search configuration ----------------------------------------------
 
-/// How the distance cache is provisioned (see [`SearchConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheMode {
-    /// Dense rows up to [`CACHE_MAX_SWITCHES`] switches, packed rows
-    /// beyond that while the budget allows, no cache otherwise.
-    #[default]
-    Auto,
-    /// Force the dense `u16` codec (or no cache if over budget).
-    Dense,
-    /// Force the packed `u8` codec (or no cache if over budget).
-    Compressed,
-    /// Never build a distance cache: every evaluation is a full sweep.
-    Off,
-}
-
-impl FromStr for CacheMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "dense" => Ok(Self::Dense),
-            "compressed" => Ok(Self::Compressed),
-            "off" => Ok(Self::Off),
-            other => Err(format!(
-                "unknown cache mode {other:?} (expected auto|dense|compressed|off)"
-            )),
-        }
-    }
-}
-
-/// The row codec a [`SearchConfig`] resolved to for a given instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheCodec {
-    /// `u16` entries, distances up to 127.
-    Dense,
-    /// `u8` entries, distances up to 63 — half the memory.
-    Packed,
-}
-
 /// Tunables of the evaluation engine, surfaced through
-/// `Solver::builder()` and `orp solve --cache-mode/--mem-budget`.
+/// `Solver::builder()` and `orp solve --mem-budget`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
-    /// Distance-cache provisioning policy.
-    pub cache_mode: CacheMode,
-    /// Upper bound on the cache's bulk allocation (rows + histograms);
-    /// a mode whose codec would exceed it degrades to no cache.
+    /// Upper bound on the distance cache's bulk allocation (see
+    /// [`SearchConfig::cache_bytes`]); an instance whose cache would
+    /// exceed it runs uncached, so a budget of 0 turns the cache off.
     pub memory_budget_bytes: usize,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
         Self {
-            cache_mode: CacheMode::Auto,
             memory_budget_bytes: DEFAULT_CACHE_BUDGET,
         }
     }
 }
 
 impl SearchConfig {
-    /// A config that disables the distance cache entirely.
+    /// A config that disables the distance cache entirely (budget 0):
+    /// every evaluation is a full sweep.
     pub fn off() -> Self {
         Self {
-            cache_mode: CacheMode::Off,
-            ..Self::default()
+            memory_budget_bytes: 0,
         }
     }
 
-    /// Bytes of bulk storage the dense codec needs for `m` switches.
-    pub fn dense_cache_bytes(m: usize) -> usize {
+    /// Bytes of bulk storage the distance cache needs for `m` switches:
+    /// one byte per row entry, plus each source's histogram and
+    /// aggregates.
+    pub fn cache_bytes(m: usize) -> usize {
         m.saturating_mul(m)
-            .saturating_mul(2)
-            .saturating_add(m.saturating_mul(DENSE_MAX_DIST * 4 + 15))
+            .saturating_add(m.saturating_mul(MAX_DIST * 4 + 14))
     }
 
-    /// Bytes of bulk storage the packed codec needs for `m` switches.
-    pub fn compressed_cache_bytes(m: usize) -> usize {
-        m.saturating_mul(m)
-            .saturating_add(m.saturating_mul(PACKED_MAX_DIST * 4 + 15))
-    }
-
-    /// The codec this config provisions for an `m`-switch instance, or
-    /// `None` when the cache stays off (mode `Off`, degenerate `m`, or
-    /// over budget).
-    pub fn resolve_codec(&self, m: usize) -> Option<CacheCodec> {
-        if m < 2 {
-            return None;
-        }
-        let dense_fits = Self::dense_cache_bytes(m) <= self.memory_budget_bytes;
-        let packed_fits = Self::compressed_cache_bytes(m) <= self.memory_budget_bytes;
-        match self.cache_mode {
-            CacheMode::Off => None,
-            CacheMode::Dense => dense_fits.then_some(CacheCodec::Dense),
-            CacheMode::Compressed => packed_fits.then_some(CacheCodec::Packed),
-            CacheMode::Auto => {
-                if m <= CACHE_MAX_SWITCHES && dense_fits {
-                    Some(CacheCodec::Dense)
-                } else if packed_fits {
-                    Some(CacheCodec::Packed)
-                } else {
-                    None
-                }
-            }
-        }
+    /// Whether this config provisions the distance cache for an
+    /// `m`-switch instance: at least two switches, and
+    /// [`Self::cache_bytes`] within the budget.
+    pub fn cache_fits(&self, m: usize) -> bool {
+        m >= 2 && Self::cache_bytes(m) <= self.memory_budget_bytes
     }
 }
 
@@ -458,106 +378,6 @@ fn sweep_batch(
 
 // ---- distance cache ----------------------------------------------------
 
-/// Codec-dispatched row storage of the distance cache.
-#[derive(Debug)]
-enum RowStore {
-    /// One `u16` per entry.
-    Dense(Vec<u16>),
-    /// One `u8` per entry; [`PACKED_INVALID`] marks unreachable.
-    Packed(Vec<u8>),
-}
-
-/// One stored distance in its codec's native width: `u16` for the dense
-/// codec, `u8` for the packed one. A whole-row pass matches the codec
-/// once, takes typed row slices through [`Dist::rows`] and compares
-/// entries in this width, with no per-entry codec match, index
-/// arithmetic or marker mapping, so its straight-line loop vectorizes.
-trait Dist: Copy + PartialEq + PartialOrd + Into<u32> {
-    /// The codec's unreachable marker (all ones).
-    const INVALID: Self;
-
-    /// The rows of `store`, whose codec must store this type.
-    fn rows(store: &RowStore) -> &[Self];
-
-    /// `self + 1`, wrapping (the marker wraps to 0).
-    fn succ(self) -> Self;
-
-    /// The entry as a logical distance, [`INVALID_DIST`] if unreachable.
-    fn logical(self) -> u16;
-}
-
-impl Dist for u16 {
-    const INVALID: Self = INVALID_DIST;
-
-    #[inline]
-    fn rows(store: &RowStore) -> &[Self] {
-        match store {
-            RowStore::Dense(rows) => rows,
-            RowStore::Packed(_) => unreachable!("u16 pass over packed rows"),
-        }
-    }
-
-    #[inline]
-    fn succ(self) -> Self {
-        self.wrapping_add(1)
-    }
-
-    #[inline]
-    fn logical(self) -> u16 {
-        self
-    }
-}
-
-impl Dist for u8 {
-    const INVALID: Self = PACKED_INVALID;
-
-    #[inline]
-    fn rows(store: &RowStore) -> &[Self] {
-        match store {
-            RowStore::Packed(rows) => rows,
-            RowStore::Dense(_) => unreachable!("u8 pass over dense rows"),
-        }
-    }
-
-    #[inline]
-    fn succ(self) -> Self {
-        self.wrapping_add(1)
-    }
-
-    #[inline]
-    fn logical(self) -> u16 {
-        if self == PACKED_INVALID {
-            INVALID_DIST
-        } else {
-            u16::from(self)
-        }
-    }
-}
-
-/// Reads entry `(s, v)` of the row store as a logical `u16` distance.
-#[inline]
-fn row_get(store: &RowStore, m: usize, s: usize, v: usize) -> u16 {
-    match store {
-        RowStore::Dense(rows) => rows[s * m + v],
-        RowStore::Packed(rows) => rows[s * m + v].logical(),
-    }
-}
-
-/// Writes entry `(s, v)` of the row store from a logical `u16` distance.
-#[inline]
-fn row_set(store: &mut RowStore, m: usize, s: usize, v: usize, d: u16) {
-    match store {
-        RowStore::Dense(rows) => rows[s * m + v] = d,
-        RowStore::Packed(rows) => {
-            rows[s * m + v] = if d == INVALID_DIST {
-                PACKED_INVALID
-            } else {
-                d as u8
-            }
-        }
-    }
-}
-
 /// Undo-log header of one row: its state just before an in-transaction
 /// evaluation first wrote it. The row's overwritten entries follow in
 /// the owning entry log, from `start` up to the next header's `start`.
@@ -565,7 +385,7 @@ fn row_set(store: &mut RowStore, m: usize, s: usize, v: usize, d: u16) {
 struct RowUndo {
     s: u32,
     was_valid: bool,
-    ecc: u16,
+    ecc: u8,
     nreach: u32,
     wsum: u64,
     start: usize,
@@ -591,21 +411,17 @@ impl RowUndo {
 }
 
 /// One logged entry write: `(v, d_old)`.
-type EntryUndo = (u32, u16);
+type EntryUndo = (u32, u8);
 
 /// Raw views into the cache arrays, so one sweep/repair implementation
 /// serves both the sequential path and the worker pool (each task writes
 /// only the row and aggregates of its own sources, which are disjoint).
 #[derive(Debug, Clone, Copy)]
 struct CachePtrs {
-    /// Byte pointer into the row store; interpretation follows `codec`.
     rows: *mut u8,
-    codec: CacheCodec,
-    /// Distance cap (and histogram stride) of this cache.
-    max_dist: usize,
     wsum: *mut u64,
     hist: *mut u32,
-    ecc: *mut u16,
+    ecc: *mut u8,
     nreach: *mut u32,
     valid: *mut bool,
     m: usize,
@@ -617,56 +433,38 @@ unsafe impl Send for CachePtrs {}
 unsafe impl Sync for CachePtrs {}
 
 impl CachePtrs {
-    /// Reads entry `(s, v)` as a logical `u16` distance.
+    /// Reads entry `(s, v)`.
     ///
     /// # Safety
     /// The caller must own source `s` for the duration of the job.
     #[inline]
-    unsafe fn get(&self, s: usize, v: usize) -> u16 {
-        match self.codec {
-            CacheCodec::Dense => *(self.rows as *const u16).add(s * self.m + v),
-            CacheCodec::Packed => (*self.rows.add(s * self.m + v)).logical(),
-        }
+    unsafe fn get(&self, s: usize, v: usize) -> u8 {
+        *self.rows.add(s * self.m + v)
     }
 
-    /// Writes entry `(s, v)` from a logical `u16` distance.
+    /// Writes entry `(s, v)`.
     ///
     /// # Safety
     /// The caller must own source `s` for the duration of the job.
     #[inline]
-    unsafe fn set(&self, s: usize, v: usize, d: u16) {
-        match self.codec {
-            CacheCodec::Dense => *(self.rows as *mut u16).add(s * self.m + v) = d,
-            CacheCodec::Packed => {
-                *self.rows.add(s * self.m + v) = if d == INVALID_DIST {
-                    PACKED_INVALID
-                } else {
-                    debug_assert!(d < u16::from(PACKED_INVALID));
-                    d as u8
-                }
-            }
-        }
+    unsafe fn set(&self, s: usize, v: usize, d: u8) {
+        *self.rows.add(s * self.m + v) = d
     }
 
-    /// Fills row `s` with the unreachable marker (both codecs use
-    /// all-ones bytes for it).
+    /// Fills row `s` with the unreachable marker.
     ///
     /// # Safety
     /// The caller must own source `s` for the duration of the job.
     #[inline]
     unsafe fn fill_invalid(&self, s: usize) {
-        match self.codec {
-            CacheCodec::Dense => {
-                std::ptr::write_bytes((self.rows as *mut u16).add(s * self.m), 0xFF, self.m)
-            }
-            CacheCodec::Packed => std::ptr::write_bytes(self.rows.add(s * self.m), 0xFF, self.m),
-        }
+        std::ptr::write_bytes(self.rows.add(s * self.m), INVALID_DIST, self.m)
     }
 }
 
 /// As [`sweep_batch`], but additionally fills the cache row and
-/// per-source aggregates of every swept source. Returns `false` when a
-/// BFS level reaches the cache's distance cap (cache must be disabled).
+/// per-source aggregates of every swept source. Returns `false` when
+/// some switch lies at the cache's distance cap (the cache must be
+/// disabled).
 fn sweep_batch_cached(
     csr: &SlotCsr,
     counts: &[u32],
@@ -694,9 +492,6 @@ fn sweep_batch_cached(
     let mut depth = 0usize;
     loop {
         depth += 1;
-        if depth >= c.max_dist {
-            return false;
-        }
         let mut active = false;
         for v in 0..m {
             let mut gather = 0u64;
@@ -714,13 +509,17 @@ fn sweep_batch_cached(
                     bits &= bits - 1;
                     // SAFETY: `s` belongs to this batch (see above).
                     unsafe {
-                        c.set(s, v, depth as u16);
+                        c.set(s, v, depth as u8);
                     }
                 }
             }
         }
         if !active {
             break;
+        }
+        if depth >= MAX_DIST {
+            // a non-empty level at the cap: the rows cannot hold it
+            return false;
         }
         std::mem::swap(&mut scratch.cur, &mut scratch.next);
     }
@@ -746,11 +545,11 @@ fn sweep_batch_cached(
 /// aggregate slots), and the row must be fully written.
 unsafe fn recompute_aggregates_ptr(c: &CachePtrs, s: usize, counts: &[u32]) {
     let m = c.m;
-    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * c.max_dist), c.max_dist);
+    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * MAX_DIST), MAX_DIST);
     hist.fill(0);
     let mut wsum = 0u64;
     let mut nreach = 0u32;
-    let mut ecc = 0u16;
+    let mut ecc = 0u8;
     for (v, &kv) in counts.iter().enumerate().take(m) {
         let d = c.get(s, v);
         if v == s || d == INVALID_DIST || kv == 0 {
@@ -767,8 +566,8 @@ unsafe fn recompute_aggregates_ptr(c: &CachePtrs, s: usize, counts: &[u32]) {
 }
 
 /// The per-source distance cache: one row per switch (hop counts to
-/// every other switch, stored dense or packed) plus the aggregates that
-/// let a proposal be scored without re-visiting unaffected rows.
+/// every other switch, one byte each) plus the aggregates that let a
+/// proposal be scored without re-visiting unaffected rows.
 ///
 /// Invariants (for every row with `valid[s]`):
 /// * row `s` holds the hop distances of the graph **minus the pending
@@ -782,14 +581,13 @@ unsafe fn recompute_aggregates_ptr(c: &CachePtrs, s: usize, counts: &[u32]) {
 #[derive(Debug)]
 struct DistCache {
     m: usize,
-    codec: CacheCodec,
-    /// Distance cap and histogram stride (codec-dependent).
-    max_dist: usize,
-    store: RowStore,
+    /// Row `s` is `rows[s·m..(s+1)·m]`; [`INVALID_DIST`] marks an
+    /// unreachable switch.
+    rows: Vec<u8>,
     valid: Vec<bool>,
     wsum: Vec<u64>,
     hist: Vec<u32>,
-    ecc: Vec<u16>,
+    ecc: Vec<u8>,
     nreach: Vec<u32>,
     /// Net link changes since the rows were last refreshed, as
     /// `(a, b, net)` with `a < b`; entries cancelling to net 0 are
@@ -865,23 +663,13 @@ struct DeltaScan {
 }
 
 impl DistCache {
-    fn with_codec(m: usize, codec: CacheCodec) -> Self {
-        let max_dist = match codec {
-            CacheCodec::Dense => DENSE_MAX_DIST,
-            CacheCodec::Packed => PACKED_MAX_DIST,
-        };
-        let store = match codec {
-            CacheCodec::Dense => RowStore::Dense(vec![INVALID_DIST; m * m]),
-            CacheCodec::Packed => RowStore::Packed(vec![PACKED_INVALID; m * m]),
-        };
+    fn new(m: usize) -> Self {
         Self {
             m,
-            codec,
-            max_dist,
-            store,
+            rows: vec![INVALID_DIST; m * m],
             valid: vec![false; m],
             wsum: vec![0; m],
-            hist: vec![0; m * max_dist],
+            hist: vec![0; m * MAX_DIST],
             ecc: vec![0; m],
             nreach: vec![0; m],
             edge_delta: Vec::new(),
@@ -898,17 +686,14 @@ impl DistCache {
         }
     }
 
-    /// Resident bytes of the bulk row store, the per-source aggregates,
-    /// and the live transactional undo log.
+    /// Resident bytes of the rows, the per-source aggregates, and the
+    /// live transactional undo log.
     fn resident_bytes(&self) -> usize {
-        let rows = match &self.store {
-            RowStore::Dense(r) => r.len() * 2,
-            RowStore::Packed(r) => r.len(),
-        };
-        rows + self.hist.len() * 4
+        self.rows.len()
+            + self.hist.len() * 4
             + self.wsum.len() * 8
             + self.nreach.len() * 4
-            + self.ecc.len() * 2
+            + self.ecc.len()
             + self.valid.len()
             + self.undo_rows.len() * std::mem::size_of::<RowUndo>()
             + self.undo_entries.len() * std::mem::size_of::<EntryUndo>()
@@ -968,15 +753,15 @@ impl DistCache {
             return;
         }
         let m = self.m;
-        let max_dist = self.max_dist;
         while self.undo_rows.len() > from {
             let h = self.undo_rows.pop().expect("len > from");
             let s = h.s as usize;
             if h.was_valid {
-                let hist = &mut self.hist[s * max_dist..(s + 1) * max_dist];
+                let hist = &mut self.hist[s * MAX_DIST..(s + 1) * MAX_DIST];
+                let row = &mut self.rows[s * m..(s + 1) * m];
                 for &(v, d_old) in self.undo_entries[h.start..].iter().rev() {
                     let v = v as usize;
-                    let d_cur = row_get(&self.store, m, s, v);
+                    let d_cur = row[v];
                     if d_cur != d_old && counts[v] != 0 && v != s {
                         if d_cur != INVALID_DIST {
                             hist[d_cur as usize] -= 1;
@@ -985,7 +770,7 @@ impl DistCache {
                             hist[d_old as usize] += 1;
                         }
                     }
-                    row_set(&mut self.store, m, s, v, d_old);
+                    row[v] = d_old;
                 }
                 self.wsum[s] = h.wsum;
                 self.nreach[s] = h.nreach;
@@ -1010,33 +795,15 @@ impl DistCache {
             start: self.undo_entries.len(),
         });
         if self.valid[s] {
-            match self.codec {
-                CacheCodec::Dense => self.log_entries::<u16>(s),
-                CacheCodec::Packed => self.log_entries::<u8>(s),
-            }
+            let row = &self.rows[s * self.m..(s + 1) * self.m];
+            self.undo_entries
+                .extend(row.iter().enumerate().map(|(v, &d)| (v as u32, d)));
         }
     }
 
-    /// Appends every entry of row `s` to the entry undo log.
-    fn log_entries<E: Dist>(&mut self, s: usize) {
-        let m = self.m;
-        let row = &E::rows(&self.store)[s * m..(s + 1) * m];
-        self.undo_entries.extend(
-            row.iter()
-                .enumerate()
-                .map(|(v, &d)| (v as u32, d.logical())),
-        );
-    }
-
     fn ptrs(&mut self) -> CachePtrs {
-        let rows = match &mut self.store {
-            RowStore::Dense(r) => r.as_mut_ptr() as *mut u8,
-            RowStore::Packed(r) => r.as_mut_ptr(),
-        };
         CachePtrs {
-            rows,
-            codec: self.codec,
-            max_dist: self.max_dist,
+            rows: self.rows.as_mut_ptr(),
             wsum: self.wsum.as_mut_ptr(),
             hist: self.hist.as_mut_ptr(),
             ecc: self.ecc.as_mut_ptr(),
@@ -1065,26 +832,18 @@ impl DistCache {
     /// Eagerly re-weights every valid row for a host-count change at `v`.
     /// Self-inverse under the opposite delta, so transaction rollback
     /// (which replays the inverse host move) restores the aggregates
-    /// exactly.
+    /// exactly. All valid rows describe the same graph, so `d(s,v)` is
+    /// read from `v`'s own row: one sequential, branch-free pass
+    /// re-weights `wsum`. The scalar pass below runs only when the
+    /// hostful set changes (`v` gains its first host or loses its last,
+    /// so histograms move too) or when row `v` is invalid and `d(s,v)`
+    /// must come from each row `s`.
     fn note_host_delta(&mut self, v: Switch, old_k: u32, new_k: u32) {
         if self.disabled || old_k == new_k {
             return;
         }
-        match self.codec {
-            CacheCodec::Dense => self.reweight::<u16>(v as usize, old_k, new_k),
-            CacheCodec::Packed => self.reweight::<u8>(v as usize, old_k, new_k),
-        }
-    }
-
-    /// [`Self::note_host_delta`] over one codec's rows. All valid rows
-    /// describe the same graph, so `d(s,v)` is read from `v`'s own row:
-    /// one sequential, branch-free pass re-weights `wsum`. The scalar
-    /// pass below runs only when the hostful set changes (`v` gains its
-    /// first host or loses its last, so histograms move too) or when
-    /// row `v` is invalid and `d(s,v)` must come from each row `s`.
-    fn reweight<E: Dist>(&mut self, v: usize, old_k: u32, new_k: u32) {
-        let (m, max_dist) = (self.m, self.max_dist);
-        let rows = E::rows(&self.store);
+        let (m, v) = (self.m, v as usize);
+        let rows = &self.rows;
         let (dk, gain) = (old_k.abs_diff(new_k), new_k > old_k);
         let from_row = self.valid[v];
         if from_row {
@@ -1106,10 +865,9 @@ impl DistCache {
             } else {
                 rows[s * m + v]
             };
-            if d == E::INVALID {
+            if d == INVALID_DIST {
                 continue;
             }
-            let d = d.logical();
             let du = d as usize;
             if !from_row {
                 let step = u64::from(dk) * (du as u64 + 2);
@@ -1121,13 +879,13 @@ impl DistCache {
                 };
             }
             if old_k == 0 {
-                self.hist[s * max_dist + du] += 1;
+                self.hist[s * MAX_DIST + du] += 1;
                 self.nreach[s] += 1;
                 if d > self.ecc[s] {
                     self.ecc[s] = d;
                 }
             } else if new_k == 0 {
-                let base = s * max_dist;
+                let base = s * MAX_DIST;
                 self.hist[base + du] -= 1;
                 self.nreach[s] -= 1;
                 if self.hist[base + du] == 0 && d == self.ecc[s] {
@@ -1135,7 +893,7 @@ impl DistCache {
                     while e > 0 && self.hist[base + e] == 0 {
                         e -= 1;
                     }
-                    self.ecc[s] = e as u16;
+                    self.ecc[s] = e as u8;
                 }
             }
         }
@@ -1213,10 +971,7 @@ impl DistCache {
             rebfs.sort_unstable();
             return scan;
         }
-        scan.allowance = match self.codec {
-            CacheCodec::Dense => self.classify::<u16>(csr, counts, adds, dels),
-            CacheCodec::Packed => self.classify::<u8>(csr, counts, adds, dels),
-        };
+        scan.allowance = self.classify(csr, counts, adds, dels);
         // Every affected source — add endpoints included — is repaired
         // in place (decremental orphan re-relaxation for the removals,
         // then incremental insertion relaxation for the adds — see
@@ -1242,13 +997,13 @@ impl DistCache {
         scan
     }
 
-    /// The whole-row passes of [`Self::scan_delta`] over one codec's
-    /// rows, all of them valid: one pass per added link, one on-DAG
-    /// marking pass per removal and, when the delta is guardable (at
-    /// most one add), `deg(u) + deg(v)` witness passes per removal.
+    /// The whole-row passes of [`Self::scan_delta`] over the rows, all
+    /// of them valid: one pass per added link, one on-DAG marking pass
+    /// per removal and, when the delta is guardable (at most one add),
+    /// `deg(u) + deg(v)` witness passes per removal.
     /// Fills `flags` and `strict`; returns the single-add improvement
     /// allowance (see [`DeltaScan::allowance`]).
-    fn classify<E: Dist>(
+    fn classify(
         &mut self,
         csr: &SlotCsr,
         counts: &[u32],
@@ -1256,7 +1011,7 @@ impl DistCache {
         dels: &[(u32, u32)],
     ) -> u64 {
         let m = self.m;
-        let rows = E::rows(&self.store);
+        let rows = &self.rows;
         let row = move |s: u32| &rows[s as usize * m..(s as usize + 1) * m];
         let (valid, counts) = (&self.valid[..m], &counts[..m]);
         let flags = &mut self.flags[..m];
@@ -1306,8 +1061,8 @@ impl DistCache {
     }
 
     /// The per-entry formulation of [`Self::scan_delta`], reading every
-    /// entry through [`row_get`]: the reference the codec-generic passes
-    /// are tested against, field by field.
+    /// entry by index: the reference the whole-row passes are tested
+    /// against, field by field.
     #[cfg(test)]
     fn scan_delta_reference(
         &mut self,
@@ -1375,8 +1130,8 @@ impl DistCache {
                 if !self.valid[s] {
                     continue;
                 }
-                let du = row_get(&self.store, m, u as usize, s);
-                let dv = row_get(&self.store, m, v as usize, s);
+                let du = self.rows[u as usize * m + s];
+                let dv = self.rows[v as usize * m + s];
                 if du == INVALID_DIST && dv == INVALID_DIST {
                     continue; // joins two components not containing s
                 }
@@ -1423,8 +1178,8 @@ impl DistCache {
                 let need = if !self.valid[s] {
                     0
                 } else {
-                    let du = row_get(&self.store, m, u as usize, s);
-                    let dv = row_get(&self.store, m, v as usize, s);
+                    let du = self.rows[u as usize * m + s];
+                    let dv = self.rows[v as usize * m + s];
                     if du == INVALID_DIST || dv == INVALID_DIST || du == dv {
                         0
                     } else if du < dv {
@@ -1459,10 +1214,8 @@ impl DistCache {
                     };
                     for s in 0..m {
                         if self.wneed[s] == need {
-                            let dw = row_get(&self.store, m, w as usize, s);
-                            if dw != INVALID_DIST
-                                && dw + 1 == row_get(&self.store, m, far as usize, s)
-                            {
+                            let dw = self.rows[w as usize * m + s];
+                            if dw != INVALID_DIST && dw + 1 == self.rows[far as usize * m + s] {
                                 self.wit[s] |= strict_bit;
                             }
                         }
@@ -1542,10 +1295,7 @@ impl DistCache {
     /// Drops the bulk storage once the cache is disabled.
     fn release(&mut self) {
         self.disabled = true;
-        self.store = match self.codec {
-            CacheCodec::Dense => RowStore::Dense(Vec::new()),
-            CacheCodec::Packed => RowStore::Packed(Vec::new()),
-        };
+        self.rows = Vec::new();
         self.hist = Vec::new();
         self.wsum = Vec::new();
         self.ecc = Vec::new();
@@ -1573,10 +1323,10 @@ impl DistCache {
 /// The weighted-sum half of a host move at `v`: adds `dk·(d + 2)` to
 /// (`gain`) or subtracts it from `wsum[s]` for every valid source whose
 /// distance `d` to `v` is finite.
-fn add_weights<E: Dist>(dists: &[E], valid: &[bool], wsum: &mut [u64], dk: u32, gain: bool) {
+fn add_weights(dists: &[u8], valid: &[bool], wsum: &mut [u64], dk: u32, gain: bool) {
     for ((&d, &ok), w) in dists.iter().zip(valid).zip(wsum) {
-        let hops: u32 = d.into();
-        let live = ok & (d != E::INVALID);
+        let hops = u32::from(d);
+        let live = ok & (d != INVALID_DIST);
         let step = if live {
             u64::from(dk) * u64::from(hops + 2)
         } else {
@@ -1598,18 +1348,12 @@ fn add_weights<E: Dist>(dists: &[E], valid: &[bool], wsum: &mut [u64], dk: u32, 
 /// Returns the allowance masses `[Su, Ku, Sv, Kv]` of
 /// [`DeltaScan::allowance`]: improving pairs enter the link at the near
 /// endpoint of a source strictly behind it.
-fn add_pass<E: Dist>(
-    du: &[E],
-    dv: &[E],
-    valid: &[bool],
-    counts: &[u32],
-    flags: &mut [u8],
-) -> [u64; 4] {
+fn add_pass(du: &[u8], dv: &[u8], valid: &[bool], counts: &[u32], flags: &mut [u8]) -> [u64; 4] {
     let (mut su, mut ku, mut sv, mut kv) = (0u64, 0u64, 0u64, 0u64);
     for ((((&a, &b), &ok), &k), f) in du.iter().zip(dv).zip(valid).zip(counts).zip(flags) {
-        let reach_gain = (a == E::INVALID) != (b == E::INVALID);
-        let both = (a != E::INVALID) & (b != E::INVALID);
-        let (a, b): (u32, u32) = (a.into(), b.into());
+        let reach_gain = (a == INVALID_DIST) != (b == INVALID_DIST);
+        let both = (a != INVALID_DIST) & (b != INVALID_DIST);
+        let (a, b) = (u32::from(a), u32::from(b));
         let behind_u = ok & both & (a + 2 <= b);
         let behind_v = ok & both & (b + 2 <= a);
         *f |= ADD_AFF * u8::from((ok & reach_gain) | behind_u | behind_v);
@@ -1635,9 +1379,9 @@ fn add_pass<E: Dist>(
 /// (equal levels, or an endpoint unreachable), 1 when the far endpoint
 /// is `v`, 2 when it is `u` (levels then differ by exactly 1, since it
 /// was an edge).
-fn on_dag_pass<E: Dist>(du: &[E], dv: &[E], valid: &[bool], wneed: &mut [u8]) {
+fn on_dag_pass(du: &[u8], dv: &[u8], valid: &[bool], wneed: &mut [u8]) {
     for (((&a, &b), &ok), need) in du.iter().zip(dv).zip(valid).zip(wneed) {
-        let on = ok & (a != E::INVALID) & (b != E::INVALID) & (a != b);
+        let on = ok & (a != INVALID_DIST) & (b != INVALID_DIST) & (a != b);
         *need = u8::from(on) * (1 + u8::from(a > b));
     }
 }
@@ -1649,9 +1393,9 @@ fn on_dag_pass<E: Dist>(du: &[E], dv: &[E], valid: &[bool], wneed: &mut [u8]) {
 /// every distance below it intact; one reached through an added link
 /// only proves the *combined* delta harmless, so the caller passes
 /// `bit = 1` for it and `bit = 3` (also a strict witness) otherwise.
-fn witness_pass<E: Dist>(dw: &[E], dfar: &[E], wneed: &[u8], need: u8, bit: u8, wit: &mut [u8]) {
+fn witness_pass(dw: &[u8], dfar: &[u8], wneed: &[u8], need: u8, bit: u8, wit: &mut [u8]) {
     for (((&a, &f), &nd), x) in dw.iter().zip(dfar).zip(wneed).zip(wit) {
-        let hit = (nd == need) & (a != E::INVALID) & (a.succ() == f);
+        let hit = (nd == need) & (a != INVALID_DIST) & (a.wrapping_add(1) == f);
         *x |= bit * u8::from(hit);
     }
 }
@@ -1708,15 +1452,15 @@ struct RepairScratch {
 }
 
 impl RepairScratch {
-    fn ensure(&mut self, m: usize, max_dist: usize) {
+    fn ensure(&mut self, m: usize) {
         if self.cand_ep.len() != m {
             self.ep = 0;
             self.cand_ep = vec![0; m];
             self.orphan_ep = vec![0; m];
             self.settled_ep = vec![0; m];
         }
-        if self.buckets.len() != max_dist + 1 {
-            self.buckets = vec![Vec::new(); max_dist + 1];
+        if self.buckets.len() != MAX_DIST + 1 {
+            self.buckets = vec![Vec::new(); MAX_DIST + 1];
         }
     }
 
@@ -1776,8 +1520,8 @@ unsafe fn write_entry(
     rs: &mut RepairScratch,
     s: usize,
     v: usize,
-    d_old: u16,
-    d: u16,
+    d_old: u8,
+    d: u8,
 ) {
     if ctx.log {
         rs.undo_entries.push((v as u32, d_old));
@@ -1836,7 +1580,7 @@ unsafe fn strict_parent_survives(
     adds: &[(u32, u32, u32)],
     s: usize,
     x: u32,
-    lvl: u16,
+    lvl: u8,
 ) -> bool {
     let mut skip = added_copies(adds, x);
     for &w in csr.neighbors(x) {
@@ -1868,7 +1612,6 @@ unsafe fn strict_parent_survives(
 /// job, and every `RepairCtx` pointer must be live.
 unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -> Option<bool> {
     let c = &ctx.cache;
-    let max_dist = c.max_dist;
     let csr = &*ctx.csr;
     let counts = std::slice::from_raw_parts(ctx.counts, ctx.counts_len);
     let adds = std::slice::from_raw_parts(ctx.adds, ctx.adds_len);
@@ -1885,7 +1628,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     // -- orphan descent ------------------------------------------
     // Seed with the far endpoint of every removal that sat on the
     // shortest-path DAG of `s` (endpoint levels differ by 1).
-    let mut lo = max_dist;
+    let mut lo = MAX_DIST;
     let mut pending = 0usize;
     for &(a, b) in dels {
         let (da, db) = (c.get(s, a as usize), c.get(s, b as usize));
@@ -1894,13 +1637,13 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
         }
         let (far, lvl) = if da < db { (b, db) } else { (a, da) };
         let lvl = lvl as usize;
-        debug_assert!(lvl < max_dist);
+        debug_assert!(lvl < MAX_DIST);
         rs.buckets[lvl].push(far);
         lo = lo.min(lvl);
         pending += 1;
     }
     let mut lvl = lo;
-    while pending > 0 && lvl < max_dist {
+    while pending > 0 && lvl < MAX_DIST {
         while let Some(x) = rs.buckets[lvl].pop() {
             pending -= 1;
             let xi = x as usize;
@@ -1908,7 +1651,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
                 continue;
             }
             rs.cand_ep[xi] = ep;
-            if strict_parent_survives(c, rs, csr, adds, s, x, lvl as u16) {
+            if strict_parent_survives(c, rs, csr, adds, s, x, lvl as u8) {
                 continue;
             }
             rs.orphan_ep[xi] = ep;
@@ -1920,7 +1663,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
                     continue;
                 }
                 let yi = y as usize;
-                if c.get(s, yi) == lvl as u16 + 1 && rs.cand_ep[yi] != ep {
+                if c.get(s, yi) == lvl as u8 + 1 && rs.cand_ep[yi] != ep {
                     rs.buckets[lvl + 1].push(y);
                     pending += 1;
                 }
@@ -1935,7 +1678,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     // witness-protected rows never pay for one.
     log_row(ctx, rs, s);
     // -- re-relaxation (unit-weight Dijkstra from the boundary) ---
-    let mut lo = max_dist;
+    let mut lo = MAX_DIST;
     for oi in 0..rs.orphans.len() {
         let x = rs.orphans[oi];
         let mut best = u32::from(INVALID_DIST);
@@ -1951,39 +1694,39 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
             }
         }
         if best < u32::from(INVALID_DIST) {
-            let key = (best as usize).min(max_dist);
+            let key = (best as usize).min(MAX_DIST);
             rs.buckets[key].push(x);
             lo = lo.min(key);
         }
     }
-    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * max_dist), max_dist);
+    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * MAX_DIST), MAX_DIST);
     let wsum = &mut *c.wsum.add(s);
     let ecc = &mut *c.ecc.add(s);
     let nreach = &mut *c.nreach.add(s);
     let mut overflow = false;
     let mut key = lo;
-    while key <= max_dist {
+    while key <= MAX_DIST {
         while let Some(x) = rs.buckets[key].pop() {
             let xi = x as usize;
             if rs.settled_ep[xi] == ep {
                 continue;
             }
             rs.settled_ep[xi] = ep;
-            if key >= max_dist {
+            if key >= MAX_DIST {
                 overflow = true;
                 continue; // keep draining the buckets
             }
             // Patch the aggregates in place: orphan distances grow
             // strictly, so the eccentricity only ratchets up here.
             let d_old = c.get(s, xi);
-            write_entry(ctx, rs, s, xi, d_old, key as u16);
-            debug_assert!((key as u16) > d_old);
+            write_entry(ctx, rs, s, xi, d_old, key as u8);
+            debug_assert!((key as u8) > d_old);
             let kx = counts[xi];
             if kx != 0 {
                 *wsum += kx as u64 * (key as u64 - d_old as u64);
                 hist[d_old as usize] -= 1;
                 hist[key] += 1;
-                *ecc = (*ecc).max(key as u16);
+                *ecc = (*ecc).max(key as u8);
             }
             let mut skip = added_copies(adds, x);
             for &w in csr.neighbors(x) {
@@ -1992,7 +1735,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
                 }
                 let wi = w as usize;
                 if rs.orphan_ep[wi] == ep && rs.settled_ep[wi] != ep {
-                    rs.buckets[(key + 1).min(max_dist)].push(w);
+                    rs.buckets[(key + 1).min(MAX_DIST)].push(w);
                 }
             }
         }
@@ -2022,7 +1765,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     if ecc_dirty {
         // the histogram is current again: its highest non-empty
         // bucket is the surviving eccentricity
-        *ecc = hist.iter().rposition(|&cnt| cnt != 0).unwrap_or(0) as u16;
+        *ecc = hist.iter().rposition(|&cnt| cnt != 0).unwrap_or(0) as u8;
     }
     Some(true)
 }
@@ -2046,17 +1789,16 @@ unsafe fn add_repair_source(
     logged: bool,
 ) -> Option<bool> {
     let c = &ctx.cache;
-    let max_dist = c.max_dist;
     let csr = &*ctx.csr;
     let counts = std::slice::from_raw_parts(ctx.counts, ctx.counts_len);
     let adds = std::slice::from_raw_parts(ctx.adds, ctx.adds_len);
-    let mut lo = max_dist;
+    let mut lo = MAX_DIST;
     let mut seeded = false;
     for &(u, v, _) in adds {
         let (du, dv) = (c.get(s, u as usize), c.get(s, v as usize));
         for (x, cand) in [(v, du.saturating_add(1)), (u, dv.saturating_add(1))] {
             if cand < c.get(s, x as usize) {
-                let key = (cand as usize).min(max_dist);
+                let key = (cand as usize).min(MAX_DIST);
                 rs.buckets[key].push(x);
                 lo = lo.min(key);
                 seeded = true;
@@ -2069,25 +1811,25 @@ unsafe fn add_repair_source(
     if !logged {
         log_row(ctx, rs, s);
     }
-    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * max_dist), max_dist);
+    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * MAX_DIST), MAX_DIST);
     let wsum = &mut *c.wsum.add(s);
     let ecc = &mut *c.ecc.add(s);
     let nreach = &mut *c.nreach.add(s);
     let mut overflow = false;
     let mut ecc_dirty = false;
     let mut key = lo;
-    while key <= max_dist {
+    while key <= MAX_DIST {
         while let Some(x) = rs.buckets[key].pop() {
             let xi = x as usize;
             let d_old = c.get(s, xi);
             if key >= d_old as usize {
                 continue; // stale: already settled at least as close
             }
-            if key >= max_dist {
+            if key >= MAX_DIST {
                 overflow = true; // finite but beyond histogram range
                 continue; // keep draining the buckets
             }
-            write_entry(ctx, rs, s, xi, d_old, key as u16);
+            write_entry(ctx, rs, s, xi, d_old, key as u8);
             let kx = counts[xi];
             if d_old == INVALID_DIST {
                 // newly reachable through an added link
@@ -2095,7 +1837,7 @@ unsafe fn add_repair_source(
                     *wsum += kx as u64 * (key as u64 + 2);
                     hist[key] += 1;
                     *nreach += 1;
-                    *ecc = (*ecc).max(key as u16);
+                    *ecc = (*ecc).max(key as u8);
                 }
             } else if kx != 0 {
                 *wsum -= kx as u64 * (d_old as u64 - key as u64);
@@ -2108,7 +1850,7 @@ unsafe fn add_repair_source(
             let cand = key + 1;
             for &w in csr.neighbors(x) {
                 if cand < usize::from(c.get(s, w as usize)) {
-                    rs.buckets[cand.min(max_dist)].push(w);
+                    rs.buckets[cand.min(MAX_DIST)].push(w);
                 }
             }
         }
@@ -2120,7 +1862,7 @@ unsafe fn add_repair_source(
     if ecc_dirty {
         // the histogram is current again: its highest non-empty
         // bucket is the surviving eccentricity
-        *ecc = hist.iter().rposition(|&cnt| cnt != 0).unwrap_or(0) as u16;
+        *ecc = hist.iter().rposition(|&cnt| cnt != 0).unwrap_or(0) as u8;
     }
     Some(true)
 }
@@ -2565,9 +2307,9 @@ enum UndoOp {
 /// are never rebuilt after [`SearchState::with_search`]. Scoring via
 /// [`SearchState::evaluate`] reuses per-worker [`EvalScratch`] buffers —
 /// after warm-up a proposal allocates nothing — and, whenever the
-/// [`SearchConfig`] provisions a distance cache (dense or packed),
-/// re-sweeps only the sources whose distance vectors the move can
-/// actually change (see the module docs). The re-sweeps *and*
+/// [`SearchConfig`] provisions a distance cache, re-sweeps only the
+/// sources whose distance vectors the move can actually change (see
+/// the module docs). The re-sweeps *and*
 /// per-source repairs of one evaluation form a single job, run inline
 /// or over the worker pool's per-shard claim cursors.
 #[derive(Debug)]
@@ -2601,8 +2343,8 @@ pub struct SearchState {
 impl SearchState {
     /// Builds the engine around `start` with `workers` evaluation
     /// threads (the caller's thread counts as one; clamped to
-    /// `1..=m`) and the given cache provisioning policy (see
-    /// [`SearchConfig::resolve_codec`]). [`resolve_parallel_eval`] is
+    /// `1..=m`) and the given cache budget (see
+    /// [`SearchConfig::cache_fits`]). [`resolve_parallel_eval`] is
     /// the automatic worker count.
     ///
     /// Fails with [`GraphError::Disconnected`] if some host pair is
@@ -2645,9 +2387,7 @@ impl SearchState {
             workers,
             scratch: vec![EvalScratch::default(); workers],
             srcs: Vec::new(),
-            cache: cfg
-                .resolve_codec(m)
-                .map(|codec| DistCache::with_codec(m, codec)),
+            cache: cfg.cache_fits(m).then(|| DistCache::new(m)),
             pool,
             rebfs_buf: Vec::new(),
             repair_buf: Vec::new(),
@@ -2727,13 +2467,6 @@ impl SearchState {
     #[inline]
     pub fn cache_active(&self) -> bool {
         self.cache.as_ref().is_some_and(|c| !c.disabled)
-    }
-
-    /// The row codec the live distance cache uses, or `None` when every
-    /// evaluation is a full sweep.
-    #[inline]
-    pub fn cache_codec(&self) -> Option<CacheCodec> {
-        self.cache.as_ref().filter(|c| !c.disabled).map(|c| c.codec)
     }
 
     /// Evaluation-path counters (full vs incremental vs early-rejected).
@@ -2960,7 +2693,7 @@ impl SearchState {
             if let Some(outcome) = self.evaluate_cached(n, reject_above) {
                 return outcome;
             }
-            // the cached sweep overflowed the codec's distance cap: drop
+            // the cached sweep overflowed the distance cap: drop
             // the cache and fall through to the plain path
             if let Some(c) = &mut self.cache {
                 c.release();
@@ -3025,7 +2758,6 @@ impl SearchState {
                 cache.log_swept_row(s);
             }
         }
-        let max_dist = cache.max_dist;
         let ptrs = cache.ptrs();
         let rctx = RepairCtx {
             cache: ptrs,
@@ -3040,7 +2772,7 @@ impl SearchState {
             log: in_txn,
         };
         for rs in &mut self.rscratch {
-            rs.ensure(m, max_dist);
+            rs.ensure(m);
             rs.reset_job();
         }
         let job = JobPacket {
@@ -3197,19 +2929,18 @@ impl SearchState {
             return Ok(());
         }
         let m = cache.m;
-        let max_dist = cache.max_dist;
         let settled = cache.edge_delta.is_empty();
         for s in 0..m {
             if !cache.valid[s] {
                 continue;
             }
+            let row = &cache.rows[s * m..(s + 1) * m];
             // aggregates must match the row as stored + current counts
             let mut wsum = 0u64;
-            let mut hist = vec![0u32; max_dist];
+            let mut hist = vec![0u32; MAX_DIST];
             let mut nreach = 0u32;
-            let mut ecc = 0u16;
-            for (v, &k) in self.counts.iter().enumerate().take(m) {
-                let d = row_get(&cache.store, m, s, v);
+            let mut ecc = 0u8;
+            for (v, (&k, &d)) in self.counts.iter().zip(row).enumerate() {
                 if v == s || d == INVALID_DIST || k == 0 {
                     continue;
                 }
@@ -3221,7 +2952,7 @@ impl SearchState {
             if wsum != cache.wsum[s]
                 || nreach != cache.nreach[s]
                 || ecc != cache.ecc[s]
-                || hist != cache.hist[s * max_dist..(s + 1) * max_dist]
+                || hist != cache.hist[s * MAX_DIST..(s + 1) * MAX_DIST]
             {
                 return Err(format!(
                     "cache aggregates of source {s} diverged from its row \
@@ -3232,16 +2963,15 @@ impl SearchState {
             if settled {
                 // rows must equal fresh BFS distances of the owned graph
                 let fresh = self.g.switch_distances(s as u32);
-                for (v, &f) in fresh.iter().enumerate() {
-                    let f16 = if f == u32::MAX {
-                        INVALID_DIST
+                for (v, (&f, &d)) in fresh.iter().zip(row).enumerate() {
+                    let cached = if d == INVALID_DIST {
+                        u32::MAX
                     } else {
-                        f as u16
+                        u32::from(d)
                     };
-                    let cached = row_get(&cache.store, m, s, v);
-                    if cached != f16 {
+                    if cached != f {
                         return Err(format!(
-                            "cached distance d({s},{v}) = {cached} diverged from fresh {f16}"
+                            "cached distance d({s},{v}) = {cached} diverged from fresh {f}"
                         ));
                     }
                 }
@@ -3302,10 +3032,10 @@ mod tests {
         }
     }
 
-    /// Per-call cost of the codec-generic scan against the per-entry
+    /// Per-call cost of the whole-row scan against the per-entry
     /// reference on single swings, at the two perf-ledger solve sizes
-    /// (dense rows at m = 195, packed at m = 6177); run with
-    /// `--release -- --ignored --nocapture` when tuning the scan.
+    /// (m = 195 and 6177); run with `--release -- --ignored --nocapture`
+    /// when tuning the scan.
     #[test]
     #[ignore = "perf harness, not a correctness check"]
     fn scan_kernel_cost_comparison() {
@@ -3342,8 +3072,7 @@ mod tests {
             }
             let us = |t: f64| t / calls as f64 * 1e6;
             println!(
-                "m = {m} ({:?}): kernel {:.1} us, reference {:.1} us per swing scan ({calls} scans)",
-                st.cache_codec().unwrap(),
+                "m = {m}: kernel {:.1} us, reference {:.1} us per swing scan ({calls} scans)",
                 us(kernel),
                 us(reference)
             );
@@ -3422,92 +3151,15 @@ mod tests {
     }
 
     #[test]
-    fn search_config_resolves_codec_by_mode_and_budget() {
-        let auto = SearchConfig::default();
-        assert_eq!(auto.resolve_codec(64), Some(CacheCodec::Dense));
-        assert_eq!(
-            auto.resolve_codec(CACHE_MAX_SWITCHES + 1),
-            Some(CacheCodec::Packed)
+    fn search_config_budget_provisions_the_cache() {
+        let default = SearchConfig::default();
+        assert!(default.cache_fits(64));
+        assert!(
+            default.cache_fits(65536),
+            "the Graph-Golf range runs cached"
         );
-        assert_eq!(auto.resolve_codec(1), None);
-        assert_eq!(SearchConfig::off().resolve_codec(64), None);
-        let tight = SearchConfig {
-            cache_mode: CacheMode::Auto,
-            memory_budget_bytes: 1024,
-        };
-        assert_eq!(tight.resolve_codec(4096), None);
-        let forced = SearchConfig {
-            cache_mode: CacheMode::Compressed,
-            ..SearchConfig::default()
-        };
-        assert_eq!(forced.resolve_codec(64), Some(CacheCodec::Packed));
-        assert!(SearchConfig::compressed_cache_bytes(64) < SearchConfig::dense_cache_bytes(64));
-        assert_eq!("compressed".parse::<CacheMode>(), Ok(CacheMode::Compressed));
-        assert_eq!("auto".parse::<CacheMode>(), Ok(CacheMode::Auto));
-        assert!("bogus".parse::<CacheMode>().is_err());
-    }
-
-    #[test]
-    fn compressed_cache_matches_dense_and_plain() {
-        // the packed-u8 codec must follow bit-identical trajectories to
-        // the dense codec and the no-cache oracle across mixed proposals
-        // with commits and rollbacks
-        let g = random_general(96, 24, 8, 13).unwrap();
-        let dense_cfg = SearchConfig {
-            cache_mode: CacheMode::Dense,
-            ..SearchConfig::default()
-        };
-        let packed_cfg = SearchConfig {
-            cache_mode: CacheMode::Compressed,
-            ..SearchConfig::default()
-        };
-        let mut dense = SearchState::with_search(g.clone(), 1, dense_cfg).unwrap();
-        let mut packed = SearchState::with_search(g.clone(), 1, packed_cfg).unwrap();
-        let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
-        assert_eq!(dense.cache_codec(), Some(CacheCodec::Dense));
-        assert_eq!(packed.cache_codec(), Some(CacheCodec::Packed));
-        assert_eq!(plain.cache_codec(), None);
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        for step in 0..120 {
-            let applied = if step % 2 == 0 {
-                sample_swing(dense.graph(), dense.edges(), &mut rng, 24).map(|s| {
-                    dense.begin();
-                    packed.begin();
-                    plain.begin();
-                    dense.apply_swing(s).unwrap();
-                    packed.apply_swing(s).unwrap();
-                    plain.apply_swing(s).unwrap();
-                })
-            } else {
-                sample_swap(dense.graph(), dense.edges(), &mut rng, 24).map(|s| {
-                    dense.begin();
-                    packed.begin();
-                    plain.begin();
-                    dense.apply_swap(s).unwrap();
-                    packed.apply_swap(s).unwrap();
-                    plain.apply_swap(s).unwrap();
-                })
-            };
-            if applied.is_none() {
-                continue;
-            }
-            let want = plain.evaluate();
-            assert_eq!(dense.evaluate(), want, "step {step}");
-            assert_eq!(packed.evaluate(), want, "step {step}");
-            if step % 3 == 0 && want.is_some() {
-                dense.commit();
-                packed.commit();
-                plain.commit();
-            } else {
-                dense.rollback();
-                packed.rollback();
-                plain.rollback();
-            }
-        }
-        assert_eq!(dense.evaluate(), packed.evaluate());
-        dense.check_consistency().unwrap();
-        packed.check_consistency().unwrap();
-        assert!(packed.eval_stats().incremental > 0);
+        assert!(!default.cache_fits(1));
+        assert!(!SearchConfig::off().cache_fits(2));
     }
 
     #[test]
@@ -3596,10 +3248,12 @@ mod tests {
 
     #[test]
     fn evaluate_batches_beyond_64_sources() {
-        // more than 64 hostful switches exercises multi-batch sweeps
-        let g = ring(130, 1, 4);
+        // more than 64 hostful switches exercises multi-batch sweeps; the
+        // 126-ring's eccentricity of 63 is the deepest the rows hold
+        let g = ring(126, 1, 4);
         let expect = path_metrics(&g).unwrap();
         let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
+        assert!(st.cache_active());
         assert_eq!(st.evaluate().unwrap(), expect);
     }
 
@@ -3643,25 +3297,44 @@ mod tests {
 
     #[test]
     fn cache_disabled_engine_matches_cached() {
-        let g = random_general(96, 24, 8, 3).unwrap();
-        let mut plain = SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap();
-        let mut cached = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
-        assert!(!plain.cache_active());
+        // the cached engine must follow the no-cache oracle bit for bit
+        // across mixed proposals with commits and rollbacks
+        let g = random_general(96, 24, 8, 13).unwrap();
+        let mut cached = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
         assert!(cached.cache_active());
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for _ in 0..80 {
-            let Some(s) = sample_swap(plain.graph(), plain.edges(), &mut rng, 24) else {
-                continue;
+        assert!(!plain.cache_active());
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for step in 0..120 {
+            let applied = if step % 2 == 0 {
+                sample_swing(plain.graph(), plain.edges(), &mut rng, 24).map(|s| {
+                    cached.begin();
+                    plain.begin();
+                    cached.apply_swing(s).unwrap();
+                    plain.apply_swing(s).unwrap();
+                })
+            } else {
+                sample_swap(plain.graph(), plain.edges(), &mut rng, 24).map(|s| {
+                    cached.begin();
+                    plain.begin();
+                    cached.apply_swap(s).unwrap();
+                    plain.apply_swap(s).unwrap();
+                })
             };
-            plain.begin();
-            cached.begin();
-            plain.apply_swap(s).unwrap();
-            cached.apply_swap(s).unwrap();
-            assert_eq!(plain.evaluate(), cached.evaluate());
-            plain.rollback();
-            cached.rollback();
+            if applied.is_none() {
+                continue;
+            }
+            let want = plain.evaluate();
+            assert_eq!(cached.evaluate(), want, "step {step}");
+            if step % 3 == 0 && want.is_some() {
+                cached.commit();
+                plain.commit();
+            } else {
+                cached.rollback();
+                plain.rollback();
+            }
         }
-        assert_eq!(plain.evaluate(), cached.evaluate());
+        assert_eq!(cached.evaluate(), plain.evaluate());
         cached.check_consistency().unwrap();
         assert!(cached.eval_stats().incremental > 0);
     }
@@ -3944,7 +3617,7 @@ mod tests {
         st.check_consistency().unwrap();
     }
 
-    /// Runs the codec-generic scan and the per-entry reference on the
+    /// Runs the whole-row scan and the per-entry reference on the
     /// pending delta and asserts that they agree field by field.
     /// Returns the scan, the number of removed links and the number of
     /// rows queued for re-BFS.
@@ -3985,21 +3658,14 @@ mod tests {
         // many would still score every proposal correctly (more repairs,
         // same answer), so only a field-by-field comparison catches it.
         // Odd switch counts leave a partial vector at the end of each row.
-        for (mode, m, seed) in [
-            (CacheMode::Dense, 101u32, 41u64),
-            (CacheMode::Compressed, 77, 43),
-        ] {
+        for (m, seed) in [(101u32, 41u64), (77, 43)] {
             let g = random_general(4 * m, m, 10, seed).unwrap();
-            let cfg = SearchConfig {
-                cache_mode: mode,
-                ..SearchConfig::default()
-            };
-            let mut st = SearchState::with_search(g, 1, cfg).unwrap();
+            let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
             let mut cur = st.evaluate().unwrap();
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (mut witnessed, mut unguarded, mut conservative, mut flagged) = (0, 0, 0, 0);
             for step in 0..240 {
-                let what = format!("{mode:?} step {step}");
+                let what = format!("m = {m} step {step}");
                 st.begin();
                 // 0, 1: a single swing (guardable: the witness passes
                 // run); 2: a swap; 3: a nested 2-neighbor swing with no
@@ -4077,13 +3743,13 @@ mod tests {
                     }
                 }
             }
-            assert!(witnessed > 20, "{mode:?}: {witnessed} guardable removals");
-            assert!(unguarded > 20, "{mode:?}: {unguarded} unguardable removals");
+            assert!(witnessed > 20, "m = {m}: {witnessed} guardable removals");
+            assert!(unguarded > 20, "m = {m}: {unguarded} unguardable removals");
             assert!(
                 conservative > 5,
-                "{mode:?}: {conservative} conservative scans"
+                "m = {m}: {conservative} conservative scans"
             );
-            assert!(flagged > 0, "{mode:?}: no NO_STRICT source");
+            assert!(flagged > 0, "m = {m}: no NO_STRICT source");
             st.check_consistency().unwrap();
             assert_eq!(st.evaluate().unwrap(), path_metrics(st.graph()).unwrap());
         }
@@ -4091,14 +3757,13 @@ mod tests {
 
     #[test]
     fn cache_survives_depth_overflow_by_disabling() {
-        // a 300-ring has eccentricity 150, beyond the dense codec's
-        // 128-hop cap: the engine must fall back to the full sweep and
-        // still score correctly
-        let g = ring(300, 1, 4);
+        // a 128-ring has eccentricity 64, the rows' distance cap (the
+        // first ring that overflows): the engine must fall back to the
+        // full sweep and still score correctly
+        let g = ring(128, 1, 4);
         let expect = path_metrics(&g).unwrap();
         let mut st = SearchState::with_search(g, 1, SearchConfig::default()).unwrap();
         assert!(!st.cache_active());
-        assert_eq!(st.cache_codec(), None);
         assert_eq!(st.evaluate().unwrap(), expect);
         assert!(st.eval_stats().full >= 2);
     }

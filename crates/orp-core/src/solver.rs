@@ -106,9 +106,9 @@ impl Solver {
         self
     }
 
-    /// Distance-cache policy (codec selection and memory budget) for
-    /// the evaluation engine; a shorthand for setting
-    /// [`SaConfig::search`] after [`Solver::config`].
+    /// Distance-cache memory budget of the evaluation engine; a
+    /// shorthand for setting [`SaConfig::search`] after
+    /// [`Solver::config`].
     pub fn search(mut self, search: SearchConfig) -> Self {
         self.cfg.search = search;
         self

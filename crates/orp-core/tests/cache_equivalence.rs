@@ -1,16 +1,16 @@
 //! Property test: every distance-cache configuration of the search
-//! engine — no cache (full batched sweeps, the oracle), dense `u16`
-//! rows, compressed `u8` rows, and the sharded multi-worker repair
-//! path — is observationally *bit-identical* on any transaction
-//! history, including rollbacks and nested transactions.
+//! engine — no cache (full batched sweeps, the oracle), the cache on
+//! one worker, and the sharded multi-worker repair path — is
+//! observationally *bit-identical* on any transaction history,
+//! including rollbacks and nested transactions.
 //!
 //! This is the contract that lets `SearchConfig` be a pure
-//! wall-clock/memory knob: solver results can never depend on cache
-//! mode, memory budget, or worker count.
+//! wall-clock/memory knob: solver results can never depend on the
+//! memory budget or the worker count.
 
 use orp_core::construct::random_general;
 use orp_core::ops::{sample_swap, sample_swing, Swing};
-use orp_core::search::{CacheCodec, SearchConfig, SearchState};
+use orp_core::search::{SearchConfig, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -93,10 +93,10 @@ fn step(st: &mut SearchState, rng: &mut ChaCha8Rng) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Plain-sweep oracle vs dense cache vs compressed cache vs the
-    /// sharded (multi-worker) repair path: after every step, all four
-    /// engines agree on connectivity, `total_length`, diameter, and the
-    /// raw h-ASPL bits.
+    /// Plain-sweep oracle vs the cache on 1, 3 and 4 workers (the
+    /// latter two run the sharded repair path): after every step, all
+    /// four engines agree on connectivity, `total_length`, diameter,
+    /// and the raw h-ASPL bits.
     #[test]
     fn all_cache_configurations_are_bit_identical(
         gseed in 0u64..32,
@@ -104,19 +104,17 @@ proptest! {
         steps in 8usize..32,
     ) {
         let g = random_general(32, 16, 8, gseed).unwrap();
-        let dense = SearchConfig { cache_mode: orp_core::search::CacheMode::Dense, ..SearchConfig::default() };
-        let packed = SearchConfig { cache_mode: orp_core::search::CacheMode::Compressed, ..SearchConfig::default() };
+        let cached = SearchConfig::default();
         let mut engines = [
             ("oracle", SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap()),
-            ("dense", SearchState::with_search(g.clone(), 1, dense).unwrap()),
-            ("packed", SearchState::with_search(g.clone(), 1, packed).unwrap()),
-            ("dense-sharded", SearchState::with_search(g.clone(), 3, dense).unwrap()),
-            ("packed-sharded", SearchState::with_search(g, 4, packed).unwrap()),
+            ("cached", SearchState::with_search(g.clone(), 1, cached).unwrap()),
+            ("sharded-3", SearchState::with_search(g.clone(), 3, cached).unwrap()),
+            ("sharded-4", SearchState::with_search(g, 4, cached).unwrap()),
         ];
-        // the codecs actually differ — otherwise this test is vacuous
-        prop_assert_eq!(engines[1].1.cache_codec(), Some(CacheCodec::Dense));
-        prop_assert_eq!(engines[2].1.cache_codec(), Some(CacheCodec::Packed));
-        prop_assert_eq!(engines[0].1.cache_codec(), None);
+        // only the oracle runs uncached — otherwise this test is vacuous
+        for (name, st) in &engines {
+            prop_assert!(st.cache_active() == (*name != "oracle"), "{name}: cache_active");
+        }
 
         for s in 0..steps {
             // one RNG per engine, same seed: identical move streams
@@ -158,34 +156,39 @@ proptest! {
         }
     }
 
-    /// A degenerate memory budget degrades the cache to Off — and the
-    /// degraded engine still matches the oracle bit-for-bit.
+    /// The memory budget is the cache's only knob: a budget of exactly
+    /// `SearchConfig::cache_bytes(m)` provisions the cache, while one
+    /// byte less (or a degenerate budget) runs uncached — and every
+    /// engine still matches the oracle bit-for-bit.
     #[test]
     fn starved_budget_degrades_but_stays_exact(
         gseed in 0u64..16,
         opseed in any::<u64>(),
     ) {
         let g = random_general(24, 12, 8, gseed).unwrap();
-        let starved = SearchConfig {
-            memory_budget_bytes: 1, // nothing fits
-            ..SearchConfig::default()
-        };
-        let mut tight = SearchState::with_search(g.clone(), 2, starved).unwrap();
-        prop_assert!(tight.cache_codec().is_none(), "budget must force Off");
-        let mut oracle = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
-        for s in 0..12usize {
-            let mut ra = ChaCha8Rng::seed_from_u64(opseed.wrapping_add(s as u64));
-            let mut rb = ra.clone();
-            step(&mut tight, &mut ra);
-            step(&mut oracle, &mut rb);
-            let (a, b) = (tight.evaluate(), oracle.evaluate());
-            match (a, b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    prop_assert!(a.total_length == b.total_length, "step {s}");
-                    prop_assert!(a.haspl.to_bits() == b.haspl.to_bits(), "step {s}");
+        let need = SearchConfig::cache_bytes(g.num_switches() as usize);
+        for (budget, cached) in [(1, false), (need - 1, false), (need, true)] {
+            let cfg = SearchConfig { memory_budget_bytes: budget };
+            let mut tight = SearchState::with_search(g.clone(), 2, cfg).unwrap();
+            prop_assert!(tight.cache_active() == cached, "budget {budget}: cache_active");
+            let mut oracle = SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap();
+            for s in 0..12usize {
+                let mut ra = ChaCha8Rng::seed_from_u64(opseed.wrapping_add(s as u64));
+                let mut rb = ra.clone();
+                step(&mut tight, &mut ra);
+                step(&mut oracle, &mut rb);
+                let (a, b) = (tight.evaluate(), oracle.evaluate());
+                match (a, b) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        prop_assert!(a.total_length == b.total_length, "budget {budget} step {s}");
+                        prop_assert!(
+                            a.haspl.to_bits() == b.haspl.to_bits(),
+                            "budget {budget} step {s}"
+                        );
+                    }
+                    (a, b) => prop_assert!(false, "budget {budget} step {s}: diverged {a:?} vs {b:?}"),
                 }
-                (a, b) => prop_assert!(false, "step {s}: diverged {a:?} vs {b:?}"),
             }
         }
     }

@@ -5,8 +5,7 @@
 //! [`SimContext`] borrowing the clock and the event queue, through which
 //! they can read the current time, schedule a future callback to
 //! themselves, and cancel one they no longer believe in. The engine
-//! routes the callback back into the component via
-//! [`Event::Model`](crate::event::Event).
+//! routes the callback back into the component via `Event::Model`.
 
 use crate::event::{Event, EventId};
 use crate::queue::EventQueue;

@@ -1,11 +1,11 @@
 //! The discrete-event simulation core.
 //!
 //! The engine orchestrates three kinds of components over one explicit
-//! [`EventQueue`](crate::queue::EventQueue): the MPI ranks
-//! ([`crate::rank::Ranks`] — sequential programs of [`Op`]s that block
-//! on sends/receives), the fault injector (a [`FaultEvent`] schedule is
-//! just another event source), and an open-loop traffic source
-//! ([`InjectedFlow`]s addressed to hosts, bypassing rank matching).
+//! [`EventQueue`]: the MPI ranks (`Ranks` — sequential programs of
+//! [`Op`]s that block on sends/receives), the fault injector (a
+//! [`FaultEvent`] schedule is just another event source), and an
+//! open-loop traffic source ([`InjectedFlow`]s addressed to hosts,
+//! bypassing rank matching).
 //!
 //! *How* concurrently streaming flows divide link bandwidth is delegated
 //! to a pluggable [`ThroughputSharingModel`](crate::sharing): exact

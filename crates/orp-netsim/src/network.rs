@@ -241,7 +241,7 @@ impl Network {
     }
 
     /// Whether a host was cut off by the static faults this network was
-    /// compiled with (always `false` for [`Network::new`]).
+    /// compiled with (always `false` without [`NetworkBuilder::faults`]).
     pub fn host_dead(&self, h: Host) -> bool {
         self.dead_host[h as usize]
     }

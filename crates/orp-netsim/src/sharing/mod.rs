@@ -113,9 +113,9 @@ impl std::ops::Deref for RouteBuf {
 /// Kept to 64 bytes (one cache line) so a million concurrent flows cost
 /// 64 MB of flow table: the four timing fields the latency decomposition
 /// needs — and nothing on the simulation path reads — live in
-/// [`FlowAux`] beside the telemetry vectors, allocated only while a
+/// `FlowAux` beside the telemetry vectors, allocated only while a
 /// recorder is attached. Short routes live inline in the flow record
-/// ([`RouteBuf`]); the rare boxed route is freed when the flow finishes,
+/// (`RouteBuf`); the rare boxed route is freed when the flow finishes,
 /// so heap route memory is bounded by the *concurrent* flow count, not
 /// the total.
 #[derive(Debug)]

@@ -1067,23 +1067,21 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
             .or_else(|| cur.gauge_sum(n).map(|g| g as u64))
     });
     // cache line
-    if let Some(bytes) = cur.gauge_sum("cache.resident_bytes") {
-        let codec = match cur
-            .gauge("cache.packed")
-            .or_else(|| cur.gauge_sum("cache.packed"))
-        {
-            Some(v) if v > 0.0 => "packed",
-            Some(_) => "dense",
-            None => "?",
-        };
-        let mut line = format!("cache: {codec} · {} resident", fmt_bytes(bytes));
-        if let Some(rep) = cur.gauge_sum("cache.rows_repaired") {
-            let _ = write!(line, " · rows repaired {:.0}", rep);
+    match cur.gauge_sum("cache.resident_bytes") {
+        Some(bytes) if bytes > 0.0 => {
+            let mut line = format!("cache: {} resident", fmt_bytes(bytes));
+            if let Some(rep) = cur.gauge_sum("cache.rows_repaired") {
+                let _ = write!(line, " · rows repaired {:.0}", rep);
+            }
+            if let Some(sw) = cur.gauge_sum("cache.rows_swept") {
+                let _ = write!(line, " / swept {:.0}", sw);
+            }
+            let _ = writeln!(o, "{line}");
         }
-        if let Some(sw) = cur.gauge_sum("cache.rows_swept") {
-            let _ = write!(line, " / swept {:.0}", sw);
+        Some(_) => {
+            let _ = writeln!(o, "cache: off");
         }
-        let _ = writeln!(o, "{line}");
+        None => {}
     }
     // workers
     let rows = worker_rows(cur);
@@ -1377,7 +1375,6 @@ mod tests {
         rec.gauge_dyn("temper.r0.temp", 0.9);
         rec.gauge_dyn("temper.r1.temp", 0.1);
         rec.gauge("cache.resident_bytes", 1.5e9);
-        rec.gauge("cache.packed", 1.0);
         rec.gauge("watchdog.heartbeat_us", 1.0);
         rec.incr("watchdog.stalls", 1);
         // crafted worker indexes cost one row each, not an allocation
@@ -1412,12 +1409,23 @@ mod tests {
             "w18446744073709551615",
             "progress",
             "exchanges accepted",
+            "cache: 1.40 GiB resident",
         ] {
             assert!(
                 dash.contains(needle),
                 "dashboard missing {needle:?}:\n{dash}"
             );
         }
+        let _ = std::fs::remove_file(&path);
+
+        // an uncached run publishes zero resident bytes
+        let path = tmp("render-uncached.jsonl");
+        let sink = StreamSink::with_interval(&path, Duration::from_secs(0)).unwrap();
+        let rec = Recorder::enabled();
+        rec.gauge("cache.resident_bytes", 0.0);
+        sink.finish(&rec, || {});
+        let dash = render_dashboard(&read_stream(&path).unwrap(), None);
+        assert!(dash.contains("cache: off\n"), "{dash}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,7 +8,7 @@
 //!   shortest-path routing the paper's SimGrid setup uses);
 //! * [`updown::UpDownRouting`] — Autonet-style up*/down* deadlock-free
 //!   deterministic routing (the topology-agnostic scheme of the paper's
-//!   reference [14]), useful for ablations on routing restrictions.
+//!   reference \[14\]), useful for ablations on routing restrictions.
 //!
 //! ```
 //! use orp_core::HostSwitchGraph;

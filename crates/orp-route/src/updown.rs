@@ -1,6 +1,6 @@
 //! Up*/down* routing (Autonet-style), the classic topology-agnostic
 //! deadlock-free deterministic scheme surveyed in the paper's reference
-//! [14]: orient every link "up" toward a BFS root (lower BFS level wins,
+//! \[14\]: orient every link "up" toward a BFS root (lower BFS level wins,
 //! ties by lower switch id); a legal path takes zero or more up links
 //! followed by zero or more down links, which provably rules out cyclic
 //! channel dependencies.

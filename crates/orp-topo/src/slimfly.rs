@@ -1,4 +1,4 @@
-//! The Slim Fly (Besta & Hoefler, SC'14) — the paper's reference [2] and
+//! The Slim Fly (Besta & Hoefler, SC'14) — the paper's reference \[2\] and
 //! the strongest low-diameter conventional design: a diameter-2
 //! McKay–Miller–Širáň (MMS) graph used as the switch fabric.
 //!

@@ -4,18 +4,19 @@
 //! orp bounds  <n> <r>                  lower bounds and m_opt prediction
 //! orp solve   <n> <r> [iters] [out] [--trace t.json] [--metrics m.jsonl]
 //!             [--checkpoint ck.orp] [--every N] [--resume] [--watchdog secs]
-//!             [--cache-mode auto|dense|compressed|off] [--mem-budget bytes]
-//!             [--replicas k] [--exchange-every N] [--workers w]
+//!             [--mem-budget bytes] [--replicas k] [--exchange-every N]
+//!             [--workers w]
 //!                                      anneal a topology, optionally save it;
 //!                                      --trace writes a Chrome trace of the run;
 //!                                      --metrics streams live JSONL telemetry
 //!                                      you can tail with `orp watch` mid-run;
 //!                                      --checkpoint saves crash-safe snapshots
 //!                                      (resumable with --resume, bit-identical);
-//!                                      --cache-mode/--mem-budget control the
-//!                                      distance cache (compressed u8 rows reach
-//!                                      n = 65536); --replicas >= 2 runs parallel
-//!                                      tempering over a geometric ladder;
+//!                                      --mem-budget caps the distance cache
+//!                                      (0 turns it off; the 8 GiB default
+//!                                      reaches n = 65536); --replicas >= 2
+//!                                      runs parallel tempering over a
+//!                                      geometric ladder;
 //!                                      --workers pins the evaluation pool
 //! orp eval    <file.hsg>               metrics of a saved host-switch graph
 //! orp compare <n> <r>                  ORP vs torus/dragonfly/fat-tree table
@@ -168,16 +169,14 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let usage = "usage: orp solve <n> <r> [iters] [out.hsg] [--trace t.json] \
                  [--metrics m.jsonl] [--checkpoint ck.orp] [--every N] [--resume] \
-                 [--watchdog secs] [--cache-mode auto|dense|compressed|off] \
-                 [--mem-budget bytes] [--replicas k] [--exchange-every N] \
-                 [--workers w]";
+                 [--watchdog secs] [--mem-budget bytes] [--replicas k] \
+                 [--exchange-every N] [--workers w]";
     let (trace, pos) = split_value_flag(args, "--trace")?;
     let (metrics, pos) = split_value_flag(&pos, "--metrics")?;
     let (workers, pos) = split_value_flag(&pos, "--workers")?;
     let (ckpt, pos) = split_value_flag(&pos, "--checkpoint")?;
     let (every, pos) = split_value_flag(&pos, "--every")?;
     let (watchdog, pos) = split_value_flag(&pos, "--watchdog")?;
-    let (cache_mode, pos) = split_value_flag(&pos, "--cache-mode")?;
     let (mem_budget, pos) = split_value_flag(&pos, "--mem-budget")?;
     let (replicas, pos) = split_value_flag(&pos, "--replicas")?;
     let (exchange_every, pos) = split_value_flag(&pos, "--exchange-every")?;
@@ -192,11 +191,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     instance(n.into(), r.into(), usage)?;
     let iters: usize = arg_num(&pos, 2, 8000);
     let mut search = SearchConfig::default();
-    if let Some(mode) = cache_mode {
-        search.cache_mode = mode
-            .parse()
-            .map_err(|e: String| format!("--cache-mode: {e}"))?;
-    }
     if let Some(b) = mem_budget {
         search.memory_budget_bytes = b
             .parse()

@@ -7,7 +7,9 @@
 //! the same way instead of panicking, and so does a graph file
 //! declaring more switches than its lines can describe. A `--workers`
 //! count beyond the instance's switch count runs, clamped to one
-//! evaluation worker per switch.
+//! evaluation worker per switch. `--mem-budget` is the distance
+//! cache's only knob: `0` runs uncached to the same answer, and the
+//! retired `--cache-mode` is an unknown flag.
 
 use orp::core::construct::random_general;
 use orp::core::io;
@@ -61,6 +63,26 @@ fn simulate_rejects_unknown_and_retired_flags() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("sim-state:"));
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn solve_cache_follows_the_memory_budget_alone() {
+    let state = |args: &[&str]| {
+        let out = orp(args);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{args:?}: {stdout}");
+        let line = stdout.lines().find(|l| l.starts_with("solve-state:"));
+        line.expect("solve-state line").to_owned()
+    };
+    let cached = state(&["solve", "64", "4", "200"]);
+    assert_eq!(
+        state(&["solve", "64", "4", "200", "--mem-budget", "0"]),
+        cached
+    );
+    assert_rejects(
+        &["solve", "64", "4", "200", "--cache-mode", "compressed"],
+        "--cache-mode",
+    );
 }
 
 #[test]
