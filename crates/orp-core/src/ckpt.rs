@@ -313,9 +313,10 @@ impl<'a> Decoder<'a> {
         Ok(self.get_u8()? != 0)
     }
 
-    /// Reads a length, bounding it by the bytes actually remaining so a
-    /// corrupted length cannot trigger an enormous allocation.
-    fn get_len(&mut self, elem_size: usize) -> Result<usize, CkptError> {
+    /// Reads a count of entries at least `elem_size` bytes each, bounding
+    /// it by the bytes actually remaining ([`CkptError::Truncated`] past
+    /// them) so a corrupted count cannot trigger an enormous allocation.
+    pub fn get_len(&mut self, elem_size: usize) -> Result<usize, CkptError> {
         let n = self.get_u64()? as usize;
         if n.checked_mul(elem_size)
             .is_none_or(|b| b > self.remaining())

@@ -1073,10 +1073,25 @@ impl<'a> Simulator<'a> {
         }
         let mut rdec = Decoder::new(&ck.ranks);
         self.ranks.decode_state(&mut rdec)?;
+        // what this configuration can produce bounds every table the
+        // file sizes: one flow per network send or injection (a fault
+        // re-issue keeps the flow's id), and one queue slot per event
+        // that can be live at once (an activation per flow, a compute
+        // timer per rank, each fault, a model event per link)
+        let max_flows = self.ranks.sends() + self.injections.len();
+        let max_events = max_flows + self.ranks.len() + self.fault_events.len() + nl;
         let mut fdec = Decoder::new(&ck.flows);
-        let (flows, aux) = decode_flows(&mut fdec, self.net.num_links())?;
+        let (flows, aux) = decode_flows(&mut fdec, self.net.num_links(), max_flows)?;
+        // delivery indexes the rank table by a finished flow's endpoints
+        let ends = |f: &Flow| if f.injected { nh } else { self.ranks.len() };
+        if flows
+            .iter()
+            .any(|f| !f.finished && f.src.max(f.dst) as usize >= ends(f))
+        {
+            return Err(bad("live flow names an endpoint outside the configuration"));
+        }
         let mut qdec = Decoder::new(&ck.queue);
-        let queue = decode_queue(&mut qdec)?;
+        let queue = decode_queue(&mut qdec, max_events)?;
         for (_, _, _, _, ev) in queue.live_entries() {
             let ok = match *ev {
                 Event::Activate(fid) => (fid as usize) < flows.len(),
@@ -1487,7 +1502,9 @@ pub struct SimCheckpoint {
     inj_seq_base: u64,
     dead_link: Vec<bool>,
     dead_host: Vec<bool>,
-    /// [`Ranks`] state blob (contexts, channels, runnable queue).
+    /// [`Ranks`] state blob: rank contexts, pending (delivered, not yet
+    /// received) messages per channel, posted receives and the runnable
+    /// queue.
     ranks: Vec<u8>,
     /// Flow-record blob (routes, remaining bytes, lifecycle flags).
     flows: Vec<u8>,
@@ -1717,16 +1734,22 @@ fn encode_flows(flows: &[Flow], aux: &[FlowAux], enc: &mut Encoder) {
     }
 }
 
-/// Inverse of [`encode_flows`], validating routes against the network.
-/// Returns the flow table plus the per-flow timing table (all-zeros when
-/// the snapshot was taken without a recorder).
+/// Inverse of [`encode_flows`], validating routes against the network
+/// and the table size against `max_flows`, the most the configuration
+/// can issue. Returns the flow table plus the per-flow timing table
+/// (all-zeros when the snapshot was taken without a recorder).
 #[allow(clippy::type_complexity)]
 fn decode_flows(
     dec: &mut Decoder<'_>,
     num_links: u32,
+    max_flows: usize,
 ) -> Result<(Vec<Flow>, Vec<FlowAux>), CkptError> {
     let bad = |what: &str| CkptError::BadSection(format!("flow table: {what}"));
-    let n = dec.get_u64()? as usize;
+    let n = dec.get_u64()?;
+    if n > max_flows as u64 {
+        return Err(bad("more flows than the programs and injections issue"));
+    }
+    let n = n as usize;
     let live = dec.get_u64()? as usize;
     if live > n {
         return Err(bad("more live flows than flows"));
@@ -1812,8 +1835,10 @@ fn encode_queue(q: &EventQueue<Event>, enc: &mut Encoder) {
     }
 }
 
-/// Inverse of [`encode_queue`].
-fn decode_queue(dec: &mut Decoder<'_>) -> Result<EventQueue<Event>, CkptError> {
+/// Inverse of [`encode_queue`]. Slots must lie below `max_events`, the
+/// most events the configuration can hold live at once: the slab never
+/// outgrows its peak of live events.
+fn decode_queue(dec: &mut Decoder<'_>, max_events: usize) -> Result<EventQueue<Event>, CkptError> {
     let format = dec.get_u8()?;
     if format != QUEUE_FORMAT {
         return Err(CkptError::BadSection(format!(
@@ -1844,6 +1869,11 @@ fn decode_queue(dec: &mut Decoder<'_>) -> Result<EventQueue<Event>, CkptError> {
             ));
         }
         let slot = dec.get_u32()?;
+        if slot as usize >= max_events {
+            return Err(CkptError::BadSection(
+                "event slot beyond the events the configuration can hold".into(),
+            ));
+        }
         if !slots_seen.insert(slot) {
             return Err(CkptError::BadSection(
                 "two queued events share a slab slot".into(),
@@ -2873,21 +2903,40 @@ mod tests {
         );
     }
 
+    /// Cuts `make`'s run after `cut` events and returns its checkpoint.
+    fn cut_at<'n>(make: impl Fn() -> SimulatorBuilder<'n>, path: &Path, cut: u64) -> SimCheckpoint {
+        let mut sim = make().checkpoint(path).build();
+        sim.stop_after_events = Some(cut);
+        sim.run().unwrap_err();
+        SimCheckpoint::load(path).unwrap()
+    }
+
+    /// Resumes `make`'s run from `ck` with a section edited. The file
+    /// carries a valid container CRC, so only the section decoders stand
+    /// between a hostile section and the simulator.
+    fn resume_edited<'n>(
+        make: impl Fn() -> SimulatorBuilder<'n>,
+        ck: &SimCheckpoint,
+        path: &Path,
+        edit: impl FnOnce(&mut SimCheckpoint),
+    ) -> Result<SimReport, SimError> {
+        let mut bad = ck.clone();
+        edit(&mut bad);
+        bad.save(path).unwrap();
+        make().resume_from(path).run()
+    }
+
     #[test]
     fn exact_resume_rejects_duplicate_and_idle_flow_ids() {
         let net = ring_net();
         let dir = temp_dir("crafted");
         let path = dir.join("sim-crafted.orp");
-        let reference = busy_builder(&net, SharingMode::ExactMaxMin).run().unwrap();
+        let make = || busy_builder(&net, SharingMode::ExactMaxMin);
+        let reference = make().run().unwrap();
         // a cut with two flows streaming and an idle id below them
         let (ck, active, idle) = (1..reference.events)
             .find_map(|cut| {
-                let mut sim = busy_builder(&net, SharingMode::ExactMaxMin)
-                    .checkpoint(&path)
-                    .build();
-                sim.stop_after_events = Some(cut);
-                sim.run().unwrap_err();
-                let ck = SimCheckpoint::load(&path).unwrap();
+                let ck = cut_at(make, &path, cut);
                 let active = exact_model_active(&ck);
                 let top = *active.iter().max()?;
                 let idle = (0..top).find(|f| !active.contains(f))?;
@@ -2895,16 +2944,13 @@ mod tests {
             })
             .expect("some cut has two streaming flows above an idle one");
         let crafted = |list: Vec<u32>| {
-            let mut enc = Encoder::new();
-            enc.put_f64(net.config().bandwidth);
-            enc.put_u32_slice(&list);
-            enc.put_bool(true);
-            let mut bad = ck.clone();
-            bad.model = enc.into_bytes();
-            bad.save(&path).unwrap();
-            busy_builder(&net, SharingMode::ExactMaxMin)
-                .resume_from(&path)
-                .run()
+            resume_edited(make, &ck, &path, |c| {
+                let mut enc = Encoder::new();
+                enc.put_f64(net.config().bandwidth);
+                enc.put_u32_slice(&list);
+                enc.put_bool(true);
+                c.model = enc.into_bytes();
+            })
         };
         // the untouched list resumes (the crafting itself is sound)
         let resumed = crafted(active.clone()).unwrap();
@@ -2920,6 +2966,151 @@ mod tests {
                 }
                 other => panic!("{what} id: expected BadSection, got {other:?}"),
             }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_bounds_and_checks_the_rank_section() {
+        let net = ring_net();
+        let path = temp_dir("crafted").join("sim-ranks.orp");
+        // after the first event rank 0 has a receive posted on rank 1,
+        // which finished computing and waits in the runnable queue
+        let make = || {
+            Simulator::builder(&net).programs(vec![
+                vec![Op::Recv { from: 1 }],
+                vec![Op::Compute(1e8), Op::Send { to: 0, bytes: 1e6 }],
+            ])
+        };
+        let ck = cut_at(make, &path, 1);
+        // the context count and two 15-byte contexts, then the channel,
+        // posted-receive and runnable lists
+        let contexts = &ck.ranks[..8 + 2 * 15];
+        let with_lists = |lists: &dyn Fn(&mut Encoder)| {
+            let mut enc = Encoder::new();
+            lists(&mut enc);
+            [contexts, &enc.into_bytes()].concat()
+        };
+        let resume = |ranks: Vec<u8>| resume_edited(make, &ck, &path, |c| c.ranks = ranks);
+        let huge = with_lists(&|e| e.put_u64(1 << 40));
+        match resume(huge) {
+            Err(SimError::Ckpt(CkptError::Truncated)) => {}
+            other => panic!("2^40 channels: expected Truncated, got {other:?}"),
+        }
+        let lists = |chans: &[[u32; 4]], rx: &[[u32; 3]]| {
+            with_lists(&|e| {
+                e.put_u64(chans.len() as u64);
+                chans.iter().flatten().for_each(|&v| e.put_u32(v));
+                e.put_u64(rx.len() as u64);
+                rx.iter().flatten().for_each(|&v| e.put_u32(v));
+                e.put_u32_slice(&[1]);
+            })
+        };
+        // no channel is pending at the cut, so none is written
+        assert_eq!(ck.ranks, lists(&[], &[[1, 0, 0]]), "state at the cut");
+        for (what, ranks) in [
+            (
+                "channel to rank 2 of 2",
+                lists(&[[1, 2, 1, 0]], &[[1, 0, 0]]),
+            ),
+            ("posted receive missing", lists(&[], &[])),
+            ("posted receive from rank 0", lists(&[], &[[0, 0, 0]])),
+        ] {
+            match resume(ranks) {
+                Err(SimError::Ckpt(CkptError::BadSection(msg))) => {
+                    assert!(msg.starts_with("ranks:"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected BadSection, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_bounds_the_flow_table_by_the_configuration() {
+        let net = ring_net();
+        let path = temp_dir("crafted").join("sim-flows.orp");
+        let make = || busy_builder(&net, SharingMode::ExactMaxMin);
+        let ck = cut_at(make, &path, 5);
+        // `n` flows, the first live ones from `(src, injected)` to 0
+        let table = |n: u64, live: &[(u32, bool)]| {
+            let mut enc = Encoder::new();
+            enc.put_u64(n);
+            enc.put_u64(live.len() as u64);
+            enc.put_bool(false);
+            for (fid, &(src, injected)) in (0u64..).zip(live) {
+                enc.put_u64(fid);
+                enc.put_u32_slice(&[]);
+                enc.put_f64(1.0);
+                enc.put_f64(0.0);
+                enc.put_u32(src);
+                enc.put_u32(0);
+                enc.put_u64(0);
+                enc.put_bool(false);
+                enc.put_f64(1.0);
+                enc.put_bool(injected);
+            }
+            enc.into_bytes()
+        };
+        // four ranks on four hosts; four network sends and eight
+        // injections issue at most 12 flows
+        for (what, flows, expect) in [
+            ("2^40 flows", table(1 << 40, &[]), "more flows than"),
+            ("13 flows", table(13, &[]), "more flows than"),
+            ("from rank 4", table(1, &[(4, false)]), "endpoint"),
+            ("from host 4", table(1, &[(4, true)]), "endpoint"),
+        ] {
+            match resume_edited(make, &ck, &path, |c| c.flows = flows) {
+                Err(SimError::Ckpt(CkptError::BadSection(msg))) => {
+                    assert!(msg.contains(expect), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected BadSection, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_bounds_event_slots_by_the_configuration() {
+        let net = ring_net();
+        let path = temp_dir("crafted").join("sim-queue.orp");
+        let make = || busy_builder(&net, SharingMode::ExactMaxMin);
+        let ck = cut_at(make, &path, 5);
+        // the first live entry's slot follows the format byte, seven
+        // counters, the entry count, its time and its sequence number
+        let at = 1 + 7 * 8 + 8 + 8 + 8;
+        assert!(ck.queue.len() > at + 4, "no live event at the cut");
+        let err = resume_edited(make, &ck, &path, |c| {
+            c.queue[at..at + 4].copy_from_slice(&(u32::MAX - 1).to_le_bytes())
+        });
+        match err {
+            Err(SimError::Ckpt(CkptError::BadSection(msg))) => {
+                assert!(msg.contains("event slot"), "{msg}")
+            }
+            other => panic!("expected BadSection, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resume_bounds_approx_fair_link_heaps_by_the_bytes_left() {
+        let net = ring_net();
+        let path = temp_dir("crafted").join("sim-heaps.orp");
+        let make = || busy_builder(&net, SharingMode::ApproxFair);
+        let ck = cut_at(make, &path, 5);
+        let err = resume_edited(make, &ck, &path, |c| {
+            // bandwidth and link count kept; link 0 then declares 2^40
+            // heap entries of 16 bytes each
+            let mut enc = Encoder::new();
+            enc.put_u32(0);
+            enc.put_f64(0.0);
+            enc.put_f64(0.0);
+            enc.put_u64(1 << 40);
+            c.model = [&c.model[..16], &enc.into_bytes()].concat();
+        });
+        match err {
+            Err(SimError::Ckpt(CkptError::Truncated)) => {}
+            other => panic!("expected Truncated, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -2950,12 +3141,9 @@ mod tests {
         let net = ring_net();
         let dir = temp_dir("rec");
         let path = dir.join("sim-rec.orp");
-        let reference = busy_builder(&net, SharingMode::ExactMaxMin).run().unwrap();
-        let mut sim = busy_builder(&net, SharingMode::ExactMaxMin)
-            .checkpoint(&path)
-            .build();
-        sim.stop_after_events = Some(reference.events / 3);
-        sim.run().unwrap_err();
+        let make = || busy_builder(&net, SharingMode::ExactMaxMin);
+        let reference = make().run().unwrap();
+        cut_at(make, &path, reference.events / 3);
         let rec = Recorder::enabled();
         let resumed = busy_builder(&net, SharingMode::ExactMaxMin)
             .resume_from(&path)
@@ -2974,11 +3162,7 @@ mod tests {
         let net = ring_net();
         let dir = temp_dir("reject");
         let path = dir.join("sim-reject.orp");
-        let mut sim = busy_builder(&net, SharingMode::ExactMaxMin)
-            .checkpoint(&path)
-            .build();
-        sim.stop_after_events = Some(5);
-        sim.run().unwrap_err();
+        cut_at(|| busy_builder(&net, SharingMode::ExactMaxMin), &path, 5);
         // different program → config echo mismatch
         let err = Simulator::builder(&net)
             .programs(vec![vec![Op::Compute(1.0)]])
@@ -3019,11 +3203,7 @@ mod tests {
         let net = ring_net();
         let dir = temp_dir("corrupt");
         let path = dir.join("sim-corrupt.orp");
-        let mut sim = busy_builder(&net, SharingMode::ExactMaxMin)
-            .checkpoint(&path)
-            .build();
-        sim.stop_after_events = Some(5);
-        sim.run().unwrap_err();
+        cut_at(|| busy_builder(&net, SharingMode::ExactMaxMin), &path, 5);
         let good = std::fs::read(&path).unwrap();
         // truncated mid-payload
         let cut = dir.join("truncated.orp");

@@ -8,10 +8,18 @@
 //! [`Ranks::compute_done`]. Wake-ups go onto an internal FIFO the engine
 //! drains — FIFO order is part of the deterministic-results contract
 //! (flow ids, and with them ECMP hashes, are assigned in wake order).
+//!
+//! Matching holds only messages in flight: a delivered message goes
+//! straight to a receive posted on its source (the receiver's
+//! `waiting_recv_from`, the only record of a posted receive), or else
+//! adds to the receiver's `(src, count)` pending list, which receives
+//! drain. A drained channel keeps no state, and nothing is hashed; a
+//! message costs a scan of its receiver's list, which fan-in patterns
+//! lengthen (DESIGN.md §5b).
 
 use crate::engine::{Op, Program};
 use orp_core::ckpt::{CkptError, Decoder, Encoder};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// What a blocked rank is waiting for — carried by
 /// [`SimError::Deadlock`](crate::engine::SimError::Deadlock) and
@@ -105,12 +113,6 @@ struct RankCtx {
     done: bool,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct ChannelState {
-    delivered: u32,
-    consumed: u32,
-}
-
 const NO_RECV: u32 = u32::MAX;
 
 /// All ranks of a simulation plus their message-matching state.
@@ -118,8 +120,9 @@ const NO_RECV: u32 = u32::MAX;
 pub(crate) struct Ranks {
     programs: Vec<Program>,
     ctx: Vec<RankCtx>,
-    channels: HashMap<(u32, u32), ChannelState>,
-    waiting_rx: HashMap<(u32, u32), u32>,
+    /// Per receiver: `(src, count)` of messages delivered but not yet
+    /// received; counts are never zero.
+    pending: Vec<Vec<(u32, u32)>>,
     runnable: VecDeque<u32>,
 }
 
@@ -135,8 +138,7 @@ impl Ranks {
                 };
                 n
             ],
-            channels: HashMap::new(),
-            waiting_rx: HashMap::new(),
+            pending: vec![Vec::new(); n],
             runnable: VecDeque::new(),
         }
     }
@@ -207,46 +209,41 @@ impl Ranks {
         }
     }
 
-    /// Tries to consume a pending message `from → me`; blocks the rank
-    /// otherwise.
+    /// Consumes a pending message `from → me`; posts the receive (and so
+    /// blocks the rank) when none is pending.
     pub(crate) fn try_recv(&mut self, me: u32, from: u32) {
-        let ch = self.channels.entry((from, me)).or_default();
-        if ch.delivered > ch.consumed {
-            ch.consumed += 1;
-        } else {
-            self.ctx[me as usize].waiting_recv_from = from;
-            let prev = self.waiting_rx.insert((from, me), me);
-            debug_assert!(prev.is_none(), "double recv on one channel");
+        let pending = &mut self.pending[me as usize];
+        match pending.iter().position(|&(src, _)| src == from) {
+            Some(i) if pending[i].1 > 1 => pending[i].1 -= 1,
+            Some(i) => {
+                pending.swap_remove(i);
+            }
+            None => self.ctx[me as usize].waiting_recv_from = from,
         }
     }
 
-    /// Marks one message from `src` delivered at `dst`, waking the
-    /// blocked sender and/or receiver (sender first — wake order feeds
-    /// the FIFO and is part of the determinism contract).
+    /// Marks one message from `src` delivered at `dst`: wakes the blocked
+    /// sender, then hands the message to a receive posted on `src` (waking
+    /// the receiver) or adds it to `dst`'s pending count. Sender first —
+    /// wake order feeds the FIFO and is part of the determinism contract.
     pub(crate) fn deliver(&mut self, src: u32, dst: u32) {
-        self.channels.entry((src, dst)).or_default().delivered += 1;
-        // wake the sender (blocking send semantics)
-        if let Some(c) = self.ctx.get_mut(src as usize) {
-            if c.waiting_send {
-                c.waiting_send = false;
-                if self.runnable(src) {
-                    self.runnable.push_back(src);
-                }
+        let c = &mut self.ctx[src as usize];
+        if c.waiting_send {
+            c.waiting_send = false;
+            if self.runnable(src) {
+                self.runnable.push_back(src);
             }
         }
-        // wake a waiting receiver
-        if let Some(&r) = self.waiting_rx.get(&(src, dst)) {
-            let ch = self.channels.get_mut(&(src, dst)).expect("just touched");
-            if ch.delivered > ch.consumed {
-                ch.consumed += 1;
-                self.waiting_rx.remove(&(src, dst));
-                let c = &mut self.ctx[r as usize];
-                debug_assert_eq!(c.waiting_recv_from, src);
-                c.waiting_recv_from = NO_RECV;
-                if self.runnable(r) {
-                    self.runnable.push_back(r);
-                }
+        let c = &mut self.ctx[dst as usize];
+        if c.waiting_recv_from == src {
+            c.waiting_recv_from = NO_RECV;
+            if self.runnable(dst) {
+                self.runnable.push_back(dst);
             }
+        } else if let Some(e) = self.pending[dst as usize].iter_mut().find(|e| e.0 == src) {
+            e.1 += 1;
+        } else {
+            self.pending[dst as usize].push((src, 1));
         }
     }
 
@@ -258,11 +255,17 @@ impl Ranks {
         }
     }
 
-    /// Serializes the mutable matching state (program counters, channel
-    /// delivery counts, posted receives, and the runnable FIFO in
-    /// order). The programs themselves are builder configuration and
-    /// are *not* serialized — the engine echoes a checksum of them.
-    /// HashMaps are emitted key-sorted so identical states byte-match.
+    /// Network sends in the programs: the most flows they can issue.
+    pub(crate) fn sends(&self) -> usize {
+        let is_send = |op: &&Op| matches!(op, Op::Send { .. } | Op::SendRecv { .. });
+        self.programs.iter().flatten().filter(is_send).count()
+    }
+
+    /// Serializes the rank contexts, the pending channels as key-sorted
+    /// `(src, dst, delivered = pending, consumed = 0)`, the posted
+    /// receives as key-sorted `(src, dst, dst)` and the runnable FIFO in
+    /// order: the layout hashed matching wrote, so old files still load.
+    /// Programs are configuration, echoed by the engine as a checksum.
     pub(crate) fn encode_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.ctx.len() as u64);
         for c in &self.ctx {
@@ -273,45 +276,30 @@ impl Ranks {
             enc.put_bool(c.computing);
             enc.put_bool(c.done);
         }
-        let mut chans: Vec<(u32, u32, u32, u32)> = self
-            .channels
-            .iter()
-            .map(|(&(a, b), s)| (a, b, s.delivered, s.consumed))
+        let mut chans: Vec<[u32; 4]> = (0..)
+            .zip(&self.pending)
+            .flat_map(|(dst, p)| p.iter().map(move |&(src, k)| [src, dst, k, 0]))
             .collect();
         chans.sort_unstable();
         enc.put_u64(chans.len() as u64);
-        for (a, b, delivered, consumed) in chans {
-            enc.put_u32(a);
-            enc.put_u32(b);
-            enc.put_u32(delivered);
-            enc.put_u32(consumed);
+        chans.iter().flatten().for_each(|&v| enc.put_u32(v));
+        let posted = posted(&self.ctx);
+        enc.put_u64(posted.len() as u64);
+        for (src, dst) in posted {
+            [src, dst, dst].into_iter().for_each(|v| enc.put_u32(v));
         }
-        let mut rx: Vec<(u32, u32, u32)> = self
-            .waiting_rx
-            .iter()
-            .map(|(&(a, b), &r)| (a, b, r))
-            .collect();
-        rx.sort_unstable();
-        enc.put_u64(rx.len() as u64);
-        for (a, b, r) in rx {
-            enc.put_u32(a);
-            enc.put_u32(b);
-            enc.put_u32(r);
-        }
-        enc.put_u64(self.runnable.len() as u64);
-        for &r in &self.runnable {
-            enc.put_u32(r);
-        }
+        enc.put_u32_slice(&self.runnable.iter().copied().collect::<Vec<_>>());
     }
 
     /// Restores state written by [`Ranks::encode_state`] over the same
-    /// programs, validating every index against them.
+    /// programs (drained channels are skipped). Every rank must lie in
+    /// `0..n`, and the posted receives must be those the contexts imply.
     pub(crate) fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CkptError> {
-        let bad = |what: String| CkptError::BadSection(what);
+        let bad = |what: &str| Err(CkptError::BadSection(format!("ranks: {what}")));
         let n = self.ctx.len();
-        let stored = dec.get_u64()? as usize;
-        if stored != n {
-            return Err(bad(format!("ranks: {stored} contexts, expected {n}")));
+        let out = |r: u32| r as usize >= n;
+        if dec.get_u64()? != n as u64 {
+            return bad(&format!("context count is not {n}"));
         }
         let mut ctx = Vec::with_capacity(n);
         for r in 0..n {
@@ -323,46 +311,42 @@ impl Ranks {
                 computing: dec.get_bool()?,
                 done: dec.get_bool()?,
             };
-            if c.pc as usize > self.programs[r].len() {
-                return Err(bad(format!("ranks: pc out of range for rank {r}")));
+            if c.pc as usize > self.programs[r].len() || out(c.send_to) {
+                return bad(&format!("rank {r}: pc or send destination out of range"));
             }
             ctx.push(c);
         }
-        let nc = dec.get_u64()? as usize;
-        let mut channels = HashMap::with_capacity(nc);
-        for _ in 0..nc {
-            let key = (dec.get_u32()?, dec.get_u32()?);
-            let st = ChannelState {
-                delivered: dec.get_u32()?,
-                consumed: dec.get_u32()?,
-            };
-            if st.consumed > st.delivered {
-                return Err(bad("ranks: channel consumed more than delivered".into()));
+        let mut pending = vec![Vec::new(); n];
+        let mut last = None;
+        for _ in 0..dec.get_len(16)? {
+            let (src, dst) = (dec.get_u32()?, dec.get_u32()?);
+            let (delivered, consumed) = (dec.get_u32()?, dec.get_u32()?);
+            if out(src) || out(dst) || last >= Some((src, dst)) {
+                return bad("channel out of range or out of order");
             }
-            channels.insert(key, st);
+            if consumed > delivered {
+                return bad("channel consumed more than delivered");
+            }
+            last = Some((src, dst));
+            if delivered > consumed {
+                pending[dst as usize].push((src, delivered - consumed));
+            }
         }
-        let nr = dec.get_u64()? as usize;
-        let mut waiting_rx = HashMap::with_capacity(nr);
-        for _ in 0..nr {
-            let key = (dec.get_u32()?, dec.get_u32()?);
-            let r = dec.get_u32()?;
-            if r as usize >= n {
-                return Err(bad("ranks: waiting receiver out of range".into()));
-            }
-            waiting_rx.insert(key, r);
+        let posted = posted(&ctx);
+        if dec.get_u64()? != posted.len() as u64 {
+            return bad("posted receives disagree with the contexts");
         }
-        let nq = dec.get_u64()? as usize;
-        let mut runnable = VecDeque::with_capacity(nq);
-        for _ in 0..nq {
-            let r = dec.get_u32()?;
-            if r as usize >= n {
-                return Err(bad("ranks: runnable rank out of range".into()));
+        for (src, dst) in posted {
+            if out(src) || (dec.get_u32()?, dec.get_u32()?, dec.get_u32()?) != (src, dst, dst) {
+                return bad("posted receives disagree with the contexts");
             }
-            runnable.push_back(r);
+        }
+        let runnable = VecDeque::from(dec.get_u32_vec()?);
+        if runnable.iter().any(|&r| out(r)) {
+            return bad("runnable rank out of range");
         }
         self.ctx = ctx;
-        self.channels = channels;
-        self.waiting_rx = waiting_rx;
+        self.pending = pending;
         self.runnable = runnable;
         Ok(())
     }
@@ -388,5 +372,237 @@ impl Ranks {
                 BlockedRank { rank: r, reason }
             })
             .collect()
+    }
+}
+
+/// Posted receives as key-sorted `(src, dst)` pairs.
+fn posted(ctx: &[RankCtx]) -> Vec<(u32, u32)> {
+    let mut rx: Vec<(u32, u32)> = (0..)
+        .zip(ctx)
+        .filter(|(_, c)| c.waiting_recv_from != NO_RECV)
+        .map(|(dst, c)| (c.waiting_recv_from, dst))
+        .collect();
+    rx.sort_unstable();
+    rx
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const B: f64 = 1e3;
+
+    /// Runs every runnable rank until it blocks, as the engine does (a
+    /// `SendRecv` posts its receive right after issuing its send).
+    fn drain(r: &mut Ranks) {
+        while let Some(x) = r.pop_runnable() {
+            loop {
+                match r.step(x) {
+                    Step::Idle => break,
+                    Step::SendRecv { from, .. } => r.try_recv(x, from),
+                    Step::Compute { .. } | Step::Send { .. } => {}
+                }
+            }
+        }
+    }
+
+    fn started(programs: Vec<Program>) -> Ranks {
+        let mut r = Ranks::new(programs);
+        r.enqueue_all();
+        drain(&mut r);
+        r
+    }
+
+    fn reasons(r: &Ranks) -> Vec<(u32, WaitReason)> {
+        r.blocked().iter().map(|b| (b.rank, b.reason)).collect()
+    }
+
+    #[test]
+    fn message_delivered_before_its_receive_is_posted_waits_as_pending() {
+        let mut r = started(vec![
+            vec![Op::Send { to: 1, bytes: B }],
+            vec![Op::Compute(1.0), Op::Recv { from: 0 }],
+        ]);
+        r.deliver(0, 1);
+        assert_eq!(r.pending[1], [(0, 1)], "no receive posted yet");
+        drain(&mut r);
+        assert!(r.is_done(0), "the sender resumed on delivery");
+        r.compute_done(1);
+        drain(&mut r);
+        assert!(r.all_done(), "the receive consumed the pending message");
+        assert!(
+            r.pending.iter().all(Vec::is_empty),
+            "drained channels keep no state"
+        );
+    }
+
+    #[test]
+    fn two_messages_pend_on_one_channel_as_a_count() {
+        let mut r = started(vec![
+            vec![Op::Send { to: 1, bytes: B }, Op::Send { to: 1, bytes: B }],
+            vec![
+                Op::Compute(1.0),
+                Op::Recv { from: 0 },
+                Op::Recv { from: 0 },
+                Op::Recv { from: 0 },
+            ],
+        ]);
+        r.deliver(0, 1);
+        drain(&mut r);
+        r.deliver(0, 1);
+        drain(&mut r);
+        assert_eq!(r.pending[1], [(0, 2)]);
+        r.compute_done(1);
+        drain(&mut r);
+        // both pending messages received, the third receive is posted
+        assert_eq!(reasons(&r), [(1, WaitReason::Recv { from: 0 })]);
+        assert!(r.pending[1].is_empty());
+        r.deliver(0, 1);
+        assert_eq!(r.pop_runnable(), Some(1));
+    }
+
+    #[test]
+    fn sendrecv_consumes_a_receive_half_delivered_earlier() {
+        let mut r = started(vec![
+            vec![
+                Op::Compute(1.0),
+                Op::SendRecv {
+                    to: 1,
+                    bytes: B,
+                    from: 1,
+                },
+            ],
+            vec![Op::Send { to: 0, bytes: B }, Op::Recv { from: 0 }],
+        ]);
+        r.deliver(1, 0);
+        assert_eq!(r.pending[0], [(1, 1)]);
+        drain(&mut r);
+        r.compute_done(0);
+        drain(&mut r);
+        assert!(r.pending[0].is_empty(), "the receive half took the message");
+        assert_eq!(
+            reasons(&r),
+            [
+                (0, WaitReason::SendDelivery { to: 1 }),
+                (1, WaitReason::Recv { from: 0 })
+            ]
+        );
+        r.deliver(0, 1);
+        drain(&mut r);
+        assert!(r.all_done());
+    }
+
+    #[test]
+    fn delivery_wakes_the_sender_before_the_receiver() {
+        for (src, dst) in [(0, 1), (1, 0)] {
+            let mut programs = vec![Vec::new(), Vec::new()];
+            programs[src as usize] = vec![Op::Send { to: dst, bytes: B }];
+            programs[dst as usize] = vec![Op::Recv { from: src }];
+            let mut r = started(programs);
+            r.deliver(src, dst);
+            assert_eq!(r.pop_runnable(), Some(src), "sender first");
+            assert_eq!(r.pop_runnable(), Some(dst));
+            assert_eq!(r.pop_runnable(), None);
+        }
+    }
+
+    /// A rank section in the checkpoint layout, written out by hand.
+    fn section(ctx: &[RankCtx], chans: &[[u32; 4]], rx: &[[u32; 3]], runnable: &[u32]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u64(ctx.len() as u64);
+        for c in ctx {
+            enc.put_u32(c.pc);
+            enc.put_bool(c.waiting_send);
+            enc.put_u32(c.send_to);
+            enc.put_u32(c.waiting_recv_from);
+            enc.put_bool(c.computing);
+            enc.put_bool(c.done);
+        }
+        enc.put_u64(chans.len() as u64);
+        chans.iter().flatten().for_each(|&v| enc.put_u32(v));
+        enc.put_u64(rx.len() as u64);
+        rx.iter().flatten().for_each(|&v| enc.put_u32(v));
+        enc.put_u32_slice(runnable);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn hashed_matcher_sections_decode_to_their_pending_state() {
+        let programs = vec![
+            vec![
+                Op::Send { to: 1, bytes: B },
+                Op::Send { to: 2, bytes: B },
+                Op::Send { to: 2, bytes: B },
+            ],
+            vec![Op::Recv { from: 0 }, Op::Recv { from: 2 }],
+            vec![
+                Op::Compute(1.0),
+                Op::Recv { from: 0 },
+                Op::Recv { from: 0 },
+                Op::Send { to: 1, bytes: B },
+            ],
+        ];
+        let ctx = |pc, waiting_recv_from, computing, done| RankCtx {
+            pc,
+            waiting_recv_from,
+            computing,
+            done,
+            ..Default::default()
+        };
+        // rank 0 done, rank 1 posted on 2, rank 2 computing with both of
+        // rank 0's messages pending
+        let ctxs = [
+            ctx(3, NO_RECV, false, true),
+            ctx(2, 2, false, false),
+            ctx(1, NO_RECV, true, false),
+        ];
+        // the hashed matcher listed every channel it had ever touched
+        let old = section(
+            &ctxs,
+            &[[0, 1, 1, 1], [0, 2, 3, 1], [2, 1, 0, 0]],
+            &[[2, 1, 1]],
+            &[],
+        );
+        let mut r = Ranks::new(programs.clone());
+        r.decode_state(&mut Decoder::new(&old)).unwrap();
+        assert_eq!(r.pending, [vec![], vec![], vec![(0, 2)]]);
+        let mut enc = Encoder::new();
+        r.encode_state(&mut enc);
+        let new = section(&ctxs, &[[0, 2, 2, 0]], &[[2, 1, 1]], &[]);
+        assert_eq!(enc.into_bytes(), new, "only the pending channel remains");
+        r.compute_done(2);
+        drain(&mut r);
+        assert_eq!(
+            reasons(&r),
+            [
+                (1, WaitReason::Recv { from: 2 }),
+                (2, WaitReason::SendDelivery { to: 1 })
+            ]
+        );
+        r.deliver(2, 1);
+        drain(&mut r);
+        assert!(r.all_done());
+
+        let rejects = |chans: &[[u32; 4]], rx: &[[u32; 3]], runnable: &[u32]| {
+            let bytes = section(&ctxs, chans, rx, runnable);
+            let mut r = Ranks::new(programs.clone());
+            match r.decode_state(&mut Decoder::new(&bytes)) {
+                Err(CkptError::BadSection(msg)) => msg,
+                other => panic!("expected BadSection, got {other:?}"),
+            }
+        };
+        let rx = [[2, 1, 1]];
+        let msg = rejects(&[[0, 3, 1, 0]], &rx, &[]);
+        assert!(msg.contains("out of range"), "{msg}");
+        let msg = rejects(&[[0, 2, 1, 0], [0, 2, 1, 0]], &rx, &[]);
+        assert!(msg.contains("out of order"), "{msg}");
+        let msg = rejects(&[[0, 2, 0, 1]], &rx, &[]);
+        assert!(msg.contains("consumed more"), "{msg}");
+        for rx in [&[][..], &[[0, 1, 1]], &[[2, 1, 0]], &[[2, 1, 1], [2, 1, 1]]] {
+            let msg = rejects(&[], rx, &[]);
+            assert!(msg.contains("posted receives"), "{msg}");
+        }
+        let msg = rejects(&[], &rx, &[3]);
+        assert!(msg.contains("runnable"), "{msg}");
     }
 }

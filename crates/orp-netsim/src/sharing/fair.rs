@@ -457,7 +457,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
             let count = dec.get_u32()?;
             let vtime = dec.get_f64()?;
             let last = dec.get_f64()?;
-            let ne = dec.get_u64()? as usize;
+            let ne = dec.get_len(16)?;
             let mut heap = BinaryHeap::with_capacity(ne);
             for _ in 0..ne {
                 let v = dec.get_f64()?;
