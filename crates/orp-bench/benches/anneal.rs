@@ -3,20 +3,27 @@
 //! swing-only vs 2-neighbor swing at equal budget).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use orp_core::anneal::{anneal, MoveKind, SaConfig};
+use orp_core::anneal::{Anneal, MoveKind, SaConfig, SaResult};
 use orp_core::construct::{random_general, random_regular};
+use orp_core::graph::HostSwitchGraph;
 use orp_core::metrics::path_metrics;
 use orp_core::ops::sample_swing;
 use orp_core::search::{SearchConfig, SearchState};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn cfg(iters: usize) -> SaConfig {
-    SaConfig {
+/// One seed-3 anneal of `start` with `iters` proposals.
+fn anneal(start: &HostSwitchGraph, kind: MoveKind, iters: usize) -> SaResult {
+    let cfg = SaConfig {
         iters,
         seed: 3,
         ..Default::default()
-    }
+    };
+    Anneal::builder(start.clone())
+        .kind(kind)
+        .config(cfg)
+        .run()
+        .unwrap()
 }
 
 /// The raw engine transaction cycle without annealing bookkeeping:
@@ -42,15 +49,11 @@ fn bench_moves(c: &mut Criterion) {
     let mut group = c.benchmark_group("anneal_200_proposals");
     group.sample_size(10);
     let reg = random_regular(256, 64, 12, 3).expect("constructible");
-    group.bench_function("swap", |b| {
-        b.iter(|| anneal(reg.clone(), MoveKind::Swap, &cfg(200)).unwrap())
-    });
+    group.bench_function("swap", |b| b.iter(|| anneal(&reg, MoveKind::Swap, 200)));
     let gen = random_general(256, 55, 12, 3).expect("constructible");
-    group.bench_function("swing", |b| {
-        b.iter(|| anneal(gen.clone(), MoveKind::Swing, &cfg(200)).unwrap())
-    });
+    group.bench_function("swing", |b| b.iter(|| anneal(&gen, MoveKind::Swing, 200)));
     group.bench_function("two_neighbor_swing", |b| {
-        b.iter(|| anneal(gen.clone(), MoveKind::TwoNeighborSwing, &cfg(200)).unwrap())
+        b.iter(|| anneal(&gen, MoveKind::TwoNeighborSwing, 200))
     });
     group.finish();
 }
@@ -61,10 +64,10 @@ fn ablation_quality(c: &mut Criterion) {
     let budget = 1500;
     let gen = random_general(256, 55, 12, 3).expect("constructible");
     let start = path_metrics(&gen).unwrap().haspl;
-    let swing = anneal(gen.clone(), MoveKind::Swing, &cfg(budget)).unwrap();
-    let two = anneal(gen.clone(), MoveKind::TwoNeighborSwing, &cfg(budget)).unwrap();
+    let swing = anneal(&gen, MoveKind::Swing, budget);
+    let two = anneal(&gen, MoveKind::TwoNeighborSwing, budget);
     let reg = random_regular(256, 64, 12, 3).expect("constructible");
-    let swap = anneal(reg, MoveKind::Swap, &cfg(budget)).unwrap();
+    let swap = anneal(&reg, MoveKind::Swap, budget);
     println!("\n== ablation (n=256, r=12, {budget} proposals) ==");
     println!("random start (m=55):      h-ASPL {start:.4}");
     println!("swap-only (m=64 regular): h-ASPL {:.4}", swap.metrics.haspl);

@@ -2,8 +2,8 @@
 //!
 //! Four variants of the same `n = 64`, `r = 8` anneal:
 //!
-//! * `legacy` — the free [`orp_core::anneal::anneal`] entry point (the
-//!   pre-builder API surface),
+//! * `legacy` — [`Anneal::builder`] with no `.recorder()` call, the call
+//!   shape that predates telemetry,
 //! * `builder_disabled` — [`Anneal::builder`] with an explicitly
 //!   attached *disabled* [`Recorder`] (the zero-cost claim under test),
 //! * `builder_enabled` — the same run with a recording `Recorder`, for
@@ -18,7 +18,7 @@
 
 use criterion::Criterion;
 use orp_bench::write_json;
-use orp_core::anneal::{Anneal, MoveKind, SaConfig};
+use orp_core::anneal::{Anneal, SaConfig};
 use orp_core::construct::random_general;
 use orp_core::graph::HostSwitchGraph;
 use orp_obs::{Recorder, StreamSink};
@@ -61,7 +61,7 @@ fn main() {
     let mut group = c.benchmark_group("anneal_n64");
     group.sample_size(10);
     group.bench_function("legacy", |b| {
-        b.iter(|| orp_core::anneal::anneal(start(), MoveKind::TwoNeighborSwing, &cfg()).unwrap())
+        b.iter(|| Anneal::builder(start()).config(cfg()).run().unwrap())
     });
     group.bench_function("builder_disabled", |b| {
         b.iter(|| {

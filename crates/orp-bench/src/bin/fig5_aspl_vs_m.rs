@@ -12,10 +12,11 @@
 //! r ∈ {12, 24}).
 
 use orp_bench::{write_json, Effort};
-use orp_core::anneal::{anneal_general, anneal_regular};
+use orp_core::anneal::MoveKind;
 use orp_core::bounds::{
     continuous_moore_haspl, haspl_lower_bound, moore_haspl, optimal_switch_count,
 };
+use orp_core::solver::Solver;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -100,12 +101,19 @@ fn main() {
             if m > 512 {
                 cfg.iters = cfg.iters.min(3000);
             }
-            let sa_swap = anneal_regular(n, m, r, &cfg)
-                .ok()
-                .map(|res| res.metrics.haspl);
-            let sa_swing = anneal_general(n, m, r, &cfg)
-                .ok()
-                .map(|res| res.metrics.haspl);
+            // the swap starts from a regular graph, so it fails (and
+            // prints "-") where m does not divide n
+            let sa = |kind| {
+                Solver::builder(n, r)
+                    .kind(kind)
+                    .switches(m)
+                    .config(cfg.clone())
+                    .run()
+                    .ok()
+                    .map(|rep| rep.result.metrics.haspl)
+            };
+            let sa_swap = sa(MoveKind::Swap);
+            let sa_swing = sa(MoveKind::TwoNeighborSwing);
             let fmt = |o: Option<f64>| {
                 o.map(|v| format!("{v:>10.4}"))
                     .unwrap_or_else(|| format!("{:>10}", "-"))

@@ -27,11 +27,10 @@ fn main() {
     let combos = [(128u32, 24u32), (1024, 12), (1024, 24)];
     let mut out = Vec::new();
     for (n, r) in combos {
-        // eval_workers stays None: the Solver splits the CPUs across
-        // its restarts
+        // eval_workers stays None: the engine auto-selects threading
         let cfg = effort.sa_config();
         let report = Solver::builder(n, r).config(cfg).run().expect("feasible");
-        let (res, m_opt) = (report.result, report.m_opt);
+        let (res, m_opt) = (report.result, report.m);
         let hist = res.graph.host_distribution();
         let lb = haspl_lower_bound(n as u64, r as u64);
         println!(

@@ -7,8 +7,9 @@
 //! which is why regular (direct-network-style) graphs do badly there.
 
 use orp_bench::{write_json, Effort};
-use orp_core::anneal::{anneal_general, SaConfig};
+use orp_core::anneal::SaConfig;
 use orp_core::bounds::optimal_switch_count;
+use orp_core::solver::Solver;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,7 +39,12 @@ fn main() {
         seed: effort.seed,
         ..Default::default()
     };
-    let res = anneal_general(n, m, r, &cfg).expect("constructible");
+    let res = Solver::builder(n, r)
+        .switches(m)
+        .config(cfg)
+        .run()
+        .expect("constructible")
+        .result;
     let hist = res.graph.host_distribution();
     let unused = hist[0];
     println!("== Fig 8: (n, m, r) = ({n}, {m}, {r}), m_opt would be {m_opt} ==");

@@ -12,9 +12,10 @@
 
 #![warn(missing_docs)]
 
-use orp_core::anneal::{Anneal, SaConfig, SaResult};
+use orp_core::anneal::{SaConfig, SaResult};
 use orp_core::graph::HostSwitchGraph;
 use orp_core::metrics::path_metrics;
+use orp_core::solver::Solver;
 use orp_layout::{evaluate, Floorplan, HardwareModel};
 use orp_netsim::network::Network;
 use orp_netsim::npb::Benchmark;
@@ -65,8 +66,8 @@ impl Effort {
 }
 
 /// Builds the paper's proposed topology for `(n, r)`: `m_opt` from the
-/// continuous Moore bound, 2-neighbor-swing annealing, then the
-/// depth-first host relabelling of §6.2.1.
+/// continuous Moore bound, 2-neighbor-swing annealing ([`Solver`]), then
+/// the depth-first host relabelling of §6.2.1.
 ///
 /// When `ORP_CKPT_DIR` is set, the anneal checkpoints crash-safely to
 /// `<dir>/solve_n<n>_r<r>_i<iters>_s<seed>.orp` and resumes from an
@@ -74,12 +75,7 @@ impl Effort {
 /// mid-solve instead of restarting from scratch (and, by the resume
 /// invariant, produces the bit-identical topology either way).
 pub fn proposed_topology(n: u32, r: u32, effort: &Effort) -> (HostSwitchGraph, SaResult, u32) {
-    let cfg = effort.sa_config();
-    let (m_opt, _) = orp_core::bounds::optimal_switch_count(n as u64, r as u64);
-    let m_opt = m_opt as u32;
-    let start =
-        orp_core::construct::random_general(n, m_opt, r, cfg.seed).expect("feasible ORP instance");
-    let mut b = Anneal::builder(start).config(cfg);
+    let mut solver = Solver::builder(n, r).config(effort.sa_config());
     if let Some(dir) = std::env::var_os("ORP_CKPT_DIR") {
         let dir = PathBuf::from(dir);
         std::fs::create_dir_all(&dir).expect("create checkpoint dir");
@@ -89,14 +85,11 @@ pub fn proposed_topology(n: u32, r: u32, effort: &Effort) -> (HostSwitchGraph, S
             "solve_n{n}_r{r}_i{}_s{}.orp",
             effort.sa_iters, effort.seed
         ));
-        if path.exists() {
-            b = b.resume_from(&path);
-        }
-        b = b.checkpoint(&path);
+        solver = solver.checkpoint(path).resume(true);
     }
-    let res = b.run().expect("feasible ORP instance");
-    let relabeled = relabel_hosts_dfs(&res.graph, 0);
-    (relabeled, res, m_opt)
+    let report = solver.run().expect("feasible ORP instance");
+    let relabeled = relabel_hosts_dfs(&report.result.graph, 0);
+    (relabeled, report.result, report.m)
 }
 
 /// Converts a host-switch graph into the partitioner's format over

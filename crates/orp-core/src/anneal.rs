@@ -1,11 +1,11 @@
 //! Randomized search for ORP (Section 5): simulated annealing with the
 //! swap operation (restricted to regular host-switch graphs, §5.1) and
 //! with the 2-neighbor swing operation (arbitrary host-switch graphs,
-//! §5.2). The end-to-end pipeline of §5.3, which first predicts `m_opt`
-//! from the continuous Moore bound, is [`crate::solver::Solver`].
+//! §5.2). [`Anneal`] anneals a given start graph; the end-to-end
+//! pipeline of §5.3, which first predicts `m_opt` from the continuous
+//! Moore bound and builds the start graph, is [`crate::solver::Solver`].
 
 use crate::ckpt::{self, CkptError, Decoder, Encoder};
-use crate::construct::{random_general, random_regular};
 use crate::error::{GraphError, SaError};
 use crate::graph::HostSwitchGraph;
 use crate::metrics::PathMetrics;
@@ -13,13 +13,12 @@ use crate::ops::{sample_swap, sample_swing, Swing};
 use crate::search::{
     resolve_parallel_eval, EvalOutcome, EvalPathKind, SearchConfig, SearchState, EARLY_REJECT_LOG,
 };
-use crate::watchdog::{ProgressHandle, WatchSource, Watchdog, WatchdogConfig};
+use crate::watchdog::{ProgressHandle, Watchdog, WatchdogConfig};
 use orp_obs::{Event, Recorder, StreamSink};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::{ChaCha8Rng, CHACHA_STATE_WORDS};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Default checkpoint stride for [`Anneal::checkpoint`]: a save every
 /// this many iterations keeps the measured overhead well under 2% of
@@ -80,10 +79,8 @@ pub struct SaConfig {
     /// [`crate::search::resolve_parallel_eval`]: every CPU when the
     /// instance has at least [`crate::search::PARALLEL_SWITCH_THRESHOLD`]
     /// switches and more than one CPU is available, else 1. `Some(w)`
-    /// pins the persistent pool to `w` workers (clamped to `1..=m`) —
-    /// [`crate::solver::Solver`] uses this to split the machine's cores
-    /// across restart workers. Results are bit-identical for every
-    /// worker count.
+    /// pins the persistent pool to `w` workers (clamped to `1..=m`).
+    /// Results are bit-identical for every worker count.
     pub eval_workers: Option<usize>,
     /// Enables the Δh-ASPL lower-bound early reject: a proposal the
     /// distance cache can prove is uphill by more than
@@ -93,10 +90,14 @@ pub struct SaConfig {
     /// differently, so toggling this changes trajectories (each setting
     /// remains fully seed-reproducible).
     pub early_reject: bool,
-    /// Distance-cache memory budget of the evaluation engine. Like
-    /// `eval_workers`, this is a pure wall-clock/memory knob: cached and
-    /// uncached evaluation produce bit-identical metrics, so it is
-    /// exempt from the checkpoint config echo and may differ on resume.
+    /// Distance-cache memory budget of the evaluation engine. Every
+    /// evaluation is bit-identical with and without the cache, but only
+    /// a cached engine can early-reject, and an early reject skips the
+    /// Metropolis draw. So a run whose budget turns the cache off
+    /// follows the cached trajectory only until the guard first fires;
+    /// from there the RNG streams part. The budget is exempt from the
+    /// checkpoint config echo and may differ on resume, under the same
+    /// caveat.
     pub search: SearchConfig,
 }
 
@@ -414,9 +415,9 @@ impl Annealer {
 
     /// Rebuilds an annealer from a checkpoint payload. The config and
     /// move kind of the resuming call must match the checkpointed ones
-    /// (`eval_workers`/`search` excepted — worker count and cache
-    /// budget are pure wall-clock/memory knobs; cached and uncached
-    /// evaluation agree bit for bit). After restoring, the search state is
+    /// (`eval_workers`/`search` excepted — the worker count never changes
+    /// a result, and the cache budget only through the early reject; see
+    /// [`SaConfig::search`]). After restoring, the search state is
     /// re-evaluated from scratch and the result is required to match
     /// the checkpointed metrics bit-for-bit, so silent drift between
     /// the stored graph and stored metrics is impossible.
@@ -1043,10 +1044,7 @@ pub struct Anneal {
     ckpt: Option<PathBuf>,
     every: usize,
     resume: Option<PathBuf>,
-    watchdog: Option<Duration>,
-    watch_source: WatchSource,
-    watch_worker: u32,
-    watch_hard_exit: bool,
+    watchdog: Option<WatchdogConfig>,
     stream: Option<StreamSink>,
 }
 
@@ -1064,9 +1062,6 @@ impl Anneal {
             every: DEFAULT_CHECKPOINT_EVERY,
             resume: None,
             watchdog: None,
-            watch_source: WatchSource::Anneal,
-            watch_worker: 0,
-            watch_hard_exit: false,
             stream: None,
         }
     }
@@ -1119,29 +1114,12 @@ impl Anneal {
     }
 
     /// Arms a stall watchdog: if no iteration completes within
-    /// `window` (wall clock), the run emits a structured
+    /// `cfg.window` (wall clock), the run emits a structured
     /// `watchdog.stalled` diagnostic, force-checkpoints (when a
     /// checkpoint path is set), and returns [`SaError::Stalled`]
     /// instead of hanging forever.
-    pub fn watchdog(mut self, window: Duration) -> Self {
-        self.watchdog = Some(window);
-        self
-    }
-
-    /// Labels the watchdog diagnostics with a source kind and worker
-    /// index (multi-restart solves tag each restart).
-    pub fn watchdog_label(mut self, source: WatchSource, worker: u32) -> Self {
-        self.watch_source = source;
-        self.watch_worker = worker;
-        self
-    }
-
-    /// Lets the watchdog abort the whole process if the run is so
-    /// wedged it never reaches an iteration boundary to observe the
-    /// stall verdict (see [`WatchdogConfig::hard_exit`]). Intended for
-    /// the CLI; library callers should leave this off.
-    pub fn watchdog_hard_exit(mut self, yes: bool) -> Self {
-        self.watch_hard_exit = yes;
+    pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
+        self.watchdog = Some(cfg);
         self
     }
 
@@ -1164,56 +1142,24 @@ impl Anneal {
             }
             None => Annealer::new(self.start, &self.cfg, self.rec.clone())?,
         };
-        let wd = self.watchdog.map(|window| {
-            Watchdog::spawn(
-                WatchdogConfig::new(window)
-                    .source(self.watch_source)
-                    .worker(self.watch_worker)
-                    .hard_exit(self.watch_hard_exit),
-                self.rec.clone(),
-            )
-        });
+        let window_secs = self
+            .watchdog
+            .as_ref()
+            .map_or(0.0, |w| w.window.as_secs_f64());
+        let wd = self
+            .watchdog
+            .map(|cfg| Watchdog::spawn(cfg, self.rec.clone()));
         let ctl = RunCtl {
             ckpt_path: self.ckpt,
             every: self.every,
             watch: wd.as_ref().map(Watchdog::handle),
-            window_secs: self.watchdog.map_or(0.0, |w| w.as_secs_f64()),
+            window_secs,
             stop_after: None,
             stream: self.stream,
             stream_label: None,
         };
         annealer.run(self.kind, &self.cfg, &ctl)
     }
-}
-
-/// Anneals an arbitrary starting graph with the chosen move kind.
-///
-/// The starting graph must have all host pairs connected. This is the
-/// recorder-less convenience form of [`Anneal::builder`].
-pub fn anneal(start: HostSwitchGraph, kind: MoveKind, cfg: &SaConfig) -> Result<SaResult, SaError> {
-    Anneal::builder(start).kind(kind).config(cfg.clone()).run()
-}
-
-/// §5.1: swap-based annealing over regular host-switch graphs with `m`
-/// switches (`m | n` required).
-pub fn anneal_regular(n: u32, m: u32, r: u32, cfg: &SaConfig) -> Result<SaResult, SaError> {
-    let start = random_regular(n, m, r, cfg.seed)?;
-    anneal(start, MoveKind::Swap, cfg)
-}
-
-/// §5.2: 2-neighbor-swing annealing from a balanced random graph with `m`
-/// switches (any `m`).
-pub fn anneal_general(n: u32, m: u32, r: u32, cfg: &SaConfig) -> Result<SaResult, SaError> {
-    let start = random_general(n, m, r, cfg.seed)?;
-    anneal(start, MoveKind::TwoNeighborSwing, cfg)
-}
-
-/// Checkpoint path for restart `i` of a multi-restart solve: the
-/// configured prefix with `.r<i>` appended.
-pub fn restart_ckpt_path(prefix: &Path, i: usize) -> PathBuf {
-    let mut os = prefix.as_os_str().to_owned();
-    os.push(format!(".r{i}"));
-    PathBuf::from(os)
 }
 
 /// Calibrates an initial temperature from the instance itself: samples
@@ -1256,6 +1202,7 @@ pub fn auto_temperature(start: &HostSwitchGraph, cfg: &SaConfig) -> SaConfig {
 mod tests {
     use super::*;
     use crate::bounds::haspl_lower_bound;
+    use crate::construct::{random_general, random_regular};
     use crate::metrics::path_metrics;
 
     fn small_cfg(iters: usize) -> SaConfig {
@@ -1275,7 +1222,11 @@ mod tests {
         let r = 8; // per = 4, k = 4
         let start = random_regular(n, m, r, 7).unwrap();
         let before = path_metrics(&start).unwrap().haspl;
-        let res = anneal(start, MoveKind::Swap, &small_cfg(800)).unwrap();
+        let res = Anneal::builder(start)
+            .kind(MoveKind::Swap)
+            .config(small_cfg(800))
+            .run()
+            .unwrap();
         assert!(res.metrics.haspl <= before);
         res.graph.validate().unwrap();
         // swap preserves regularity
@@ -1290,7 +1241,11 @@ mod tests {
         let r = 8;
         let start = random_general(n, m, r, 3).unwrap();
         let before = path_metrics(&start).unwrap().haspl;
-        let res = anneal(start, MoveKind::TwoNeighborSwing, &small_cfg(800)).unwrap();
+        let res = Anneal::builder(start)
+            .kind(MoveKind::TwoNeighborSwing)
+            .config(small_cfg(800))
+            .run()
+            .unwrap();
         assert!(res.metrics.haspl <= before);
         res.graph.validate().unwrap();
         assert_eq!(res.graph.num_hosts(), n);
@@ -1301,7 +1256,11 @@ mod tests {
     #[test]
     fn plain_swing_anneal_runs() {
         let start = random_general(48, 12, 8, 5).unwrap();
-        let res = anneal(start, MoveKind::Swing, &small_cfg(400)).unwrap();
+        let res = Anneal::builder(start)
+            .kind(MoveKind::Swing)
+            .config(small_cfg(400))
+            .run()
+            .unwrap();
         res.graph.validate().unwrap();
         assert!(res.metrics.haspl >= 2.0);
     }
@@ -1311,15 +1270,18 @@ mod tests {
         let start = random_general(48, 12, 8, 5).unwrap();
         let before = path_metrics(&start).unwrap();
         let cfg = SaConfig::hill_climb(400, 11);
-        let res = anneal(start, MoveKind::TwoNeighborSwing, &cfg).unwrap();
+        let res = Anneal::builder(start).config(cfg).run().unwrap();
         assert!(res.metrics.haspl <= before.haspl);
     }
 
     #[test]
     fn runs_are_reproducible() {
         let cfg = small_cfg(300);
-        let a = anneal_general(48, 12, 8, &cfg).unwrap();
-        let b = anneal_general(48, 12, 8, &cfg).unwrap();
+        let run = || {
+            let start = random_general(48, 12, 8, cfg.seed).unwrap();
+            Anneal::builder(start).config(cfg.clone()).run().unwrap()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.metrics.total_length, b.metrics.total_length);
         assert_eq!(a.graph, b.graph);
     }
@@ -1330,7 +1292,8 @@ mod tests {
             history_stride: 50,
             ..small_cfg(500)
         };
-        let res = anneal_general(48, 12, 8, &cfg).unwrap();
+        let start = random_general(48, 12, 8, cfg.seed).unwrap();
+        let res = Anneal::builder(start).config(cfg).run().unwrap();
         assert!(!res.history.is_empty());
         for w in res.history.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-12);
@@ -1345,15 +1308,13 @@ mod tests {
         assert!(tuned.t0 > 0.0 && tuned.t0 < 0.5, "t0 = {}", tuned.t0);
         assert!(tuned.t_end < tuned.t0);
         // annealing with the tuned schedule still works
-        let res = anneal(
-            g,
-            MoveKind::TwoNeighborSwing,
-            &SaConfig {
+        let res = Anneal::builder(g)
+            .config(SaConfig {
                 iters: 400,
                 ..tuned
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         res.graph.validate().unwrap();
     }
 
@@ -1361,7 +1322,10 @@ mod tests {
     fn recorded_run_is_identical_and_populates_telemetry() {
         let cfg = small_cfg(300);
         let start = random_general(48, 12, 8, 3).unwrap();
-        let plain = anneal(start.clone(), MoveKind::TwoNeighborSwing, &cfg).unwrap();
+        let plain = Anneal::builder(start.clone())
+            .config(cfg.clone())
+            .run()
+            .unwrap();
         let rec = Recorder::enabled();
         let traced = Anneal::builder(start)
             .kind(MoveKind::TwoNeighborSwing)
@@ -1424,8 +1388,9 @@ mod tests {
             eval_workers: Some(3),
             ..small_cfg(300)
         };
-        let a = anneal_general(48, 12, 8, &one).unwrap();
-        let b = anneal_general(48, 12, 8, &three).unwrap();
+        let start = random_general(48, 12, 8, one.seed).unwrap();
+        let a = Anneal::builder(start.clone()).config(one).run().unwrap();
+        let b = Anneal::builder(start).config(three).run().unwrap();
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.accepted, b.accepted);
@@ -1440,8 +1405,12 @@ mod tests {
             early_reject: false,
             ..small_cfg(400)
         };
-        let a = anneal_general(48, 12, 8, &cfg).unwrap();
-        let b = anneal_general(48, 12, 8, &cfg).unwrap();
+        let start = random_general(48, 12, 8, cfg.seed).unwrap();
+        let a = Anneal::builder(start.clone())
+            .config(cfg.clone())
+            .run()
+            .unwrap();
+        let b = Anneal::builder(start).config(cfg).run().unwrap();
         assert_eq!(a.graph, b.graph);
         a.graph.validate().unwrap();
     }
@@ -1451,7 +1420,11 @@ mod tests {
         let mut g = HostSwitchGraph::new(2, 4).unwrap();
         g.attach_host(0).unwrap();
         g.attach_host(1).unwrap();
-        assert!(anneal(g, MoveKind::Swap, &small_cfg(10)).is_err());
+        let res = Anneal::builder(g)
+            .kind(MoveKind::Swap)
+            .config(small_cfg(10))
+            .run();
+        assert!(res.is_err());
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -1473,7 +1446,10 @@ mod tests {
             ..small_cfg(600)
         };
         let start = random_general(48, 12, 8, cfg.seed).unwrap();
-        let reference = anneal(start.clone(), MoveKind::TwoNeighborSwing, &cfg).unwrap();
+        let reference = Anneal::builder(start.clone())
+            .config(cfg.clone())
+            .run()
+            .unwrap();
         for cut in [1usize, 123, 250, 599] {
             let annealer = Annealer::new(start.clone(), &cfg, Recorder::disabled()).unwrap();
             let ctl = RunCtl {
@@ -1514,7 +1490,11 @@ mod tests {
         let path = dir.join("run.ckpt");
         let cfg = small_cfg(500);
         let start = random_general(48, 12, 8, cfg.seed).unwrap();
-        let reference = anneal(start.clone(), MoveKind::Swap, &cfg).unwrap();
+        let reference = Anneal::builder(start.clone())
+            .kind(MoveKind::Swap)
+            .config(cfg.clone())
+            .run()
+            .unwrap();
         // First cut at 150 from a fresh run.
         let a = Annealer::new(start.clone(), &cfg, Recorder::disabled()).unwrap();
         let ctl = RunCtl {
@@ -1598,7 +1578,10 @@ mod tests {
             ..small_cfg(400)
         };
         let start = random_general(48, 12, 8, cfg.seed).unwrap();
-        let reference = anneal(start.clone(), MoveKind::TwoNeighborSwing, &cfg).unwrap();
+        let reference = Anneal::builder(start.clone())
+            .config(cfg.clone())
+            .run()
+            .unwrap();
         let a = Annealer::new(start.clone(), &cfg, Recorder::disabled()).unwrap();
         let ctl = RunCtl {
             ckpt_path: Some(path.clone()),

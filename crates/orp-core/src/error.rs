@@ -100,36 +100,13 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Diagnostic record for one crashed restart worker of
-/// [`crate::solver::Solver`]: which restart it was, the seed
-/// it ran with (for offline reproduction), and the panic payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Restart index (0-based).
-    pub restart: usize,
-    /// The derived seed that restart annealed with.
-    pub seed: u64,
-    /// The panic message, or a placeholder for non-string payloads.
-    pub message: String,
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "restart {} (seed {}) panicked: {}",
-            self.restart, self.seed, self.message
-        )
-    }
-}
-
 /// Errors from running the simulated-annealing search.
 ///
 /// Wraps [`GraphError`] (the historical failure mode — e.g. a
 /// disconnected start graph) and adds the robustness layer's structured
-/// failures: broken move invariants, checkpoint I/O, watchdog stalls,
-/// and restart-worker panics. `Clone + PartialEq` so results containing
-/// it stay comparable in tests and the facade error.
+/// failures: broken move invariants, checkpoint I/O and watchdog stalls.
+/// `Clone + PartialEq` so results containing it stay comparable in
+/// tests and the facade error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SaError {
     /// The underlying graph/search operation failed.
@@ -158,14 +135,6 @@ pub enum SaError {
         /// Where the force-checkpoint was written, if anywhere.
         checkpoint: Option<PathBuf>,
     },
-    /// Every restart worker of a multi-restart solve panicked, so there
-    /// is no surviving result to return. Partial crashes (some workers
-    /// survive) do **not** produce this — see
-    /// [`crate::solver::SolveReport::panics`].
-    AllWorkersPanicked(
-        /// One record per crashed worker.
-        Vec<WorkerPanic>,
-    ),
 }
 
 impl fmt::Display for SaError {
@@ -196,13 +165,6 @@ impl fmt::Display for SaError {
                     None => write!(f, "; no checkpoint path configured"),
                 }
             }
-            Self::AllWorkersPanicked(panics) => {
-                write!(f, "all {} restart workers panicked", panics.len())?;
-                if let Some(first) = panics.first() {
-                    write!(f, " (first: {first})")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -212,7 +174,7 @@ impl std::error::Error for SaError {
         match self {
             Self::Graph(e) | Self::InvariantBroken { source: e, .. } => Some(e),
             Self::Ckpt(e) => Some(e),
-            _ => None,
+            Self::Stalled { .. } => None,
         }
     }
 }

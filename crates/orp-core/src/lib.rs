@@ -21,8 +21,9 @@
 //!   count `m_opt` ([`bounds`]),
 //! * the swap / swing / 2-neighbor-swing local-search operations
 //!   ([`ops`]), the transactional, allocation-free evaluation engine
-//!   behind the annealer ([`search`]), and the simulated-annealing solver
-//!   itself ([`anneal`]),
+//!   behind the annealer ([`search`]), the simulated-annealing and
+//!   parallel-tempering engines ([`anneal`], [`temper`]), and the one
+//!   end-to-end (n, r) → topology entry point over them ([`solver`]),
 //! * constructions for the analytically optimal regimes ([`construct`])
 //!   and a textual interchange format ([`io`]).
 //!
@@ -35,7 +36,7 @@
 //!
 //! let cfg = SaConfig { iters: 500, seed: 42, ..Default::default() };
 //! let report = Solver::builder(64, 10).config(cfg).run().unwrap();
-//! assert_eq!(report.result.graph.num_switches(), report.m_opt);
+//! assert_eq!(report.result.graph.num_switches(), report.m);
 //! assert!(report.result.metrics.haspl >= haspl_lower_bound(64, 10));
 //! ```
 
@@ -62,7 +63,7 @@ pub mod watchdog;
 
 pub use anneal::{Anneal, MoveKind, SaConfig, SaConfigBuilder, SaResult};
 pub use ckpt::{Checkpointable, CkptError};
-pub use error::{GraphError, SaError, WorkerPanic};
+pub use error::{GraphError, SaError};
 pub use fault::{DegradedMetrics, FaultSet, FaultView};
 pub use graph::{Host, HostSwitchGraph, Switch};
 pub use metrics::{path_metrics, path_metrics_par, PathMetrics};

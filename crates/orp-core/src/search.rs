@@ -153,8 +153,8 @@ pub fn resolve_parallel_eval(num_switches: u32) -> usize {
 
 // ---- search configuration ----------------------------------------------
 
-/// Tunables of the evaluation engine, surfaced through
-/// `Solver::builder()` and `orp solve --mem-budget`.
+/// Tunables of the evaluation engine, surfaced as
+/// [`crate::anneal::SaConfig::search`] and `orp solve --mem-budget`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Upper bound on the distance cache's bulk allocation (see

@@ -1,11 +1,15 @@
-//! The unified end-to-end ORP solver (§5.3), builder style.
+//! The end-to-end ORP solve of §5.3, builder style: the one
+//! (n, r) → topology entry point.
 //!
-//! [`Solver::builder`] is the one solve surface, consistent with
-//! [`crate::anneal::Anneal`] and [`crate::temper::Temper`]: pick `m = m_opt` from the continuous
-//! Moore bound, then run either independently seeded restarts of the
-//! annealer or a parallel-tempering ensemble (when
-//! [`Solver::replicas`] `> 1`), with per-restart checkpoints, resume,
-//! stall watchdogs and panic isolation.
+//! [`Solver::builder`] picks `m = m_opt` from the continuous Moore bound
+//! (or the count fixed by [`Solver::switches`]), builds a random start
+//! graph that suits the move kind — [`random_regular`] for the swap of
+//! §5.1, [`random_general`] otherwise — and runs one [`Anneal`], or one
+//! [`Temper`] ensemble over a [`geometric_ladder`] when
+//! [`Solver::replicas`] `> 1`. Checkpoints go to the given path itself;
+//! resume, the stall watchdog and a live metrics stream pass straight
+//! through to that engine. A panic inside the solve reaches the caller,
+//! as it does from the engines.
 //!
 //! ```
 //! use orp_core::solver::Solver;
@@ -15,39 +19,28 @@
 //!     .config(SaConfig::builder().iters(300).seed(1).build())
 //!     .run()
 //!     .unwrap();
-//! assert_eq!(report.result.graph.num_switches(), report.m_opt);
+//! assert_eq!(report.result.graph.num_switches(), report.m);
 //! ```
 
-use crate::anneal::{
-    restart_ckpt_path, Anneal, MoveKind, SaConfig, SaResult, DEFAULT_CHECKPOINT_EVERY,
-};
+use crate::anneal::{Anneal, MoveKind, SaConfig, SaResult, DEFAULT_CHECKPOINT_EVERY};
 use crate::bounds::{check_instance, optimal_switch_count};
-use crate::construct::random_general;
-use crate::error::{GraphError, SaError, WorkerPanic};
-use crate::search::SearchConfig;
+use crate::construct::{random_general, random_regular};
+use crate::error::SaError;
 use crate::temper::{geometric_ladder, ExchangeStats, Temper};
-use crate::watchdog::WatchSource;
+use crate::watchdog::WatchdogConfig;
 use orp_obs::{Recorder, StreamSink};
 use std::path::PathBuf;
-use std::time::Duration;
 
-/// Outcome of a [`Solver`] run that survived at least one restart.
+/// Outcome of a [`Solver`] run.
 #[derive(Debug, Clone)]
 pub struct SolveReport {
-    /// Best result over the restarts (and replicas) that completed.
+    /// The annealer's result; for a tempering solve, the best replica's.
     pub result: SaResult,
-    /// The predicted optimal switch count the search annealed with.
-    pub m_opt: u32,
-    /// Restarts that ran to completion.
-    pub completed: usize,
-    /// Restarts that panicked, with per-worker diagnostics; a crashed
-    /// sibling never poisons the surviving results.
-    pub panics: Vec<WorkerPanic>,
-    /// Restarts that returned a structured error (e.g. stalled), with
-    /// their indices.
-    pub errors: Vec<(usize, SaError)>,
-    /// Replica-exchange counters summed over the completed restarts;
-    /// `None` for plain (single-replica) solves.
+    /// The switch count the solve annealed: `m_opt` from the continuous
+    /// Moore bound unless [`Solver::switches`] fixed it.
+    pub m: u32,
+    /// Replica-exchange counters; `None` for plain (single-replica)
+    /// solves.
     pub exchanges: Option<ExchangeStats>,
 }
 
@@ -58,21 +51,20 @@ pub struct Solver {
     r: u32,
     kind: MoveKind,
     cfg: SaConfig,
-    restarts: usize,
+    switches: Option<u32>,
     replicas: usize,
-    ladder: Vec<f64>,
     exchange_every: usize,
     rec: Recorder,
     ckpt: Option<PathBuf>,
     ckpt_every: usize,
     resume: bool,
-    watchdog: Option<Duration>,
+    watchdog: Option<WatchdogConfig>,
     stream: Option<StreamSink>,
 }
 
 impl Solver {
     /// Starts a builder solving the ORP instance `(n, r)` with the
-    /// defaults: one restart, one replica (plain annealing), the
+    /// defaults: `m_opt` switches, one replica (plain annealing), the
     /// 2-neighbor swing neighbourhood and [`SaConfig::default`].
     pub fn builder(n: u32, r: u32) -> Self {
         Self {
@@ -80,9 +72,8 @@ impl Solver {
             r,
             kind: MoveKind::TwoNeighborSwing,
             cfg: SaConfig::default(),
-            restarts: 1,
+            switches: None,
             replicas: 1,
-            ladder: Vec::new(),
             exchange_every: 1000,
             rec: Recorder::disabled(),
             ckpt: None,
@@ -94,53 +85,38 @@ impl Solver {
     }
 
     /// Which neighbourhood to explore (default 2-neighbor swing, the
-    /// paper's §5.2 operation for general graphs).
+    /// paper's §5.2 operation for general graphs). It also picks the
+    /// start graph: the swap preserves host counts, so it starts from a
+    /// regular graph, which needs `m | n`.
     pub fn kind(mut self, kind: MoveKind) -> Self {
         self.kind = kind;
         self
     }
 
-    /// Schedule and bookkeeping knobs.
+    /// Schedule and bookkeeping knobs, including the distance-cache
+    /// memory budget ([`SaConfig::search`]).
     pub fn config(mut self, cfg: SaConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// Distance-cache memory budget of the evaluation engine; a
-    /// shorthand for setting [`SaConfig::search`] after
-    /// [`Solver::config`].
-    pub fn search(mut self, search: SearchConfig) -> Self {
-        self.cfg.search = search;
+    /// Anneals with exactly `m` switches instead of `m_opt` — the sweeps
+    /// of Figs. 5 and 8.
+    pub fn switches(mut self, m: u32) -> Self {
+        self.switches = Some(m);
         self
     }
 
-    /// Independently seeded restarts on parallel OS threads (minimum
-    /// 1). Restart `i` offsets the base seed by `i × replicas`, so
-    /// the single-restart single-replica case reproduces a plain
-    /// [`Anneal`] run with the base seed exactly.
-    pub fn restarts(mut self, restarts: usize) -> Self {
-        self.restarts = restarts.max(1);
-        self
-    }
-
-    /// Parallel-tempering replicas per restart (minimum 1). With more
-    /// than one replica each restart runs a [`Temper`] ensemble over
-    /// the temperature ladder instead of a single annealer.
+    /// Parallel-tempering replicas (minimum 1). With more than one the
+    /// solve runs a [`Temper`] ensemble over a [`geometric_ladder`] of
+    /// this many rungs from `cfg.t0` down to `cfg.t_end`.
     pub fn replicas(mut self, replicas: usize) -> Self {
         self.replicas = replicas.max(1);
         self
     }
 
-    /// Explicit temperature ladder for the tempering path; when unset,
-    /// a [`geometric_ladder`] with [`Solver::replicas`] rungs from
-    /// `cfg.t0` down to `cfg.t_end` is used.
-    pub fn ladder(mut self, ladder: Vec<f64>) -> Self {
-        self.ladder = ladder;
-        self
-    }
-
-    /// Iterations between replica-exchange attempts (tempering path
-    /// only; minimum 1).
+    /// Iterations between replica-exchange attempts (tempering only;
+    /// minimum 1).
     pub fn exchange_every(mut self, every: usize) -> Self {
         self.exchange_every = every.max(1);
         self
@@ -152,221 +128,119 @@ impl Solver {
         self
     }
 
-    /// Per-restart checkpoint prefix: restart `i` checkpoints to
-    /// `<prefix>.r<i>` (see [`restart_ckpt_path`]), so one crashed
-    /// worker never loses its siblings' progress. Tempering restarts
-    /// write ensemble checkpoints (kind TEMPER) to the same paths.
-    pub fn checkpoint(mut self, prefix: impl Into<PathBuf>) -> Self {
-        self.ckpt = Some(prefix.into());
+    /// Checkpoints crash-safely to `path` (kind ANNEAL, or TEMPER for a
+    /// tempering solve).
+    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
+        self.ckpt = Some(path.into());
         self
     }
 
     /// Checkpoint stride in iterations (default
-    /// [`DEFAULT_CHECKPOINT_EVERY`]). The tempering path rounds this
-    /// up to whole exchange rounds.
+    /// [`DEFAULT_CHECKPOINT_EVERY`]); a tempering solve rounds it up to
+    /// whole exchange rounds. 0 writes neither periodic nor final saves;
+    /// a stall still force-checkpoints.
     pub fn checkpoint_every(mut self, every: usize) -> Self {
         self.ckpt_every = every;
         self
     }
 
-    /// Resume each restart whose checkpoint file already exists;
-    /// restarts without one start fresh.
+    /// Resumes from the [`Solver::checkpoint`] file when it exists; a
+    /// missing file starts fresh.
     pub fn resume(mut self, yes: bool) -> Self {
         self.resume = yes;
         self
     }
 
-    /// Arms a per-restart stall watchdog with this window.
-    pub fn watchdog(mut self, window: Duration) -> Self {
-        self.watchdog = Some(window);
+    /// Arms the stall watchdog (see [`WatchdogConfig`]).
+    pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
+        self.watchdog = Some(cfg);
         self
     }
 
-    /// Attaches a live metrics stream. Restart 0 carries it — one
-    /// restart keeps the JSONL gauge names collision-free while still
-    /// showing a representative live view of the solve (all restarts
-    /// run the same schedule; shared counters still aggregate across
-    /// the whole solve through the recorder). No-op unless a recorder
-    /// is also attached.
+    /// Attaches a live metrics stream; no-op unless a recorder is also
+    /// attached.
     pub fn stream(mut self, sink: StreamSink) -> Self {
         self.stream = Some(sink);
         self
     }
 
     /// Runs the solve. Fails with [`GraphError::InvalidParameters`] on
-    /// fewer than two hosts or a radix below 3, and otherwise only when
-    /// *no* restart completes: with the first structured error if one
-    /// exists, else [`SaError::AllWorkersPanicked`].
+    /// fewer than two hosts or a radix below 3, with the start graph
+    /// constructor's error when the switch count does not fit (a swap
+    /// solve needs `m | n`), and otherwise with the engine's error.
+    ///
+    /// [`GraphError::InvalidParameters`]: crate::error::GraphError::InvalidParameters
     pub fn run(self) -> Result<SolveReport, SaError> {
-        check_instance(self.n as u64, self.r as u64)?;
-        let (m_opt, _) = optimal_switch_count(self.n as u64, self.r as u64);
-        let m_opt = m_opt as u32;
-        let restarts = self.restarts;
-        // Split the machine across the restarts instead of pinning
-        // every inner eval to one core: with `restarts < cores` the
-        // leftover cores feed each restart's persistent eval pool. An
-        // explicit `eval_workers` in the config wins over the split.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let per_restart = self
-            .cfg
-            .eval_workers
-            .map(|w| w.max(1))
-            .unwrap_or_else(|| (cores / restarts).max(1));
-        let this = &self;
-        let outcomes = scoped_restarts(
-            restarts,
-            |i| -> Result<(SaResult, ExchangeStats), SaError> {
-                let mut c = this.cfg.clone();
-                // Stride the restart seeds by the replica count so no two
-                // annealers anywhere in the solve share an RNG stream
-                // (tempering offsets replica `k` by `+k` within a restart).
-                c.seed = this.cfg.seed.wrapping_add((i * this.replicas) as u64);
-                c.eval_workers = Some(per_restart);
-                let start = random_general(this.n, m_opt, this.r, c.seed)?;
-                let ckpt_path = this.ckpt.as_ref().map(|p| restart_ckpt_path(p, i));
-                let stream = (i == 0).then(|| this.stream.clone()).flatten();
-                if this.replicas > 1 {
-                    let mut b = Temper::builder(start)
-                        .kind(this.kind)
-                        .config(c)
-                        .exchange_every(this.exchange_every)
-                        .recorder(this.rec.clone());
-                    if let Some(sink) = stream {
-                        b = b.stream(sink);
-                    }
-                    if !this.ladder.is_empty() {
-                        b = b.ladder(this.ladder.clone());
-                    } else {
-                        b = b.ladder(geometric_ladder(
-                            this.cfg.t0,
-                            this.cfg.t_end.max(1e-12),
-                            this.replicas,
-                        ));
-                    }
-                    if let Some(path) = &ckpt_path {
-                        if this.resume && path.exists() {
-                            b = b.resume_from(path);
-                        }
-                        b = b.checkpoint(path);
-                        if this.ckpt_every > 0 {
-                            b = b.checkpoint_every_rounds(
-                                this.ckpt_every.div_ceil(this.exchange_every).max(1),
-                            );
-                        } else {
-                            b = b.checkpoint_every_rounds(0);
-                        }
-                    }
-                    if let Some(window) = this.watchdog {
-                        b = b.watchdog(window).watchdog_label(i as u32);
-                    }
-                    let res = b.run()?;
-                    let best = res.best;
-                    Ok((
-                        res.results.into_iter().nth(best).expect("best index"),
-                        res.exchanges,
-                    ))
-                } else {
-                    let mut b = Anneal::builder(start)
-                        .kind(this.kind)
-                        .config(c)
-                        .recorder(this.rec.clone());
-                    if let Some(sink) = stream {
-                        b = b.stream(sink);
-                    }
-                    if let Some(path) = &ckpt_path {
-                        if this.resume && path.exists() {
-                            b = b.resume_from(path);
-                        }
-                        b = b.checkpoint(path);
-                        if this.ckpt_every > 0 {
-                            b = b.checkpoint_every(this.ckpt_every);
-                        }
-                    }
-                    if let Some(window) = this.watchdog {
-                        b = b
-                            .watchdog(window)
-                            .watchdog_label(WatchSource::Restart, i as u32);
-                    }
-                    Ok((b.run()?, ExchangeStats::default()))
-                }
-            },
-        );
-        let mut best: Option<SaResult> = None;
-        let mut completed = 0usize;
-        let mut panics = Vec::new();
-        let mut errors = Vec::new();
-        let mut exchanges = ExchangeStats::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(Ok((res, ex))) => {
-                    completed += 1;
-                    exchanges.attempted += ex.attempted;
-                    exchanges.accepted += ex.accepted;
-                    if best
-                        .as_ref()
-                        .map(|b| res.metrics.haspl < b.metrics.haspl)
-                        .unwrap_or(true)
-                    {
-                        best = Some(res);
-                    }
-                }
-                Ok(Err(e)) => errors.push((i, e)),
-                Err(message) => panics.push(WorkerPanic {
-                    restart: i,
-                    seed: self.cfg.seed.wrapping_add((i * self.replicas) as u64),
-                    message,
-                }),
+        check_instance(self.n.into(), self.r.into())?;
+        let m = self
+            .switches
+            .unwrap_or_else(|| optimal_switch_count(self.n.into(), self.r.into()).0 as u32);
+        let start = match self.kind {
+            MoveKind::Swap => random_regular(self.n, m, self.r, self.cfg.seed)?,
+            MoveKind::Swing | MoveKind::TwoNeighborSwing => {
+                random_general(self.n, m, self.r, self.cfg.seed)?
             }
-        }
-        match best {
-            Some(result) => Ok(SolveReport {
-                result,
-                m_opt,
-                completed,
-                panics,
-                errors,
-                exchanges: (self.replicas > 1).then_some(exchanges),
-            }),
-            None => match errors.into_iter().next() {
-                Some((_, e)) => Err(e),
-                None if !panics.is_empty() => Err(SaError::AllWorkersPanicked(panics)),
-                None => Err(SaError::Graph(GraphError::ConstructionFailed(
-                    "no restarts ran".into(),
-                ))),
-            },
+        };
+        let resume_from = self.ckpt.clone().filter(|p| self.resume && p.exists());
+        if self.replicas > 1 {
+            let ladder = geometric_ladder(self.cfg.t0, self.cfg.t_end.max(1e-12), self.replicas);
+            let mut b = Temper::builder(start)
+                .kind(self.kind)
+                .config(self.cfg)
+                .ladder(ladder)
+                .exchange_every(self.exchange_every)
+                .recorder(self.rec)
+                .checkpoint_every_rounds(self.ckpt_every.div_ceil(self.exchange_every));
+            if let Some(path) = resume_from {
+                b = b.resume_from(path);
+            }
+            if let Some(path) = self.ckpt {
+                b = b.checkpoint(path);
+            }
+            if let Some(wd) = self.watchdog {
+                b = b.watchdog(wd);
+            }
+            if let Some(sink) = self.stream {
+                b = b.stream(sink);
+            }
+            let mut res = b.run()?;
+            Ok(SolveReport {
+                result: res.results.swap_remove(res.best),
+                m,
+                exchanges: Some(res.exchanges),
+            })
+        } else {
+            let mut b = Anneal::builder(start)
+                .kind(self.kind)
+                .config(self.cfg)
+                .recorder(self.rec)
+                .checkpoint_every(self.ckpt_every);
+            if let Some(path) = resume_from {
+                b = b.resume_from(path);
+            }
+            if let Some(path) = self.ckpt {
+                b = b.checkpoint(path);
+            }
+            if let Some(wd) = self.watchdog {
+                b = b.watchdog(wd);
+            }
+            if let Some(sink) = self.stream {
+                b = b.stream(sink);
+            }
+            Ok(SolveReport {
+                result: b.run()?,
+                m,
+                exchanges: None,
+            })
         }
     }
-}
-
-/// Runs `restarts` closures on parallel scoped threads, capturing
-/// panics instead of propagating them. Returns one entry per restart:
-/// the closure's result, or `Err(message)` if it panicked.
-pub(crate) fn scoped_restarts<T, F>(restarts: usize, f: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..restarts).map(|i| scope.spawn(move || f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().map_err(|p| {
-                    p.downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into())
-                })
-            })
-            .collect()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounds::haspl_lower_bound;
+    use crate::error::GraphError;
 
     fn small_cfg(iters: usize) -> SaConfig {
         SaConfig {
@@ -374,8 +248,31 @@ mod tests {
             t0: 0.02,
             t_end: 1e-4,
             seed: 7,
+            history_stride: 50,
             ..SaConfig::default()
         }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("orp_solver_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn assert_same(a: &SaResult, b: &SaResult, what: &str) {
+        assert_eq!(a.graph, b.graph, "{what}");
+        assert_eq!(
+            a.metrics.haspl.to_bits(),
+            b.metrics.haspl.to_bits(),
+            "{what}"
+        );
+        assert_eq!(a.metrics, b.metrics, "{what}");
+        assert_eq!(
+            (a.proposed, a.accepted, a.disconnected),
+            (b.proposed, b.accepted, b.disconnected),
+            "{what}"
+        );
+        assert_eq!(a.history, b.history, "{what}");
     }
 
     #[test]
@@ -384,10 +281,11 @@ mod tests {
             .config(small_cfg(300))
             .run()
             .unwrap();
-        assert_eq!(report.result.graph.num_switches(), report.m_opt);
+        let (m_opt, _) = optimal_switch_count(64, 10);
+        assert_eq!(report.m as u64, m_opt);
+        assert_eq!(report.result.graph.num_switches(), report.m);
         assert_eq!(report.result.graph.num_hosts(), 64);
         report.result.graph.validate().unwrap();
-        assert_eq!(report.completed, 1);
         assert!(report.exchanges.is_none());
         let lb = haspl_lower_bound(64, 10);
         assert!(report.result.metrics.haspl >= lb - 1e-9);
@@ -413,30 +311,71 @@ mod tests {
         }
     }
 
+    /// `Solver` is a thin pipeline over the engines: every row runs the
+    /// engine by hand on the start graph the solve picks (constructor by
+    /// move kind, same seed) and must match it bit for bit.
     #[test]
-    fn single_restart_matches_plain_anneal() {
-        // The builder with defaults reproduces a plain 2-neighbor-swing
-        // anneal at `m_opt` bit-for-bit.
+    fn solver_reproduces_the_engine_it_wraps() {
+        let (n, r) = (64u32, 10u32);
         let cfg = small_cfg(300);
-        let report = Solver::builder(64, 10).config(cfg.clone()).run().unwrap();
-        let (m_opt, _) = optimal_switch_count(64, 10);
-        let start = random_general(64, m_opt as u32, 10, cfg.seed).unwrap();
-        let plain = crate::anneal::anneal(start, MoveKind::TwoNeighborSwing, &cfg).unwrap();
-        assert_eq!(report.result.graph, plain.graph);
-        assert_eq!(report.result.metrics, plain.metrics);
-    }
-
-    #[test]
-    fn multi_restart_takes_the_best() {
-        let cfg = small_cfg(300);
-        let single = Solver::builder(64, 10).config(cfg.clone()).run().unwrap();
-        let multi = Solver::builder(64, 10)
-            .config(cfg)
-            .restarts(4)
+        let m_opt = optimal_switch_count(n.into(), r.into()).0 as u32;
+        assert_ne!(m_opt, 20);
+        let ladder = |k| geometric_ladder(cfg.t0, cfg.t_end, k);
+        // (move kind, fixed switch count, replicas)
+        let rows = [
+            (MoveKind::Swap, Some(16), 1),
+            (MoveKind::Swing, Some(20), 1),
+            (MoveKind::TwoNeighborSwing, None, 1),
+            (MoveKind::TwoNeighborSwing, None, 2),
+        ];
+        for (kind, switches, replicas) in rows {
+            let what = format!("{kind:?} m={switches:?} replicas={replicas}");
+            let mut solver = Solver::builder(n, r)
+                .kind(kind)
+                .config(cfg.clone())
+                .replicas(replicas)
+                .exchange_every(50);
+            if let Some(m) = switches {
+                solver = solver.switches(m);
+            }
+            let report = solver.run().unwrap();
+            let m = switches.unwrap_or(m_opt);
+            assert_eq!(report.m, m, "{what}");
+            let start = match kind {
+                MoveKind::Swap => random_regular(n, m, r, cfg.seed).unwrap(),
+                _ => random_general(n, m, r, cfg.seed).unwrap(),
+            };
+            if replicas == 1 {
+                let plain = Anneal::builder(start)
+                    .kind(kind)
+                    .config(cfg.clone())
+                    .run()
+                    .unwrap();
+                assert_same(&report.result, &plain, &what);
+                assert_eq!(report.exchanges, None, "{what}");
+            } else {
+                let temper = Temper::builder(start)
+                    .kind(kind)
+                    .config(cfg.clone())
+                    .ladder(ladder(replicas))
+                    .exchange_every(50)
+                    .run()
+                    .unwrap();
+                assert_same(&report.result, temper.best_result(), &what);
+                assert_eq!(report.exchanges, Some(temper.exchanges), "{what}");
+            }
+        }
+        // A swap solve at an m that does not divide n fails with the
+        // regular constructor's own error (Fig. 5 prints "-" there).
+        let err = Solver::builder(n, r)
+            .kind(MoveKind::Swap)
+            .switches(m_opt)
+            .config(cfg.clone())
             .run()
-            .unwrap();
-        assert_eq!(multi.completed, 4);
-        assert!(multi.result.metrics.haspl <= single.result.metrics.haspl + 1e-12);
+            .unwrap_err();
+        assert_ne!(n % m_opt, 0);
+        let expected = random_regular(n, m_opt, r, cfg.seed).unwrap_err();
+        assert_eq!(err, SaError::Graph(expected));
     }
 
     #[test]
@@ -447,7 +386,6 @@ mod tests {
             .exchange_every(50)
             .run()
             .unwrap();
-        assert_eq!(report.completed, 1);
         let ex = report.exchanges.expect("tempering stats");
         assert!(ex.attempted > 0);
         report.result.graph.validate().unwrap();
@@ -473,52 +411,55 @@ mod tests {
 
     #[test]
     fn checkpointed_solver_resumes_to_the_same_answer() {
-        let dir = std::env::temp_dir().join(format!("orp_solver_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let prefix = dir.join("solve.ckpt");
+        let dir = temp_dir("resume");
+        let path = dir.join("solve.ckpt");
         let cfg = small_cfg(300);
         let run = |resume| {
             Solver::builder(64, 10)
                 .config(cfg.clone())
-                .restarts(2)
-                .checkpoint(&prefix)
+                .checkpoint(&path)
                 .checkpoint_every(100)
                 .resume(resume)
                 .run()
                 .unwrap()
         };
         let report = run(false);
-        assert_eq!(report.completed, 2);
-        assert!(report.panics.is_empty() && report.errors.is_empty());
-        assert!(restart_ckpt_path(&prefix, 0).exists());
-        assert!(restart_ckpt_path(&prefix, 1).exists());
-        // Plain multi-restart must agree with the checkpointed one.
-        let plain = Solver::builder(64, 10)
-            .config(cfg.clone())
-            .restarts(2)
-            .run()
-            .unwrap();
-        assert_eq!(plain.m_opt, report.m_opt);
-        assert_eq!(plain.result.graph, report.result.graph);
-        assert_eq!(plain.result.metrics, report.result.metrics);
-        // Resuming from the completed checkpoints lands on the same
-        // answer immediately.
+        assert!(path.exists());
+        // Checkpointing must not perturb the solve.
+        let plain = Solver::builder(64, 10).config(cfg.clone()).run().unwrap();
+        assert_eq!(plain.m, report.m);
+        assert_same(&plain.result, &report.result, "plain vs checkpointed");
+        // Resuming from the completion snapshot lands on the same answer
+        // immediately.
         let resumed = run(true);
-        assert_eq!(resumed.result.graph, report.result.graph);
-        assert_eq!(resumed.result.metrics, report.result.metrics);
+        assert_same(&resumed.result, &report.result, "resumed");
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The checkpoint is the given path itself, in both branches, and a
+    /// stride of 0 writes no file at all.
     #[test]
-    fn scoped_restarts_captures_panics() {
-        let out = scoped_restarts(3, |i| {
-            if i == 1 {
-                panic!("boom {i}");
+    fn checkpoint_stride_zero_writes_nothing_on_both_paths() {
+        for replicas in [1, 2] {
+            for every in [0, 100] {
+                let dir = temp_dir(&format!("stride_{replicas}_{every}"));
+                Solver::builder(64, 10)
+                    .config(small_cfg(300))
+                    .replicas(replicas)
+                    .exchange_every(50)
+                    .checkpoint(dir.join("solve.ckpt"))
+                    .checkpoint_every(every)
+                    .run()
+                    .unwrap();
+                let mut files: Vec<String> = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().into_string().unwrap())
+                    .collect();
+                files.sort();
+                let expected: &[&str] = if every == 0 { &[] } else { &["solve.ckpt"] };
+                assert_eq!(files, expected, "replicas {replicas}, every {every}");
+                std::fs::remove_dir_all(&dir).ok();
             }
-            i * 10
-        });
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[1], Err("boom 1".to_string()));
-        assert_eq!(out[2], Ok(20));
+        }
     }
 }

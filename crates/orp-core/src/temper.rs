@@ -24,7 +24,7 @@ use crate::anneal::{Annealer, MoveKind, RunCtl, SaConfig, SaResult};
 use crate::ckpt::{self, CkptError, Decoder, Encoder};
 use crate::error::SaError;
 use crate::graph::HostSwitchGraph;
-use crate::watchdog::{WatchSource, Watchdog, WatchdogConfig};
+use crate::watchdog::{Watchdog, WatchdogConfig};
 use orp_obs::{Recorder, StreamSink};
 use rand::Rng;
 use rand::SeedableRng;
@@ -466,8 +466,7 @@ pub struct Temper {
     ckpt: Option<PathBuf>,
     every_rounds: usize,
     resume: Option<PathBuf>,
-    watchdog: Option<std::time::Duration>,
-    watch_worker: u32,
+    watchdog: Option<WatchdogConfig>,
     stream: Option<StreamSink>,
 }
 
@@ -487,7 +486,6 @@ impl Temper {
             every_rounds: 1,
             resume: None,
             watchdog: None,
-            watch_worker: 0,
             stream: None,
         }
     }
@@ -550,17 +548,10 @@ impl Temper {
     }
 
     /// Arms a stall watchdog over the whole ensemble: if no replica
-    /// iteration completes within `window`, the run force-checkpoints
+    /// iteration completes within `cfg.window`, the run force-checkpoints
     /// (when a path is set) and returns [`SaError::Stalled`].
-    pub fn watchdog(mut self, window: std::time::Duration) -> Self {
-        self.watchdog = Some(window);
-        self
-    }
-
-    /// Labels watchdog diagnostics with a worker index (multi-restart
-    /// solves tag each restart).
-    pub fn watchdog_label(mut self, worker: u32) -> Self {
-        self.watch_worker = worker;
+    pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
+        self.watchdog = Some(cfg);
         self
     }
 
@@ -597,19 +588,18 @@ impl Temper {
             }
             None => TemperRun::new(&self.start, self.kind, &self.cfg, &ladder, &self.rec)?,
         };
-        let wd = self.watchdog.map(|window| {
-            Watchdog::spawn(
-                WatchdogConfig::new(window)
-                    .source(WatchSource::Anneal)
-                    .worker(self.watch_worker),
-                self.rec.clone(),
-            )
-        });
+        let window_secs = self
+            .watchdog
+            .as_ref()
+            .map_or(0.0, |w| w.window.as_secs_f64());
+        let wd = self
+            .watchdog
+            .map(|cfg| Watchdog::spawn(cfg, self.rec.clone()));
         let ctl = RunCtl {
             ckpt_path: self.ckpt.clone(),
             every: self.every_rounds,
             watch: wd.as_ref().map(Watchdog::handle),
-            window_secs: self.watchdog.map_or(0.0, |w| w.as_secs_f64()),
+            window_secs,
             stop_after: None,
             stream: self.stream.clone(),
             stream_label: None,
@@ -708,16 +698,14 @@ mod tests {
             .exchange_every(50)
             .run()
             .unwrap();
-        let plain = crate::anneal::anneal(
-            start,
-            MoveKind::TwoNeighborSwing,
-            &SaConfig {
+        let plain = crate::anneal::Anneal::builder(start)
+            .config(SaConfig {
                 t0: t,
                 t_end: t,
                 ..cfg
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         assert_eq!(temper.results.len(), 1);
         assert_eq!(temper.exchanges.attempted, 0);
         assert_eq!(temper.results[0].graph, plain.graph);

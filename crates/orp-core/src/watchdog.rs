@@ -10,7 +10,7 @@
 //! wall-clock window, the monitor:
 //!
 //! 1. emits a structured `watchdog.stalled` diagnostic through
-//!    `orp-obs` (source, worker index, window, last progress count),
+//!    `orp-obs` (source, window, last progress count),
 //! 2. raises a `stalled` flag that the supervised loop observes at its
 //!    next iteration boundary, force-checkpoints, and converts into a
 //!    resumable `SaError::Stalled` / simulator equivalent.
@@ -36,8 +36,6 @@ pub enum WatchSource {
     Anneal,
     /// An event-driven simulator's main loop.
     Sim,
-    /// One restart worker of a multi-restart solve.
-    Restart,
 }
 
 impl WatchSource {
@@ -45,7 +43,6 @@ impl WatchSource {
         match self {
             Self::Anneal => 0,
             Self::Sim => 1,
-            Self::Restart => 2,
         }
     }
 }
@@ -57,8 +54,6 @@ pub struct WatchdogConfig {
     pub window: Duration,
     /// What the watchdog supervises (for the diagnostic event).
     pub source: WatchSource,
-    /// Worker / restart index (0 for single-worker runs).
-    pub worker: u32,
     /// If true, abort the whole process after a *second* full window
     /// elapses with the stall flag raised but unacknowledged — the
     /// supervised loop never reached an iteration boundary and is
@@ -72,7 +67,6 @@ impl WatchdogConfig {
         Self {
             window,
             source: WatchSource::Anneal,
-            worker: 0,
             hard_exit: false,
         }
     }
@@ -80,12 +74,6 @@ impl WatchdogConfig {
     /// Sets the supervised source kind.
     pub fn source(mut self, source: WatchSource) -> Self {
         self.source = source;
-        self
-    }
-
-    /// Sets the worker / restart index.
-    pub fn worker(mut self, worker: u32) -> Self {
-        self.worker = worker;
         self
     }
 
@@ -237,7 +225,7 @@ fn monitor_loop(shared: &Shared, cfg: &WatchdogConfig, rec: &Recorder) {
         if !shared.stalled.swap(true, Ordering::Relaxed) {
             rec.emit(Event::Stalled {
                 source: cfg.source.code(),
-                worker: cfg.worker,
+                worker: 0,
                 window_secs: cfg.window.as_secs_f64(),
                 progress: now_progress,
             });
@@ -262,10 +250,9 @@ fn monitor_loop(shared: &Shared, cfg: &WatchdogConfig, rec: &Recorder) {
             }
         }
         eprintln!(
-            "orp watchdog: {:?} worker {} made no progress for {:.1} s and did not \
+            "orp watchdog: {:?} loop made no progress for {:.1} s and did not \
              acknowledge the stall verdict; aborting",
             cfg.source,
-            cfg.worker,
             (2 * cfg.window).as_secs_f64(),
         );
         std::process::exit(86);
@@ -309,9 +296,7 @@ mod tests {
     fn stall_event_reaches_the_recorder() {
         let rec = Recorder::enabled();
         let wd = Watchdog::spawn(
-            WatchdogConfig::new(Duration::from_millis(30))
-                .source(WatchSource::Sim)
-                .worker(3),
+            WatchdogConfig::new(Duration::from_millis(30)).source(WatchSource::Sim),
             rec.clone(),
         );
         let h = wd.handle();
@@ -330,7 +315,7 @@ mod tests {
             .expect("stalled event recorded");
         let args = ev.event.args();
         assert!(args.contains(&("source", 1.0)));
-        assert!(args.contains(&("worker", 3.0)));
+        assert!(args.contains(&("worker", 0.0)));
         assert!(args.contains(&("progress", 17.0)));
     }
 

@@ -89,6 +89,19 @@ pub enum SimError {
     /// wrong-kind file, or a configuration echo mismatch (resuming a
     /// checkpoint under different programs/placement/faults/net).
     Ckpt(CkptError),
+    /// A program names a peer outside `0..ranks`: op `op` of `rank`'s
+    /// program sends to or receives from `peer`. Reported before any
+    /// event runs.
+    UnknownPeer {
+        /// The rank whose program names the peer.
+        rank: u32,
+        /// Index of the offending op in that program.
+        op: usize,
+        /// The peer rank it names.
+        peer: u32,
+        /// Ranks in the run.
+        ranks: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -133,6 +146,15 @@ impl std::fmt::Display for SimError {
                 }
             }
             Self::Ckpt(e) => write!(f, "simulation checkpoint error: {e}"),
+            Self::UnknownPeer {
+                rank,
+                op,
+                peer,
+                ranks,
+            } => write!(
+                f,
+                "op {op} of rank {rank} names rank {peer}, but the run has {ranks} ranks"
+            ),
         }
     }
 }
@@ -1204,8 +1226,18 @@ impl<'a> Simulator<'a> {
     /// when scheduled faults cut communicating ranks off;
     /// [`SimError::Wedged`] when an armed [`SimulatorBuilder::watchdog`]
     /// saw no progress for its window; [`SimError::Ckpt`] when a
-    /// checkpoint save or [`SimulatorBuilder::resume_from`] failed.
+    /// checkpoint save or [`SimulatorBuilder::resume_from`] failed;
+    /// [`SimError::UnknownPeer`] when a program names a rank outside
+    /// the run.
     pub fn run(mut self) -> Result<SimReport, SimError> {
+        if let Some((rank, op, peer)) = self.ranks.first_unknown_peer() {
+            return Err(SimError::UnknownPeer {
+                rank,
+                op,
+                peer,
+                ranks: self.ranks.len(),
+            });
+        }
         let _span = self.rec.span("sim.run");
         if let Some(p) = self.resume_from.take() {
             let ck = SimCheckpoint::load(&p)?;
@@ -2065,6 +2097,45 @@ mod tests {
         );
         assert_eq!(rep.flows, 2);
         assert!(rep.time > 0.0);
+    }
+
+    /// Runs `bad` as op 1 of rank 1 among two ranks: a program naming a
+    /// rank outside the run must fail before any event runs, with the
+    /// rank, the op index and the peer.
+    fn assert_unknown_peer(bad: Op, peer: u32) {
+        let net = dumbbell(1);
+        let err = Simulator::builder(&net)
+            .programs(vec![vec![], vec![Op::Compute(1e3), bad]])
+            .run()
+            .unwrap_err();
+        let expected = SimError::UnknownPeer {
+            rank: 1,
+            op: 1,
+            peer,
+            ranks: 2,
+        };
+        assert_eq!(err, expected, "{bad:?}");
+        assert!(err.to_string().contains("op 1 of rank 1 names rank"));
+    }
+
+    #[test]
+    fn send_to_an_unknown_rank_is_rejected() {
+        assert_unknown_peer(Op::Send { to: 9, bytes: 1e6 }, 9);
+    }
+
+    #[test]
+    fn recv_from_an_unknown_rank_is_rejected() {
+        assert_unknown_peer(Op::Recv { from: 9 }, 9);
+    }
+
+    #[test]
+    fn sendrecv_with_an_unknown_source_is_rejected() {
+        let bad = Op::SendRecv {
+            to: 0,
+            bytes: 1e6,
+            from: 7,
+        };
+        assert_unknown_peer(bad, 7);
     }
 
     #[test]

@@ -255,6 +255,24 @@ impl Ranks {
         }
     }
 
+    /// The first op, in rank then program order, naming a peer outside
+    /// `0..n`: `(rank, op index, peer)`.
+    pub(crate) fn first_unknown_peer(&self) -> Option<(u32, usize, u32)> {
+        let known = |p: &u32| (*p as usize) < self.programs.len();
+        self.programs.iter().enumerate().find_map(|(r, prog)| {
+            prog.iter().enumerate().find_map(|(i, op)| {
+                let peers = match *op {
+                    Op::Compute(_) => [None, None],
+                    Op::Send { to, .. } => [Some(to), None],
+                    Op::Recv { from } => [Some(from), None],
+                    Op::SendRecv { to, from, .. } => [Some(to), Some(from)],
+                };
+                let peer = peers.into_iter().flatten().find(|p| !known(p))?;
+                Some((r as u32, i, peer))
+            })
+        })
+    }
+
     /// Network sends in the programs: the most flows they can issue.
     pub(crate) fn sends(&self) -> usize {
         let is_send = |op: &&Op| matches!(op, Op::Send { .. } | Op::SendRecv { .. });

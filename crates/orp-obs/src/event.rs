@@ -169,10 +169,11 @@ pub enum Event {
     /// wall-clock window. Emitted just before the run force-checkpoints
     /// and exits with a resumable error.
     Stalled {
-        /// What stalled: 0 = annealer, 1 = simulator, 2 = restart
-        /// worker.
+        /// What stalled: 0 = annealer (or tempering ensemble),
+        /// 1 = simulator.
         source: u32,
-        /// Worker / restart index (0 for single-worker runs).
+        /// Always 0: every watchdog supervises one loop. Kept so the
+        /// event's fields stay those of existing traces.
         worker: u32,
         /// The watchdog window in wall-clock seconds.
         window_secs: f64,

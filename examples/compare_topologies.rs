@@ -58,7 +58,7 @@ fn main() {
             ..Default::default()
         };
         let report = Solver::builder(n, r).config(cfg).run().expect("feasible");
-        let (res, m_opt) = (report.result, report.m_opt);
+        let (res, m_opt) = (report.result, report.m);
         row(&format!("proposed ORP (r={r}, m={m_opt})"), &res.graph);
     }
 

@@ -33,7 +33,7 @@ fn main() {
         .config(cfg)
         .run()
         .expect("feasible instance");
-    let (result, m) = (report.result, report.m_opt);
+    let (result, m) = (report.result, report.m);
     let graph = relabel_hosts_dfs(&result.graph, 0);
     graph.validate().expect("valid design");
 

@@ -56,7 +56,7 @@ fn build(topology: &str, ranks: u32) -> (String, HostSwitchGraph) {
                 .config(cfg)
                 .run()
                 .expect("feasible");
-            let (res, m) = (report.result, report.m_opt);
+            let (res, m) = (report.result, report.m);
             (
                 format!("proposed ORP (m={m}, r=10)"),
                 relabel_hosts_dfs(&res.graph, 0),

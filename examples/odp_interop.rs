@@ -51,7 +51,7 @@ fn main() {
         ..Default::default()
     };
     let report = Solver::builder(n, 11).config(cfg).run().expect("feasible");
-    let (res, m_opt) = (report.result, report.m_opt);
+    let (res, m_opt) = (report.result, report.m);
     println!(
         "ORP solver (free m): m_opt={m_opt}, h-ASPL={:.4}, D={}",
         res.metrics.haspl, res.metrics.diameter

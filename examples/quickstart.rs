@@ -40,7 +40,7 @@ fn main() {
         .config(cfg)
         .run()
         .expect("feasible instance");
-    let (result, m) = (report.result, report.m_opt);
+    let (result, m) = (report.result, report.m);
     println!(
         "\nannealed with {} proposals ({} accepted):",
         result.proposed, result.accepted

@@ -2,7 +2,9 @@
 # Kill-and-resume smoke test: SIGKILL an `orp solve` mid-run, resume it
 # from the checkpoint, and assert the final result is bit-identical to
 # an uninterrupted run — the crash-safety invariant, end to end through
-# the real binary and a real kill.
+# the real binary and a real kill. It runs twice: once as a plain anneal
+# and once as a two-replica tempering ensemble (`--replicas 2
+# --exchange-every 100`), the two branches of `orp solve`.
 #
 # The comparison key is the machine-readable `solve-state:` line the
 # CLI prints (h-ASPL as raw f64 bits + move counters).
@@ -21,45 +23,58 @@ if [ ! -x "$ORP" ]; then
     exit 1
 fi
 
-echo "== uninterrupted reference run"
-"$ORP" solve "$N" "$R" "$ITERS" "$DIR/ref.hsg" | tee "$DIR/ref.out"
-REF_STATE=$(grep '^solve-state:' "$DIR/ref.out")
+# kill_and_resume <label> [extra solve flags...]
+kill_and_resume() {
+    local label="$1"
+    shift
+    local d="$DIR/$label"
+    mkdir -p "$d"
 
-echo "== interrupted run: SIGKILL mid-anneal"
-"$ORP" solve "$N" "$R" "$ITERS" "$DIR/cut.hsg" \
-    --checkpoint "$DIR/ck.orp" --every "$EVERY" >"$DIR/cut.out" 2>&1 &
-PID=$!
-# wait for the first periodic checkpoint to exist, then kill hard
-for _ in $(seq 1 200); do
-    [ -s "$DIR/ck.orp" ] && break
-    kill -0 "$PID" 2>/dev/null || break
-    sleep 0.05
-done
-if kill -9 "$PID" 2>/dev/null; then
-    wait "$PID" 2>/dev/null || true
-    echo "killed solve (pid $PID) mid-run"
-else
-    # the run beat us to completion — the resume below still must be a
-    # bit-identical no-op, so the assertion stays meaningful
-    wait "$PID" 2>/dev/null || true
-    echo "run finished before the kill landed; resuming from the completion snapshot"
-fi
-[ -s "$DIR/ck.orp" ] || { echo "no checkpoint was written" >&2; exit 1; }
+    echo "== [$label] uninterrupted reference run"
+    "$ORP" solve "$N" "$R" "$ITERS" "$d/ref.hsg" "$@" | tee "$d/ref.out"
+    local ref_state
+    ref_state=$(grep '^solve-state:' "$d/ref.out")
 
-echo "== resumed run"
-"$ORP" solve "$N" "$R" "$ITERS" "$DIR/res.hsg" \
-    --checkpoint "$DIR/ck.orp" --resume | tee "$DIR/res.out"
-RES_STATE=$(grep '^solve-state:' "$DIR/res.out")
+    echo "== [$label] interrupted run: SIGKILL mid-anneal"
+    "$ORP" solve "$N" "$R" "$ITERS" "$d/cut.hsg" "$@" \
+        --checkpoint "$d/ck.orp" --every "$EVERY" >"$d/cut.out" 2>&1 &
+    local pid=$!
+    # wait for the first periodic checkpoint to exist, then kill hard
+    for _ in $(seq 1 200); do
+        [ -s "$d/ck.orp" ] && break
+        kill -0 "$pid" 2>/dev/null || break
+        sleep 0.05
+    done
+    if kill -9 "$pid" 2>/dev/null; then
+        wait "$pid" 2>/dev/null || true
+        echo "killed solve (pid $pid) mid-run"
+    else
+        # the run beat us to completion — the resume below still must be
+        # a bit-identical no-op, so the assertion stays meaningful
+        wait "$pid" 2>/dev/null || true
+        echo "run finished before the kill landed; resuming from the completion snapshot"
+    fi
+    [ -s "$d/ck.orp" ] || { echo "[$label] no checkpoint was written" >&2; exit 1; }
 
-echo "== compare"
-echo "reference: $REF_STATE"
-echo "resumed:   $RES_STATE"
-if [ "$REF_STATE" != "$RES_STATE" ]; then
-    echo "FAIL: resumed run diverged from the uninterrupted run" >&2
-    exit 1
-fi
-if ! cmp -s "$DIR/ref.hsg" "$DIR/res.hsg"; then
-    echo "FAIL: exported graphs differ byte-for-byte" >&2
-    exit 1
-fi
-echo "PASS: kill + resume reproduced the uninterrupted result bit-identically"
+    echo "== [$label] resumed run"
+    "$ORP" solve "$N" "$R" "$ITERS" "$d/res.hsg" "$@" \
+        --checkpoint "$d/ck.orp" --resume | tee "$d/res.out"
+    local res_state
+    res_state=$(grep '^solve-state:' "$d/res.out")
+
+    echo "== [$label] compare"
+    echo "reference: $ref_state"
+    echo "resumed:   $res_state"
+    if [ "$ref_state" != "$res_state" ]; then
+        echo "FAIL [$label]: resumed run diverged from the uninterrupted run" >&2
+        exit 1
+    fi
+    if ! cmp -s "$d/ref.hsg" "$d/res.hsg"; then
+        echo "FAIL [$label]: exported graphs differ byte-for-byte" >&2
+        exit 1
+    fi
+    echo "PASS [$label]: kill + resume reproduced the uninterrupted result bit-identically"
+}
+
+kill_and_resume anneal
+kill_and_resume tempering --replicas 2 --exchange-every 100

@@ -41,10 +41,14 @@
 //! orp layout  <file.hsg> [per_cab]     floorplan power/cost (naive + optimized)
 //! ```
 //!
+//! `orp solve` and `orp compare` run the library's `Solver`: a solve
+//! from the command line is the same run as `Solver::builder(n, r)` with
+//! the same settings, and `--checkpoint` names the file it writes.
+//!
 //! Every subcommand rejects a `--` flag it does not know with a usage
 //! error instead of ignoring it.
 
-use orp::core::anneal::{Anneal, SaConfig, SaResult};
+use orp::core::anneal::SaConfig;
 use orp::core::bounds::{
     check_instance, diameter_lower_bound, haspl_lower_bound, optimal_switch_count,
 };
@@ -52,7 +56,7 @@ use orp::core::io;
 use orp::core::metrics::path_metrics;
 use orp::core::search::SearchConfig;
 use orp::core::solver::Solver;
-use orp::core::temper::Temper;
+use orp::core::watchdog::WatchdogConfig;
 use orp::core::HostSwitchGraph;
 use orp::layout::{evaluate, optimized_floorplan, Floorplan, HardwareModel};
 use orp::netsim::network::Network;
@@ -242,73 +246,41 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    // the same pipeline as `Solver`, with the recorder attached and the
-    // checkpoint written to the exact --checkpoint path
-    let (m, _) = orp::core::bounds::optimal_switch_count(n as u64, r as u64);
-    let m = m as u32;
-    let start =
-        orp::core::construct::random_general(n, m, r, cfg.seed).map_err(|e| e.to_string())?;
     let every: Option<usize> = match every {
         Some(e) => Some(e.parse().map_err(|_| "--every needs an iteration count")?),
         None => None,
     };
     let watchdog = watchdog_timeout(watchdog, usage)?;
-    let res: SaResult = if replicas >= 2 {
-        // parallel tempering over a geometric temperature ladder
-        let mut builder = Temper::builder(start)
-            .config(cfg.clone())
-            .ladder(orp::core::temper::geometric_ladder(
-                cfg.t0,
-                cfg.t_end.max(1e-12),
-                replicas,
-            ))
-            .exchange_every(exchange_every)
-            .recorder(rec.clone());
-        if let Some(s) = &sink {
-            builder = builder.stream(s.clone());
+    let mut solver = Solver::builder(n, r)
+        .config(cfg)
+        .replicas(replicas)
+        .exchange_every(exchange_every)
+        .recorder(rec.clone());
+    if let Some(s) = &sink {
+        solver = solver.stream(s.clone());
+    }
+    if let Some(ck) = &ckpt {
+        solver = solver.checkpoint(ck).resume(resume);
+        if resume && std::path::Path::new(ck).exists() {
+            eprintln!("resuming from {ck}");
         }
-        if let Some(ck) = &ckpt {
-            builder = builder.checkpoint(ck);
-            if resume && std::path::Path::new(ck).exists() {
-                builder = builder.resume_from(ck);
-                eprintln!("resuming from {ck}");
-            }
-        }
-        if let Some(e) = every {
-            builder = builder.checkpoint_every_rounds(e.div_ceil(exchange_every).max(1));
-        }
-        if let Some(timeout) = watchdog {
-            builder = builder.watchdog(timeout);
-        }
-        let tr = builder.run().map_err(|e| e.to_string())?;
+    }
+    if let Some(e) = every {
+        solver = solver.checkpoint_every(e);
+    }
+    if let Some(timeout) = watchdog {
+        // the CLI opts into hard process exit: a loop too wedged to
+        // reach its own iteration boundary must not hang the terminal
+        solver = solver.watchdog(WatchdogConfig::new(timeout).hard_exit(true));
+    }
+    let report = solver.run().map_err(|e| e.to_string())?;
+    if let Some(ex) = report.exchanges {
         println!(
             "tempering: replicas = {replicas}, exchanges accepted {} / {}",
-            tr.exchanges.accepted, tr.exchanges.attempted
+            ex.accepted, ex.attempted
         );
-        let best = tr.best;
-        tr.results.into_iter().nth(best).expect("best in range")
-    } else {
-        let mut builder = Anneal::builder(start).config(cfg).recorder(rec.clone());
-        if let Some(s) = &sink {
-            builder = builder.stream(s.clone());
-        }
-        if let Some(ck) = &ckpt {
-            builder = builder.checkpoint(ck);
-            if resume && std::path::Path::new(ck).exists() {
-                builder = builder.resume_from(ck);
-                eprintln!("resuming from {ck}");
-            }
-        }
-        if let Some(e) = every {
-            builder = builder.checkpoint_every(e);
-        }
-        if let Some(timeout) = watchdog {
-            // the CLI opts into hard process exit: a loop too wedged to
-            // reach its own iteration boundary must not hang the terminal
-            builder = builder.watchdog(timeout).watchdog_hard_exit(true);
-        }
-        builder.run().map_err(|e| e.to_string())?
-    };
+    }
+    let (res, m) = (report.result, report.m);
     println!(
         "m = {m}, h-ASPL = {:.4} (bound {:.4}), diameter = {}",
         res.metrics.haspl,
@@ -438,7 +410,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         .run()
         .map_err(|e| e.to_string())?;
     row(
-        format!("proposed ORP (m_opt={})", report.m_opt),
+        format!("proposed ORP (m_opt={})", report.m),
         &report.result.graph,
     );
     Ok(())

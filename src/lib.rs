@@ -31,7 +31,7 @@
 //! // …then 2-neighbor-swing simulated annealing at that switch count.
 //! let cfg = SaConfig { iters: 2_000, seed: 42, ..Default::default() };
 //! let report = Solver::builder(256, 12).config(cfg).run().unwrap();
-//! assert_eq!(report.m_opt as u64, m_opt);
+//! assert_eq!(report.m as u64, m_opt);
 //! assert!(report.result.metrics.haspl >= bound * 0.95); // sanity, not tightness
 //! ```
 //!
@@ -74,8 +74,8 @@ pub enum Error {
     Route(route::RouteError),
     /// Simulation failure ([`netsim::SimError`]).
     Sim(netsim::SimError),
-    /// Annealing failure — stall, worker panic, invariant breach, or a
-    /// checkpoint problem ([`core::SaError`]).
+    /// Annealing failure — stall, invariant breach, or a checkpoint
+    /// problem ([`core::SaError`]).
     Sa(core::SaError),
     /// Checkpoint save/load failure outside a solve or simulation
     /// ([`core::CkptError`]).

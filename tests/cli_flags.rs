@@ -9,7 +9,9 @@
 //! count beyond the instance's switch count runs, clamped to one
 //! evaluation worker per switch. `--mem-budget` is the distance
 //! cache's only knob: `0` runs uncached to the same answer, and the
-//! retired `--cache-mode` is an unknown flag.
+//! retired `--cache-mode` is an unknown flag. `--checkpoint` writes the
+//! named file itself, and `--every 0` writes none, with or without
+//! tempering replicas.
 
 use orp::core::construct::random_general;
 use orp::core::io;
@@ -83,6 +85,38 @@ fn solve_cache_follows_the_memory_budget_alone() {
         &["solve", "64", "4", "200", "--cache-mode", "compressed"],
         "--cache-mode",
     );
+}
+
+#[test]
+fn solve_checkpoint_stride_zero_writes_nothing_on_both_paths() {
+    let dir = std::env::temp_dir().join(format!("orp-cli-{}-stride", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let ck = dir.join("ck.orp");
+    let ck = ck.to_str().unwrap();
+    let tempering: &[&str] = &["--replicas", "2", "--exchange-every", "100"];
+    for extra in [&[][..], tempering] {
+        for every in [None, Some("0")] {
+            let mut args = vec!["solve", "64", "8", "3000", "--checkpoint", ck];
+            args.extend_from_slice(extra);
+            if let Some(e) = every {
+                args.extend_from_slice(&["--every", e]);
+            }
+            let out = orp(&args);
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let files: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            let expected: &[&str] = if every.is_some() { &[] } else { &["ck.orp"] };
+            assert_eq!(files, expected, "{args:?}");
+            std::fs::remove_file(ck).ok();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

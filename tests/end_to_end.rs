@@ -26,7 +26,7 @@ fn solve_respects_all_lower_bounds() {
             .config(small_cfg())
             .run()
             .expect("feasible");
-        let (res, m) = (report.result, report.m_opt);
+        let (res, m) = (report.result, report.m);
         let haspl_lb = haspl_lower_bound(n as u64, r as u64);
         let d_lb = diameter_lower_bound(n as u64, r as u64);
         assert!(
