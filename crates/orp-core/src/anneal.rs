@@ -417,7 +417,10 @@ impl Annealer {
     /// move kind of the resuming call must match the checkpointed ones
     /// (`eval_workers`/`search` excepted — the worker count never changes
     /// a result, and the cache budget only through the early reject; see
-    /// [`SaConfig::search`]). After restoring, the search state is
+    /// [`SaConfig::search`]), and its graphs must have `instance`'s
+    /// `(hosts, switches, radix)` ([`SaError::InstanceMismatch`]
+    /// otherwise, before any search state is built). After restoring,
+    /// the search state is
     /// re-evaluated from scratch and the result is required to match
     /// the checkpointed metrics bit-for-bit, so silent drift between
     /// the stored graph and stored metrics is impossible.
@@ -426,6 +429,7 @@ impl Annealer {
         kind: MoveKind,
         cfg: &SaConfig,
         rec: Recorder,
+        instance: (u32, u32, u32),
     ) -> Result<Self, SaError> {
         let bad = |what: &str| SaError::Ckpt(CkptError::BadSection(what.into()));
         let mut dec = Decoder::new(payload);
@@ -492,6 +496,15 @@ impl Annealer {
         }
         if next_it as u64 > iters {
             return Err(bad("iteration cursor past the end of the schedule"));
+        }
+        for g in [&cur_graph, &best] {
+            let found = instance_of(g);
+            if found != instance {
+                return Err(SaError::InstanceMismatch {
+                    expected: instance,
+                    found,
+                });
+            }
         }
         let workers = Self::resolved_workers(cur_graph.num_switches(), cfg);
         let mut state =
@@ -1037,7 +1050,11 @@ impl Annealer {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Anneal {
-    start: HostSwitchGraph,
+    /// The graph a fresh run anneals; `None` only for
+    /// [`Anneal::resuming`].
+    start: Option<HostSwitchGraph>,
+    /// `(hosts, switches, radix)` a resumed checkpoint must hold.
+    instance: (u32, u32, u32),
     kind: MoveKind,
     cfg: SaConfig,
     rec: Recorder,
@@ -1053,8 +1070,21 @@ impl Anneal {
     /// 2-neighbor swing neighbourhood, [`SaConfig::default`], no
     /// recording, no checkpointing, no watchdog.
     pub fn builder(start: HostSwitchGraph) -> Self {
+        let instance = instance_of(&start);
+        Self::with_start(Some(start), instance)
+    }
+
+    /// A builder that resumes from the checkpoint at `path` without a
+    /// start graph; the checkpoint must hold `instance`'s `(hosts,
+    /// switches, radix)`.
+    pub(crate) fn resuming(path: PathBuf, instance: (u32, u32, u32)) -> Self {
+        Self::with_start(None, instance).resume_from(path)
+    }
+
+    fn with_start(start: Option<HostSwitchGraph>, instance: (u32, u32, u32)) -> Self {
         Self {
             start,
+            instance,
             kind: MoveKind::TwoNeighborSwing,
             cfg: SaConfig::default(),
             rec: Recorder::disabled(),
@@ -1102,12 +1132,15 @@ impl Anneal {
         self
     }
 
-    /// Resumes from a checkpoint previously written by this builder
-    /// (the starting graph is ignored). The config and move kind must
-    /// match the checkpointed run — everything except
+    /// Resumes from a checkpoint previously written by this builder:
+    /// the run continues from the checkpoint's graph, not the start
+    /// graph, which only names the instance. The config and move kind
+    /// must match the checkpointed run — everything except
     /// `eval_workers`, which is a pure wall-clock knob.
     /// Fails with [`SaError::Ckpt`] if the file is missing, corrupt,
-    /// truncated, of the wrong kind/version, or config-incompatible.
+    /// truncated, of the wrong kind/version, or config-incompatible,
+    /// and with [`SaError::InstanceMismatch`] if its graph's hosts,
+    /// switches or radix differ from the start graph's.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());
         self
@@ -1138,9 +1171,18 @@ impl Anneal {
         let annealer = match &self.resume {
             Some(p) => {
                 let payload = ckpt::read_checkpoint(p, ckpt::KIND_ANNEAL)?;
-                Annealer::from_ckpt(&payload, self.kind, &self.cfg, self.rec.clone())?
+                Annealer::from_ckpt(
+                    &payload,
+                    self.kind,
+                    &self.cfg,
+                    self.rec.clone(),
+                    self.instance,
+                )?
             }
-            None => Annealer::new(self.start, &self.cfg, self.rec.clone())?,
+            None => {
+                let start = self.start.expect("a builder without a start graph resumes");
+                Annealer::new(start, &self.cfg, self.rec.clone())?
+            }
         };
         let window_secs = self
             .watchdog
@@ -1160,6 +1202,12 @@ impl Anneal {
         };
         annealer.run(self.kind, &self.cfg, &ctl)
     }
+}
+
+/// A graph's `(hosts, switches, radix)`: what a resumed checkpoint
+/// must share with the run that resumes it.
+pub(crate) fn instance_of(g: &HostSwitchGraph) -> (u32, u32, u32) {
+    (g.num_hosts(), g.num_switches(), g.radix())
 }
 
 /// Calibrates an initial temperature from the instance itself: samples
@@ -1505,7 +1553,14 @@ mod tests {
         a.run(MoveKind::Swap, &cfg, &ctl).unwrap_err();
         // Second cut at 350 from the resumed run.
         let payload = ckpt::read_checkpoint(&path, ckpt::KIND_ANNEAL).unwrap();
-        let b = Annealer::from_ckpt(&payload, MoveKind::Swap, &cfg, Recorder::disabled()).unwrap();
+        let b = Annealer::from_ckpt(
+            &payload,
+            MoveKind::Swap,
+            &cfg,
+            Recorder::disabled(),
+            instance_of(&start),
+        )
+        .unwrap();
         let ctl = RunCtl {
             ckpt_path: Some(path.clone()),
             stop_after: Some(350),

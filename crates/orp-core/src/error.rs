@@ -124,6 +124,14 @@ pub enum SaError {
     },
     /// Checkpoint save/load failed or the file was invalid.
     Ckpt(CkptError),
+    /// A resumed checkpoint holds another instance than the run asks
+    /// for.
+    InstanceMismatch {
+        /// `(hosts, switches, radix)` the run asks for.
+        expected: (u32, u32, u32),
+        /// `(hosts, switches, radix)` of the checkpoint's graph.
+        found: (u32, u32, u32),
+    },
     /// The watchdog saw no progress within its window,
     /// force-checkpointed (if a checkpoint path was configured), and
     /// aborted the run resumably instead of hanging forever.
@@ -147,6 +155,12 @@ impl fmt::Display for SaError {
                  apply: {source}"
             ),
             Self::Ckpt(e) => write!(f, "{e}"),
+            Self::InstanceMismatch { expected, found } => write!(
+                f,
+                "checkpoint holds {} hosts on {} switches of radix {}, but the run asks \
+                 for {} hosts on {} switches of radix {}",
+                found.0, found.1, found.2, expected.0, expected.1, expected.2
+            ),
             Self::Stalled {
                 window_secs,
                 iter,
@@ -174,7 +188,7 @@ impl std::error::Error for SaError {
         match self {
             Self::Graph(e) | Self::InvariantBroken { source: e, .. } => Some(e),
             Self::Ckpt(e) => Some(e),
-            Self::Stalled { .. } => None,
+            Self::InstanceMismatch { .. } | Self::Stalled { .. } => None,
         }
     }
 }

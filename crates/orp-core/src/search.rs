@@ -61,12 +61,18 @@
 //! affected sources are repaired in place (decremental re-relaxation
 //! for the removals, then insertion relaxation for the adds); only
 //! invalid rows are re-swept in 64-wide batches, and everything else
-//! is scored from the cached
-//! aggregates in `O(m)`. Edge deltas accumulate *lazily* (rollback
-//! pushes the inverse delta, so a rejected proposal that never
-//! re-evaluated cancels to a no-op), and the full sweep remains both the
-//! fallback (over-budget `m`, deep graphs) and the correctness oracle of
-//! the equivalence suites.
+//! is scored from the cached aggregates in `O(m)`. A repair's three
+//! walks (orphan descent, re-relaxation, insertion wavefront) drain
+//! one per-worker bucket queue that ends at its last queued switch, so
+//! a row costs its changed entries times the degree, with no tail over
+//! empty distance buckets. The decremental phase walks the live
+//! adjacency minus the pending added links; only the added links'
+//! endpoints differ from their CSR slice, so their lists are built once
+//! per evaluation and no neighbour visit tests for an added link. Edge
+//! deltas accumulate *lazily* (rollback pushes the inverse delta, so a
+//! rejected proposal that never re-evaluated cancels to a no-op), and
+//! the full sweep remains both the fallback (over-budget `m`, deep
+//! graphs) and the correctness oracle of the equivalence suites.
 //!
 //! # Rows and memory budget
 //!
@@ -1424,6 +1430,105 @@ fn removal_verdict(
 
 // ---- sharded in-place repair -------------------------------------------
 
+/// Bucket queue over hop distance (keys `0..=MAX_DIST`), the one queue
+/// of the orphan descent, the re-relaxation and the insertion
+/// wavefront. Pops the lowest key first, last in first out within a
+/// key, and counts its switches, so a drain ends at its last queued
+/// switch instead of walking the empty buckets up to `MAX_DIST`. Every
+/// drain empties it, so the next one starts clean.
+#[derive(Debug, Default)]
+struct BucketQueue {
+    buckets: Vec<Vec<u32>>,
+    /// Lowest key that may hold a switch; every bucket below is empty.
+    lo: usize,
+    /// Switches queued.
+    len: usize,
+}
+
+impl BucketQueue {
+    fn ensure(&mut self) {
+        if self.buckets.len() != MAX_DIST + 1 {
+            self.buckets = vec![Vec::new(); MAX_DIST + 1];
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, key: usize, x: u32) {
+        self.lo = if self.len == 0 { key } else { self.lo.min(key) };
+        self.len += 1;
+        self.buckets[key].push(x);
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(usize, u32)> {
+        while self.len > 0 {
+            if let Some(x) = self.buckets[self.lo].pop() {
+                self.len -= 1;
+                return Some((self.lo, x));
+            }
+            self.lo += 1;
+        }
+        None
+    }
+}
+
+/// The adjacency the decremental phase walks: the live `csr` minus the
+/// pending added copies. Only the switches that end a pending added
+/// link differ from their `csr` slice (two for a swing), so their lists
+/// are built once per evaluation and every other switch walks its
+/// `csr` slice as is. Parallel pre-existing copies survive.
+#[derive(Debug, Default)]
+struct StrictAdjacency {
+    /// `(switch, start, end)` of each added-link endpoint's list in
+    /// [`Self::lists`].
+    ends: Vec<(u32, u32, u32)>,
+    lists: Vec<u32>,
+}
+
+impl StrictAdjacency {
+    /// Rebuilds the endpoint lists for the pending `adds` (`(a, b,
+    /// multiplicity)`): each is the endpoint's `csr` slice, in slice
+    /// order, without the first `multiplicity` copies of each added
+    /// partner.
+    fn rebuild(&mut self, csr: &SlotCsr, adds: &[(u32, u32, u32)]) {
+        self.ends.clear();
+        self.lists.clear();
+        for &(a, b, _) in adds {
+            for x in [a, b] {
+                if self.ends.iter().any(|e| e.0 == x) {
+                    continue;
+                }
+                let start = self.lists.len();
+                self.lists.extend_from_slice(csr.neighbors(x));
+                for &(p, q, mult) in adds {
+                    let other = match (p == x, q == x) {
+                        (true, _) => q,
+                        (_, true) => p,
+                        _ => continue,
+                    };
+                    for _ in 0..mult {
+                        if let Some(i) = self.lists[start..].iter().position(|&w| w == other) {
+                            self.lists.remove(start + i);
+                        }
+                    }
+                }
+                self.ends.push((x, start as u32, self.lists.len() as u32));
+            }
+        }
+    }
+
+    /// The strict neighbours of `x`.
+    #[inline]
+    fn of<'a>(&'a self, csr: &'a SlotCsr, x: u32) -> &'a [u32] {
+        for &(e, start, end) in &self.ends {
+            if e == x {
+                return &self.lists[start as usize..end as usize];
+            }
+        }
+        csr.neighbors(x)
+    }
+}
+
 /// Per-worker scratch of the sharded repair path: epoch-stamped marker
 /// arrays, the bucket queue, and the worker-local undo log (merged into
 /// the cache's log after the job, so workers never contend on it).
@@ -1437,9 +1542,7 @@ struct RepairScratch {
     orphan_ep: Vec<u32>,
     /// Stamp: orphan settled by the re-relaxation.
     settled_ep: Vec<u32>,
-    /// Bucket queue over hop distance, shared by orphan descent and
-    /// re-relaxation (each drains the buckets it fills).
-    buckets: Vec<Vec<u32>>,
+    queue: BucketQueue,
     /// Orphans of the current source.
     orphans: Vec<u32>,
     /// Headers of the rows this worker's repairs wrote during the
@@ -1459,9 +1562,7 @@ impl RepairScratch {
             self.orphan_ep = vec![0; m];
             self.settled_ep = vec![0; m];
         }
-        if self.buckets.len() != MAX_DIST + 1 {
-            self.buckets = vec![Vec::new(); MAX_DIST + 1];
-        }
+        self.queue.ensure();
     }
 
     fn reset_job(&mut self) {
@@ -1486,13 +1587,15 @@ struct RepairCtx {
     adds_len: usize,
     dels: *const (u32, u32),
     dels_len: usize,
+    /// The decremental phase's adjacency, built for this job's adds.
+    strict: *const StrictAdjacency,
     /// Whether a transaction is open (every write must be undo-logged).
     log: bool,
 }
 
 // SAFETY: every task dereferences only its own source's row, aggregate
-// slots, and flag byte; the shared inputs (csr/counts/adds/dels) are
-// read-only for the duration of the job.
+// slots, and flag byte; the shared inputs (csr/counts/adds/dels/strict)
+// are read-only for the duration of the job.
 unsafe impl Send for RepairCtx {}
 unsafe impl Sync for RepairCtx {}
 
@@ -1529,46 +1632,9 @@ unsafe fn write_entry(
     ctx.cache.set(s, v, d);
 }
 
-/// The added-link copies incident to `x`, as `(other endpoint,
-/// copies to skip)` — iterating `csr` neighbors must ignore exactly
-/// that many occurrences to see the strict (minus-removals,
-/// minus-adds) adjacency. Parallel pre-existing copies survive.
-#[inline]
-fn added_copies(adds: &[(u32, u32, u32)], x: u32) -> [(u32, u32); 4] {
-    let mut skip = [(u32::MAX, 0u32); 4];
-    let mut n = 0;
-    for &(a, b, mult) in adds {
-        let other = if a == x {
-            b
-        } else if b == x {
-            a
-        } else {
-            continue;
-        };
-        if n < skip.len() {
-            skip[n] = (other, mult);
-            n += 1;
-        }
-    }
-    skip
-}
-
-/// Consumes one skip token for neighbor `w`, returning `true` if
-/// this occurrence is an added copy.
-#[inline]
-fn consume_added(skip: &mut [(u32, u32); 4], w: u32) -> bool {
-    for e in skip.iter_mut() {
-        if e.0 == w && e.1 > 0 {
-            e.1 -= 1;
-            return true;
-        }
-    }
-    false
-}
-
-/// Whether `x` keeps a surviving strict shortest-path parent (level
-/// exactly one below, reached neither through an added link nor an
-/// already-orphaned vertex).
+/// Whether a switch at level `lvl` whose strict neighbours are `nbrs`
+/// keeps a surviving strict shortest-path parent (level exactly one
+/// below, not already orphaned).
 ///
 /// # Safety
 /// The caller must own source `s` for the duration of the job.
@@ -1576,23 +1642,14 @@ fn consume_added(skip: &mut [(u32, u32); 4], w: u32) -> bool {
 unsafe fn strict_parent_survives(
     c: &CachePtrs,
     rs: &RepairScratch,
-    csr: &SlotCsr,
-    adds: &[(u32, u32, u32)],
+    nbrs: &[u32],
     s: usize,
-    x: u32,
     lvl: u8,
 ) -> bool {
-    let mut skip = added_copies(adds, x);
-    for &w in csr.neighbors(x) {
-        if consume_added(&mut skip, w) {
-            continue;
-        }
+    nbrs.iter().any(|&w| {
         let wi = w as usize;
-        if u32::from(c.get(s, wi)) + 1 == u32::from(lvl) && rs.orphan_ep[wi] != rs.ep {
-            return true;
-        }
-    }
-    false
+        u32::from(c.get(s, wi)) + 1 == u32::from(lvl) && rs.orphan_ep[wi] != rs.ep
+    })
 }
 
 /// Decremental phase for one source: rewrites the stored row from the
@@ -1600,12 +1657,13 @@ unsafe fn strict_parent_survives(
 /// links excluded). Orphan descent finds exactly the vertices whose
 /// every strict shortest-path parent is gone, then a bucket-Dijkstra
 /// re-settles them from the unorphaned boundary, patching
-/// `wsum`/`hist`/`ecc`/`nreach` per rewritten entry. Undo-logs the row
-/// header before the first write and every entry it overwrites when a
-/// transaction is open. Returns
-/// `None` on distance overflow, otherwise whether any entry was
-/// rewritten (a row whose every on-DAG removal keeps a surviving
-/// strict parent is untouched, and its aggregates stay exact).
+/// `wsum`/`hist`/`ecc`/`nreach` per rewritten entry. Both walk the
+/// job's [`StrictAdjacency`]. Undo-logs the row header before the
+/// first write and every entry it overwrites when a transaction is
+/// open. Returns `None` on distance overflow, otherwise whether any
+/// entry was rewritten (a row whose every on-DAG removal keeps a
+/// surviving strict parent is untouched, and its aggregates stay
+/// exact).
 ///
 /// # Safety
 /// The caller must own source `s` exclusively for the duration of the
@@ -1613,8 +1671,8 @@ unsafe fn strict_parent_survives(
 unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -> Option<bool> {
     let c = &ctx.cache;
     let csr = &*ctx.csr;
+    let strict = &*ctx.strict;
     let counts = std::slice::from_raw_parts(ctx.counts, ctx.counts_len);
-    let adds = std::slice::from_raw_parts(ctx.adds, ctx.adds_len);
     let dels = std::slice::from_raw_parts(ctx.dels, ctx.dels_len);
     if rs.ep == u32::MAX {
         rs.cand_ep.iter_mut().for_each(|e| *e = 0);
@@ -1628,48 +1686,34 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     // -- orphan descent ------------------------------------------
     // Seed with the far endpoint of every removal that sat on the
     // shortest-path DAG of `s` (endpoint levels differ by 1).
-    let mut lo = MAX_DIST;
-    let mut pending = 0usize;
     for &(a, b) in dels {
         let (da, db) = (c.get(s, a as usize), c.get(s, b as usize));
         if da == INVALID_DIST || db == INVALID_DIST || da == db {
             continue;
         }
         let (far, lvl) = if da < db { (b, db) } else { (a, da) };
-        let lvl = lvl as usize;
-        debug_assert!(lvl < MAX_DIST);
-        rs.buckets[lvl].push(far);
-        lo = lo.min(lvl);
-        pending += 1;
+        debug_assert!((lvl as usize) < MAX_DIST);
+        rs.queue.push(lvl as usize, far);
     }
-    let mut lvl = lo;
-    while pending > 0 && lvl < MAX_DIST {
-        while let Some(x) = rs.buckets[lvl].pop() {
-            pending -= 1;
-            let xi = x as usize;
-            if rs.cand_ep[xi] == ep {
-                continue;
-            }
-            rs.cand_ep[xi] = ep;
-            if strict_parent_survives(c, rs, csr, adds, s, x, lvl as u8) {
-                continue;
-            }
-            rs.orphan_ep[xi] = ep;
-            rs.orphans.push(x);
-            // shortest-path children may have lost their last parent
-            let mut skip = added_copies(adds, x);
-            for &y in csr.neighbors(x) {
-                if consume_added(&mut skip, y) {
-                    continue;
-                }
-                let yi = y as usize;
-                if c.get(s, yi) == lvl as u8 + 1 && rs.cand_ep[yi] != ep {
-                    rs.buckets[lvl + 1].push(y);
-                    pending += 1;
-                }
+    while let Some((lvl, x)) = rs.queue.pop() {
+        let xi = x as usize;
+        if rs.cand_ep[xi] == ep {
+            continue;
+        }
+        rs.cand_ep[xi] = ep;
+        let nbrs = strict.of(csr, x);
+        if strict_parent_survives(c, rs, nbrs, s, lvl as u8) {
+            continue;
+        }
+        rs.orphan_ep[xi] = ep;
+        rs.orphans.push(x);
+        // shortest-path children may have lost their last parent
+        for &y in nbrs {
+            let yi = y as usize;
+            if c.get(s, yi) == lvl as u8 + 1 && rs.cand_ep[yi] != ep {
+                rs.queue.push(lvl + 1, y);
             }
         }
-        lvl += 1;
     }
     if rs.orphans.is_empty() {
         return Some(false);
@@ -1678,15 +1722,10 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     // witness-protected rows never pay for one.
     log_row(ctx, rs, s);
     // -- re-relaxation (unit-weight Dijkstra from the boundary) ---
-    let mut lo = MAX_DIST;
     for oi in 0..rs.orphans.len() {
         let x = rs.orphans[oi];
         let mut best = u32::from(INVALID_DIST);
-        let mut skip = added_copies(adds, x);
-        for &w in csr.neighbors(x) {
-            if consume_added(&mut skip, w) {
-                continue;
-            }
+        for &w in strict.of(csr, x) {
             let wi = w as usize;
             let dw = c.get(s, wi);
             if rs.orphan_ep[wi] != ep && dw != INVALID_DIST {
@@ -1694,9 +1733,7 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
             }
         }
         if best < u32::from(INVALID_DIST) {
-            let key = (best as usize).min(MAX_DIST);
-            rs.buckets[key].push(x);
-            lo = lo.min(key);
+            rs.queue.push((best as usize).min(MAX_DIST), x);
         }
     }
     let hist = std::slice::from_raw_parts_mut(c.hist.add(s * MAX_DIST), MAX_DIST);
@@ -1704,42 +1741,34 @@ unsafe fn del_repair_source(ctx: &RepairCtx, rs: &mut RepairScratch, s: usize) -
     let ecc = &mut *c.ecc.add(s);
     let nreach = &mut *c.nreach.add(s);
     let mut overflow = false;
-    let mut key = lo;
-    while key <= MAX_DIST {
-        while let Some(x) = rs.buckets[key].pop() {
-            let xi = x as usize;
-            if rs.settled_ep[xi] == ep {
-                continue;
-            }
-            rs.settled_ep[xi] = ep;
-            if key >= MAX_DIST {
-                overflow = true;
-                continue; // keep draining the buckets
-            }
-            // Patch the aggregates in place: orphan distances grow
-            // strictly, so the eccentricity only ratchets up here.
-            let d_old = c.get(s, xi);
-            write_entry(ctx, rs, s, xi, d_old, key as u8);
-            debug_assert!((key as u8) > d_old);
-            let kx = counts[xi];
-            if kx != 0 {
-                *wsum += kx as u64 * (key as u64 - d_old as u64);
-                hist[d_old as usize] -= 1;
-                hist[key] += 1;
-                *ecc = (*ecc).max(key as u8);
-            }
-            let mut skip = added_copies(adds, x);
-            for &w in csr.neighbors(x) {
-                if consume_added(&mut skip, w) {
-                    continue;
-                }
-                let wi = w as usize;
-                if rs.orphan_ep[wi] == ep && rs.settled_ep[wi] != ep {
-                    rs.buckets[(key + 1).min(MAX_DIST)].push(w);
-                }
+    while let Some((key, x)) = rs.queue.pop() {
+        let xi = x as usize;
+        if rs.settled_ep[xi] == ep {
+            continue;
+        }
+        rs.settled_ep[xi] = ep;
+        if key >= MAX_DIST {
+            overflow = true;
+            continue; // keep draining the queue
+        }
+        // Patch the aggregates in place: orphan distances grow
+        // strictly, so the eccentricity only ratchets up here.
+        let d_old = c.get(s, xi);
+        write_entry(ctx, rs, s, xi, d_old, key as u8);
+        debug_assert!((key as u8) > d_old);
+        let kx = counts[xi];
+        if kx != 0 {
+            *wsum += kx as u64 * (key as u64 - d_old as u64);
+            hist[d_old as usize] -= 1;
+            hist[key] += 1;
+            *ecc = (*ecc).max(key as u8);
+        }
+        for &w in strict.of(csr, x) {
+            let wi = w as usize;
+            if rs.orphan_ep[wi] == ep && rs.settled_ep[wi] != ep {
+                rs.queue.push(key + 1, w);
             }
         }
-        key += 1;
     }
     if overflow {
         return None;
@@ -1792,20 +1821,15 @@ unsafe fn add_repair_source(
     let csr = &*ctx.csr;
     let counts = std::slice::from_raw_parts(ctx.counts, ctx.counts_len);
     let adds = std::slice::from_raw_parts(ctx.adds, ctx.adds_len);
-    let mut lo = MAX_DIST;
-    let mut seeded = false;
     for &(u, v, _) in adds {
         let (du, dv) = (c.get(s, u as usize), c.get(s, v as usize));
         for (x, cand) in [(v, du.saturating_add(1)), (u, dv.saturating_add(1))] {
             if cand < c.get(s, x as usize) {
-                let key = (cand as usize).min(MAX_DIST);
-                rs.buckets[key].push(x);
-                lo = lo.min(key);
-                seeded = true;
+                rs.queue.push((cand as usize).min(MAX_DIST), x);
             }
         }
     }
-    if !seeded {
+    if rs.queue.len == 0 {
         return Some(false);
     }
     if !logged {
@@ -1817,44 +1841,40 @@ unsafe fn add_repair_source(
     let nreach = &mut *c.nreach.add(s);
     let mut overflow = false;
     let mut ecc_dirty = false;
-    let mut key = lo;
-    while key <= MAX_DIST {
-        while let Some(x) = rs.buckets[key].pop() {
-            let xi = x as usize;
-            let d_old = c.get(s, xi);
-            if key >= d_old as usize {
-                continue; // stale: already settled at least as close
-            }
-            if key >= MAX_DIST {
-                overflow = true; // finite but beyond histogram range
-                continue; // keep draining the buckets
-            }
-            write_entry(ctx, rs, s, xi, d_old, key as u8);
-            let kx = counts[xi];
-            if d_old == INVALID_DIST {
-                // newly reachable through an added link
-                if kx != 0 {
-                    *wsum += kx as u64 * (key as u64 + 2);
-                    hist[key] += 1;
-                    *nreach += 1;
-                    *ecc = (*ecc).max(key as u8);
-                }
-            } else if kx != 0 {
-                *wsum -= kx as u64 * (d_old as u64 - key as u64);
-                hist[d_old as usize] -= 1;
+    while let Some((key, x)) = rs.queue.pop() {
+        let xi = x as usize;
+        let d_old = c.get(s, xi);
+        if key >= d_old as usize {
+            continue; // stale: already settled at least as close
+        }
+        if key >= MAX_DIST {
+            overflow = true; // finite but beyond histogram range
+            continue; // keep draining the queue
+        }
+        write_entry(ctx, rs, s, xi, d_old, key as u8);
+        let kx = counts[xi];
+        if d_old == INVALID_DIST {
+            // newly reachable through an added link
+            if kx != 0 {
+                *wsum += kx as u64 * (key as u64 + 2);
                 hist[key] += 1;
-                if d_old == *ecc {
-                    ecc_dirty = true;
-                }
+                *nreach += 1;
+                *ecc = (*ecc).max(key as u8);
             }
-            let cand = key + 1;
-            for &w in csr.neighbors(x) {
-                if cand < usize::from(c.get(s, w as usize)) {
-                    rs.buckets[cand.min(MAX_DIST)].push(w);
-                }
+        } else if kx != 0 {
+            *wsum -= kx as u64 * (d_old as u64 - key as u64);
+            hist[d_old as usize] -= 1;
+            hist[key] += 1;
+            if d_old == *ecc {
+                ecc_dirty = true;
             }
         }
-        key += 1;
+        let cand = key + 1;
+        for &w in csr.neighbors(x) {
+            if cand < usize::from(c.get(s, w as usize)) {
+                rs.queue.push(cand, w);
+            }
+        }
     }
     if overflow {
         return None;
@@ -2334,6 +2354,9 @@ pub struct SearchState {
     /// Pending delta split for the repair tasks, reused per evaluation.
     adds_buf: Vec<(u32, u32, u32)>,
     dels_buf: Vec<(u32, u32)>,
+    /// The decremental phase's adjacency for `adds_buf`, rebuilt per
+    /// evaluation.
+    strict_adj: StrictAdjacency,
     /// Reusable `(source, worker, index)` keys for the deterministic
     /// post-job undo-log merge.
     undo_order: Vec<(u32, u32, u32)>,
@@ -2394,6 +2417,7 @@ impl SearchState {
             rscratch: (0..workers).map(|_| RepairScratch::default()).collect(),
             adds_buf: Vec::new(),
             dels_buf: Vec::new(),
+            strict_adj: StrictAdjacency::default(),
             undo_order: Vec::new(),
             stats: EvalStats::default(),
         };
@@ -2758,6 +2782,7 @@ impl SearchState {
                 cache.log_swept_row(s);
             }
         }
+        self.strict_adj.rebuild(&self.csr, &self.adds_buf);
         let ptrs = cache.ptrs();
         let rctx = RepairCtx {
             cache: ptrs,
@@ -2769,6 +2794,7 @@ impl SearchState {
             adds_len: self.adds_buf.len(),
             dels: self.dels_buf.as_ptr(),
             dels_len: self.dels_buf.len(),
+            strict: &self.strict_adj,
             log: in_txn,
         };
         for rs in &mut self.rscratch {

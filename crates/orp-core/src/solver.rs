@@ -6,10 +6,12 @@
 //! graph that suits the move kind — [`random_regular`] for the swap of
 //! §5.1, [`random_general`] otherwise — and runs one [`Anneal`], or one
 //! [`Temper`] ensemble over a [`geometric_ladder`] when
-//! [`Solver::replicas`] `> 1`. Checkpoints go to the given path itself;
-//! resume, the stall watchdog and a live metrics stream pass straight
-//! through to that engine. A panic inside the solve reaches the caller,
-//! as it does from the engines.
+//! [`Solver::replicas`] `> 1`. Checkpoints go to the given path itself.
+//! A resume skips the start graph and continues from the checkpoint's
+//! graph, which must hold the solve's `(n, m, r)`. The stall watchdog
+//! and a live metrics stream pass straight through to the engine. A
+//! panic inside the solve reaches the caller, as it does from the
+//! engines.
 //!
 //! ```
 //! use orp_core::solver::Solver;
@@ -145,7 +147,10 @@ impl Solver {
     }
 
     /// Resumes from the [`Solver::checkpoint`] file when it exists; a
-    /// missing file starts fresh.
+    /// missing file starts fresh. A resume builds no start graph: it
+    /// continues from the checkpoint's, which must hold this solve's
+    /// hosts, switch count and radix ([`SaError::InstanceMismatch`]
+    /// otherwise).
     pub fn resume(mut self, yes: bool) -> Self {
         self.resume = yes;
         self
@@ -166,8 +171,9 @@ impl Solver {
 
     /// Runs the solve. Fails with [`GraphError::InvalidParameters`] on
     /// fewer than two hosts or a radix below 3, with the start graph
-    /// constructor's error when the switch count does not fit (a swap
-    /// solve needs `m | n`), and otherwise with the engine's error.
+    /// constructor's error when the switch count does not fit a fresh
+    /// run (a swap solve needs `m | n`), and otherwise with the
+    /// engine's error.
     ///
     /// [`GraphError::InvalidParameters`]: crate::error::GraphError::InvalidParameters
     pub fn run(self) -> Result<SolveReport, SaError> {
@@ -175,25 +181,29 @@ impl Solver {
         let m = self
             .switches
             .unwrap_or_else(|| optimal_switch_count(self.n.into(), self.r.into()).0 as u32);
-        let start = match self.kind {
-            MoveKind::Swap => random_regular(self.n, m, self.r, self.cfg.seed)?,
+        // A resume continues from the checkpoint's graph, so only a fresh
+        // run builds a start graph.
+        let resume_from = self.ckpt.clone().filter(|p| self.resume && p.exists());
+        let instance = (self.n, m, self.r);
+        let start = || match self.kind {
+            MoveKind::Swap => random_regular(self.n, m, self.r, self.cfg.seed),
             MoveKind::Swing | MoveKind::TwoNeighborSwing => {
-                random_general(self.n, m, self.r, self.cfg.seed)?
+                random_general(self.n, m, self.r, self.cfg.seed)
             }
         };
-        let resume_from = self.ckpt.clone().filter(|p| self.resume && p.exists());
         if self.replicas > 1 {
             let ladder = geometric_ladder(self.cfg.t0, self.cfg.t_end.max(1e-12), self.replicas);
-            let mut b = Temper::builder(start)
+            let b = match resume_from {
+                Some(path) => Temper::resuming(path, instance),
+                None => Temper::builder(start()?),
+            };
+            let mut b = b
                 .kind(self.kind)
                 .config(self.cfg)
                 .ladder(ladder)
                 .exchange_every(self.exchange_every)
                 .recorder(self.rec)
                 .checkpoint_every_rounds(self.ckpt_every.div_ceil(self.exchange_every));
-            if let Some(path) = resume_from {
-                b = b.resume_from(path);
-            }
             if let Some(path) = self.ckpt {
                 b = b.checkpoint(path);
             }
@@ -210,14 +220,15 @@ impl Solver {
                 exchanges: Some(res.exchanges),
             })
         } else {
-            let mut b = Anneal::builder(start)
+            let b = match resume_from {
+                Some(path) => Anneal::resuming(path, instance),
+                None => Anneal::builder(start()?),
+            };
+            let mut b = b
                 .kind(self.kind)
                 .config(self.cfg)
                 .recorder(self.rec)
                 .checkpoint_every(self.ckpt_every);
-            if let Some(path) = resume_from {
-                b = b.resume_from(path);
-            }
             if let Some(path) = self.ckpt {
                 b = b.checkpoint(path);
             }
@@ -434,6 +445,58 @@ mod tests {
         let resumed = run(true);
         assert_same(&resumed.result, &report.result, "resumed");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes a `(64, 10)` checkpoint with `replicas` replicas, then
+    /// resumes it as another instance — more hosts, one more switch, a
+    /// larger radix — and as itself. Only the last may run, and it
+    /// lands on the written answer.
+    fn resume_checks_the_instance(replicas: usize) {
+        let dir = temp_dir(&format!("instance_{replicas}"));
+        let path = dir.join("solve.ckpt");
+        let solve = |n: u32, r: u32, switches: Option<u32>| {
+            let mut s = Solver::builder(n, r)
+                .config(small_cfg(300))
+                .replicas(replicas)
+                .exchange_every(50)
+                .checkpoint(&path)
+                .resume(true);
+            if let Some(m) = switches {
+                s = s.switches(m);
+            }
+            s.run()
+        };
+        let written = solve(64, 10, None).unwrap();
+        let m = written.m;
+        let m_128 = optimal_switch_count(128, 10).0 as u32;
+        for (n, r, switches, expected) in [
+            (128, 10, None, (128, m_128, 10)),
+            (64, 10, Some(m + 1), (64, m + 1, 10)),
+            (64, 12, Some(m), (64, m, 12)),
+        ] {
+            let err = solve(n, r, switches).unwrap_err();
+            assert_eq!(
+                err,
+                SaError::InstanceMismatch {
+                    expected,
+                    found: (64, m, 10),
+                },
+                "replicas {replicas}"
+            );
+        }
+        let resumed = solve(64, 10, None).unwrap();
+        assert_same(&resumed.result, &written.result, "same instance");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_instance() {
+        resume_checks_the_instance(1);
+    }
+
+    #[test]
+    fn tempering_resume_refuses_a_checkpoint_of_another_instance() {
+        resume_checks_the_instance(2);
     }
 
     /// The checkpoint is the given path itself, in both branches, and a

@@ -20,7 +20,7 @@
 //! (replicas already at the boundary simply no-op until the laggard
 //! catches up).
 
-use crate::anneal::{Annealer, MoveKind, RunCtl, SaConfig, SaResult};
+use crate::anneal::{instance_of, Annealer, MoveKind, RunCtl, SaConfig, SaResult};
 use crate::ckpt::{self, CkptError, Decoder, Encoder};
 use crate::error::SaError;
 use crate::graph::HostSwitchGraph;
@@ -182,6 +182,7 @@ impl TemperRun {
         cfg: &SaConfig,
         ladder: &[f64],
         rec: &Recorder,
+        instance: (u32, u32, u32),
     ) -> Result<Self, SaError> {
         let bad = |what: &str| SaError::Ckpt(CkptError::BadSection(what.into()));
         let mut dec = Decoder::new(payload);
@@ -232,7 +233,7 @@ impl TemperRun {
         for k in 0..ladder.len() {
             let sub = dec.get_bytes().map_err(SaError::Ckpt)?;
             let c = replica_cfg(cfg, ladder, k);
-            replicas.push(Annealer::from_ckpt(sub, kind, &c, rec.clone())?);
+            replicas.push(Annealer::from_ckpt(sub, kind, &c, rec.clone(), instance)?);
         }
         let pairs = replicas.len().saturating_sub(1);
         Ok(Self {
@@ -457,7 +458,11 @@ impl TemperRun {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Temper {
-    start: HostSwitchGraph,
+    /// The graph every replica of a fresh run starts from; `None` only
+    /// for [`Temper::resuming`].
+    start: Option<HostSwitchGraph>,
+    /// `(hosts, switches, radix)` a resumed checkpoint must hold.
+    instance: (u32, u32, u32),
     kind: MoveKind,
     cfg: SaConfig,
     ladder: Vec<f64>,
@@ -475,8 +480,21 @@ impl Temper {
     /// 2-neighbor swing neighbourhood, a 4-rung geometric ladder from
     /// `cfg.t0` down to `cfg.t_end`, an exchange every 1000 iterations.
     pub fn builder(start: HostSwitchGraph) -> Self {
+        let instance = instance_of(&start);
+        Self::with_start(Some(start), instance)
+    }
+
+    /// A builder that resumes from the ensemble checkpoint at `path`
+    /// without a start graph; the checkpoint must hold `instance`'s
+    /// `(hosts, switches, radix)`.
+    pub(crate) fn resuming(path: PathBuf, instance: (u32, u32, u32)) -> Self {
+        Self::with_start(None, instance).resume_from(path)
+    }
+
+    fn with_start(start: Option<HostSwitchGraph>, instance: (u32, u32, u32)) -> Self {
         Self {
             start,
+            instance,
             kind: MoveKind::TwoNeighborSwing,
             cfg: SaConfig::default(),
             ladder: Vec::new(),
@@ -539,9 +557,12 @@ impl Temper {
     }
 
     /// Resumes from an ensemble checkpoint previously written by this
-    /// builder (the starting graph is ignored). The config and ladder
-    /// must match bitwise; `eval_workers`/`search` may
-    /// differ (pure wall-clock/memory knobs).
+    /// builder: the replicas continue from the checkpoint's graphs, not
+    /// the start graph, which only names the instance. The config and
+    /// ladder must match bitwise; `eval_workers`/`search` may differ
+    /// (pure wall-clock/memory knobs). Every replica's graph must have
+    /// the start graph's hosts, switches and radix, or the run fails
+    /// with [`SaError::InstanceMismatch`].
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());
         self
@@ -584,9 +605,22 @@ impl Temper {
         let run = match &self.resume {
             Some(p) => {
                 let payload = ckpt::read_checkpoint(p, ckpt::KIND_TEMPER)?;
-                TemperRun::from_ckpt(&payload, self.kind, &self.cfg, &ladder, &self.rec)?
+                TemperRun::from_ckpt(
+                    &payload,
+                    self.kind,
+                    &self.cfg,
+                    &ladder,
+                    &self.rec,
+                    self.instance,
+                )?
             }
-            None => TemperRun::new(&self.start, self.kind, &self.cfg, &ladder, &self.rec)?,
+            None => {
+                let start = self
+                    .start
+                    .as_ref()
+                    .expect("a builder without a start graph resumes");
+                TemperRun::new(start, self.kind, &self.cfg, &ladder, &self.rec)?
+            }
         };
         let window_secs = self
             .watchdog

@@ -18,7 +18,7 @@
 
 use orp_core::construct::random_general;
 use orp_core::metrics::{path_metrics, PathMetrics};
-use orp_core::ops::{sample_swap, sample_swing, Swing};
+use orp_core::ops::{sample_swap, sample_swing, Swap, Swing};
 use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -274,6 +274,60 @@ fn nested_rollback_with_evaluations_at_both_levels_is_exact() {
             assert_restored(&mut st, &base, &format!("{what} (outer)"));
         }
     }
+}
+
+/// Two swaps in one transaction whose added links share an endpoint
+/// `x`: `x` ends two pending added links, and the decremental phase
+/// must leave both out of its adjacency. One evaluation after both
+/// swaps must match the uncached engine, with every row equal to fresh
+/// BFS, and rolling both back must restore the cache exactly.
+#[test]
+fn repair_at_a_switch_ending_two_added_links_is_exact() {
+    let mut cases = 0;
+    for seed in 0..12 {
+        let g = random_general(48, 16, 8, seed).unwrap();
+        let mut cached = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(300 + seed);
+        let base = cached.evaluate().unwrap();
+        for step in 0..8 {
+            let what = format!("seed {seed} step {step}");
+            let first = sample_swap(cached.graph(), cached.edges(), &mut rng, 64).unwrap();
+            cached.begin();
+            cached.apply_swap(first).unwrap();
+            // the first swap linked `x` to `first.d`; relink `x` again
+            let x = first.a;
+            let second = (0..256).find_map(|_| {
+                let nbrs = cached.graph().neighbors(x);
+                let b = nbrs[rng.gen_range(0..nbrs.len())];
+                let (c, d) = cached.edges().sample_oriented(&mut rng);
+                let s = Swap { a: x, b, c, d };
+                (b != first.d && s.is_valid(cached.graph())).then_some(s)
+            });
+            let Some(second) = second else {
+                cached.rollback();
+                continue;
+            };
+            cached.begin();
+            cached.apply_swap(second).unwrap();
+            for s in [first, second] {
+                plain.begin();
+                plain.apply_swap(s).unwrap();
+            }
+            let got = cached.evaluate_guarded(None);
+            assert_matches_fresh(&got, plain.evaluate()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            if let Err(e) = cached.check_consistency() {
+                panic!("{what}: inconsistent after the evaluation: {e}");
+            }
+            cases += 1;
+            for st in [&mut cached, &mut plain] {
+                st.rollback();
+                st.rollback();
+            }
+            assert_restored(&mut cached, &base, &what);
+        }
+    }
+    assert!(cases >= 48, "only {cases} double swaps shared an endpoint");
 }
 
 /// The undo log grows by the entries a repair changes, not by the rows
