@@ -127,8 +127,9 @@ pub fn random_regular(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGra
 ///
 /// Most of the cost is [`fill_free_ports`]: one shuffle of the switches
 /// with a free port per added link, quadratic in `m` (5.4 billion rng
-/// draws at n = 65536, m = 32768, r = 16). A faster pairing would change
-/// every seeded graph, so the quadratic fill stays.
+/// draws at n = 65536, m = 32768, r = 16), and the keystream behind
+/// those draws is most of the shuffle's time. A faster pairing would
+/// change every seeded graph, so the quadratic fill stays.
 pub fn random_general(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGraph, GraphError> {
     if m == 0 {
         return Err(GraphError::InvalidParameters("m must be positive".into()));
@@ -142,6 +143,9 @@ pub fn random_general(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGra
     if m == 1 {
         return star(n, r);
     }
+    // the graph's own radix check, before the ring capacity subtracts
+    // the two ring ports from `r`
+    let mut g = HostSwitchGraph::new(m, r)?;
     let ring_cap = m as u64 * (r as u64 - 2);
     let path_cap = ring_cap + 2;
     let star_ok = m - 1 <= r;
@@ -151,7 +155,6 @@ pub fn random_general(n: u32, m: u32, r: u32, seed: u64) -> Result<HostSwitchGra
         0
     };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = HostSwitchGraph::new(m, r)?;
     let mut order: Vec<Switch> = (0..m).collect();
     order.shuffle(&mut rng);
     if m == 2 {
@@ -221,10 +224,15 @@ fn random_fill_ring_first<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) -> Resul
 /// ports are concentrated on adjacent switches.
 ///
 /// Each added link costs one shuffle of the switches that still have a
-/// free port, so the fill is quadratic in the switch count (about 110M
-/// rng draws at m = 6177, r = 12). A cheaper pairing would change every
-/// seeded graph, so the shuffle stays; the ascending free-port list it
-/// shuffles, and the free-port total, carry over from link to link.
+/// free port, so the fill is quadratic in the switch count: 110.8M
+/// bounded draws at n = 16384, m = 6177, r = 12, nearly all of them in
+/// the shuffles (the first pair of a shuffled order almost always
+/// links). Each draw takes one `u64` of ChaCha8 keystream, which costs
+/// about 2.5 ns when the generator refills in AVX2 lanes and about
+/// 5 ns through SSE2 (2-core Xeon), so making keystream is most of the
+/// fill's time. A cheaper pairing would change every seeded graph, so
+/// the shuffle stays; the ascending free-port list it shuffles, and the
+/// free-port total, carry over from link to link.
 pub fn fill_free_ports<R: Rng>(g: &mut HostSwitchGraph, rng: &mut R) {
     let m = g.num_switches();
     let mut free: Vec<Switch> = (0..m).filter(|&s| g.free_ports(s) > 0).collect();
@@ -389,6 +397,16 @@ mod tests {
         // 43 switches × radix 24 could hold the hosts, but not with
         // 2 ring ports per switch
         assert!(random_general(1024, 44, 24, 0).is_err());
+        // radix 0 and 1 leave no ring ports to subtract
+        for (n, m, r) in [(2, 2, 1), (1, 3, 1), (0, 2, 0)] {
+            assert!(
+                matches!(
+                    random_general(n, m, r, 0),
+                    Err(GraphError::InvalidParameters(_))
+                ),
+                "n={n} m={m} r={r}"
+            );
+        }
     }
 
     #[test]

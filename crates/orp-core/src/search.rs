@@ -61,18 +61,22 @@
 //! affected sources are repaired in place (decremental re-relaxation
 //! for the removals, then insertion relaxation for the adds); only
 //! invalid rows are re-swept in 64-wide batches, and everything else
-//! is scored from the cached aggregates in `O(m)`. A repair's three
-//! walks (orphan descent, re-relaxation, insertion wavefront) drain
-//! one per-worker bucket queue that ends at its last queued switch, so
-//! a row costs its changed entries times the degree, with no tail over
-//! empty distance buckets. The decremental phase walks the live
-//! adjacency minus the pending added links; only the added links'
-//! endpoints differ from their CSR slice, so their lists are built once
-//! per evaluation and no neighbour visit tests for an added link. Edge
-//! deltas accumulate *lazily* (rollback pushes the inverse delta, so a
-//! rejected proposal that never re-evaluated cancels to a no-op), and
-//! the full sweep remains both the fallback (over-budget `m`, deep
-//! graphs) and the correctness oracle of the equivalence suites.
+//! is scored from the cached aggregates in `O(m)`. A re-sweep (every
+//! row, when the engine starts) writes each entry of its rows once and
+//! builds their aggregates in the same pass, level by level, and it
+//! stops gathering at a switch every source of the batch has reached.
+//! A repair's three walks (orphan descent, re-relaxation, insertion
+//! wavefront) drain one per-worker bucket queue that ends at its last
+//! queued switch, so a row costs its changed entries times the degree,
+//! with no tail over empty distance buckets. The decremental phase
+//! walks the live adjacency minus the pending added links; only the
+//! added links' endpoints differ from their CSR slice, so their lists
+//! are built once per evaluation and no neighbour visit tests for an
+//! added link. Edge deltas accumulate *lazily* (rollback pushes the
+//! inverse delta, so a rejected proposal that never re-evaluated
+//! cancels to a no-op), and the full sweep remains both the fallback
+//! (over-budget `m`, deep graphs) and the correctness oracle of the
+//! equivalence suites.
 //!
 //! # Rows and memory budget
 //!
@@ -456,21 +460,15 @@ impl CachePtrs {
     unsafe fn set(&self, s: usize, v: usize, d: u8) {
         *self.rows.add(s * self.m + v) = d
     }
-
-    /// Fills row `s` with the unreachable marker.
-    ///
-    /// # Safety
-    /// The caller must own source `s` for the duration of the job.
-    #[inline]
-    unsafe fn fill_invalid(&self, s: usize) {
-        std::ptr::write_bytes(self.rows.add(s * self.m), INVALID_DIST, self.m)
-    }
 }
 
-/// As [`sweep_batch`], but additionally fills the cache row and
-/// per-source aggregates of every swept source. Returns `false` when
-/// some switch lies at the cache's distance cap (the cache must be
-/// disabled).
+/// As [`sweep_batch`], but fills the cache row and per-source
+/// aggregates of every swept source in the same pass: each level adds
+/// its hostful switches to their sources' histogram and weighted sum,
+/// and the entries the sweep never reached are marked unreachable
+/// from `seen` at the end, so every entry of the batch's rows is
+/// written exactly once. Returns `false` when some switch lies at the
+/// cache's distance cap (the cache must be disabled).
 fn sweep_batch_cached(
     csr: &SlotCsr,
     counts: &[u32],
@@ -482,24 +480,33 @@ fn sweep_batch_cached(
     let m = csr.len();
     debug_assert_eq!(m, c.m);
     scratch.reset(m);
-    // SAFETY: every source in `srcs` is owned by this batch; rows and
-    // per-source aggregates of distinct sources never alias.
-    unsafe {
-        for &s in srcs {
-            let s = s as usize;
-            c.fill_invalid(s);
+    let batch = u64::MAX >> (64 - srcs.len());
+    for (i, &s) in srcs.iter().enumerate() {
+        let s = s as usize;
+        scratch.cur[s] = 1 << i;
+        scratch.seen[s] = 1 << i;
+        // SAFETY: every source in `srcs` is owned by this batch; rows
+        // and per-source aggregates of distinct sources never alias.
+        unsafe {
             c.set(s, s, 0);
+            std::ptr::write_bytes(c.hist.add(s * MAX_DIST), 0, MAX_DIST);
         }
     }
-    for (i, &s) in srcs.iter().enumerate() {
-        scratch.cur[s as usize] = 1 << i;
-        scratch.seen[s as usize] = 1 << i;
-    }
+    // per source: hostful switches first reached at this level, and
+    // their hosts; then Σ k_v·(d + 2) over every level so far
+    let mut level_n = [0u32; 64];
+    let mut level_k = [0u64; 64];
+    let mut wsum = [0u64; 64];
     let mut depth = 0usize;
     loop {
         depth += 1;
         let mut active = false;
-        for v in 0..m {
+        for (v, &kv) in counts.iter().enumerate().take(m) {
+            if scratch.seen[v] == batch {
+                // every source has reached `v`: nothing left to gather
+                scratch.next[v] = 0;
+                continue;
+            }
             let mut gather = 0u64;
             for &u in csr.neighbors(v as u32) {
                 gather |= scratch.cur[u as usize];
@@ -509,13 +516,16 @@ fn sweep_batch_cached(
             if new != 0 {
                 scratch.seen[v] |= new;
                 active = true;
+                let hostful = u32::from(kv > 0);
                 let mut bits = new;
                 while bits != 0 {
-                    let s = srcs[bits.trailing_zeros() as usize] as usize;
+                    let i = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    // SAFETY: `s` belongs to this batch (see above).
+                    level_n[i] += hostful;
+                    level_k[i] += u64::from(kv);
+                    // SAFETY: `srcs[i]` belongs to this batch (see above).
                     unsafe {
-                        c.set(s, v, depth as u8);
+                        c.set(srcs[i] as usize, v, depth as u8);
                     }
                 }
             }
@@ -527,48 +537,41 @@ fn sweep_batch_cached(
             // a non-empty level at the cap: the rows cannot hold it
             return false;
         }
+        for (i, &s) in srcs.iter().enumerate() {
+            // SAFETY: as above; `depth < MAX_DIST` indexes inside the
+            // source's histogram.
+            unsafe {
+                *c.hist.add(s as usize * MAX_DIST + depth) = level_n[i];
+            }
+            wsum[i] += level_k[i] * (depth as u64 + 2);
+            level_n[i] = 0;
+            level_k[i] = 0;
+        }
         std::mem::swap(&mut scratch.cur, &mut scratch.next);
     }
-    // Aggregates come from a sequential post-pass over each finished
-    // row — far cheaper than scalar updates inside the frontier bit
-    // loop above, which would cost one scattered read-modify-write per
-    // (source, switch) pair.
-    // SAFETY: as above.
-    unsafe {
-        for &s in srcs {
-            recompute_aggregates_ptr(c, s as usize, counts);
-            *c.valid.add(s as usize) = true;
+    for v in 0..m {
+        let mut missed = batch & !scratch.seen[v];
+        while missed != 0 {
+            let i = missed.trailing_zeros() as usize;
+            missed &= missed - 1;
+            // SAFETY: as above.
+            unsafe {
+                c.set(srcs[i] as usize, v, INVALID_DIST);
+            }
+        }
+    }
+    for (i, &s) in srcs.iter().enumerate() {
+        let s = s as usize;
+        // SAFETY: as above.
+        unsafe {
+            let hist = std::slice::from_raw_parts(c.hist.add(s * MAX_DIST), MAX_DIST);
+            *c.wsum.add(s) = wsum[i];
+            *c.nreach.add(s) = hist.iter().sum();
+            *c.ecc.add(s) = hist.iter().rposition(|&h| h > 0).unwrap_or(0) as u8;
+            *c.valid.add(s) = true;
         }
     }
     true
-}
-
-/// Rebuilds the aggregates of source `s` from its stored row: a single
-/// sequential pass shared by the sweep workers and the repair path.
-///
-/// # Safety
-/// The caller must own source `s` (no other thread may touch its row or
-/// aggregate slots), and the row must be fully written.
-unsafe fn recompute_aggregates_ptr(c: &CachePtrs, s: usize, counts: &[u32]) {
-    let m = c.m;
-    let hist = std::slice::from_raw_parts_mut(c.hist.add(s * MAX_DIST), MAX_DIST);
-    hist.fill(0);
-    let mut wsum = 0u64;
-    let mut nreach = 0u32;
-    let mut ecc = 0u8;
-    for (v, &kv) in counts.iter().enumerate().take(m) {
-        let d = c.get(s, v);
-        if v == s || d == INVALID_DIST || kv == 0 {
-            continue;
-        }
-        wsum += kv as u64 * (d as u64 + 2);
-        hist[d as usize] += 1;
-        nreach += 1;
-        ecc = ecc.max(d);
-    }
-    *c.wsum.add(s) = wsum;
-    *c.nreach.add(s) = nreach;
-    *c.ecc.add(s) = ecc;
 }
 
 /// The per-source distance cache: one row per switch (hop counts to
@@ -672,7 +675,9 @@ impl DistCache {
     fn new(m: usize) -> Self {
         Self {
             m,
-            rows: vec![INVALID_DIST; m * m],
+            // every entry is written by the first sweep of its row, so
+            // the rows start as untouched zeroed pages
+            rows: vec![0; m * m],
             valid: vec![false; m],
             wsum: vec![0; m],
             hist: vec![0; m * MAX_DIST],

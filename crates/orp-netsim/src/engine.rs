@@ -30,6 +30,7 @@ use orp_core::graph::Host;
 use orp_core::watchdog::{WatchSource, Watchdog, WatchdogConfig};
 use orp_obs::{Event as ObsEvent, FaultKind, FlowStage, Recorder, StreamSink};
 use orp_route::RoutingTable;
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -320,12 +321,14 @@ pub struct Simulator<'a> {
     /// Scratch route buffer every route walk reuses (so creating or
     /// rerouting a flow allocates nothing beyond its route record).
     route_scratch: Vec<LinkId>,
+    /// The sharing model's kind (part of the checkpoint fingerprint).
+    sharing: SharingMode,
     // crash safety
     /// CRC over the full immutable configuration (programs, placement,
     /// injections, sharing mode, network parameters); echoed into every
     /// checkpoint so a snapshot can never silently resume under a
-    /// different setup.
-    cfg_crc: u32,
+    /// different setup. Computed on first use (see [`Simulator::cfg_crc`]).
+    cfg_crc: OnceCell<u32>,
     ckpt_path: Option<PathBuf>,
     ckpt_every: u64,
     last_ckpt_events: u64,
@@ -566,7 +569,6 @@ impl<'a> Simulator<'a> {
         } else {
             Vec::new()
         };
-        let cfg_crc = config_fingerprint(net, &programs, &placement, &injections, sharing);
         Self {
             net,
             ranks: Ranks::new(programs),
@@ -595,7 +597,8 @@ impl<'a> Simulator<'a> {
             dep_parent,
             finished_scratch: Vec::new(),
             route_scratch: Vec::new(),
-            cfg_crc,
+            sharing,
+            cfg_crc: OnceCell::new(),
             ckpt_path: None,
             ckpt_every: SIM_CKPT_EVERY_DEFAULT,
             last_ckpt_events: 0,
@@ -1026,6 +1029,22 @@ impl<'a> Simulator<'a> {
         }
     }
 
+    /// The configuration fingerprint, computed once per simulator when a
+    /// save or a resume first needs it: encoding every op of every
+    /// program and every injection costs more than the rest of a
+    /// million-flow build, and a run without checkpoints never reads it.
+    fn cfg_crc(&self) -> u32 {
+        *self.cfg_crc.get_or_init(|| {
+            config_fingerprint(
+                self.net,
+                self.ranks.programs(),
+                &self.placement,
+                &self.injections,
+                self.sharing,
+            )
+        })
+    }
+
     /// Snapshots the complete mutable simulation state. Only valid at
     /// the top of the event loop (the quiescent boundary `run` saves
     /// at): every in-flight state transition is then either fully in
@@ -1042,7 +1061,7 @@ impl<'a> Simulator<'a> {
         let mut model = Encoder::new();
         self.model.encode_state(&mut model);
         SimCheckpoint {
-            cfg_crc: self.cfg_crc,
+            cfg_crc: self.cfg_crc(),
             num_ranks: self.ranks.len() as u32,
             faults: faults.into_bytes(),
             now: self.now,
@@ -1071,7 +1090,7 @@ impl<'a> Simulator<'a> {
     /// faults, injections, sharing mode, and network).
     fn restore(&mut self, ck: SimCheckpoint) -> Result<(), CkptError> {
         let bad = |what: &str| CkptError::BadSection(format!("simulator: {what}"));
-        if ck.cfg_crc != self.cfg_crc {
+        if ck.cfg_crc != self.cfg_crc() {
             return Err(bad(
                 "configuration does not match the checkpoint (programs/placement/\
                  injections/sharing/network must be identical)",

@@ -273,6 +273,11 @@ impl Ranks {
         })
     }
 
+    /// The rank programs, as given (execution never edits them).
+    pub(crate) fn programs(&self) -> &[Program] {
+        &self.programs
+    }
+
     /// Network sends in the programs: the most flows they can issue.
     pub(crate) fn sends(&self) -> usize {
         let is_send = |op: &&Op| matches!(op, Op::Send { .. } | Op::SendRecv { .. });

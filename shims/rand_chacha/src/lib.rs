@@ -6,16 +6,18 @@
 //! determinism for a fixed seed within this workspace, not stream-level
 //! bit compatibility with the upstream `rand_chacha` crate.
 //!
-//! Each refill computes four consecutive blocks. On x86-64, where SSE2
-//! is part of the baseline, the four blocks run side by side in the
-//! 32-bit lanes of SSE2 registers; other targets run the scalar block
-//! function four times. Both produce the same words, and the scalar
-//! function is the tests' reference.
+//! Each refill computes eight consecutive blocks. On x86-64 the eight
+//! blocks run side by side in the eight 32-bit lanes of AVX2 registers
+//! when the CPU has AVX2 (checked at run time), and otherwise as two
+//! four-block passes in the lanes of SSE2 registers (part of the x86-64
+//! baseline); other targets run the scalar block function eight times.
+//! All three produce the same words, and the scalar function is the
+//! tests' reference.
 
 use rand::{RngCore, SeedableRng};
 
 /// Keystream blocks computed per refill.
-const BLOCKS: usize = 4;
+const BLOCKS: usize = 8;
 /// Words buffered per refill.
 const BUF_WORDS: usize = 16 * BLOCKS;
 
@@ -26,8 +28,8 @@ pub struct ChaCha8Rng {
     key: [u32; 8],
     /// Block counter of the first block the next refill computes.
     counter: u64,
-    /// Four consecutive blocks: `buf[16 * b..][..16]` is block
-    /// `counter - 4 + b`.
+    /// Eight consecutive blocks: `buf[16 * b..][..16]` is block
+    /// `counter - 8 + b`.
     buf: [u32; BUF_WORDS],
     /// Next unread index into `buf`; `BUF_WORDS` means exhausted.
     idx: usize,
@@ -74,8 +76,8 @@ impl ChaCha8Rng {
             buf: [0; BUF_WORDS],
             idx: BUF_WORDS,
         };
-        // the restored block goes first, followed by the three blocks
-        // after it; the fourth block of the refill is dropped
+        // the restored block goes first, followed by the seven blocks
+        // after it; the last block of the refill is dropped
         rng.refill();
         rng.buf.copy_within(..BUF_WORDS - 16, 16);
         rng.buf[..16].copy_from_slice(&w[10..26]);
@@ -85,7 +87,7 @@ impl ChaCha8Rng {
     }
 
     fn refill(&mut self) {
-        blocks4(&self.key, self.counter, &mut self.buf);
+        blocks8(&self.key, self.counter, &mut self.buf);
         self.idx = 0;
         self.counter = self.counter.wrapping_add(BLOCKS as u64);
     }
@@ -95,7 +97,7 @@ impl ChaCha8Rng {
 /// and the tests' reference everywhere.
 #[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "sse2"))))]
 mod scalar {
-    use super::{BUF_WORDS, SIGMA};
+    use super::SIGMA;
 
     #[inline(always)]
     fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
@@ -135,25 +137,48 @@ mod scalar {
         state
     }
 
-    /// Blocks `counter..counter + 4` (wrapping) into `out`, one after
-    /// the other.
-    pub(super) fn blocks4(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    /// Blocks `counter, counter + 1, …` (wrapping) into `out`, one after
+    /// the other, as many as `out` holds.
+    pub(super) fn blocks(key: &[u32; 8], counter: u64, out: &mut [u32]) {
         for (b, dst) in out.chunks_exact_mut(16).enumerate() {
             dst.copy_from_slice(&block(key, counter.wrapping_add(b as u64)));
         }
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-use scalar::blocks4;
+/// Blocks `counter..counter + 8` (wrapping) into `out`, one after the
+/// other: the AVX2 kernel when the CPU has it, else
+/// [`blocks8_baseline`].
+fn blocks8(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `blocks8_avx2` is safe code compiled with AVX2
+        // enabled; its one requirement, a CPU that executes AVX2
+        // instructions, is what the run-time check above established.
+        unsafe { blocks8_avx2(key, counter, out) };
+        return;
+    }
+    blocks8_baseline(key, counter, out);
+}
+
+/// [`blocks8`] on the target's baseline instruction set: two four-block
+/// SSE2 passes on x86-64, the scalar block function elsewhere.
+fn blocks8_baseline(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    for (h, half) in out.as_chunks_mut::<64>().0.iter_mut().enumerate() {
+        blocks4(key, counter.wrapping_add(4 * h as u64), half);
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+    scalar::blocks(key, counter, out);
+}
 
 /// Blocks `counter..counter + 4` (wrapping) into `out`, one after the
 /// other, computed together: lane `b` of every SSE2 register belongs to
 /// block `counter + b`, so register `x[k]` holds word `k` of all four.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-fn blocks4(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+fn blocks4(key: &[u32; 8], counter: u64, out: &mut [u32; 64]) {
     use core::arch::x86_64::*;
-    let ctr: [u64; BLOCKS] = core::array::from_fn(|b| counter.wrapping_add(b as u64));
+    let ctr: [u64; 4] = core::array::from_fn(|b| counter.wrapping_add(b as u64));
     // SAFETY: the `cfg` gate compiles this only where the `sse2` target
     // feature is enabled for the whole build (every x86-64 target), so
     // each intrinsic below runs on a CPU that has it. The only memory
@@ -238,6 +263,152 @@ fn blocks4(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
             for (b, row) in rows.into_iter().enumerate() {
                 let at = 16 * b + 4 * q;
                 _mm_storeu_si128(out[at..at + 4].as_mut_ptr().cast(), row);
+            }
+        }
+    }
+}
+
+/// Blocks `counter..counter + 8` (wrapping) into `out`, one after the
+/// other, computed together: lane `b` of every AVX2 register belongs to
+/// block `counter + b`, so register `x[k]` holds word `k` of all eight.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[target_feature(enable = "avx2")]
+fn blocks8_avx2(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    use core::arch::x86_64::*;
+    let ctr = |b: u64| counter.wrapping_add(b);
+    let splat = |w: u32| _mm256_set1_epi32(w as i32);
+    let input: [__m256i; 16] = [
+        splat(SIGMA[0]),
+        splat(SIGMA[1]),
+        splat(SIGMA[2]),
+        splat(SIGMA[3]),
+        splat(key[0]),
+        splat(key[1]),
+        splat(key[2]),
+        splat(key[3]),
+        splat(key[4]),
+        splat(key[5]),
+        splat(key[6]),
+        splat(key[7]),
+        _mm256_setr_epi32(
+            ctr(0) as i32,
+            ctr(1) as i32,
+            ctr(2) as i32,
+            ctr(3) as i32,
+            ctr(4) as i32,
+            ctr(5) as i32,
+            ctr(6) as i32,
+            ctr(7) as i32,
+        ),
+        // the high counter word of each lane carries on its own
+        _mm256_setr_epi32(
+            (ctr(0) >> 32) as i32,
+            (ctr(1) >> 32) as i32,
+            (ctr(2) >> 32) as i32,
+            (ctr(3) >> 32) as i32,
+            (ctr(4) >> 32) as i32,
+            (ctr(5) >> 32) as i32,
+            (ctr(6) >> 32) as i32,
+            (ctr(7) >> 32) as i32,
+        ),
+        _mm256_setzero_si256(),
+        _mm256_setzero_si256(),
+    ];
+    // Rotations by whole bytes are one byte shuffle within each
+    // 32-bit lane (the index pattern repeats in every 128-bit half):
+    // by 16, bytes [2, 3, 0, 1]; by 8, bytes [3, 0, 1, 2].
+    let rot16 = _mm256_setr_epi64x(
+        0x0504_0706_0100_0302,
+        0x0d0c_0f0e_0908_0b0a,
+        0x0504_0706_0100_0302,
+        0x0d0c_0f0e_0908_0b0a,
+    );
+    let rot8 = _mm256_setr_epi64x(
+        0x0605_0407_0201_0003,
+        0x0e0d_0c0f_0a09_080b,
+        0x0605_0407_0201_0003,
+        0x0e0d_0c0f_0a09_080b,
+    );
+    let mut x = input;
+    macro_rules! rotl {
+        ($v:expr, 16) => {
+            _mm256_shuffle_epi8($v, rot16)
+        };
+        ($v:expr, 8) => {
+            _mm256_shuffle_epi8($v, rot8)
+        };
+        ($v:expr, $n:literal) => {{
+            let v = $v;
+            _mm256_or_si256(
+                _mm256_slli_epi32::<$n>(v),
+                _mm256_srli_epi32::<{ 32 - $n }>(v),
+            )
+        }};
+    }
+    macro_rules! quarter_round {
+        ($a:literal, $b:literal, $c:literal, $d:literal) => {
+            x[$a] = _mm256_add_epi32(x[$a], x[$b]);
+            x[$d] = rotl!(_mm256_xor_si256(x[$d], x[$a]), 16);
+            x[$c] = _mm256_add_epi32(x[$c], x[$d]);
+            x[$b] = rotl!(_mm256_xor_si256(x[$b], x[$c]), 12);
+            x[$a] = _mm256_add_epi32(x[$a], x[$b]);
+            x[$d] = rotl!(_mm256_xor_si256(x[$d], x[$a]), 8);
+            x[$c] = _mm256_add_epi32(x[$c], x[$d]);
+            x[$b] = rotl!(_mm256_xor_si256(x[$b], x[$c]), 7);
+        };
+    }
+    for _ in 0..4 {
+        quarter_round!(0, 4, 8, 12);
+        quarter_round!(1, 5, 9, 13);
+        quarter_round!(2, 6, 10, 14);
+        quarter_round!(3, 7, 11, 15);
+        quarter_round!(0, 5, 10, 15);
+        quarter_round!(1, 6, 11, 12);
+        quarter_round!(2, 7, 8, 13);
+        quarter_round!(3, 4, 9, 14);
+    }
+    for (v, i) in x.iter_mut().zip(&input) {
+        *v = _mm256_add_epi32(*v, *i);
+    }
+    // Transpose each group of eight word registers (words 8g..8g+8
+    // of all eight blocks) into eight block-contiguous rows: pair
+    // 32-bit lanes, then 64-bit pairs, within each 128-bit half;
+    // then each row takes its two 4-word halves from the low or the
+    // high halves of two registers.
+    for g in 0..2 {
+        let r = &x[8 * g..8 * g + 8];
+        let t = [
+            _mm256_unpacklo_epi32(r[0], r[1]),
+            _mm256_unpackhi_epi32(r[0], r[1]),
+            _mm256_unpacklo_epi32(r[2], r[3]),
+            _mm256_unpackhi_epi32(r[2], r[3]),
+            _mm256_unpacklo_epi32(r[4], r[5]),
+            _mm256_unpackhi_epi32(r[4], r[5]),
+            _mm256_unpacklo_epi32(r[6], r[7]),
+            _mm256_unpackhi_epi32(r[6], r[7]),
+        ];
+        // `u[q]` holds words 8g..8g+4 of blocks q and q + 4, and
+        // `u[q + 4]` words 8g+4..8g+8 of the same two blocks
+        let u = [
+            _mm256_unpacklo_epi64(t[0], t[2]),
+            _mm256_unpackhi_epi64(t[0], t[2]),
+            _mm256_unpacklo_epi64(t[1], t[3]),
+            _mm256_unpackhi_epi64(t[1], t[3]),
+            _mm256_unpacklo_epi64(t[4], t[6]),
+            _mm256_unpackhi_epi64(t[4], t[6]),
+            _mm256_unpacklo_epi64(t[5], t[7]),
+            _mm256_unpackhi_epi64(t[5], t[7]),
+        ];
+        for q in 0..4 {
+            let rows = [
+                (q, _mm256_permute2x128_si256::<0x20>(u[q], u[q + 4])),
+                (q + 4, _mm256_permute2x128_si256::<0x31>(u[q], u[q + 4])),
+            ];
+            for (b, row) in rows {
+                let at = 16 * b + 8 * g;
+                // SAFETY: an unaligned 8-word store through a
+                // pointer to an 8-word subslice of `out`.
+                unsafe { _mm256_storeu_si256(out[at..at + 8].as_mut_ptr().cast(), row) };
             }
         }
     }
@@ -429,14 +600,38 @@ mod tests {
     }
 
     #[test]
-    fn four_block_kernel_matches_scalar_blocks() {
+    fn eight_block_kernels_match_scalar_blocks() {
         let mut keys = ChaCha8Rng::seed_from_u64(7);
-        for counter in [0, 1, (1 << 32) - 2, (1 << 32) - 1, u64::MAX - 1, u64::MAX] {
+        // carries into word 13 and wraps in the low four lanes, where
+        // the two four-block halves meet, and in the high four
+        for counter in [
+            0,
+            1,
+            (1 << 32) - 6,
+            (1 << 32) - 4,
+            (1 << 32) - 2,
+            (1 << 32) - 1,
+            u64::MAX - 5,
+            u64::MAX - 3,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             let key: [u32; 8] = core::array::from_fn(|_| keys.next_u32());
-            let (mut fast, mut reference) = ([0u32; BUF_WORDS], [0u32; BUF_WORDS]);
-            blocks4(&key, counter, &mut fast);
-            scalar::blocks4(&key, counter, &mut reference);
-            assert_eq!(fast, reference, "counter {counter:#x}");
+            let mut reference = [0u32; BUF_WORDS];
+            scalar::blocks(&key, counter, &mut reference);
+            let mut baseline = [0u32; BUF_WORDS];
+            blocks8_baseline(&key, counter, &mut baseline);
+            assert_eq!(baseline, reference, "baseline refill, counter {counter:#x}");
+            let mut dispatched = [0u32; BUF_WORDS];
+            blocks8(&key, counter, &mut dispatched);
+            assert_eq!(dispatched, reference, "refill, counter {counter:#x}");
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            if std::is_x86_feature_detected!("avx2") {
+                let mut avx2 = [0u32; BUF_WORDS];
+                // SAFETY: the CPU has AVX2 (checked just above).
+                unsafe { blocks8_avx2(&key, counter, &mut avx2) };
+                assert_eq!(avx2, reference, "AVX2 kernel, counter {counter:#x}");
+            }
         }
     }
 
@@ -451,8 +646,20 @@ mod tests {
 
     #[test]
     fn restored_states_at_counter_carries_match_reference() {
-        // counters whose four-block refill carries into word 13, or wraps
-        for counter in [(1 << 32) - 2, (1 << 32) - 1, u64::MAX - 1, u64::MAX] {
+        // counters whose seven blocks computed after the restored one
+        // (refill lanes 0..7) carry into word 13 or wrap: in the high
+        // four lanes, where the two four-block halves meet, and in the
+        // low four
+        for counter in [
+            (1 << 32) - 6,
+            (1 << 32) - 4,
+            (1 << 32) - 2,
+            (1 << 32) - 1,
+            u64::MAX - 5,
+            u64::MAX - 3,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
             for idx in [0, 1, 15, 16] {
                 let w = state_at(counter, idx, counter ^ idx as u64);
                 let mut fast = ChaCha8Rng::from_state_words(&w);

@@ -17,6 +17,7 @@
 //! between its evaluations and its end.
 
 use orp_core::construct::random_general;
+use orp_core::graph::HostSwitchGraph;
 use orp_core::metrics::{path_metrics, PathMetrics};
 use orp_core::ops::{sample_swap, sample_swing, Swap, Swing};
 use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
@@ -359,4 +360,58 @@ fn undo_log_grows_by_changed_entries_not_rows() {
         assert_eq!(st.cache_resident_bytes(), rest, "rollback kept undo bytes");
     }
     assert!(measured > 0, "no swing rewrote a row");
+}
+
+/// The first sweep writes every entry of its rows once: an entry the
+/// sweep never reaches must read unreachable, not the zero the rows
+/// start as. At m = 70 the fill runs one 64-source batch and one
+/// 6-source batch, on two workers; switch 66 has no hosts and no links,
+/// so every row has an unreached entry and row 66 reaches nothing.
+#[test]
+fn first_fill_marks_unreached_entries_in_full_and_short_batches() {
+    const ISOLATED: u32 = 66;
+    for seed in 0..3 {
+        let connected = random_general(200, 69, 8, seed).unwrap();
+        let at = |s: u32| if s < ISOLATED { s } else { s + 1 };
+        let mut g = HostSwitchGraph::new(70, 8).unwrap();
+        for (a, b) in connected.links() {
+            g.add_link(at(a), at(b)).unwrap();
+        }
+        for s in 0..69 {
+            for _ in 0..connected.host_count(s) {
+                g.attach_host(at(s)).unwrap();
+            }
+        }
+        let mut cached = SearchState::with_search(g.clone(), 2, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
+        assert!(cached.cache_active());
+        if let Err(e) = cached.check_consistency() {
+            panic!("seed {seed}: inconsistent after the first fill: {e}");
+        }
+        let got = cached.evaluate_guarded(None);
+        assert_matches_fresh(&got, plain.evaluate()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // swings may link the isolated switch in; the cached rows follow
+        let mut rng = ChaCha8Rng::seed_from_u64(400 + seed);
+        for step in 0..16 {
+            let s = swing(&cached, &mut rng);
+            for st in [&mut cached, &mut plain] {
+                st.begin();
+                st.apply_swing(s).unwrap();
+            }
+            let got = cached.evaluate_guarded(None);
+            let what = format!("seed {seed} step {step}");
+            assert_matches_fresh(&got, plain.evaluate()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            if let Err(e) = cached.check_consistency() {
+                panic!("{what}: inconsistent after the evaluation: {e}");
+            }
+            let keep = rng.gen::<bool>();
+            for st in [&mut cached, &mut plain] {
+                if keep {
+                    st.commit();
+                } else {
+                    st.rollback();
+                }
+            }
+        }
+    }
 }
