@@ -297,9 +297,6 @@ pub(crate) struct RunCtl {
     /// the loop publishes fresh gauges and appends one delta batch on
     /// the sink's wall-clock cadence.
     pub(crate) stream: Option<StreamSink>,
-    /// Replica label for parallel tempering: gauges are namespaced
-    /// `r{k}.…` so one stream carries every replica without collisions.
-    pub(crate) stream_label: Option<u32>,
 }
 
 impl Annealer {
@@ -791,34 +788,15 @@ impl Annealer {
         Ok(false)
     }
 
-    /// Metrics of the current (not best) solution.
-    pub(crate) fn cur_metrics(&self) -> PathMetrics {
-        self.cur
-    }
-
-    /// Current temperature.
-    pub(crate) fn temperature(&self) -> f64 {
-        self.t
-    }
-
-    /// Overwrites the current temperature — the tempering exchange swaps
-    /// rungs between replicas through this (state stays put; only the
-    /// temperature moves, so no graph copying is needed).
-    pub(crate) fn set_temperature(&mut self, t: f64) {
-        self.t = t;
-    }
-
-    /// Advances the annealer up to (but not past) iteration `stop_at`,
-    /// leaving it at a quiescent iteration boundary — the same boundary
-    /// checkpoints are defined at. [`Annealer::run`] is this to
-    /// `cfg.iters` plus [`Annealer::finish`]; parallel tempering instead
-    /// calls it once per exchange round on every replica.
+    /// Advances the annealer from its cursor to `cfg.iters`, leaving it
+    /// at a quiescent iteration boundary — the same boundary checkpoints
+    /// are defined at. [`Annealer::run`] is this plus
+    /// [`Annealer::finish`].
     pub(crate) fn run_range(
         &mut self,
         kind: MoveKind,
         cfg: &SaConfig,
         ctl: &RunCtl,
-        stop_at: usize,
     ) -> Result<(), SaError> {
         let iters = cfg.iters.max(1);
         // Geometric cooling; degenerate temperatures fall back to constant.
@@ -831,8 +809,7 @@ impl Annealer {
         // proposal/acceptance mix (so acceptance-rate decay is visible).
         // The cursors live on `self` so checkpoints carry them.
         let phase_stride = (iters / 10).max(1);
-        let stop_at = stop_at.min(cfg.iters);
-        while self.next_it < stop_at {
+        while self.next_it < cfg.iters {
             let it = self.next_it;
             self.it = it;
             // A checkpoint taken here captures the state *between*
@@ -879,7 +856,7 @@ impl Annealer {
                 if sink.due() {
                     let rec = self.rec.clone();
                     sink.maybe_flush(&rec, || {
-                        self.publish_live(ctl.stream_label, it + 1, cfg.iters);
+                        self.publish_live(it + 1, cfg.iters);
                     });
                 }
             }
@@ -908,10 +885,8 @@ impl Annealer {
     /// cache footprint. The totals [`Annealer::finish`] publishes
     /// exactly once as counters are mirrored here as *gauges*
     /// (absolute, last-write-wins), so a stream read mid-run shows live
-    /// values without ever double counting. With `label = Some(k)`
-    /// every name is prefixed `r{k}.` so tempering replicas share one
-    /// recorder without collisions.
-    fn publish_live(&self, label: Option<u32>, iter: usize, total: usize) {
+    /// values without ever double counting.
+    fn publish_live(&self, iter: usize, total: usize) {
         use std::fmt::Write as _;
         if !self.rec.is_enabled() {
             return;
@@ -919,9 +894,6 @@ impl Annealer {
         let mut name = String::with_capacity(48);
         let mut put = |suffix: std::fmt::Arguments<'_>, v: f64| {
             name.clear();
-            if let Some(k) = label {
-                let _ = write!(name, "r{k}.");
-            }
             let _ = name.write_fmt(suffix);
             self.rec.gauge_dyn(&name, v);
         };
@@ -1003,7 +975,7 @@ impl Annealer {
         if let Some(sink) = &ctl.stream {
             let rec = self.rec.clone();
             sink.flush_now(&rec, || {
-                self.publish_live(ctl.stream_label, self.next_it, cfg.iters.max(1));
+                self.publish_live(self.next_it, cfg.iters.max(1));
             });
         }
         Ok(SaResult {
@@ -1023,7 +995,7 @@ impl Annealer {
         ctl: &RunCtl,
     ) -> Result<SaResult, SaError> {
         let span = self.rec.span("anneal.run");
-        self.run_range(kind, cfg, ctl, cfg.iters)?;
+        self.run_range(kind, cfg, ctl)?;
         drop(span);
         self.finish(kind, cfg, ctl)
     }
@@ -1198,7 +1170,6 @@ impl Anneal {
             window_secs,
             stop_after: None,
             stream: self.stream,
-            stream_label: None,
         };
         annealer.run(self.kind, &self.cfg, &ctl)
     }

@@ -88,7 +88,9 @@ impl fmt::Display for CkptError {
             ),
             Self::WrongKind { found, expected } => write!(
                 f,
-                "checkpoint holds kind {found} but kind {expected} was requested"
+                "wrong checkpoint kind: the file is {}, but {} was requested",
+                KindName(*found),
+                KindName(*expected)
             ),
             Self::ChecksumMismatch => {
                 write!(f, "checkpoint checksum mismatch (file corrupted)")
@@ -99,6 +101,23 @@ impl fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
+
+/// A kind tag as an error message names it.
+struct KindName(u32);
+
+impl fmt::Display for KindName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            KIND_ANNEAL => write!(f, "an annealer checkpoint (kind 1)"),
+            KIND_SIM => write!(f, "a simulator checkpoint (kind 2)"),
+            KIND_TEMPER_RETIRED => write!(
+                f,
+                "a parallel-tempering checkpoint (kind 3, no longer resumed)"
+            ),
+            k => write!(f, "a checkpoint of kind {k}"),
+        }
+    }
+}
 
 impl From<std::io::Error> for CkptError {
     fn from(e: std::io::Error) -> Self {
@@ -496,10 +515,10 @@ pub trait Checkpointable: Sized {
 pub const KIND_ANNEAL: u32 = 1;
 /// Kind tag for event-simulator checkpoints (`orp-netsim`).
 pub const KIND_SIM: u32 = 2;
-/// Kind tag for parallel-tempering checkpoints
-/// ([`crate::temper::Temper`]): a ladder header plus one embedded
-/// annealer payload per replica.
-pub const KIND_TEMPER: u32 = 3;
+/// Kind tag of the parallel-tempering checkpoints older builds wrote.
+/// Nothing writes or resumes it any more; the tag stays reserved so such
+/// a file fails with a [`CkptError::WrongKind`] that names it.
+pub const KIND_TEMPER_RETIRED: u32 = 3;
 
 #[cfg(test)]
 mod tests {

@@ -21,9 +21,9 @@
 //!   count `m_opt` ([`bounds`]),
 //! * the swap / swing / 2-neighbor-swing local-search operations
 //!   ([`ops`]), the transactional, allocation-free evaluation engine
-//!   behind the annealer ([`search`]), the simulated-annealing and
-//!   parallel-tempering engines ([`anneal`], [`temper`]), and the one
-//!   end-to-end (n, r) → topology entry point over them ([`solver`]),
+//!   behind the annealer ([`search`]), the simulated-annealing engine
+//!   ([`anneal`]), and the one end-to-end (n, r) → topology entry point
+//!   over it ([`solver`]),
 //! * constructions for the analytically optimal regimes ([`construct`])
 //!   and a textual interchange format ([`io`]).
 //!
@@ -58,7 +58,6 @@ pub mod ops;
 pub mod random_graphs;
 pub mod search;
 pub mod solver;
-pub mod temper;
 pub mod watchdog;
 
 pub use anneal::{Anneal, MoveKind, SaConfig, SaConfigBuilder, SaResult};
@@ -69,5 +68,4 @@ pub use graph::{Host, HostSwitchGraph, Switch};
 pub use metrics::{path_metrics, path_metrics_par, PathMetrics};
 pub use search::{PoolWorkerStats, SearchConfig, SearchState};
 pub use solver::{SolveReport, Solver};
-pub use temper::{geometric_ladder, ExchangeStats, Temper, TemperResult};
 pub use watchdog::{WatchSource, Watchdog, WatchdogConfig};

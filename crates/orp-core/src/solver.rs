@@ -4,9 +4,8 @@
 //! [`Solver::builder`] picks `m = m_opt` from the continuous Moore bound
 //! (or the count fixed by [`Solver::switches`]), builds a random start
 //! graph that suits the move kind — [`random_regular`] for the swap of
-//! §5.1, [`random_general`] otherwise — and runs one [`Anneal`], or one
-//! [`Temper`] ensemble over a [`geometric_ladder`] when
-//! [`Solver::replicas`] `> 1`. Checkpoints go to the given path itself.
+//! §5.1, [`random_general`] otherwise — and runs one [`Anneal`].
+//! Checkpoints go to the given path itself.
 //! A resume skips the start graph and continues from the checkpoint's
 //! graph, which must hold the solve's `(n, m, r)`. The stall watchdog
 //! and a live metrics stream pass straight through to the engine. A
@@ -28,7 +27,6 @@ use crate::anneal::{Anneal, MoveKind, SaConfig, SaResult, DEFAULT_CHECKPOINT_EVE
 use crate::bounds::{check_instance, optimal_switch_count};
 use crate::construct::{random_general, random_regular};
 use crate::error::SaError;
-use crate::temper::{geometric_ladder, ExchangeStats, Temper};
 use crate::watchdog::WatchdogConfig;
 use orp_obs::{Recorder, StreamSink};
 use std::path::PathBuf;
@@ -36,14 +34,11 @@ use std::path::PathBuf;
 /// Outcome of a [`Solver`] run.
 #[derive(Debug, Clone)]
 pub struct SolveReport {
-    /// The annealer's result; for a tempering solve, the best replica's.
+    /// The annealer's result.
     pub result: SaResult,
     /// The switch count the solve annealed: `m_opt` from the continuous
     /// Moore bound unless [`Solver::switches`] fixed it.
     pub m: u32,
-    /// Replica-exchange counters; `None` for plain (single-replica)
-    /// solves.
-    pub exchanges: Option<ExchangeStats>,
 }
 
 /// Builder for the end-to-end solve; see the module docs.
@@ -54,8 +49,6 @@ pub struct Solver {
     kind: MoveKind,
     cfg: SaConfig,
     switches: Option<u32>,
-    replicas: usize,
-    exchange_every: usize,
     rec: Recorder,
     ckpt: Option<PathBuf>,
     ckpt_every: usize,
@@ -66,8 +59,8 @@ pub struct Solver {
 
 impl Solver {
     /// Starts a builder solving the ORP instance `(n, r)` with the
-    /// defaults: `m_opt` switches, one replica (plain annealing), the
-    /// 2-neighbor swing neighbourhood and [`SaConfig::default`].
+    /// defaults: `m_opt` switches, the 2-neighbor swing neighbourhood
+    /// and [`SaConfig::default`].
     pub fn builder(n: u32, r: u32) -> Self {
         Self {
             n,
@@ -75,8 +68,6 @@ impl Solver {
             kind: MoveKind::TwoNeighborSwing,
             cfg: SaConfig::default(),
             switches: None,
-            replicas: 1,
-            exchange_every: 1000,
             rec: Recorder::disabled(),
             ckpt: None,
             ckpt_every: DEFAULT_CHECKPOINT_EVERY,
@@ -109,38 +100,21 @@ impl Solver {
         self
     }
 
-    /// Parallel-tempering replicas (minimum 1). With more than one the
-    /// solve runs a [`Temper`] ensemble over a [`geometric_ladder`] of
-    /// this many rungs from `cfg.t0` down to `cfg.t_end`.
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas.max(1);
-        self
-    }
-
-    /// Iterations between replica-exchange attempts (tempering only;
-    /// minimum 1).
-    pub fn exchange_every(mut self, every: usize) -> Self {
-        self.exchange_every = every.max(1);
-        self
-    }
-
     /// Attaches a telemetry recorder.
     pub fn recorder(mut self, rec: Recorder) -> Self {
         self.rec = rec;
         self
     }
 
-    /// Checkpoints crash-safely to `path` (kind ANNEAL, or TEMPER for a
-    /// tempering solve).
+    /// Checkpoints crash-safely to `path` (kind ANNEAL).
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.ckpt = Some(path.into());
         self
     }
 
     /// Checkpoint stride in iterations (default
-    /// [`DEFAULT_CHECKPOINT_EVERY`]); a tempering solve rounds it up to
-    /// whole exchange rounds. 0 writes neither periodic nor final saves;
-    /// a stall still force-checkpoints.
+    /// [`DEFAULT_CHECKPOINT_EVERY`]). 0 writes neither periodic nor
+    /// final saves; a stall still force-checkpoints.
     pub fn checkpoint_every(mut self, every: usize) -> Self {
         self.ckpt_every = every;
         self
@@ -184,66 +158,33 @@ impl Solver {
         // A resume continues from the checkpoint's graph, so only a fresh
         // run builds a start graph.
         let resume_from = self.ckpt.clone().filter(|p| self.resume && p.exists());
-        let instance = (self.n, m, self.r);
-        let start = || match self.kind {
-            MoveKind::Swap => random_regular(self.n, m, self.r, self.cfg.seed),
-            MoveKind::Swing | MoveKind::TwoNeighborSwing => {
-                random_general(self.n, m, self.r, self.cfg.seed)
-            }
+        let b = match resume_from {
+            Some(path) => Anneal::resuming(path, (self.n, m, self.r)),
+            None => Anneal::builder(match self.kind {
+                MoveKind::Swap => random_regular(self.n, m, self.r, self.cfg.seed)?,
+                MoveKind::Swing | MoveKind::TwoNeighborSwing => {
+                    random_general(self.n, m, self.r, self.cfg.seed)?
+                }
+            }),
         };
-        if self.replicas > 1 {
-            let ladder = geometric_ladder(self.cfg.t0, self.cfg.t_end.max(1e-12), self.replicas);
-            let b = match resume_from {
-                Some(path) => Temper::resuming(path, instance),
-                None => Temper::builder(start()?),
-            };
-            let mut b = b
-                .kind(self.kind)
-                .config(self.cfg)
-                .ladder(ladder)
-                .exchange_every(self.exchange_every)
-                .recorder(self.rec)
-                .checkpoint_every_rounds(self.ckpt_every.div_ceil(self.exchange_every));
-            if let Some(path) = self.ckpt {
-                b = b.checkpoint(path);
-            }
-            if let Some(wd) = self.watchdog {
-                b = b.watchdog(wd);
-            }
-            if let Some(sink) = self.stream {
-                b = b.stream(sink);
-            }
-            let mut res = b.run()?;
-            Ok(SolveReport {
-                result: res.results.swap_remove(res.best),
-                m,
-                exchanges: Some(res.exchanges),
-            })
-        } else {
-            let b = match resume_from {
-                Some(path) => Anneal::resuming(path, instance),
-                None => Anneal::builder(start()?),
-            };
-            let mut b = b
-                .kind(self.kind)
-                .config(self.cfg)
-                .recorder(self.rec)
-                .checkpoint_every(self.ckpt_every);
-            if let Some(path) = self.ckpt {
-                b = b.checkpoint(path);
-            }
-            if let Some(wd) = self.watchdog {
-                b = b.watchdog(wd);
-            }
-            if let Some(sink) = self.stream {
-                b = b.stream(sink);
-            }
-            Ok(SolveReport {
-                result: b.run()?,
-                m,
-                exchanges: None,
-            })
+        let mut b = b
+            .kind(self.kind)
+            .config(self.cfg)
+            .recorder(self.rec)
+            .checkpoint_every(self.ckpt_every);
+        if let Some(path) = self.ckpt {
+            b = b.checkpoint(path);
         }
+        if let Some(wd) = self.watchdog {
+            b = b.watchdog(wd);
+        }
+        if let Some(sink) = self.stream {
+            b = b.stream(sink);
+        }
+        Ok(SolveReport {
+            result: b.run()?,
+            m,
+        })
     }
 }
 
@@ -251,6 +192,7 @@ impl Solver {
 mod tests {
     use super::*;
     use crate::bounds::haspl_lower_bound;
+    use crate::ckpt::{write_checkpoint, CkptError, KIND_ANNEAL, KIND_TEMPER_RETIRED};
     use crate::error::GraphError;
 
     fn small_cfg(iters: usize) -> SaConfig {
@@ -297,7 +239,6 @@ mod tests {
         assert_eq!(report.result.graph.num_switches(), report.m);
         assert_eq!(report.result.graph.num_hosts(), 64);
         report.result.graph.validate().unwrap();
-        assert!(report.exchanges.is_none());
         let lb = haspl_lower_bound(64, 10);
         assert!(report.result.metrics.haspl >= lb - 1e-9);
         // should come reasonably close to the bound on such a small case
@@ -322,30 +263,24 @@ mod tests {
         }
     }
 
-    /// `Solver` is a thin pipeline over the engines: every row runs the
-    /// engine by hand on the start graph the solve picks (constructor by
-    /// move kind, same seed) and must match it bit for bit.
+    /// `Solver` is a thin pipeline over the engine: every row runs the
+    /// annealer by hand on the start graph the solve picks (constructor
+    /// by move kind, same seed) and must match it bit for bit.
     #[test]
     fn solver_reproduces_the_engine_it_wraps() {
         let (n, r) = (64u32, 10u32);
         let cfg = small_cfg(300);
         let m_opt = optimal_switch_count(n.into(), r.into()).0 as u32;
         assert_ne!(m_opt, 20);
-        let ladder = |k| geometric_ladder(cfg.t0, cfg.t_end, k);
-        // (move kind, fixed switch count, replicas)
+        // (move kind, fixed switch count)
         let rows = [
-            (MoveKind::Swap, Some(16), 1),
-            (MoveKind::Swing, Some(20), 1),
-            (MoveKind::TwoNeighborSwing, None, 1),
-            (MoveKind::TwoNeighborSwing, None, 2),
+            (MoveKind::Swap, Some(16)),
+            (MoveKind::Swing, Some(20)),
+            (MoveKind::TwoNeighborSwing, None),
         ];
-        for (kind, switches, replicas) in rows {
-            let what = format!("{kind:?} m={switches:?} replicas={replicas}");
-            let mut solver = Solver::builder(n, r)
-                .kind(kind)
-                .config(cfg.clone())
-                .replicas(replicas)
-                .exchange_every(50);
+        for (kind, switches) in rows {
+            let what = format!("{kind:?} m={switches:?}");
+            let mut solver = Solver::builder(n, r).kind(kind).config(cfg.clone());
             if let Some(m) = switches {
                 solver = solver.switches(m);
             }
@@ -356,25 +291,12 @@ mod tests {
                 MoveKind::Swap => random_regular(n, m, r, cfg.seed).unwrap(),
                 _ => random_general(n, m, r, cfg.seed).unwrap(),
             };
-            if replicas == 1 {
-                let plain = Anneal::builder(start)
-                    .kind(kind)
-                    .config(cfg.clone())
-                    .run()
-                    .unwrap();
-                assert_same(&report.result, &plain, &what);
-                assert_eq!(report.exchanges, None, "{what}");
-            } else {
-                let temper = Temper::builder(start)
-                    .kind(kind)
-                    .config(cfg.clone())
-                    .ladder(ladder(replicas))
-                    .exchange_every(50)
-                    .run()
-                    .unwrap();
-                assert_same(&report.result, temper.best_result(), &what);
-                assert_eq!(report.exchanges, Some(temper.exchanges), "{what}");
-            }
+            let plain = Anneal::builder(start)
+                .kind(kind)
+                .config(cfg.clone())
+                .run()
+                .unwrap();
+            assert_same(&report.result, &plain, &what);
         }
         // A swap solve at an m that does not divide n fails with the
         // regular constructor's own error (Fig. 5 prints "-" there).
@@ -390,34 +312,14 @@ mod tests {
     }
 
     #[test]
-    fn tempering_solve_reports_exchanges() {
-        let report = Solver::builder(64, 10)
-            .config(small_cfg(400))
-            .replicas(3)
-            .exchange_every(50)
-            .run()
-            .unwrap();
-        let ex = report.exchanges.expect("tempering stats");
-        assert!(ex.attempted > 0);
-        report.result.graph.validate().unwrap();
-        assert!(report.result.metrics.haspl >= haspl_lower_bound(64, 10) - 1e-9);
-    }
-
-    #[test]
     fn solver_is_reproducible() {
         let run = || {
             Solver::builder(64, 10)
                 .config(small_cfg(300))
-                .replicas(2)
-                .exchange_every(60)
                 .run()
                 .unwrap()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.result.graph, b.result.graph);
-        assert_eq!(a.result.metrics, b.result.metrics);
-        assert_eq!(a.exchanges, b.exchanges);
+        assert_same(&run().result, &run().result, "rerun");
     }
 
     #[test]
@@ -447,18 +349,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Writes a `(64, 10)` checkpoint with `replicas` replicas, then
-    /// resumes it as another instance — more hosts, one more switch, a
-    /// larger radix — and as itself. Only the last may run, and it
-    /// lands on the written answer.
-    fn resume_checks_the_instance(replicas: usize) {
-        let dir = temp_dir(&format!("instance_{replicas}"));
+    /// Writes a `(64, 10)` checkpoint, then resumes it as another
+    /// instance — more hosts, one more switch, a larger radix — and as
+    /// itself. Only the last may run, and it lands on the written answer.
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_instance() {
+        let dir = temp_dir("instance");
         let path = dir.join("solve.ckpt");
         let solve = |n: u32, r: u32, switches: Option<u32>| {
             let mut s = Solver::builder(n, r)
                 .config(small_cfg(300))
-                .replicas(replicas)
-                .exchange_every(50)
                 .checkpoint(&path)
                 .resume(true);
             if let Some(m) = switches {
@@ -480,8 +380,7 @@ mod tests {
                 SaError::InstanceMismatch {
                     expected,
                     found: (64, m, 10),
-                },
-                "replicas {replicas}"
+                }
             );
         }
         let resumed = solve(64, 10, None).unwrap();
@@ -489,40 +388,54 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A parallel-tempering checkpoint (kind 3, written by older builds)
+    /// is refused by kind before any payload is read.
     #[test]
-    fn resume_refuses_a_checkpoint_of_another_instance() {
-        resume_checks_the_instance(1);
+    fn resume_refuses_a_retired_tempering_checkpoint() {
+        let dir = temp_dir("retired_kind");
+        let path = dir.join("solve.ckpt");
+        write_checkpoint(&path, KIND_TEMPER_RETIRED, &[0; 16]).unwrap();
+        let err = Solver::builder(64, 10)
+            .config(small_cfg(300))
+            .checkpoint(&path)
+            .resume(true)
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SaError::Ckpt(CkptError::WrongKind {
+                found: KIND_TEMPER_RETIRED,
+                expected: KIND_ANNEAL,
+            })
+        );
+        assert_eq!(
+            err.to_string(),
+            "wrong checkpoint kind: the file is a parallel-tempering checkpoint (kind 3, no \
+             longer resumed), but an annealer checkpoint (kind 1) was requested"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The checkpoint is the given path itself, and a stride of 0 writes
+    /// no file at all.
     #[test]
-    fn tempering_resume_refuses_a_checkpoint_of_another_instance() {
-        resume_checks_the_instance(2);
-    }
-
-    /// The checkpoint is the given path itself, in both branches, and a
-    /// stride of 0 writes no file at all.
-    #[test]
-    fn checkpoint_stride_zero_writes_nothing_on_both_paths() {
-        for replicas in [1, 2] {
-            for every in [0, 100] {
-                let dir = temp_dir(&format!("stride_{replicas}_{every}"));
-                Solver::builder(64, 10)
-                    .config(small_cfg(300))
-                    .replicas(replicas)
-                    .exchange_every(50)
-                    .checkpoint(dir.join("solve.ckpt"))
-                    .checkpoint_every(every)
-                    .run()
-                    .unwrap();
-                let mut files: Vec<String> = std::fs::read_dir(&dir)
-                    .unwrap()
-                    .map(|e| e.unwrap().file_name().into_string().unwrap())
-                    .collect();
-                files.sort();
-                let expected: &[&str] = if every == 0 { &[] } else { &["solve.ckpt"] };
-                assert_eq!(files, expected, "replicas {replicas}, every {every}");
-                std::fs::remove_dir_all(&dir).ok();
-            }
+    fn checkpoint_stride_zero_writes_nothing() {
+        for every in [0, 100] {
+            let dir = temp_dir(&format!("stride_{every}"));
+            Solver::builder(64, 10)
+                .config(small_cfg(300))
+                .checkpoint(dir.join("solve.ckpt"))
+                .checkpoint_every(every)
+                .run()
+                .unwrap();
+            let mut files: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            files.sort();
+            let expected: &[&str] = if every == 0 { &[] } else { &["solve.ckpt"] };
+            assert_eq!(files, expected, "every {every}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

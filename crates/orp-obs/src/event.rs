@@ -169,8 +169,7 @@ pub enum Event {
     /// wall-clock window. Emitted just before the run force-checkpoints
     /// and exits with a resumable error.
     Stalled {
-        /// What stalled: 0 = annealer (or tempering ensemble),
-        /// 1 = simulator.
+        /// What stalled: 0 = annealer, 1 = simulator.
         source: u32,
         /// Always 0: every watchdog supervises one loop. Kept so the
         /// event's fields stay those of existing traces.

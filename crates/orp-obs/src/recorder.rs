@@ -24,8 +24,8 @@ use std::time::Instant;
 
 /// Metric names are `&'static str` on the hot paths (no allocation) but
 /// may be owned for dynamically shaped metrics — per-worker lanes
-/// (`pool.w3.steals`), per-replica rungs (`temper.r2.temp`) — via the
-/// `*_dyn` recording methods.
+/// (`pool.w3.steals`, `pool.w3.busy_ns`) — via the `*_dyn` recording
+/// methods.
 type Name = Cow<'static, str>;
 
 /// Capacity knobs for an enabled recorder.
@@ -217,8 +217,8 @@ impl Recorder {
         }
     }
 
-    /// [`Recorder::incr`] for dynamically shaped names (per-worker,
-    /// per-replica). Allocates only on the first sight of a name.
+    /// [`Recorder::incr`] for dynamically shaped names (per-worker).
+    /// Allocates only on the first sight of a name.
     #[inline]
     pub fn incr_dyn(&self, name: &str, by: u64) {
         if let Some(inner) = &self.inner {
@@ -233,7 +233,7 @@ impl Recorder {
     }
 
     /// Sets the named gauge (last write wins). Gauges report a current
-    /// level — resident bytes, a replica temperature, a heartbeat —
+    /// level — resident bytes, the annealing temperature, a heartbeat —
     /// where a monotonic counter would be the wrong shape.
     #[inline]
     pub fn gauge(&self, name: &'static str, value: f64) {
@@ -606,12 +606,12 @@ mod tests {
         rec.incr("c", 1);
         rec.incr_dyn("c", 2);
         rec.incr_dyn("pool.w1.steals", 3);
-        rec.series_dyn("temper.r0.temp", 0.0, 0.9);
-        rec.series_dyn("temper.r0.temp", 1.0, 0.8);
+        rec.series_dyn("pool.w0.busy_ns", 0.0, 0.9);
+        rec.series_dyn("pool.w0.busy_ns", 1.0, 0.8);
         let s = rec.snapshot().unwrap();
         assert_eq!(s.counter("c"), Some(3));
         assert_eq!(s.counter("pool.w1.steals"), Some(3));
-        assert_eq!(s.series("temper.r0.temp").unwrap().len(), 2);
+        assert_eq!(s.series("pool.w0.busy_ns").unwrap().len(), 2);
     }
 
     #[test]

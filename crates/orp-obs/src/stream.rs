@@ -4,8 +4,7 @@
 //! nothing exists until the run ends cleanly. A [`StreamSink`] fixes
 //! that by appending small, self-describing JSONL records to a metrics
 //! file on a wall-clock cadence, cheap enough to hook into the
-//! annealer iteration loop, the tempering round loop, and the netsim
-//! event loop:
+//! annealer iteration loop and the netsim event loop:
 //!
 //! * one line per record, each tagged with a `"k"` kind —
 //!   `open`, `meta`, `counters`, `gauges`, `hists`, `series`,
@@ -424,21 +423,6 @@ impl StreamState {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Sum of all gauges whose name is `suffix` or ends with
-    /// `.{suffix}` — collapses per-replica labels (`r0.anneal.proposed`
-    /// + `r1.anneal.proposed`).
-    pub fn gauge_sum(&self, suffix: &str) -> Option<f64> {
-        let mut hit = false;
-        let mut sum = 0.0;
-        for (n, v) in &self.gauges {
-            if n == suffix || n.ends_with(&format!(".{suffix}")) {
-                hit = true;
-                sum += v;
-            }
-        }
-        hit.then_some(sum)
-    }
-
     /// Looks up a series by exact name.
     pub fn series(&self, name: &str) -> Option<&[SeriesPoint]> {
         self.series
@@ -760,10 +744,7 @@ struct WorkerRow {
 fn worker_rows(state: &StreamState) -> BTreeMap<u64, WorkerRow> {
     let mut rows = BTreeMap::new();
     for (name, v) in &state.gauges {
-        let Some(rest) = name
-            .strip_prefix("pool.w")
-            .or_else(|| name.find(".pool.w").map(|i| &name[i + 7..]))
-        else {
+        let Some(rest) = name.strip_prefix("pool.w") else {
             continue;
         };
         let Some(dot) = rest.find('.') else { continue };
@@ -771,42 +752,25 @@ fn worker_rows(state: &StreamState) -> BTreeMap<u64, WorkerRow> {
             continue;
         };
         let row: &mut WorkerRow = rows.entry(idx).or_default();
-        // labeled replicas (`r0.pool.w3.steals`) sum into one view
         match &rest[dot + 1..] {
-            "pushes" => row.pushes += v,
-            "pops" => row.pops += v,
-            "steals" => row.steals += v,
-            "steal_fails" => row.steal_fails += v,
-            "busy_ns" => row.busy_ns += v,
-            "idle_ns" => row.idle_ns += v,
+            "pushes" => row.pushes = *v,
+            "pops" => row.pops = *v,
+            "steals" => row.steals = *v,
+            "steal_fails" => row.steal_fails = *v,
+            "busy_ns" => row.busy_ns = *v,
+            "idle_ns" => row.idle_ns = *v,
             _ => {}
         }
     }
     rows
 }
 
+/// The lowest point of the `anneal.best_haspl` series, with the series.
 fn best_haspl(state: &StreamState) -> Option<(f64, &[SeriesPoint])> {
-    let mut best: Option<(f64, &[SeriesPoint])> = None;
-    for (name, pts) in &state.series {
-        if !name.ends_with("anneal.best_haspl") || pts.is_empty() {
-            continue;
-        }
-        let lo = pts.iter().map(|p| p.y).fold(f64::MAX, f64::min);
-        if best.is_none_or(|(b, _)| lo < b) {
-            best = Some((lo, pts.as_slice()));
-        }
-    }
-    best
-}
-
-/// Exchange acceptance across all `temper.*` gauge pairs.
-fn exchange_totals(state: &StreamState) -> Option<(f64, f64)> {
-    let att = state.gauge_sum("temper.exchanges_attempted");
-    let acc = state.gauge_sum("temper.exchanges_accepted");
-    match (att, acc) {
-        (Some(a), Some(c)) if a > 0.0 => Some((a, c)),
-        _ => None,
-    }
+    let pts = state
+        .series("anneal.best_haspl")
+        .filter(|p| !p.is_empty())?;
+    Some((pts.iter().map(|p| p.y).fold(f64::MAX, f64::min), pts))
 }
 
 /// Static text report over a stream — the `orp report` view of a
@@ -846,7 +810,7 @@ pub fn render_stream_report(state: &StreamState) -> String {
     render_eval_mix(&mut o, |n| {
         state
             .counter(n)
-            .or_else(|| state.gauge_sum(n).map(|g| g as u64))
+            .or_else(|| state.gauge(n).map(|g| g as u64))
     });
     let rows = worker_rows(state);
     if !rows.is_empty() {
@@ -866,15 +830,6 @@ pub fn render_stream_report(state: &StreamState) -> String {
                 r.idle_ns / 1e9
             );
         }
-    }
-    if let Some((att, acc)) = exchange_totals(state) {
-        let _ = writeln!(
-            o,
-            "tempering: {:.0}/{:.0} exchanges accepted ({:.1}%)",
-            acc,
-            att,
-            100.0 * acc / att
-        );
     }
     render_watchdog(
         &mut o,
@@ -990,7 +945,7 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
     let mut o = String::with_capacity(4096);
     let elapsed = cur.t_us as f64 / 1e6;
     let mut title: Vec<String> = cur.tags.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    for key in ["n", "r", "workers", "replicas", "iters"] {
+    for key in ["n", "r", "workers", "iters"] {
         if let Some(v) = cur.meta.iter().find(|(k, _)| k == key).map(|&(_, v)| v) {
             title.push(format!("{key}={v}"));
         }
@@ -1012,9 +967,9 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
     // rate window
     let dt_us = prev.map_or(cur.t_us, |p| cur.t_us.saturating_sub(p.t_us));
     let dt_s = (dt_us as f64 / 1e6).max(1e-9);
-    let delta = |suffix: &str| -> Option<f64> {
-        let now = cur.gauge_sum(suffix)?;
-        match prev.and_then(|p| p.gauge_sum(suffix)) {
+    let delta = |name: &str| -> Option<f64> {
+        let now = cur.gauge(name)?;
+        match prev.and_then(|p| p.gauge(name)) {
             Some(was) => Some((now - was).max(0.0)),
             None => Some(now),
         }
@@ -1023,12 +978,11 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
     if let Some((best, pts)) = best_haspl(cur) {
         let _ = writeln!(o, "best h-ASPL {best:.6}  {}", sparkline(pts, 48));
     }
-    let proposed = cur.gauge_sum("anneal.proposed");
+    let proposed = cur.gauge("anneal.proposed");
     if let (Some(total_prop), Some(dp)) = (proposed, delta("anneal.proposed")) {
         let rate = dp / dt_s;
         let mut line = format!("proposals {:.0} · {rate:.1}/s", total_prop);
-        if let (Some(acc), Some(da)) = (cur.gauge_sum("anneal.accepted"), delta("anneal.accepted"))
-        {
+        if let (Some(acc), Some(da)) = (cur.gauge("anneal.accepted"), delta("anneal.accepted")) {
             let _ = write!(
                 line,
                 " · accepted {:.1}% (window {:.1}%)",
@@ -1039,8 +993,8 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
         let _ = writeln!(o, "{line}");
     }
     // progress + ETA
-    let iter = cur.gauge_sum("progress.iter");
-    let total = cur.gauge_sum("progress.total");
+    let iter = cur.gauge("progress.iter");
+    let total = cur.gauge("progress.total");
     if let (Some(i), Some(t)) = (iter, total) {
         if t > 0.0 {
             let frac = (i / t).clamp(0.0, 1.0);
@@ -1063,17 +1017,16 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
         }
     }
     render_eval_mix(&mut o, |n| {
-        cur.counter(n)
-            .or_else(|| cur.gauge_sum(n).map(|g| g as u64))
+        cur.counter(n).or_else(|| cur.gauge(n).map(|g| g as u64))
     });
     // cache line
-    match cur.gauge_sum("cache.resident_bytes") {
+    match cur.gauge("cache.resident_bytes") {
         Some(bytes) if bytes > 0.0 => {
             let mut line = format!("cache: {} resident", fmt_bytes(bytes));
-            if let Some(rep) = cur.gauge_sum("cache.rows_repaired") {
+            if let Some(rep) = cur.gauge("cache.rows_repaired") {
                 let _ = write!(line, " · rows repaired {:.0}", rep);
             }
-            if let Some(sw) = cur.gauge_sum("cache.rows_swept") {
+            if let Some(sw) = cur.gauge("cache.rows_swept") {
                 let _ = write!(line, " / swept {:.0}", sw);
             }
             let _ = writeln!(o, "{line}");
@@ -1107,37 +1060,6 @@ pub fn render_dashboard(cur: &StreamState, prev: Option<&StreamState>) -> String
                 r.steal_fails as u64
             );
         }
-    }
-    // tempering
-    if let Some((att, acc)) = exchange_totals(cur) {
-        let mut temps: Vec<(usize, f64)> = Vec::new();
-        for (name, v) in &cur.gauges {
-            if let Some(rest) = name.strip_prefix("temper.r") {
-                if let Some(idx) = rest
-                    .strip_suffix(".temp")
-                    .and_then(|s| s.parse::<usize>().ok())
-                {
-                    temps.push((idx, *v));
-                }
-            }
-        }
-        temps.sort_by_key(|&(i, _)| i);
-        let mut line = format!(
-            "tempering: {:.0}/{:.0} exchanges accepted ({:.1}%)",
-            acc,
-            att,
-            100.0 * acc / att
-        );
-        if let (Some(first), Some(last)) = (temps.first(), temps.last()) {
-            let _ = write!(
-                line,
-                " · {} replicas · T {:.3e}…{:.3e}",
-                temps.len(),
-                first.1,
-                last.1
-            );
-        }
-        let _ = writeln!(o, "{line}");
     }
     render_watchdog(
         &mut o,
@@ -1370,10 +1292,6 @@ mod tests {
         let rec = populated_recorder();
         rec.gauge("progress.iter", 40.0);
         rec.gauge("progress.total", 100.0);
-        rec.gauge("temper.exchanges_attempted", 10.0);
-        rec.gauge("temper.exchanges_accepted", 4.0);
-        rec.gauge_dyn("temper.r0.temp", 0.9);
-        rec.gauge_dyn("temper.r1.temp", 0.1);
         rec.gauge("cache.resident_bytes", 1.5e9);
         rec.gauge("watchdog.heartbeat_us", 1.0);
         rec.incr("watchdog.stalls", 1);
@@ -1391,7 +1309,6 @@ mod tests {
             "workers",
             "w1000000000000 ",
             "w18446744073709551615 ",
-            "tempering",
             "watchdog: 1 stall",
             "best h-ASPL",
         ] {
@@ -1408,7 +1325,6 @@ mod tests {
             "w0",
             "w18446744073709551615",
             "progress",
-            "exchanges accepted",
             "cache: 1.40 GiB resident",
         ] {
             assert!(

@@ -26,9 +26,7 @@
 pub mod error;
 pub mod table;
 pub mod updown;
-pub mod valiant;
 
 pub use error::RouteError;
 pub use table::RoutingTable;
 pub use updown::UpDownRouting;
-pub use valiant::ValiantRouting;

@@ -23,7 +23,6 @@
 pub mod attach;
 pub mod dragonfly;
 pub mod fattree;
-pub mod mesh;
 pub mod slimfly;
 pub mod spec;
 pub mod torus;
@@ -33,7 +32,6 @@ pub mod prelude {
     pub use crate::attach::{attach_hosts, relabel_hosts_dfs, AttachOrder};
     pub use crate::dragonfly::Dragonfly;
     pub use crate::fattree::FatTree;
-    pub use crate::mesh::Mesh;
     pub use crate::slimfly::SlimFly;
     pub use crate::spec::Topology;
     pub use crate::torus::Torus;
@@ -42,7 +40,6 @@ pub mod prelude {
 pub use attach::AttachOrder;
 pub use dragonfly::Dragonfly;
 pub use fattree::FatTree;
-pub use mesh::Mesh;
 pub use slimfly::SlimFly;
 pub use spec::Topology;
 pub use torus::Torus;

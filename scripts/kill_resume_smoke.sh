@@ -2,9 +2,7 @@
 # Kill-and-resume smoke test: SIGKILL an `orp solve` mid-run, resume it
 # from the checkpoint, and assert the final result is bit-identical to
 # an uninterrupted run — the crash-safety invariant, end to end through
-# the real binary and a real kill. It runs twice: once as a plain anneal
-# and once as a two-replica tempering ensemble (`--replicas 2
-# --exchange-every 100`), the two branches of `orp solve`.
+# the real binary and a real kill.
 #
 # The comparison key is the machine-readable `solve-state:` line the
 # CLI prints (h-ASPL as raw f64 bits + move counters).
@@ -77,4 +75,3 @@ kill_and_resume() {
 }
 
 kill_and_resume anneal
-kill_and_resume tempering --replicas 2 --exchange-every 100

@@ -4,8 +4,7 @@
 //! orp bounds  <n> <r>                  lower bounds and m_opt prediction
 //! orp solve   <n> <r> [iters] [out] [--trace t.json] [--metrics m.jsonl]
 //!             [--checkpoint ck.orp] [--every N] [--resume] [--watchdog secs]
-//!             [--mem-budget bytes] [--replicas k] [--exchange-every N]
-//!             [--workers w]
+//!             [--mem-budget bytes] [--workers w]
 //!                                      anneal a topology, optionally save it;
 //!                                      --trace writes a Chrome trace of the run;
 //!                                      --metrics streams live JSONL telemetry
@@ -14,9 +13,7 @@
 //!                                      (resumable with --resume, bit-identical);
 //!                                      --mem-budget caps the distance cache
 //!                                      (0 turns it off; the 8 GiB default
-//!                                      reaches n = 65536); --replicas >= 2
-//!                                      runs parallel tempering over a
-//!                                      geometric ladder;
+//!                                      reaches n = 65536);
 //!                                      --workers pins the evaluation pool
 //! orp eval    <file.hsg>               metrics of a saved host-switch graph
 //! orp compare <n> <r>                  ORP vs torus/dragonfly/fat-tree table
@@ -173,8 +170,7 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let usage = "usage: orp solve <n> <r> [iters] [out.hsg] [--trace t.json] \
                  [--metrics m.jsonl] [--checkpoint ck.orp] [--every N] [--resume] \
-                 [--watchdog secs] [--mem-budget bytes] [--replicas k] \
-                 [--exchange-every N] [--workers w]";
+                 [--watchdog secs] [--mem-budget bytes] [--workers w]";
     let (trace, pos) = split_value_flag(args, "--trace")?;
     let (metrics, pos) = split_value_flag(&pos, "--metrics")?;
     let (workers, pos) = split_value_flag(&pos, "--workers")?;
@@ -182,8 +178,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     let (every, pos) = split_value_flag(&pos, "--every")?;
     let (watchdog, pos) = split_value_flag(&pos, "--watchdog")?;
     let (mem_budget, pos) = split_value_flag(&pos, "--mem-budget")?;
-    let (replicas, pos) = split_value_flag(&pos, "--replicas")?;
-    let (exchange_every, pos) = split_value_flag(&pos, "--exchange-every")?;
     let resume = pos.iter().any(|a| a == "--resume");
     let pos: Vec<String> = pos.into_iter().filter(|a| a != "--resume").collect();
     reject_unknown_flags(&pos, usage)?;
@@ -200,16 +194,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
             .parse()
             .map_err(|_| "--mem-budget needs a byte count, e.g. 8589934592")?;
     }
-    let replicas: usize = match replicas {
-        Some(k) => k.parse().map_err(|_| "--replicas needs a replica count")?,
-        None => 1,
-    };
-    let exchange_every: usize = match exchange_every {
-        Some(e) => e.parse().ok().filter(|&k| k > 0).ok_or(format!(
-            "--exchange-every needs a positive iteration count\n{usage}"
-        ))?,
-        None => 1000,
-    };
     // eval_workers defaults to None: the engine auto-selects threading
     // from the switch count and available CPUs. --workers pins the pool
     // to an exact thread count, clamped to the switch count (results
@@ -239,7 +223,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
                     ("n", f64::from(n)),
                     ("r", f64::from(r)),
                     ("iters", iters as f64),
-                    ("replicas", replicas as f64),
                 ],
             );
             Some(s)
@@ -251,11 +234,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let watchdog = watchdog_timeout(watchdog, usage)?;
-    let mut solver = Solver::builder(n, r)
-        .config(cfg)
-        .replicas(replicas)
-        .exchange_every(exchange_every)
-        .recorder(rec.clone());
+    let mut solver = Solver::builder(n, r).config(cfg).recorder(rec.clone());
     if let Some(s) = &sink {
         solver = solver.stream(s.clone());
     }
@@ -274,12 +253,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         solver = solver.watchdog(WatchdogConfig::new(timeout).hard_exit(true));
     }
     let report = solver.run().map_err(|e| e.to_string())?;
-    if let Some(ex) = report.exchanges {
-        println!(
-            "tempering: replicas = {replicas}, exchanges accepted {} / {}",
-            ex.accepted, ex.attempted
-        );
-    }
     let (res, m) = (report.result, report.m);
     println!(
         "m = {m}, h-ASPL = {:.4} (bound {:.4}), diameter = {}",

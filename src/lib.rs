@@ -12,8 +12,8 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `orp-core` | host-switch graphs, h-ASPL metrics, bounds, the transactional search engine, SA solver |
-//! | [`topo`] | `orp-topo` | torus, mesh, dragonfly, fat-tree, Slim Fly |
-//! | [`route`] | `orp-route` | shortest-path/ECMP, up*/down*, Valiant |
+//! | [`topo`] | `orp-topo` | torus, dragonfly, fat-tree, Slim Fly |
+//! | [`route`] | `orp-route` | shortest-path/ECMP, up*/down* |
 //! | [`netsim`] | `orp-netsim` | fluid + packet simulators, MPI, NPB skeletons |
 //! | [`partition`] | `orp-partition` | multilevel k-way partitioner, max-flow |
 //! | [`layout`] | `orp-layout` | floorplans, cables, power/cost, placement |
@@ -145,7 +145,6 @@ pub mod prelude {
     pub use crate::core::graph::HostSwitchGraph;
     pub use crate::core::search::SearchConfig;
     pub use crate::core::solver::{SolveReport, Solver};
-    pub use crate::core::temper::{geometric_ladder, ExchangeStats, Temper, TemperResult};
     pub use crate::core::watchdog::{WatchSource, Watchdog, WatchdogConfig};
     pub use crate::netsim::{
         BlockedRank, FaultEvent, InjectedFlow, NetConfig, NetFault, Network, NetworkBuilder, Op,

@@ -3,16 +3,18 @@
 //! or misreading it as a positional argument (a benchmark name, an
 //! iteration count). Instances outside the paper's domain (fewer than
 //! two hosts, radix below 3) and flag values no run can use (a
-//! non-finite or negative `--watchdog`, a zero `--exchange-every`) fail
-//! the same way instead of panicking, and so does a graph file
-//! declaring more switches than its lines can describe. A `--workers`
-//! count beyond the instance's switch count runs, clamped to one
-//! evaluation worker per switch. `--mem-budget` is the distance
-//! cache's only knob: `0` runs uncached to the same answer, and the
-//! retired `--cache-mode` is an unknown flag. `--checkpoint` writes the
-//! named file itself, and `--every 0` writes none, with or without
-//! tempering replicas.
+//! non-finite or negative `--watchdog`) fail the same way instead of
+//! panicking, and so does a graph file declaring more switches than its
+//! lines can describe. A `--workers` count beyond the instance's switch
+//! count runs, clamped to one evaluation worker per switch.
+//! `--mem-budget` is the distance cache's only knob: `0` runs uncached
+//! to the same answer, and the retired `--cache-mode` is an unknown
+//! flag, as are the retired tempering flags `--replicas` and
+//! `--exchange-every`. `--checkpoint` writes the named file itself,
+//! `--every 0` writes none, and a parallel-tempering checkpoint of an
+//! older build fails `--resume` with an error naming its kind.
 
+use orp::core::ckpt::{write_checkpoint, KIND_TEMPER_RETIRED};
 use orp::core::construct::random_general;
 use orp::core::io;
 use std::path::PathBuf;
@@ -93,29 +95,56 @@ fn solve_checkpoint_stride_zero_writes_nothing_on_both_paths() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let ck = dir.join("ck.orp");
     let ck = ck.to_str().unwrap();
-    let tempering: &[&str] = &["--replicas", "2", "--exchange-every", "100"];
-    for extra in [&[][..], tempering] {
-        for every in [None, Some("0")] {
-            let mut args = vec!["solve", "64", "8", "3000", "--checkpoint", ck];
-            args.extend_from_slice(extra);
-            if let Some(e) = every {
-                args.extend_from_slice(&["--every", e]);
-            }
-            let out = orp(&args);
-            assert!(
-                out.status.success(),
-                "{args:?}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            let files: Vec<String> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .collect();
-            let expected: &[&str] = if every.is_some() { &[] } else { &["ck.orp"] };
-            assert_eq!(files, expected, "{args:?}");
-            std::fs::remove_file(ck).ok();
+    for every in [None, Some("0")] {
+        let mut args = vec!["solve", "64", "8", "3000", "--checkpoint", ck];
+        if let Some(e) = every {
+            args.extend_from_slice(&["--every", e]);
         }
+        let out = orp(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        let expected: &[&str] = if every.is_some() { &[] } else { &["ck.orp"] };
+        assert_eq!(files, expected, "{args:?}");
+        std::fs::remove_file(ck).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn solve_refuses_a_retired_tempering_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("orp-cli-{}-retired", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let (ck, out) = (dir.join("ck.orp"), dir.join("g.hsg"));
+    write_checkpoint(&ck, KIND_TEMPER_RETIRED, &[0; 16]).unwrap();
+    let args = [
+        "solve",
+        "64",
+        "8",
+        "100",
+        out.to_str().unwrap(),
+        "--checkpoint",
+        ck.to_str().unwrap(),
+        "--resume",
+    ];
+    let run = orp(&args);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(
+            "the file is a parallel-tempering checkpoint (kind 3, no longer resumed), \
+             but an annealer checkpoint (kind 1) was requested"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!out.exists(), "a refused resume wrote a graph");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -191,10 +220,6 @@ fn unusable_flag_values_fail_with_a_usage_error() {
         cases.push((solve, "--watchdog"));
         cases.push((vec!["simulate", g, "EP", "--watchdog", secs], "--watchdog"));
     }
-    let tempering = words("solve 64 8 100 --replicas 2 --exchange-every 0");
-    let checkpointed = [&tempering[..], &["--checkpoint", ck, "--every", "10"]].concat();
-    cases.push((tempering, "--exchange-every"));
-    cases.push((checkpointed, "--exchange-every"));
     for (args, flag) in cases {
         let out = orp(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -205,11 +230,22 @@ fn unusable_flag_values_fail_with_a_usage_error() {
         );
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
-    // a finite watchdog, a positive exchange interval and a worker
-    // count far beyond the switch count (it used to abort allocating
-    // per-worker scratch) still run
+    // the retired tempering flags are unknown, with or without a
+    // checkpoint
+    assert_rejects(&words("solve 64 8 100 --replicas 2"), "--replicas");
+    assert_rejects(
+        &words("solve 64 8 100 --exchange-every 100"),
+        "--exchange-every",
+    );
+    let checkpointed = [
+        words("solve 64 8 100 --replicas 2"),
+        vec!["--checkpoint", ck],
+    ];
+    assert_rejects(&checkpointed.concat(), "--replicas");
+    // a finite watchdog and a worker count far beyond the switch count
+    // (it used to abort allocating per-worker scratch) still run
     for args in [
-        "solve 64 8 100 --replicas 2 --exchange-every 10 --watchdog 30",
+        "solve 64 8 100 --watchdog 30",
         "solve 64 4 10 --workers 10000000000",
     ] {
         let ok = orp(&words(args));

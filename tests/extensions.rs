@@ -1,6 +1,6 @@
 //! Integration tests of the beyond-the-paper extensions: exact-solver
-//! certification, ODP interop, Slim Fly as an ORP baseline, Valiant
-//! routing under simulation assumptions, and placement optimisation.
+//! certification, ODP interop, Slim Fly as an ORP baseline, and
+//! placement optimisation.
 
 use orp::core::anneal::SaConfig;
 use orp::core::bounds::haspl_lower_bound;
@@ -14,7 +14,6 @@ use orp::netsim::network::{NetConfig, Network, RouteMode};
 use orp::netsim::packet::{packet_simulate, FlowDemand, DEFAULT_MTU};
 use orp::netsim::patterns::Pattern;
 use orp::netsim::Simulator;
-use orp::route::{RoutingTable, ValiantRouting};
 use orp::topo::prelude::*;
 
 #[test]
@@ -103,26 +102,6 @@ fn slim_fly_is_a_strong_conventional_baseline() {
     let er = erdos_renyi(n, sf.num_switches(), sf.radix, 5).expect("constructible");
     let h_er = path_metrics(&er).unwrap().haspl;
     assert!(h_sf <= h_er + 0.05, "slim fly {h_sf} vs ER {h_er}");
-}
-
-#[test]
-fn valiant_doubles_paths_but_balances_hotspots() {
-    let g = erdos_renyi(64, 16, 8, 1).expect("constructible");
-    let t = RoutingTable::build(&g);
-    let v = ValiantRouting::new(&t);
-    let mut direct = 0u64;
-    let mut valiant = 0u64;
-    for s in 0..16 {
-        for d in 0..16 {
-            if s == d {
-                continue;
-            }
-            direct += t.distance(s, d).unwrap() as u64;
-            valiant += v.path_len(s, d, 7).unwrap() as u64;
-        }
-    }
-    assert!(valiant >= direct);
-    assert!(valiant <= 3 * direct, "valiant stretch too large");
 }
 
 #[test]

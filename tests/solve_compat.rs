@@ -1,4 +1,4 @@
-//! Pinned solver trajectories: the `solve-state` values of eleven
+//! Pinned solver trajectories: the `solve-state` values of ten
 //! `Solver` runs — h-ASPL bits, proposed, accepted and disconnected
 //! moves, as `orp solve` prints them — against the values the recorded
 //! commit produced.
@@ -9,8 +9,8 @@
 //! must leave every row as it is. A row that moves means the search
 //! itself changed: the 2-neighbor swing at (256, 12) and (1024, 15) on
 //! one and two evaluation workers and uncached (memory budget 0, which
-//! never early-rejects), a plain swing at m ≠ m_opt, a swap at m | n,
-//! and a two-replica tempering ensemble.
+//! never early-rejects), a plain swing at m ≠ m_opt and a swap at
+//! m | n.
 //!
 //! Regenerate the table only from the commit whose behaviour it
 //! records: a failing run prints every row in source form.
@@ -27,7 +27,6 @@ struct Case {
     r: u32,
     kind: MoveKind,
     switches: Option<u32>,
-    replicas: usize,
     workers: usize,
     cached: bool,
     iters: usize,
@@ -50,7 +49,6 @@ const fn swing2(
         r,
         kind: MoveKind::TwoNeighborSwing,
         switches: None,
-        replicas: 1,
         workers,
         cached,
         iters,
@@ -137,7 +135,6 @@ const CASES: &[Case] = &[
         r: 12,
         kind: MoveKind::Swing,
         switches: Some(48),
-        replicas: 1,
         workers: 1,
         cached: true,
         iters: 2000,
@@ -149,23 +146,10 @@ const CASES: &[Case] = &[
         r: 12,
         kind: MoveKind::Swap,
         switches: Some(64),
-        replicas: 1,
         workers: 1,
         cached: true,
         iters: 2000,
         expect: (0x4010272727272727, 2000, 476, 0),
-    },
-    Case {
-        name: "temper-2",
-        n: 256,
-        r: 12,
-        kind: MoveKind::TwoNeighborSwing,
-        switches: None,
-        replicas: 2,
-        workers: 1,
-        cached: true,
-        iters: 1500,
-        expect: (0x40100dd5d5d5d5d6, 1500, 126, 0),
     },
 ];
 
@@ -181,11 +165,7 @@ fn run(case: &Case) -> (u64, usize, usize, usize) {
         },
         ..SaConfig::default()
     };
-    let mut solver = Solver::builder(case.n, case.r)
-        .kind(case.kind)
-        .config(cfg)
-        .replicas(case.replicas)
-        .exchange_every(100);
+    let mut solver = Solver::builder(case.n, case.r).kind(case.kind).config(cfg);
     if let Some(m) = case.switches {
         solver = solver.switches(m);
     }

@@ -3,9 +3,13 @@
 //! `diff` over the two committed NPB traces must keep attributing at
 //! least 95% of the makespan delta (the PR's acceptance bar). These run
 //! against checked-in files, so a format drift in either the exporter
-//! or the parser fails here before it reaches a user.
+//! or the parser fails here before it reaches a user. The same holds for
+//! `tests/data/tempering_stream.jsonl`, a metrics stream from a build
+//! that still had parallel tempering (`r{k}.`-labelled and `temper.*`
+//! gauges): `orp report` and `orp watch --once` must still render it.
 
 use orp::obs::analyze::{attribute, diff, render_diff, render_report, TraceData};
+use std::process::Command;
 
 fn load(name: &str) -> TraceData {
     let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -67,4 +71,26 @@ fn committed_npb_traces_attribute_and_diff_above_bar() {
     );
     let rendered = render_diff("proposed", "dragonfly", &d);
     assert!(rendered.contains("makespan delta"), "{rendered}");
+}
+
+#[test]
+fn metrics_stream_of_a_tempering_solve_still_renders() {
+    let path = format!(
+        "{}/tests/data/tempering_stream.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    for args in [&["report", &path][..], &["watch", &path, "--once"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_orp"))
+            .args(args)
+            .output()
+            .expect("run orp");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        // the unlabelled best-so-far series still drives the headline
+        assert!(stdout.contains("best h-ASPL"), "{args:?}:\n{stdout}");
+    }
 }
