@@ -9,12 +9,15 @@
 //! fewer hops shrink propagation, lower diameter and richer path
 //! diversity shrink queueing.
 //!
-//! Artifacts:
+//! Every run is streamed to a metrics file and analysed from what the
+//! stream decoder reads back, so the tables prove the whole record →
+//! stream → decode → attribute loop. Artifacts:
 //! * `results/ATTRIB_npb_n128.json` — per-topology attribution tables
 //!   plus the proposed-vs-dragonfly diff,
-//! * `results/TRACE_npb_cg_proposed_n128.json` and
-//!   `results/TRACE_npb_cg_dragonfly_n128.json` — full Chrome traces,
-//!   the committed inputs for `orp diff`'s acceptance check.
+//! * `results/TRACE_npb_cg_proposed_n128.jsonl` and
+//!   `results/TRACE_npb_cg_dragonfly_n128.jsonl` — the full streams,
+//!   the committed inputs for `orp diff`'s acceptance check (the torus
+//!   and fat-tree streams go to a temporary directory).
 //!
 //! Effort scales with `ORP_SA_ITERS` / `ORP_NPB_ITERS` as usual.
 
@@ -23,9 +26,10 @@ use orp_core::graph::HostSwitchGraph;
 use orp_netsim::npb::Benchmark;
 use orp_netsim::{Network, Simulator};
 use orp_obs::analyze::{attribute, diff, hotspots, render_diff, Attribution, TraceData};
-use orp_obs::{ChromeTrace, ObsConfig, Recorder};
+use orp_obs::{read_stream, ObsConfig, Recorder, StreamSink};
 use orp_topo::prelude::*;
 use serde::Serialize;
+use std::path::Path;
 
 /// Serializable mirror of [`Attribution`].
 #[derive(Debug, Clone, Serialize)]
@@ -116,9 +120,9 @@ struct Report {
     proposed_vs_dragonfly: DiffSummary,
 }
 
-/// Runs CG with full telemetry; returns the analysis view, the
-/// recorder (for trace export), Mop/s, and the flow count.
-fn traced_cg(g: &HostSwitchGraph, iters: usize) -> (TraceData, Recorder, f64, u64) {
+/// Runs CG with full telemetry streamed to `path`; returns the
+/// analysis view decoded from the stream, Mop/s, and the flow count.
+fn traced_cg(g: &HostSwitchGraph, iters: usize, path: &Path) -> (TraceData, f64, u64) {
     let rec = Recorder::with_config(ObsConfig {
         journal_capacity: 1 << 21,
         ..ObsConfig::default()
@@ -130,11 +134,16 @@ fn traced_cg(g: &HostSwitchGraph, iters: usize) -> (TraceData, Recorder, f64, u6
         .programs(programs)
         .run()
         .expect("fault-free CG completes");
-    let snap = rec.snapshot().expect("recorder is enabled");
-    assert_eq!(snap.dropped_events, 0, "journal must hold the whole run");
-    let data = TraceData::from_snapshot(&snap);
+    StreamSink::create(path)
+        .expect("create trace stream")
+        .finish(&rec, || ());
+    let data = read_stream(path).expect("the stream decodes");
+    assert_eq!(
+        data.state.dropped_events, 0,
+        "the stream must hold the whole run"
+    );
     let mops = rep.flops / rep.time.max(1e-30) / 1e6;
-    (data, rec, mops, rep.flows)
+    (data, mops, rep.flows)
 }
 
 fn analyse(
@@ -215,28 +224,24 @@ fn main() {
         ("fat-tree (8-ary)", &fattree),
     ];
 
-    // the two traces the acceptance bar diffs get exported as artifacts
-    let exports = [
-        ("proposed (ORP)", "results/TRACE_npb_cg_proposed_n128.json"),
-        (
-            "dragonfly (a=6)",
-            "results/TRACE_npb_cg_dragonfly_n128.json",
-        ),
+    // the two streams the acceptance bar diffs are artifacts; the
+    // other two go to a temporary directory
+    let tmp = std::env::temp_dir().join(format!("orp-latency-attrib-{}", std::process::id()));
+    let streams = [
+        Path::new("results/TRACE_npb_cg_proposed_n128.jsonl").to_path_buf(),
+        tmp.join("torus.jsonl"),
+        Path::new("results/TRACE_npb_cg_dragonfly_n128.jsonl").to_path_buf(),
+        tmp.join("fattree.jsonl"),
     ];
     let mut rows = Vec::new();
-    let mut export_data = Vec::new();
-    for (name, g) in &topologies {
-        let (data, rec, mops, flows) = traced_cg(g, effort.npb_iters);
+    let mut runs = Vec::new();
+    for ((name, g), path) in topologies.iter().zip(&streams) {
+        let (data, mops, flows) = traced_cg(g, effort.npb_iters, path);
+        eprintln!("wrote {}", path.display());
         rows.push(analyse(name, TopoSummary::of(name, g), &data, mops, flows));
-        if let Some((_, path)) = exports.iter().find(|(n2, _)| n2 == name) {
-            rec.export_to(&ChromeTrace, path).expect("write trace");
-            eprintln!("wrote {path}");
-            // analyze the artifact itself so the diff proves the full
-            // export → parse → attribute loop, not just in-memory state
-            let text = std::fs::read_to_string(path).expect("trace readable");
-            export_data.push(TraceData::parse_chrome(&text).expect("trace parses"));
-        }
+        runs.push(data);
     }
+    let _ = std::fs::remove_dir_all(&tmp);
 
     println!("== CG latency attribution at n = {n} (share of makespan) ==");
     println!(
@@ -260,13 +265,13 @@ fn main() {
         );
     }
 
-    let d = diff(&export_data[0], &export_data[1]).expect("both traces have flows");
+    let d = diff(&runs[0], &runs[2]).expect("both traces have flows");
     println!();
     print!(
         "{}",
         render_diff(
-            "TRACE_npb_cg_proposed_n128.json",
-            "TRACE_npb_cg_dragonfly_n128.json",
+            "TRACE_npb_cg_proposed_n128.jsonl",
+            "TRACE_npb_cg_dragonfly_n128.jsonl",
             &d
         )
     );

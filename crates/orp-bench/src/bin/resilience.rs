@@ -28,7 +28,7 @@ use orp_core::fault::{FaultSet, FaultView};
 use orp_core::graph::{Host, HostSwitchGraph};
 use orp_netsim::npb::Benchmark;
 use orp_netsim::{BenchResult, FaultEvent, NetFault, Network, SimError, Simulator};
-use orp_obs::{ChromeTrace, Recorder};
+use orp_obs::{Recorder, StreamSink};
 use orp_topo::prelude::*;
 use serde::Serialize;
 
@@ -369,7 +369,7 @@ fn main() {
     eprintln!("wrote {}", path.display());
 
     // one recorded replay of the proposed topology's mid-run scenario,
-    // exported as a Chrome trace (flow lifecycle + fault/reroute events)
+    // exported as a metrics stream (flow lifecycle + fault/reroute events)
     let rec = Recorder::enabled();
     let net = Network::builder(&orp).recorder(rec.clone()).build();
     let ranks = prev_pow2(orp.num_hosts());
@@ -384,7 +384,9 @@ fn main() {
         .programs(programs)
         .fault_schedule(&fault)
         .run();
-    rec.export_to(&ChromeTrace, "results/TRACE_resilience_midrun.json")
-        .expect("write midrun trace");
-    eprintln!("wrote results/TRACE_resilience_midrun.json");
+    let path = "results/TRACE_resilience_midrun.jsonl";
+    StreamSink::create(path)
+        .expect("create midrun trace")
+        .finish(&rec, || ());
+    eprintln!("wrote {path}");
 }

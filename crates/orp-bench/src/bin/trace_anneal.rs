@@ -1,20 +1,22 @@
 //! Telemetry smoke + trace artifact: anneal the paper-scale `n = 128`,
 //! `r = 8` instance with a recording [`Recorder`] attached and export
-//! the run as a Chrome `trace_event` file
-//! (`results/TRACE_anneal_n128.json`, open in `chrome://tracing` or
+//! the run as a metrics stream (`results/TRACE_anneal_n128.jsonl`;
+//! `orp report --chrome` renders it for `chrome://tracing` or
 //! Perfetto).
 //!
-//! The binary double-checks its own output — the trace must parse as
-//! JSON and contain a non-empty `traceEvents` array, and the recorded
-//! run must report the same telemetry counters the annealer printed —
-//! so CI can use it as the observability smoke test
-//! (`ORP_SA_ITERS` scales the effort as usual).
+//! The binary reads its own artifact back through the stream decoder
+//! and checks it against the run — every `anneal.best` event the
+//! recorder journaled, the annealer's proposal and acceptance counts,
+//! the `anneal.run` span — so CI can use it as the observability smoke
+//! test (`ORP_SA_ITERS` scales the effort as usual). It prints the
+//! stream's report.
 
 use orp_bench::Effort;
 use orp_core::anneal::Anneal;
 use orp_core::bounds::optimal_switch_count;
 use orp_core::construct::random_general;
-use orp_obs::{ChromeTrace, Recorder, Sink, TextProgress};
+use orp_obs::analyze::render_report;
+use orp_obs::{read_stream, Recorder, StreamSink};
 
 fn main() {
     let effort = Effort::from_env();
@@ -33,34 +35,36 @@ fn main() {
         res.metrics.haspl, res.proposed, res.accepted
     );
 
+    let path = "results/TRACE_anneal_n128.jsonl";
+    StreamSink::create(path)
+        .expect("create trace artifact")
+        .finish(&rec, || ());
+    let data = read_stream(path).expect("the artifact decodes");
     let snap = rec.snapshot().expect("recorder is enabled");
+    assert_eq!(data.state.dropped_events, 0, "the stream dropped events");
     assert_eq!(
-        snap.counter("anneal.proposed"),
+        data.event_counts.get("anneal.best").copied(),
+        Some(snap.event_count("anneal.best")),
+        "the stream must hold every anneal.best event the recorder journaled"
+    );
+    assert_eq!(
+        data.state.counter("anneal.proposed"),
         Some(res.proposed as u64),
         "telemetry counter must match the annealer's own accounting"
     );
-    assert_eq!(snap.counter("anneal.accepted"), Some(res.accepted as u64));
+    assert_eq!(
+        data.state.counter("anneal.accepted"),
+        Some(res.accepted as u64)
+    );
     assert!(
-        snap.histogram("anneal.eval_ns").is_some(),
+        data.spans.iter().any(|s| s.name == "anneal.run"),
+        "anneal.run span missing"
+    );
+    assert!(
+        data.state.hists.iter().any(|(n, _)| n == "anneal.eval_ns"),
         "eval latency histogram missing"
     );
+    eprintln!("wrote {path} ({} journal events)", snap.events.len());
 
-    let path = "results/TRACE_anneal_n128.json";
-    rec.export_to(&ChromeTrace, path)
-        .expect("write trace artifact");
-
-    // the artifact must be valid JSON with a non-empty traceEvents array
-    let text = std::fs::read_to_string(path).expect("trace readable");
-    let v: serde::Value = serde_json::from_str(&text).expect("trace is valid JSON");
-    let events = v
-        .get_field("traceEvents")
-        .expect("trace has a traceEvents field");
-    let serde::Value::Array(events) = events else {
-        panic!("traceEvents is not an array");
-    };
-    assert!(!events.is_empty(), "trace has no events");
-    eprintln!("wrote {path} ({} trace events)", events.len());
-
-    // human-readable summary on stdout
-    println!("{}", TextProgress.render(&snap));
+    println!("{}", render_report(&data, 10));
 }

@@ -13,7 +13,7 @@ use orp_netsim::network::Network;
 use orp_netsim::packet::{packet_simulate_pattern, DEFAULT_MTU};
 use orp_netsim::patterns::Pattern;
 use orp_netsim::Simulator;
-use orp_obs::{ChromeTrace, Recorder};
+use orp_obs::{Recorder, StreamSink};
 use orp_topo::prelude::*;
 use serde::Serialize;
 
@@ -107,7 +107,7 @@ fn main() {
     println!("wrote {}", path.display());
 
     // recorded fluid run of the first topology under uniform-permutation
-    // traffic, exported as a Chrome trace for inspection
+    // traffic, exported as a metrics stream for inspection
     let rec = Recorder::enabled();
     let (_, g) = &topos[0];
     let traced = Network::builder(g).recorder(rec.clone()).build();
@@ -115,7 +115,9 @@ fn main() {
         .programs(Pattern::UniformPermutation.programs(n, bytes, 1, effort.seed))
         .run()
         .unwrap();
-    rec.export_to(&ChromeTrace, "results/TRACE_validation_uniform.json")
-        .expect("write trace");
-    eprintln!("wrote results/TRACE_validation_uniform.json");
+    let path = "results/TRACE_validation_uniform.jsonl";
+    StreamSink::create(path)
+        .expect("create trace")
+        .finish(&rec, || ());
+    eprintln!("wrote {path}");
 }

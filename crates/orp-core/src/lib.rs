@@ -42,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod anneal;
 pub mod bounds;
 pub mod ckpt;

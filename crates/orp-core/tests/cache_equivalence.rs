@@ -9,6 +9,7 @@
 //! memory budget or the worker count.
 
 use orp_core::construct::random_general;
+use orp_core::metrics::{path_metrics, PathMetrics};
 use orp_core::ops::{sample_swap, sample_swing, Swing};
 use orp_core::search::{SearchConfig, SearchState};
 use proptest::prelude::*;
@@ -88,6 +89,45 @@ fn step(st: &mut SearchState, rng: &mut ChaCha8Rng) {
             }
         }
     }
+}
+
+/// Graph-Golf scale: at n = 8192 (m = 4096, radix 16) the cache on 3
+/// workers — sharded row repairs through the pool — against the
+/// uncached engine on 1 worker, over one fixed 100-step history. Every
+/// evaluation must agree bit for bit with the cache active throughout,
+/// and the last one must equal a from-scratch `path_metrics`. Too slow
+/// for a debug build; CI runs it in release.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: ~100x slower in debug")]
+fn sharded_cache_matches_the_uncached_engine_at_n8192() {
+    let g = random_general(8192, 4096, 16, 7).unwrap();
+    let mut cached = SearchState::with_search(g.clone(), 3, SearchConfig::default()).unwrap();
+    let mut plain = SearchState::with_search(g, 1, SearchConfig::off()).unwrap();
+    assert!(!plain.cache_active());
+    let mut last = None;
+    for s in 0..100u64 {
+        let mut ra = ChaCha8Rng::seed_from_u64(0x5CA1E ^ s);
+        let mut rb = ra.clone();
+        step(&mut cached, &mut ra);
+        step(&mut plain, &mut rb);
+        assert!(cached.cache_active(), "step {s}: the cache was released");
+        let (a, b) = (cached.evaluate(), plain.evaluate());
+        let bits =
+            |m: Option<PathMetrics>| m.map(|m| (m.haspl.to_bits(), m.total_length, m.diameter));
+        assert_eq!(
+            bits(a),
+            bits(b),
+            "step {s}: cached and uncached evaluations differ"
+        );
+        last = a;
+    }
+    let last = last.expect("the walk stays connected");
+    let scratch = path_metrics(cached.graph()).expect("connected");
+    assert_eq!(last.haspl.to_bits(), scratch.haspl.to_bits());
+    assert_eq!(
+        (last.total_length, last.diameter),
+        (scratch.total_length, scratch.diameter)
+    );
 }
 
 proptest! {

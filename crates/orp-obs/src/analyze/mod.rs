@@ -1,11 +1,10 @@
 //! Latency-attribution analysis over recorded telemetry.
 //!
-//! PR 3 taught the toolkit to *record* — flow lifecycles, per-link
-//! histograms, span trees — and this module family teaches it to
-//! *explain*. The entry point is [`TraceData`]: a normalized view of a
-//! run's telemetry built either live from a [`Snapshot`]
-//! ([`TraceData::from_snapshot`]) or offline from an exported Chrome
-//! trace ([`TraceData::parse_chrome`]). On top of it sit:
+//! The recorder *records* — flow lifecycles, per-link load, span
+//! trees — and this module family *explains*. The entry point is
+//! [`TraceData`]: the analysis view of one run's metrics stream, built
+//! by [`crate::parse_stream`] / [`crate::read_stream`] from the decoded
+//! records. On top of it sit:
 //!
 //! * [`critical_path`] — which chain of flows gated completion, with
 //!   per-edge slack,
@@ -15,8 +14,8 @@
 //! * [`aggregate_spans`] / [`collapsed_stacks`] — self/total span-tree
 //!   rollup and a flamegraph-style folded-stack export,
 //! * [`diff`] — align two runs and attribute the completion-time delta,
-//! * [`render_report`] / [`render_diff`] — the text faces behind
-//!   `orp report` and `orp diff`.
+//! * [`render_report`] / [`render_diff`] / [`render_chrome`] — the
+//!   faces behind `orp report`, `orp diff` and `orp report --chrome`.
 //!
 //! Everything leans on one invariant the simulator upholds: for every
 //! `flow.done` record the four latency components sum *exactly* to
@@ -24,6 +23,7 @@
 //! remainder.
 
 mod breakdown;
+mod chrome;
 mod critical_path;
 mod diff;
 mod hotspot;
@@ -31,19 +31,18 @@ mod report;
 mod spans;
 
 pub use breakdown::{attribute, Attribution, Breakdown};
+pub use chrome::render_chrome;
 pub use critical_path::{critical_path, CpNode, CriticalPath, PathStep};
 pub use diff::{diff, DiffComponent, TraceDiff};
 pub use hotspot::{hotspots, Hotspot};
 pub use report::{render_diff, render_report};
 pub use spans::{aggregate_spans, collapsed_stacks, SpanAgg};
 
-use crate::event::Event;
-use crate::snapshot::Snapshot;
-use serde::Value;
+use crate::stream::{Kind, Record, StreamEvent, StreamState};
 use std::collections::BTreeMap;
 
 /// One completed flow's latency decomposition (mirrors
-/// [`Event::FlowDone`]).
+/// [`crate::Event::FlowDone`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowRecord {
     /// Flow id (per-simulation sequence number).
@@ -70,7 +69,7 @@ pub struct FlowRecord {
     pub stall: f64,
 }
 
-/// One fabric hop of a flow's route (mirrors [`Event::Hop`]).
+/// One fabric hop of a flow's route (mirrors [`crate::Event::Hop`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopRecord {
     /// Owning flow.
@@ -88,7 +87,7 @@ pub struct HopRecord {
 }
 
 /// Whole-run load rollup for one directed link (mirrors
-/// [`Event::LinkLoad`]).
+/// [`crate::Event::LinkLoad`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkRecord {
     /// Directed link id.
@@ -109,8 +108,8 @@ pub struct LinkRecord {
     pub peak_flows: u32,
 }
 
-/// One completed span with an owned name (parsed traces cannot borrow
-/// `&'static str` like [`crate::SpanRecord`] does).
+/// One completed span with an owned name (decoded streams cannot
+/// borrow `&'static str` like [`crate::SpanRecord`] does).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanInfo {
     /// Span name.
@@ -123,9 +122,13 @@ pub struct SpanInfo {
     pub tid: u32,
 }
 
-/// A normalized, analysis-ready view of one run's telemetry.
+/// The analysis view of one run's metrics stream: the bounded summary
+/// plus every decoded flow, dependency, hop, link and span record.
 #[derive(Debug, Clone, Default)]
 pub struct TraceData {
+    /// Run tags, counters, gauges, histograms, series, status and the
+    /// newest journal events.
+    pub state: StreamState,
     /// Per-flow latency decompositions.
     pub flows: Vec<FlowRecord>,
     /// Flow-dependency edges as `(flow, parent)`.
@@ -136,183 +139,37 @@ pub struct TraceData {
     pub links: Vec<LinkRecord>,
     /// Completed spans.
     pub spans: Vec<SpanInfo>,
-    /// Final counter values, sorted by name.
-    pub counters: Vec<(String, f64)>,
     /// Journal event multiplicities by name.
     pub event_counts: BTreeMap<String, usize>,
     /// Simulated makespan from the `sim.completed` mark, if present.
     pub completed_time: Option<f64>,
-    /// Events the bounded journal evicted before export.
-    pub dropped_events: u64,
 }
 
 impl TraceData {
-    /// Builds the analysis view from a live [`Snapshot`].
-    pub fn from_snapshot(snap: &Snapshot) -> Self {
-        let mut data = TraceData {
-            counters: snap
-                .counters
-                .iter()
-                .map(|(n, v)| (n.clone(), *v as f64))
-                .collect(),
-            spans: snap
-                .spans
-                .iter()
-                .map(|s| SpanInfo {
-                    name: s.name.to_string(),
-                    start_us: s.start_us,
-                    dur_us: s.dur_us,
-                    tid: s.tid,
-                })
-                .collect(),
-            dropped_events: snap.dropped_events,
-            ..TraceData::default()
-        };
-        for te in &snap.events {
-            *data
-                .event_counts
-                .entry(te.event.name().to_string())
-                .or_insert(0) += 1;
-            match te.event {
-                Event::FlowDone {
-                    id,
-                    src,
-                    dst,
-                    bytes,
-                    hops,
-                    created,
-                    completed,
-                    propagation,
-                    serialization,
-                    queueing,
-                    stall,
-                } => data.flows.push(FlowRecord {
-                    id,
-                    src,
-                    dst,
-                    bytes,
-                    hops,
-                    created,
-                    completed,
-                    propagation,
-                    serialization,
-                    queueing,
-                    stall,
-                }),
-                Event::FlowDep { flow, parent } => data.deps.push((flow, parent)),
-                Event::Hop {
-                    flow,
-                    index,
-                    from,
-                    to,
-                    enqueue,
-                    drain,
-                } => data.hops.push(HopRecord {
-                    flow,
-                    index,
-                    from,
-                    to,
-                    enqueue,
-                    drain,
-                }),
-                Event::LinkLoad {
-                    link,
-                    a,
-                    b,
-                    kind,
-                    bytes,
-                    util_ppm,
-                    avg_flows,
-                    peak_flows,
-                } => data.links.push(LinkRecord {
-                    link,
-                    a,
-                    b,
-                    kind,
-                    bytes,
-                    util_ppm,
-                    avg_flows,
-                    peak_flows,
-                }),
-                Event::Mark {
-                    name: "sim.completed",
-                    value,
-                } => data.completed_time = Some(value),
-                _ => {}
-            }
+    /// Folds one decoded record into the view.
+    pub(crate) fn apply(&mut self, mut r: Record) {
+        match &mut r.kind {
+            Kind::Events(events, _) => events.iter().for_each(|e| self.add_event(e)),
+            Kind::Spans(spans, _) => self.spans.append(spans),
+            _ => {}
         }
-        data
+        self.state.apply(r);
     }
 
-    /// Parses an exported Chrome `trace_event` JSON file (the
-    /// [`crate::ChromeTrace`] sink's output) back into the analysis
-    /// view.
-    ///
-    /// # Errors
-    /// A human-readable message when the text is not valid JSON or not
-    /// shaped like a Chrome trace (`traceEvents` array of objects).
-    pub fn parse_chrome(text: &str) -> Result<Self, String> {
-        let root: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let events = root
-            .get_field("traceEvents")
-            .map_err(|e| format!("not a Chrome trace: {e}"))?;
-        let Value::Array(events) = events else {
-            return Err("not a Chrome trace: traceEvents is not an array".into());
-        };
-        let mut data = TraceData::default();
-        let mut counters: BTreeMap<String, f64> = BTreeMap::new();
-        for ev in events {
-            let Ok(Value::Str(ph)) = ev.get_field("ph") else {
-                continue;
-            };
-            let name = match ev.get_field("name") {
-                Ok(Value::Str(s)) => s.clone(),
-                _ => continue,
-            };
-            match ph.as_str() {
-                "X" => {
-                    let tid = num_field(ev, "tid").unwrap_or(0.0);
-                    let ts = num_field(ev, "ts").unwrap_or(0.0);
-                    let dur = num_field(ev, "dur").unwrap_or(0.0);
-                    data.spans.push(SpanInfo {
-                        name,
-                        start_us: ts.max(0.0) as u64,
-                        dur_us: dur.max(0.0) as u64,
-                        tid: tid.max(0.0) as u32,
-                    });
-                }
-                "i" => {
-                    *data.event_counts.entry(name.clone()).or_insert(0) += 1;
-                    let args = ev.get_field("args").ok();
-                    data.parse_instant(&name, args);
-                }
-                "C" => {
-                    let v = ev
-                        .get_field("args")
-                        .ok()
-                        .and_then(|a| a.get_field("value").ok())
-                        .and_then(as_num)
-                        .unwrap_or(0.0);
-                    // counter tracks sample over time; keep the last value
-                    counters.insert(name, v);
-                }
-                _ => {}
+    fn add_event(&mut self, e: &StreamEvent) {
+        match self.event_counts.get_mut(&e.name) {
+            Some(n) => *n += 1,
+            None => {
+                self.event_counts.insert(e.name.clone(), 1);
             }
         }
-        if let Some(d) = counters.remove("obs.dropped_events") {
-            data.dropped_events = d.max(0.0) as u64;
-        }
-        data.counters = counters.into_iter().collect();
-        Ok(data)
-    }
-
-    fn parse_instant(&mut self, name: &str, args: Option<&Value>) {
         let get = |field: &str| -> f64 {
-            args.and_then(|a| a.get_field(field).ok())
-                .and_then(as_num)
-                .unwrap_or(0.0)
+            e.args
+                .iter()
+                .find(|(k, _)| k == field)
+                .map_or(0.0, |&(_, v)| v)
         };
-        match name {
+        match e.name.as_str() {
             "flow.done" => self.flows.push(FlowRecord {
                 id: get("id") as u64,
                 src: get("src") as u32,
@@ -358,50 +215,51 @@ impl TraceData {
     }
 }
 
-fn as_num(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
-fn num_field(obj: &Value, field: &str) -> Option<f64> {
-    obj.get_field(field).ok().and_then(as_num)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
-    use crate::sink::{ChromeTrace, Sink};
+    use crate::event::Event;
+    use crate::recorder::{ObsConfig, Recorder};
+    use crate::stream::{read_stream, StreamSink};
 
-    fn sample_recorder() -> Recorder {
-        let rec = Recorder::enabled();
+    fn sample_recorder(cfg: ObsConfig) -> Recorder {
+        let rec = Recorder::with_config(cfg);
         rec.incr("sim.flows", 2);
         drop(rec.span("sim.run"));
-        rec.emit(Event::FlowDone {
-            id: 0,
-            src: 0,
-            dst: 1,
-            bytes: 100.0,
-            hops: 3,
-            created: 0.0,
-            completed: 2.0,
-            propagation: 0.5,
-            serialization: 1.0,
-            queueing: 0.25,
-            stall: 0.25,
-        });
-        rec.emit(Event::FlowDep { flow: 1, parent: 0 });
-        rec.emit(Event::Hop {
-            flow: 0,
-            index: 1,
-            from: 0,
-            to: 1,
-            enqueue: 0.5,
-            drain: 1.9,
-        });
+        for id in 0..100 {
+            rec.emit(Event::FlowDone {
+                id,
+                src: 0,
+                dst: 1,
+                bytes: 100.0,
+                hops: 3,
+                created: id as f64,
+                completed: id as f64 + 2.0,
+                propagation: 0.5,
+                serialization: 1.0,
+                queueing: 0.25,
+                stall: 0.25,
+            });
+            rec.emit(Event::FlowDep {
+                flow: id + 1,
+                parent: id,
+            });
+            rec.emit(Event::Hop {
+                flow: id,
+                index: 1,
+                from: 0,
+                to: 1,
+                enqueue: 0.5,
+                drain: 1.0 / 3.0,
+            });
+        }
+        close_run(&rec);
+        rec
+    }
+
+    /// A simulation's closing records: one link-load rollup and the
+    /// `sim.completed` mark.
+    fn close_run(rec: &Recorder) {
         rec.emit(Event::LinkLoad {
             link: 8,
             a: 0,
@@ -414,49 +272,108 @@ mod tests {
         });
         rec.emit(Event::Mark {
             name: "sim.completed",
-            value: 2.0,
+            value: 101.5,
         });
-        rec
+    }
+
+    fn streamed(rec: &Recorder, name: &str) -> TraceData {
+        let path = std::env::temp_dir().join(format!("orp-analyze-{}-{name}", std::process::id()));
+        StreamSink::create(&path).unwrap().finish(rec, || ());
+        let data = read_stream(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        data
     }
 
     #[test]
-    fn snapshot_and_chrome_parse_agree() {
-        let rec = sample_recorder();
+    fn streamed_run_decodes_to_the_snapshot() {
+        let rec = sample_recorder(ObsConfig::default());
         let snap = rec.snapshot().unwrap();
-        let live = TraceData::from_snapshot(&snap);
-        let parsed = TraceData::parse_chrome(&ChromeTrace.render(&snap)).unwrap();
-        assert_eq!(live.flows, parsed.flows);
-        assert_eq!(live.deps, parsed.deps);
-        assert_eq!(live.hops, parsed.hops);
-        assert_eq!(live.links, parsed.links);
-        assert_eq!(live.completed_time, Some(2.0));
-        assert_eq!(parsed.completed_time, Some(2.0));
-        assert_eq!(live.makespan(), 2.0);
-        assert_eq!(live.event_counts.get("flow.done"), Some(&1));
-        assert_eq!(parsed.event_counts.get("flow.done"), Some(&1));
-        assert!(parsed.spans.iter().any(|s| s.name == "sim.run"));
-        assert!(parsed
-            .counters
+        let data = streamed(&rec, "roundtrip.jsonl");
+        // the snapshot's own records, decoded by hand from its events
+        let mut expect = TraceData::default();
+        for te in &snap.events {
+            expect.add_event(&StreamEvent {
+                ts_us: te.ts_us,
+                name: te.event.name().into(),
+                args: te
+                    .event
+                    .args()
+                    .iter()
+                    .map(|&(k, v)| (k.into(), v))
+                    .collect(),
+            });
+        }
+        assert_eq!(data.flows.len(), 100);
+        assert_eq!(data.flows, expect.flows);
+        assert_eq!(data.deps, expect.deps);
+        assert_eq!(data.hops, expect.hops);
+        assert_eq!(data.links, expect.links);
+        assert_eq!(data.completed_time, Some(101.5));
+        assert_eq!(data.event_counts, expect.event_counts);
+        let spans: Vec<(&str, u64, u64, u32)> = snap
+            .spans
             .iter()
-            .any(|(n, v)| n == "sim.flows" && *v == 2.0));
+            .map(|s| (s.name, s.start_us, s.dur_us, s.tid))
+            .collect();
+        let got: Vec<(&str, u64, u64, u32)> = data
+            .spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.start_us, s.dur_us, s.tid))
+            .collect();
+        assert_eq!(got, spans);
+        assert_eq!(data.state.counter("sim.flows"), Some(2));
+        assert_eq!(data.state.dropped_events, 0);
+        assert!(data.state.done);
     }
 
     #[test]
-    fn parse_chrome_rejects_garbage() {
-        assert!(TraceData::parse_chrome("not json").is_err());
-        assert!(TraceData::parse_chrome("{\"other\": 1}").is_err());
-        assert!(TraceData::parse_chrome("{\"traceEvents\": 3}").is_err());
-    }
+    fn a_small_journal_drops_and_counts_the_rest() {
+        // 302 events through a 50-event ring exported after the run:
+        // the stream holds the newest 50 and counts the 252 evicted
+        let rec = sample_recorder(ObsConfig {
+            journal_capacity: 50,
+            ..ObsConfig::default()
+        });
+        let data = streamed(&rec, "small.jsonl");
+        assert_eq!(data.event_counts.values().sum::<usize>(), 50);
+        assert_eq!(data.state.dropped_events, 252);
+        assert_eq!(data.completed_time, Some(101.5));
 
-    #[test]
-    fn dropped_counter_round_trips() {
-        let mut snap = sample_recorder().snapshot().unwrap();
-        snap.dropped_events = 7;
-        let parsed = TraceData::parse_chrome(&ChromeTrace.render(&snap)).unwrap();
-        assert_eq!(parsed.dropped_events, 7);
-        assert!(!parsed
-            .counters
+        // streamed while recording: the flushes before `finish` keep
+        // the oldest 25, `finish` the newest 25 (the run's closing link
+        // load and `sim.completed` mark among them), and the stream
+        // counts the 72 in between
+        let path = std::env::temp_dir().join(format!("orp-analyze-{}-live", std::process::id()));
+        let rec = Recorder::with_config(ObsConfig {
+            journal_capacity: 50,
+            ..ObsConfig::default()
+        });
+        let sink = StreamSink::with_interval(&path, std::time::Duration::ZERO).unwrap();
+        for i in 0..120u64 {
+            rec.emit(Event::Best {
+                iter: i,
+                value: 1.0,
+            });
+            if i % 10 == 9 {
+                sink.maybe_flush(&rec, || ());
+            }
+        }
+        close_run(&rec);
+        sink.finish(&rec, || ());
+        let data = read_stream(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(data.event_counts.values().sum::<usize>(), 50);
+        assert_eq!(data.state.dropped_events, 72);
+        assert_eq!(data.links.len(), 1);
+        assert_eq!(data.completed_time, Some(101.5));
+        let iters: Vec<f64> = data
+            .state
+            .events
             .iter()
-            .any(|(n, _)| n == "obs.dropped_events"));
+            .filter(|e| e.name == "anneal.best")
+            .map(|e| e.args[0].1)
+            .collect();
+        let kept: Vec<f64> = (0..25).chain(97..120).map(|i| i as f64).collect();
+        assert_eq!(iters, kept);
     }
 }

@@ -6,6 +6,9 @@ use super::diff::TraceDiff;
 use super::hotspot::hotspots;
 use super::spans::aggregate_spans;
 use super::TraceData;
+use crate::stream::{
+    best_haspl, fmt_secs, render_eval_mix, render_watchdog, sparkline, worker_rows,
+};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -29,68 +32,131 @@ fn pct(part: f64, whole: f64) -> String {
     }
 }
 
-/// Renders the full single-trace report: makespan attribution,
-/// critical path, link hotspots, span rollup, and counters. Always
-/// non-empty; sections without data explain their absence instead of
-/// vanishing.
+/// Renders the report behind `orp report`: every section whose data
+/// the stream carries — run and status, best h-ASPL, eval-path mix,
+/// workers, watchdog, makespan attribution and critical path, link
+/// hotspots, spans, counters, gauges, histograms and journal events by
+/// name. Always non-empty.
 pub fn render_report(data: &TraceData, top_k: usize) -> String {
+    let st = &data.state;
     let mut o = String::with_capacity(4096);
-    let _ = writeln!(o, "== latency attribution report ==");
+    let _ = writeln!(o, "== telemetry report ==");
+    if !st.tags.is_empty() {
+        let tags: Vec<String> = st.tags.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let _ = writeln!(o, "run: {}", tags.join(" "));
+    }
+    if !st.meta.is_empty() {
+        let meta: Vec<String> = st.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let _ = writeln!(o, "params: {}", meta.join(" "));
+    }
     let _ = writeln!(
         o,
-        "{} flows, {} dependency edges, {} hop records, {} loaded links, {} spans",
-        data.flows.len(),
-        data.deps.len(),
-        data.hops.len(),
-        data.links.len(),
-        data.spans.len()
+        "status: {} · last update {} · {} records (seq {}, format v{}){}",
+        if st.done { "done" } else { "live" },
+        fmt_secs(st.t_us as f64 / 1e6),
+        st.records,
+        st.seq,
+        st.version,
+        if st.truncated {
+            " · TRUNCATED tail skipped"
+        } else {
+            ""
+        },
     );
-    if data.dropped_events > 0 {
+    if st.version == 1 && !data.event_counts.is_empty() {
         let _ = writeln!(
             o,
-            "WARNING: the journal dropped {} events — this analysis is \
-             incomplete (raise ObsConfig::journal_capacity when recording)",
-            data.dropped_events
+            "WARNING: a format v1 stream sampled the journal (the newest 64 \
+             events per flush, the rest uncounted) — this analysis is \
+             incomplete"
+        );
+    } else if st.dropped_events > 0 || st.dropped_spans > 0 {
+        let _ = writeln!(
+            o,
+            "WARNING: the journal dropped {} events and {} spans — this \
+             analysis is incomplete (raise ObsConfig::journal_capacity when \
+             recording)",
+            st.dropped_events, st.dropped_spans
         );
     }
-    match attribute(data) {
-        Some(a) => {
-            let _ = writeln!(o, "\nmakespan: {}", t(a.makespan));
+    if let Some((best, pts)) = best_haspl(st) {
+        let _ = writeln!(
+            o,
+            "best h-ASPL: {best:.6} over {} recorded points  {}",
+            pts.len(),
+            sparkline(pts, 40)
+        );
+    }
+    render_eval_mix(&mut o, |n| {
+        st.counter(n).or_else(|| st.gauge(n).map(|g| g as u64))
+    });
+    let rows = worker_rows(st);
+    if !rows.is_empty() {
+        let _ = writeln!(
+            o,
+            "workers:   {:>12} {:>12} {:>12} {:>9} {:>10}",
+            "pops", "steals", "fail-steals", "busy-s", "idle-s"
+        );
+        for (i, r) in &rows {
             let _ = writeln!(
                 o,
-                "critical path: {} flows, attribution (share of makespan):",
-                a.path_flows
-            );
-            let rows = [
-                ("propagation", a.on_path.propagation),
-                ("serialization", a.on_path.serialization),
-                ("queueing", a.on_path.queueing),
-                ("reroute stall", a.on_path.stall),
-                ("compute/blocked", a.compute),
-                ("tail drain", a.tail),
-                ("residual", a.residual),
-            ];
-            for (name, v) in rows {
-                let _ = writeln!(o, "  {name:<16} {:>14} {}", t(v), pct(v, a.makespan));
-            }
-            let _ = writeln!(
-                o,
-                "all {} flows combined: prop {} · ser {} · queue {} · stall {}",
-                data.flows.len(),
-                t(a.all.propagation),
-                t(a.all.serialization),
-                t(a.all.queueing),
-                t(a.all.stall)
-            );
-            render_path(&mut o, data);
-        }
-        None => {
-            let _ = writeln!(
-                o,
-                "\nno flow.done records — makespan attribution unavailable \
-                 (anneal-only trace, or an export from an older build)"
+                "  w{i:<7} {:>12} {:>12} {:>12} {:>9.2} {:>10.2}",
+                r.pops as u64,
+                r.steals as u64,
+                r.steal_fails as u64,
+                r.busy_ns / 1e9,
+                r.idle_ns / 1e9
             );
         }
+    }
+    render_watchdog(
+        &mut o,
+        st.t_us,
+        st.counter("watchdog.stalls"),
+        st.gauge("watchdog.heartbeat_us"),
+        data.event_counts
+            .get("watchdog.stalled")
+            .map_or(0, |&n| n as u64),
+    );
+    if !data.flows.is_empty() || !data.links.is_empty() {
+        let _ = writeln!(
+            o,
+            "\nlatency attribution: {} flows, {} dependency edges, {} hop records, {} loaded links",
+            data.flows.len(),
+            data.deps.len(),
+            data.hops.len(),
+            data.links.len(),
+        );
+    }
+    if let Some(a) = attribute(data) {
+        let _ = writeln!(o, "makespan: {}", t(a.makespan));
+        let _ = writeln!(
+            o,
+            "critical path: {} flows, attribution (share of makespan):",
+            a.path_flows
+        );
+        let rows = [
+            ("propagation", a.on_path.propagation),
+            ("serialization", a.on_path.serialization),
+            ("queueing", a.on_path.queueing),
+            ("reroute stall", a.on_path.stall),
+            ("compute/blocked", a.compute),
+            ("tail drain", a.tail),
+            ("residual", a.residual),
+        ];
+        for (name, v) in rows {
+            let _ = writeln!(o, "  {name:<16} {:>14} {}", t(v), pct(v, a.makespan));
+        }
+        let _ = writeln!(
+            o,
+            "all {} flows combined: prop {} · ser {} · queue {} · stall {}",
+            data.flows.len(),
+            t(a.all.propagation),
+            t(a.all.serialization),
+            t(a.all.queueing),
+            t(a.all.stall)
+        );
+        render_path(&mut o, data);
     }
     if !data.links.is_empty() {
         let _ = writeln!(o, "\ntop {top_k} link hotspots (util × sharing):");
@@ -130,36 +196,30 @@ pub fn render_report(data: &TraceData, top_k: usize) -> String {
             );
         }
     }
-    {
-        let counter = |n: &str| {
-            data.counters
-                .iter()
-                .find(|(name, _)| name == n)
-                .map(|&(_, v)| v as u64)
-        };
-        let mut extra = String::new();
-        crate::stream::render_eval_mix(&mut extra, counter);
-        crate::stream::render_watchdog(
-            &mut extra,
-            0,
-            counter("watchdog.stalls"),
-            None,
-            data.event_counts
-                .iter()
-                .find(|(n, _)| n.as_str() == "watchdog.stalled")
-                .map_or(0, |(_, c)| *c as u64),
-        );
-        if !extra.is_empty() {
-            let _ = writeln!(o, "\nsearch engine:");
-            for line in extra.lines() {
-                let _ = writeln!(o, "  {line}");
-            }
+    if !st.counters.is_empty() {
+        let _ = writeln!(o, "\ncounters:");
+        for (name, v) in &st.counters {
+            let _ = writeln!(o, "  {name:<36} {v}");
         }
     }
-    if !data.counters.is_empty() {
-        let _ = writeln!(o, "\ncounters:");
-        for (name, v) in &data.counters {
-            let _ = writeln!(o, "  {name:<32} {v}");
+    if !st.gauges.is_empty() {
+        let _ = writeln!(o, "\ngauges:");
+        for (name, v) in &st.gauges {
+            let _ = writeln!(o, "  {name:<36} {v}");
+        }
+    }
+    if !st.hists.is_empty() {
+        let _ = writeln!(
+            o,
+            "\nhistograms:                        {:>10} {:>12} {:>12} {:>12}",
+            "count", "mean", "p50", "p99"
+        );
+        for (name, h) in &st.hists {
+            let _ = writeln!(
+                o,
+                "  {name:<32} {:>10} {:>12.1} {:>12} {:>12}",
+                h.count, h.mean, h.p50, h.p99
+            );
         }
     }
     if !data.event_counts.is_empty() {
@@ -265,6 +325,7 @@ mod tests {
     use super::*;
     use crate::analyze::diff::diff;
     use crate::analyze::{FlowRecord, LinkRecord, SpanInfo};
+    use crate::stream::StreamState;
 
     fn populated() -> TraceData {
         TraceData {
@@ -297,7 +358,10 @@ mod tests {
                 dur_us: 120,
                 tid: 0,
             }],
-            counters: vec![("sim.flows".into(), 1.0)],
+            state: StreamState {
+                counters: vec![("sim.flows".into(), 1)],
+                ..StreamState::default()
+            },
             completed_time: Some(0.01),
             ..TraceData::default()
         }
@@ -323,28 +387,41 @@ mod tests {
     #[test]
     fn report_surfaces_eval_mix_and_watchdog() {
         let mut data = populated();
-        data.counters.push(("eval.full".into(), 5.0));
-        data.counters.push(("eval.incremental".into(), 90.0));
-        data.counters.push(("eval.early_reject".into(), 5.0));
-        data.counters.push(("watchdog.stalls".into(), 2.0));
+        data.state.counters = vec![
+            ("eval.early_reject".into(), 5),
+            ("eval.full".into(), 5),
+            ("eval.incremental".into(), 90),
+            ("watchdog.stalls".into(), 2),
+        ];
         let text = render_report(&data, 5);
         assert!(text.contains("eval path mix"), "missing eval mix:\n{text}");
         assert!(text.contains("incremental 90 (90.0%)"), "{text}");
         assert!(text.contains("watchdog: 2 stalls"), "{text}");
         // absent telemetry leaves the section out entirely
         let bare = render_report(&populated(), 5);
-        assert!(!bare.contains("search engine:"));
+        assert!(!bare.contains("eval path mix") && !bare.contains("watchdog"));
     }
 
     #[test]
     fn flowless_report_is_still_non_empty() {
-        let data = TraceData {
-            dropped_events: 3,
-            ..TraceData::default()
-        };
+        let mut data = TraceData::default();
+        data.state.dropped_events = 3;
         let text = render_report(&data, 5);
-        assert!(text.contains("no flow.done records"));
-        assert!(text.contains("WARNING"));
+        assert!(text.contains("telemetry report"));
+        assert!(!text.contains("makespan"));
+        assert!(text.contains("dropped 3 events"), "{text}");
+    }
+
+    #[test]
+    fn a_v1_journal_is_reported_as_sampled() {
+        let mut data = populated();
+        data.state.version = 1;
+        assert!(!render_report(&data, 5).contains("WARNING"));
+        data.event_counts.insert("flow.done".into(), 1);
+        let text = render_report(&data, 5);
+        assert!(text.contains("v1 stream sampled the journal"), "{text}");
+        data.state.version = 2;
+        assert!(!render_report(&data, 5).contains("WARNING"));
     }
 
     #[test]

@@ -61,12 +61,13 @@ pub fn aggregate_spans(spans: &[SpanInfo]) -> Vec<SpanAgg> {
                 None => s.name.clone(),
             };
             if let Some(&top) = stack.last() {
-                instances[top].child_us += s.dur_us;
+                let top = &mut instances[top];
+                top.child_us = top.child_us.saturating_add(s.dur_us);
             }
             instances.push(Instance {
                 path,
                 name: s.name.clone(),
-                end_us: s.start_us + s.dur_us,
+                end_us: s.start_us.saturating_add(s.dur_us),
                 dur_us: s.dur_us,
                 child_us: 0,
             });
@@ -81,8 +82,10 @@ pub fn aggregate_spans(spans: &[SpanInfo]) -> Vec<SpanAgg> {
                 self_us: 0,
             });
             agg.count += 1;
-            agg.total_us += inst.dur_us;
-            agg.self_us += inst.dur_us.saturating_sub(inst.child_us);
+            agg.total_us = agg.total_us.saturating_add(inst.dur_us);
+            agg.self_us = agg
+                .self_us
+                .saturating_add(inst.dur_us.saturating_sub(inst.child_us));
         }
     }
     aggs.into_values().collect()

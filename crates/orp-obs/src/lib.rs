@@ -13,12 +13,17 @@
 //!   [`Span`]s measured with a monotonic clock.
 //! * [`Journal`] — a fixed-capacity ring buffer of typed [`Event`]s (the
 //!   flow-lifecycle / anneal-phase / fault taxonomy of DESIGN.md §4d).
-//! * pluggable [`Sink`]s turning a [`Snapshot`] into artifacts:
-//!   [`JsonSummary`], [`ChromeTrace`] (load in `chrome://tracing` or
-//!   [Perfetto](https://ui.perfetto.dev)), and [`TextProgress`].
-//! * [`analyze`] — the latency-attribution engine over recorded
-//!   telemetry: critical paths, makespan breakdowns, link hotspots,
-//!   span flamegraphs, and two-run trace diffing.
+//! * [`StreamSink`] — the one telemetry file format: JSONL records
+//!   appended on a wall-clock cadence while a run is live, closed by a
+//!   final flush (or written in one call after a run). Every journal
+//!   event and span lands in it once, up to the journal's capacity.
+//! * readers over the stream: [`StreamFollower`] and
+//!   [`render_dashboard`] for `orp watch`, [`read_stream`] for the
+//!   [`analyze`] engine — critical paths, makespan breakdowns, link
+//!   hotspots, span flamegraphs, two-run diffing — whose report,
+//!   folded stacks and Chrome `trace_event` rendering (load in
+//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)) are
+//!   renderings of the decoded records.
 //!
 //! Instrumentation must never change results: a [`Recorder`] only
 //! *observes* — it holds no RNG, and nothing in the toolkit reads it
@@ -28,7 +33,7 @@
 //! ## Example
 //!
 //! ```
-//! use orp_obs::{ChromeTrace, Event, Recorder, Sink};
+//! use orp_obs::{analyze, read_stream, Event, Recorder, StreamSink};
 //!
 //! let rec = Recorder::enabled();
 //! {
@@ -37,10 +42,17 @@
 //!     rec.record("latency_ns", 1_250);
 //!     rec.emit(Event::Mark { name: "ready", value: 1.0 });
 //! }
-//! let snap = rec.snapshot().unwrap();
-//! assert_eq!(snap.counter("widgets"), Some(3));
-//! let trace = ChromeTrace.render(&snap);
-//! assert!(trace.contains("traceEvents"));
+//! assert_eq!(rec.snapshot().unwrap().counter("widgets"), Some(3));
+//!
+//! let path = std::env::temp_dir().join("orp-obs-doc-example.jsonl");
+//! StreamSink::create(&path)?.finish(&rec, || ());
+//! let data = read_stream(&path)?;
+//! assert_eq!(data.event_counts["ready"], 1);
+//! assert!(analyze::render_report(&data, 10).contains("widgets"));
+//! let chrome = analyze::render_chrome(&std::fs::read_to_string(&path)?)?;
+//! assert!(chrome.contains("traceEvents"));
+//! # std::fs::remove_file(&path)?;
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -50,7 +62,6 @@ mod event;
 mod histogram;
 mod journal;
 mod recorder;
-mod sink;
 mod snapshot;
 pub mod stream;
 
@@ -58,9 +69,8 @@ pub use event::{Event, FaultKind, FlowStage};
 pub use histogram::{Histogram, HistogramSummary};
 pub use journal::{Journal, TimedEvent};
 pub use recorder::{ObsConfig, Recorder, Span};
-pub use sink::{ChromeTrace, JsonSummary, Sink, TextProgress};
 pub use snapshot::{SeriesPoint, Snapshot, SpanRecord};
 pub use stream::{
-    is_stream, parse_stream, read_stream, render_dashboard, render_stream_report, StreamEvent,
-    StreamFollower, StreamSink, StreamState, STREAM_VERSION,
+    parse_stream, read_stream, render_dashboard, StreamEvent, StreamFollower, StreamSink,
+    StreamState, STREAM_VERSION,
 };

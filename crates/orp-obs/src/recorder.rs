@@ -13,11 +13,11 @@
 
 use crate::event::Event;
 use crate::histogram::Histogram;
-use crate::journal::Journal;
-use crate::sink::Sink;
+use crate::journal::{Journal, TimedEvent};
 use crate::snapshot::{SeriesPoint, Snapshot, SpanRecord};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -131,8 +131,13 @@ struct State {
     threads: Vec<ThreadId>,
 }
 
+/// Source of recorder ids; 0 is never handed out.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
 #[derive(Debug)]
 struct Inner {
+    /// Process-unique id, so a stream can tell recorders apart.
+    id: u64,
     origin: Instant,
     state: Mutex<State>,
 }
@@ -178,6 +183,7 @@ impl Recorder {
     pub fn with_config(cfg: ObsConfig) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 origin: Instant::now(),
                 state: Mutex::new(State {
                     cfg,
@@ -347,9 +353,72 @@ impl Recorder {
 
     /// Copies out everything recorded so far (`None` when disabled).
     pub fn snapshot(&self) -> Option<Snapshot> {
+        self.copy(|st| {
+            (
+                st.journal.events().copied().collect(),
+                st.journal.dropped(),
+                st.spans.clone(),
+            )
+        })
+    }
+
+    /// The snapshot a stream flush writes: the journal events and spans
+    /// `cur` has not consumed yet, and everything else as
+    /// [`Recorder::snapshot`] copies it. A stream holds at most the
+    /// journal's capacity of events. Flushes before the `last` one hand
+    /// out the oldest unread events, up to half that bound, and leave
+    /// the rest in the ring; the `last` flush hands out the newest
+    /// unread events that fit the rest of the bound, so a run's closing
+    /// records always land. `dropped_events` is the stream's running
+    /// count of the events it skips: those the ring evicted before a
+    /// flush reached them, and the unread ones the `last` flush had no
+    /// room for. A cursor that last read another recorder starts this
+    /// one's journal and spans from their beginning. Advances `cur`.
+    pub(crate) fn snapshot_since(&self, cur: &mut StreamCursor, last: bool) -> Option<Snapshot> {
+        let id = self.inner.as_ref()?.id;
+        if cur.recorder != id {
+            cur.recorder = id;
+            cur.next_event = 0;
+            cur.spans = 0;
+        }
+        self.copy(|st| {
+            let evicted = st.journal.dropped();
+            let emitted = evicted + st.journal.len() as u64;
+            if cur.next_event < evicted {
+                cur.dropped += evicted - cur.next_event;
+                cur.next_event = evicted;
+            }
+            let fresh = emitted - cur.next_event;
+            let cap = st.journal.capacity() as u64;
+            let bound = if last { cap } else { cap / 2 };
+            let take = fresh.min(bound.saturating_sub(cur.written));
+            let skip = if last { fresh - take } else { 0 };
+            let events = st
+                .journal
+                .events()
+                .skip((cur.next_event + skip - evicted) as usize)
+                .take(take as usize)
+                .copied()
+                .collect();
+            cur.dropped += skip;
+            cur.written += take;
+            cur.next_event += skip + take;
+            let spans = st.spans[cur.spans..].to_vec();
+            cur.spans = st.spans.len();
+            (events, cur.dropped, spans)
+        })
+    }
+
+    /// A snapshot whose events, dropped-event count and spans `delta`
+    /// picks from the locked state.
+    fn copy(
+        &self,
+        delta: impl FnOnce(&State) -> (Vec<TimedEvent>, u64, Vec<SpanRecord>),
+    ) -> Option<Snapshot> {
         let inner = self.inner.as_ref()?;
         let elapsed_us = inner.now_us();
         let st = inner.state.lock().expect("recorder poisoned");
+        let (events, dropped_events, spans) = delta(&st);
         Some(Snapshot {
             elapsed_us,
             counters: st
@@ -372,66 +441,29 @@ impl Recorder {
                 .iter()
                 .map(|(k, s)| (k.clone().into_owned(), s.collect()))
                 .collect(),
-            events: st.journal.events().copied().collect(),
-            dropped_events: st.journal.dropped(),
-            spans: st.spans.clone(),
+            events,
+            dropped_events,
+            spans,
             dropped_spans: st.dropped_spans,
         })
     }
-
-    /// Renders the current snapshot through `sink` (`None` when
-    /// disabled).
-    pub fn export(&self, sink: &dyn Sink) -> Option<String> {
-        self.snapshot().map(|s| sink.render(&s))
-    }
-
-    /// Renders the current snapshot through `sink` and writes it to
-    /// `path`. Returns `Ok(false)` without touching the filesystem when
-    /// disabled. The write is atomic — a sibling temp file renamed into
-    /// place — so a crash mid-export never leaves a truncated trace.
-    pub fn export_to(
-        &self,
-        sink: &dyn Sink,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<bool> {
-        match self.export(sink) {
-            None => Ok(false),
-            Some(text) => {
-                if let Some(dir) = path.as_ref().parent() {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir)?;
-                    }
-                }
-                atomic_write(path.as_ref(), text.as_bytes())?;
-                Ok(true)
-            }
-        }
-    }
 }
 
-/// Crash-safe file write: stage in a sibling `.tmp`, fsync, rename.
-/// (A local copy of `orp_core::ckpt::atomic_write` — this crate sits
-/// below `orp-core` in the dependency graph and cannot call it.)
-fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+/// How far a metrics stream has read a recorder's journal and spans.
+#[derive(Debug, Default)]
+pub(crate) struct StreamCursor {
+    /// Id of the recorder read last (0: none yet).
+    recorder: u64,
+    /// Journal position of the next unread event in that recorder;
+    /// positions count every event ever emitted, evicted ones included.
+    next_event: u64,
+    /// Events handed out so far, from every recorder read.
+    written: u64,
+    /// Events evicted before a flush reached them, or skipped by the
+    /// last flush.
+    dropped: u64,
+    /// The recorder's spans handed out so far.
+    spans: usize,
 }
 
 #[derive(Debug)]

@@ -1,5 +1,5 @@
 //! An owned, immutable copy of everything a [`crate::Recorder`]
-//! accumulated — the unit the [`crate::Sink`]s consume.
+//! accumulated — what a [`crate::StreamSink`] flush writes.
 
 use crate::histogram::HistogramSummary;
 use crate::journal::TimedEvent;

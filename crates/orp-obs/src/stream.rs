@@ -1,33 +1,42 @@
-//! Live telemetry streaming — periodic JSONL snapshot deltas.
+//! The metrics stream — the toolkit's one telemetry format.
 //!
-//! A post-hoc [`Snapshot`] is useless for a solve that runs for hours:
-//! nothing exists until the run ends cleanly. A [`StreamSink`] fixes
-//! that by appending small, self-describing JSONL records to a metrics
-//! file on a wall-clock cadence, cheap enough to hook into the
-//! annealer iteration loop and the netsim event loop:
+//! A [`StreamSink`] appends small, self-describing JSONL records to a
+//! metrics file on a wall-clock cadence, cheap enough to hook into the
+//! annealer iteration loop and the netsim event loop, and closes the
+//! file with a final flush. Everything else reads the file back:
 //!
 //! * one line per record, each tagged with a `"k"` kind —
 //!   `open`, `meta`, `counters`, `gauges`, `hists`, `series`,
-//!   `events`, `done`;
+//!   `spans`, `events`, `done`;
 //! * `counters`/`gauges`/`hists` are *absolute* (each flush replaces
 //!   the previous view, so a reader needs no history);
-//! * `series` and `events` are *deltas* (only points/events not yet
-//!   streamed), with a `reset` escape hatch for the rare case where
-//!   in-memory decimation rewrote a series under the writer;
-//! * writes are appends of whole batches; no fsync on the hot path.
-//!   A crash can therefore tear at most the final line, and the reader
-//!   ([`StreamState::apply_line`] / [`read_stream`]) tolerates exactly
-//!   that: a partial last line is skipped, everything before it loads.
+//! * `series`, `spans` and `events` are *deltas* (only what was not yet
+//!   streamed), `series` with a `reset` escape hatch for the rare case
+//!   where in-memory decimation rewrote a series under the writer;
+//! * journal events are written at most once each, in order, at most
+//!   64 per line, and a stream holds at most the recorder's journal
+//!   capacity of them: flushes before [`StreamSink::finish`] write the
+//!   oldest, up to half that bound, and `finish` the newest that fit
+//!   the rest, so a run within the bound streams every event and a
+//!   longer one keeps its start and its closing records; each
+//!   `events`/`spans` line carries the running count of what the
+//!   stream `dropped` (evicted by the ring before a flush reached it,
+//!   or skipped by `finish`);
+//! * writes are appends of whole lines; no fsync on the hot path. A
+//!   crash can therefore tear at most the final line, and the reader
+//!   tolerates exactly that: a partial last line is skipped, everything
+//!   before it loads.
 //!
-//! [`StreamFollower`] tails a growing file incrementally (byte offset
-//! plus partial-line carry), [`render_stream_report`] renders a static
-//! text report for `orp report`, and [`render_dashboard`] renders the
-//! refreshing `orp watch` terminal dashboard.
+//! One line decoder feeds every reader: [`StreamState`] is the bounded
+//! summary view [`StreamFollower`] keeps while tailing a growing file
+//! and [`render_dashboard`] draws for `orp watch`, and [`parse_stream`]
+//! / [`read_stream`] build the full [`TraceData`] that `orp report`,
+//! `orp diff` and the Chrome rendering read.
 
+use crate::analyze::{SpanInfo, TraceData};
 use crate::histogram::HistogramSummary;
-use crate::recorder::Recorder;
-use crate::sink::{esc, num};
-use crate::snapshot::{SeriesPoint, Snapshot};
+use crate::recorder::{Recorder, StreamCursor};
+use crate::snapshot::SeriesPoint;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _, Write as _};
@@ -35,11 +44,50 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Format version written in the `open` record.
-pub const STREAM_VERSION: u64 = 1;
+/// Format version written in the `open` record. Version 1 streams (the
+/// newest 64 events per flush, no spans) still load.
+pub const STREAM_VERSION: u64 = 2;
 
 /// Default wall-clock cadence between flushes.
 pub const DEFAULT_STREAM_INTERVAL: Duration = Duration::from_millis(500);
+
+/// Most journal events or spans one `events`/`spans` line carries.
+const DELTA_CHUNK: usize = 64;
+
+/// Bytes a flush buffers before appending them (at a line boundary).
+const SPILL_BYTES: usize = 1 << 20;
+
+pub(crate) fn esc(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes a float so that it reads back as the same float: non-finite
+/// values become `null`, and magnitudes from 10^15 up take an exponent
+/// (plain digits would read back as an integer, which overflows the
+/// reader's integers from 10^39 up).
+pub(crate) fn num(v: f64, out: &mut String) {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v.abs() < 1e15 {
+        let _ = write!(out, "{v}");
+    } else {
+        let _ = write!(out, "{v:e}");
+    }
+}
 
 #[derive(Debug)]
 struct SeriesCursor {
@@ -57,10 +105,51 @@ struct StreamInner {
     last_flush: Instant,
     interval: Duration,
     series_sent: BTreeMap<String, SeriesCursor>,
-    /// Total journal events already accounted for (including ones the
-    /// ring buffer dropped before we saw them).
-    events_sent: u64,
+    /// How far the journal and the span list have been streamed.
+    cursor: StreamCursor,
+    /// Dropped counts as last written, for events and spans.
+    dropped_sent: [u64; 2],
     done: bool,
+}
+
+/// Appends `o` to `file` once it holds [`SPILL_BYTES`], so one flush of
+/// a long journal never buffers the whole batch.
+fn spill(file: &mut std::fs::File, o: &mut String, min: usize) {
+    if o.len() >= min {
+        let _ = file.write_all(o.as_bytes());
+        o.clear();
+    }
+}
+
+/// Writes `items` as delta lines of at most `DELTA_CHUNK` items, each
+/// opening with `head` (kind, `seq`, `t_us`) and carrying the running
+/// `dropped` count; a changed count with no new items still gets one
+/// (empty) line.
+fn delta_lines<T>(
+    o: &mut String,
+    file: &mut std::fs::File,
+    head: &str,
+    dropped: u64,
+    dropped_sent: &mut u64,
+    items: &[T],
+    item: impl Fn(&T, &mut String),
+) {
+    if items.is_empty() && dropped == *dropped_sent {
+        return;
+    }
+    *dropped_sent = dropped;
+    let empty = items.is_empty().then_some(items);
+    for chunk in items.chunks(DELTA_CHUNK).chain(empty) {
+        let _ = write!(o, "{head},\"dropped\":{dropped},\"data\":[");
+        for (i, x) in chunk.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            item(x, o);
+        }
+        o.push_str("]}\n");
+        spill(file, o, SPILL_BYTES);
+    }
 }
 
 /// Append-only JSONL metrics stream writer. Cheap to clone; clones
@@ -86,9 +175,7 @@ impl StreamSink {
             }
         }
         let mut file = std::fs::File::create(&path)?;
-        let mut line = String::new();
-        let _ = writeln!(line, "{{\"k\":\"open\",\"v\":{STREAM_VERSION}}}");
-        file.write_all(line.as_bytes())?;
+        writeln!(file, "{{\"k\":\"open\",\"v\":{STREAM_VERSION}}}")?;
         Ok(Self {
             inner: Arc::new(Mutex::new(StreamInner {
                 file,
@@ -96,7 +183,8 @@ impl StreamSink {
                 last_flush: Instant::now(),
                 interval,
                 series_sent: BTreeMap::new(),
-                events_sent: 0,
+                cursor: StreamCursor::default(),
+                dropped_sent: [0; 2],
                 done: false,
             })),
             path,
@@ -148,9 +236,9 @@ impl StreamSink {
     }
 
     /// If the cadence interval elapsed: runs `publish` (the caller's
-    /// chance to push fresh gauges into `rec`), snapshots, and appends
-    /// one flush batch. Returns whether a flush happened. Concurrent
-    /// callers race on a claimed timestamp, so at most one flushes.
+    /// chance to push fresh gauges into `rec`) and appends one flush
+    /// batch. Returns whether a flush happened. Concurrent callers race
+    /// on a claimed timestamp, so at most one flushes.
     pub fn maybe_flush(&self, rec: &Recorder, publish: impl FnOnce()) -> bool {
         if !rec.is_enabled() {
             return false;
@@ -163,9 +251,7 @@ impl StreamSink {
             g.last_flush = Instant::now(); // claim before the snapshot work
         }
         publish();
-        if let Some(snap) = rec.snapshot() {
-            self.write_batch(&snap, false);
-        }
+        self.write_batch(rec, false);
         true
     }
 
@@ -175,30 +261,33 @@ impl StreamSink {
             return;
         }
         publish();
-        if let Some(snap) = rec.snapshot() {
-            self.write_batch(&snap, false);
-            let mut g = self.inner.lock().expect("stream poisoned");
-            g.last_flush = Instant::now();
-        }
+        self.write_batch(rec, false);
+        self.inner.lock().expect("stream poisoned").last_flush = Instant::now();
     }
 
     /// Final flush plus the `done` record, fsynced. Idempotent: the
-    /// stream refuses further writes afterwards.
+    /// stream refuses further writes afterwards. This flush writes the
+    /// newest unread journal events the stream's bound has room for
+    /// (earlier flushes stop at half of it). On a fresh sink it exports
+    /// a finished run in one call, as the ring holds it:
+    /// `StreamSink::create(path)?.finish(&rec, || ())`.
     pub fn finish(&self, rec: &Recorder, publish: impl FnOnce()) {
         if !rec.is_enabled() {
             return;
         }
         publish();
-        if let Some(snap) = rec.snapshot() {
-            self.write_batch(&snap, true);
-        }
+        self.write_batch(rec, true);
     }
 
-    fn write_batch(&self, snap: &Snapshot, done: bool) {
-        let mut g = self.inner.lock().expect("stream poisoned");
+    fn write_batch(&self, rec: &Recorder, done: bool) {
+        let mut guard = self.inner.lock().expect("stream poisoned");
+        let g = &mut *guard;
         if g.done {
             return;
         }
+        let Some(snap) = rec.snapshot_since(&mut g.cursor, done) else {
+            return;
+        };
         g.seq += 1;
         let seq = g.seq;
         let t = snap.elapsed_us;
@@ -290,41 +379,50 @@ impl StreamSink {
                 },
             );
         }
-        let total_events = snap.dropped_events + snap.events.len() as u64;
-        if total_events > g.events_sent {
-            let fresh = (total_events - g.events_sent) as usize;
-            // The newest `fresh` events sit at the tail of the retained
-            // ring; cap the batch so one flush line stays small.
-            let take = fresh.min(snap.events.len()).min(64);
-            let tail = &snap.events[snap.events.len() - take..];
-            let _ = write!(
-                o,
-                "{{\"k\":\"events\",\"seq\":{seq},\"t_us\":{t},\"data\":["
-            );
-            for (i, e) in tail.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
+        let [events_dropped, spans_dropped] = &mut g.dropped_sent;
+        delta_lines(
+            &mut o,
+            &mut g.file,
+            &format!("{{\"k\":\"spans\",\"seq\":{seq},\"t_us\":{t}"),
+            snap.dropped_spans,
+            spans_dropped,
+            &snap.spans,
+            |s, o| {
+                o.push_str("{\"name\":");
+                esc(s.name, o);
+                let _ = write!(
+                    o,
+                    ",\"start_us\":{},\"dur_us\":{},\"tid\":{}}}",
+                    s.start_us, s.dur_us, s.tid
+                );
+            },
+        );
+        delta_lines(
+            &mut o,
+            &mut g.file,
+            &format!("{{\"k\":\"events\",\"seq\":{seq},\"t_us\":{t}"),
+            snap.dropped_events,
+            events_dropped,
+            &snap.events,
+            |e, o| {
                 let _ = write!(o, "{{\"ts_us\":{},\"name\":", e.ts_us);
-                esc(e.event.name(), &mut o);
+                esc(e.event.name(), o);
                 o.push_str(",\"args\":{");
                 for (j, (k, v)) in e.event.args().iter().enumerate() {
                     if j > 0 {
                         o.push(',');
                     }
-                    esc(k, &mut o);
+                    esc(k, o);
                     o.push(':');
-                    num(*v, &mut o);
+                    num(*v, o);
                 }
                 o.push_str("}}");
-            }
-            o.push_str("]}\n");
-            g.events_sent = total_events;
-        }
+            },
+        );
         if done {
             let _ = writeln!(o, "{{\"k\":\"done\",\"seq\":{seq},\"t_us\":{t}}}");
         }
-        let _ = g.file.write_all(o.as_bytes());
+        spill(&mut g.file, &mut o, 0);
         if done {
             let _ = g.file.sync_all();
             g.done = true;
@@ -343,11 +441,210 @@ pub struct StreamEvent {
     pub args: Vec<(String, f64)>,
 }
 
-/// Maximum journal events a reader retains (newest win).
+/// One decoded stream line: the shared header and what the record kind
+/// carries.
+#[derive(Debug)]
+pub(crate) struct Record {
+    seq: Option<u64>,
+    t_us: Option<u64>,
+    pub(crate) kind: Kind,
+}
+
+/// The payload of each record kind.
+#[derive(Debug)]
+pub(crate) enum Kind {
+    Open(Option<u64>),
+    Meta(Vec<(String, String)>, Vec<(String, f64)>),
+    Counters(Vec<(String, u64)>),
+    Gauges(Vec<(String, f64)>),
+    Hists(Vec<(String, HistogramSummary)>),
+    Series(String, bool, Vec<SeriesPoint>),
+    /// Events and the stream's dropped count (absent before v2).
+    Events(Vec<StreamEvent>, Option<u64>),
+    /// Spans and the recorder's dropped-span count.
+    Spans(Vec<SpanInfo>, Option<u64>),
+    Done,
+    /// A kind this build does not know (forward compatibility).
+    Unknown,
+}
+
+fn vf(v: &serde::Value) -> Option<f64> {
+    match v {
+        serde::Value::Int(i) => Some(*i as f64),
+        serde::Value::Float(f) => Some(*f),
+        serde::Value::Null => Some(f64::NAN),
+        _ => None,
+    }
+}
+
+fn vu(v: &serde::Value) -> Option<u64> {
+    match v {
+        serde::Value::Int(i) => u64::try_from(*i).ok(),
+        serde::Value::Float(f) if *f >= 0.0 => Some(*f as u64),
+        _ => None,
+    }
+}
+
+fn vs(v: &serde::Value) -> Option<String> {
+    match v {
+        serde::Value::Str(s) => Some(s.clone()),
+        _ => None,
+    }
+}
+
+/// The `(name, value)` pairs of an object field whose values `conv`
+/// accepts (others are skipped).
+fn pairs<T>(
+    v: &serde::Value,
+    field: &str,
+    conv: impl Fn(&serde::Value) -> Option<T>,
+) -> Vec<(String, T)> {
+    match v.get_field(field) {
+        Ok(serde::Value::Object(f)) => f
+            .iter()
+            .filter_map(|(k, x)| Some((k.clone(), conv(x)?)))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The elements of an array field (empty when absent).
+fn items<'a>(v: &'a serde::Value, field: &str) -> &'a [serde::Value] {
+    match v.get_field(field) {
+        Ok(serde::Value::Array(a)) => a,
+        _ => &[],
+    }
+}
+
+/// Decodes one JSONL line; `Ok(None)` for a blank line. Unknown record
+/// kinds decode to [`Kind::Unknown`] (forward compatibility), unknown
+/// or mistyped fields are skipped; malformed JSON is an error the
+/// caller decides how to treat (tail tolerance vs corruption).
+pub(crate) fn decode_line(line: &str) -> Result<Option<Record>, String> {
+    let line = line.trim();
+    if line.is_empty() {
+        return Ok(None);
+    }
+    let v: serde::Value =
+        serde_json::from_str(line).map_err(|e| format!("bad stream line: {e}"))?;
+    let Some(k) = v.get_field("k").ok().and_then(vs) else {
+        return Err("stream line without \"k\" kind".into());
+    };
+    let field = |f: &str| v.get_field(f).ok();
+    let kind = match k.as_str() {
+        "open" => Kind::Open(field("v").and_then(vu)),
+        "meta" => Kind::Meta(pairs(&v, "tags", vs), pairs(&v, "data", vf)),
+        "counters" => Kind::Counters(pairs(&v, "data", vu)),
+        "gauges" => Kind::Gauges(pairs(&v, "data", vf)),
+        "hists" => Kind::Hists(pairs(&v, "data", |h| {
+            let get = |f: &str| h.get_field(f).ok().and_then(vu).unwrap_or(0);
+            Some(HistogramSummary {
+                count: get("count"),
+                sum: get("sum"),
+                min: get("min"),
+                max: get("max"),
+                mean: h.get_field("mean").ok().and_then(vf).unwrap_or(f64::NAN),
+                p50: get("p50"),
+                p90: get("p90"),
+                p99: get("p99"),
+            })
+        })),
+        "series" => {
+            let name = field("name")
+                .and_then(vs)
+                .ok_or("series record without name")?;
+            let reset = matches!(field("reset"), Some(serde::Value::Bool(true)));
+            let pts = items(&v, "pts")
+                .iter()
+                .filter_map(|p| match p {
+                    serde::Value::Array(t) if t.len() == 3 => Some(SeriesPoint {
+                        ts_us: vu(&t[0])?,
+                        x: vf(&t[1])?,
+                        y: vf(&t[2])?,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            Kind::Series(name, reset, pts)
+        }
+        "events" => Kind::Events(
+            items(&v, "data")
+                .iter()
+                .filter_map(|e| {
+                    Some(StreamEvent {
+                        ts_us: e.get_field("ts_us").ok().and_then(vu).unwrap_or(0),
+                        name: e.get_field("name").ok().and_then(vs)?,
+                        args: pairs(e, "args", vf),
+                    })
+                })
+                .collect(),
+            field("dropped").and_then(vu),
+        ),
+        "spans" => Kind::Spans(
+            items(&v, "data")
+                .iter()
+                .filter_map(|s| {
+                    let get = |f: &str| s.get_field(f).ok().and_then(vu).unwrap_or(0);
+                    Some(SpanInfo {
+                        name: s.get_field("name").ok().and_then(vs)?,
+                        start_us: get("start_us"),
+                        dur_us: get("dur_us"),
+                        tid: u32::try_from(get("tid")).unwrap_or(u32::MAX),
+                    })
+                })
+                .collect(),
+            field("dropped").and_then(vu),
+        ),
+        "done" => Kind::Done,
+        _ => Kind::Unknown,
+    };
+    Ok(Some(Record {
+        seq: field("seq").and_then(vu),
+        t_us: field("t_us").and_then(vu),
+        kind,
+    }))
+}
+
+/// Decodes a whole stream text, handing each record to `each` in order,
+/// and returns whether a torn final line was skipped. The first record
+/// must be `open`; a malformed final line is tolerated as crash
+/// truncation, a malformed earlier line is an error.
+pub(crate) fn decode_stream(text: &str, mut each: impl FnMut(Record)) -> Result<bool, String> {
+    let not_a_stream = |e: &str| {
+        format!(
+            "not a metrics stream (JSONL records tagged \"k\", the first \
+             {{\"k\":\"open\",\"v\":{STREAM_VERSION}}}): {e}"
+        )
+    };
+    let lines: Vec<&str> = text.split('\n').collect();
+    let last = lines.iter().rposition(|l| !l.trim().is_empty());
+    let mut opened = false;
+    for (i, line) in lines.iter().enumerate() {
+        match decode_line(line) {
+            Ok(None) => {}
+            Ok(Some(r)) if opened || matches!(r.kind, Kind::Open(_)) => {
+                opened = true;
+                each(r);
+            }
+            Ok(Some(_)) => return Err(not_a_stream("the first record is not `open`")),
+            Err(_) if opened && Some(i) == last => return Ok(true),
+            Err(e) if opened => return Err(format!("line {}: {e}", i + 1)),
+            Err(e) => return Err(not_a_stream(&e)),
+        }
+    }
+    if opened {
+        Ok(false)
+    } else {
+        Err(not_a_stream("no records"))
+    }
+}
+
+/// Maximum journal events a [`StreamState`] retains (newest win).
 const MAX_STATE_EVENTS: usize = 256;
 
-/// Accumulated state of a metrics stream after applying its records in
-/// order. All collections are sorted by name.
+/// The bounded summary of a metrics stream after applying its records
+/// in order: everything but the per-flow analysis records, and only
+/// the newest journal events. All collections are sorted by name.
 #[derive(Debug, Clone, Default)]
 pub struct StreamState {
     /// Stream format version from the `open` record.
@@ -366,6 +663,11 @@ pub struct StreamState {
     pub series: Vec<(String, Vec<SeriesPoint>)>,
     /// Most recent journal events (bounded; newest last).
     pub events: Vec<StreamEvent>,
+    /// Journal events the stream dropped: evicted by the recorder's
+    /// ring before a flush reached them, or past its capacity.
+    pub dropped_events: u64,
+    /// Spans the recorder discarded past its span cap.
+    pub dropped_spans: u64,
     /// Highest record sequence number seen.
     pub seq: u64,
     /// Records applied.
@@ -378,34 +680,10 @@ pub struct StreamState {
     pub truncated: bool,
 }
 
-fn vf(v: &serde::Value) -> Option<f64> {
-    match v {
-        serde::Value::Int(i) => Some(*i as f64),
-        serde::Value::Float(f) => Some(*f),
-        serde::Value::Null => Some(f64::NAN),
-        _ => None,
-    }
-}
-
-fn vu(v: &serde::Value) -> Option<u64> {
-    match v {
-        serde::Value::Int(i) if *i >= 0 => Some(*i as u64),
-        serde::Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    }
-}
-
-fn fields(v: &serde::Value) -> Option<&[(String, serde::Value)]> {
-    match v {
-        serde::Value::Object(f) => Some(f),
-        _ => None,
-    }
-}
-
-fn upsert<T>(list: &mut Vec<(String, T)>, name: &str, value: T) {
-    match list.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+fn upsert<T>(list: &mut Vec<(String, T)>, name: String, value: T) {
+    match list.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
         Ok(i) => list[i].1 = value,
-        Err(i) => list.insert(i, (name.to_string(), value)),
+        Err(i) => list.insert(i, (name, value)),
     }
 }
 
@@ -431,187 +709,81 @@ impl StreamState {
             .map(|(_, s)| s.as_slice())
     }
 
-    /// Applies one complete JSONL line. Unknown record kinds are
-    /// ignored (forward compatibility); malformed JSON is an error the
-    /// caller decides how to treat (tail tolerance vs corruption).
+    /// Decodes and applies one complete JSONL line (see
+    /// [`StreamFollower`] for how a live tail treats errors).
     pub fn apply_line(&mut self, line: &str) -> Result<(), String> {
-        let line = line.trim();
-        if line.is_empty() {
-            return Ok(());
-        }
-        let v: serde::Value =
-            serde_json::from_str(line).map_err(|e| format!("bad stream line: {e}"))?;
-        let kind = match v.get_field("k") {
-            Ok(serde::Value::Str(s)) => s.clone(),
-            _ => return Err("stream line without \"k\" kind".into()),
-        };
-        if let Some(seq) = v.get_field("seq").ok().and_then(vu) {
-            self.seq = self.seq.max(seq);
-        }
-        if let Some(t) = v.get_field("t_us").ok().and_then(vu) {
-            self.t_us = self.t_us.max(t);
-        }
-        self.records += 1;
-        match kind.as_str() {
-            "open" => {
-                if let Some(ver) = v.get_field("v").ok().and_then(vu) {
-                    self.version = ver;
-                }
-            }
-            "meta" => {
-                if let Some(tags) = v.get_field("tags").ok().and_then(fields) {
-                    for (k, t) in tags {
-                        if let serde::Value::Str(s) = t {
-                            upsert(&mut self.tags, k, s.clone());
-                        }
-                    }
-                }
-                if let Some(data) = v.get_field("data").ok().and_then(fields) {
-                    for (k, t) in data {
-                        if let Some(f) = vf(t) {
-                            upsert(&mut self.meta, k, f);
-                        }
-                    }
-                }
-            }
-            "counters" => {
-                if let Some(data) = v.get_field("data").ok().and_then(fields) {
-                    for (k, t) in data {
-                        if let Some(c) = vu(t) {
-                            upsert(&mut self.counters, k, c);
-                        }
-                    }
-                }
-            }
-            "gauges" => {
-                if let Some(data) = v.get_field("data").ok().and_then(fields) {
-                    for (k, t) in data {
-                        if let Some(f) = vf(t) {
-                            upsert(&mut self.gauges, k, f);
-                        }
-                    }
-                }
-            }
-            "hists" => {
-                if let Some(data) = v.get_field("data").ok().and_then(fields) {
-                    for (k, t) in data {
-                        let get = |f: &str| t.get_field(f).ok().and_then(vu).unwrap_or(0);
-                        let mean = t.get_field("mean").ok().and_then(vf).unwrap_or(f64::NAN);
-                        upsert(
-                            &mut self.hists,
-                            k,
-                            HistogramSummary {
-                                count: get("count"),
-                                sum: get("sum"),
-                                min: get("min"),
-                                max: get("max"),
-                                mean,
-                                p50: get("p50"),
-                                p90: get("p90"),
-                                p99: get("p99"),
-                            },
-                        );
-                    }
-                }
-            }
-            "series" => {
-                let name = match v.get_field("name") {
-                    Ok(serde::Value::Str(s)) => s.clone(),
-                    _ => return Err("series record without name".into()),
-                };
-                let reset = matches!(v.get_field("reset"), Ok(serde::Value::Bool(true)));
-                let mut pts = Vec::new();
-                if let Ok(serde::Value::Array(raw)) = v.get_field("pts") {
-                    for p in raw {
-                        if let serde::Value::Array(t) = p {
-                            if t.len() == 3 {
-                                if let (Some(ts), Some(x), Some(y)) =
-                                    (vu(&t[0]), vf(&t[1]), vf(&t[2]))
-                                {
-                                    pts.push(SeriesPoint { ts_us: ts, x, y });
-                                }
-                            }
-                        }
-                    }
-                }
-                match self
-                    .series
-                    .binary_search_by(|(n, _)| n.as_str().cmp(name.as_str()))
-                {
-                    Ok(i) => {
-                        if reset {
-                            self.series[i].1 = pts;
-                        } else {
-                            self.series[i].1.extend(pts);
-                        }
-                    }
-                    Err(i) => self.series.insert(i, (name, pts)),
-                }
-            }
-            "events" => {
-                if let Ok(serde::Value::Array(raw)) = v.get_field("data") {
-                    for e in raw {
-                        let name = match e.get_field("name") {
-                            Ok(serde::Value::Str(s)) => s.clone(),
-                            _ => continue,
-                        };
-                        let ts_us = e.get_field("ts_us").ok().and_then(vu).unwrap_or(0);
-                        let mut args = Vec::new();
-                        if let Some(a) = e.get_field("args").ok().and_then(fields) {
-                            for (k, t) in a {
-                                if let Some(f) = vf(t) {
-                                    args.push((k.clone(), f));
-                                }
-                            }
-                        }
-                        self.events.push(StreamEvent { ts_us, name, args });
-                    }
-                    if self.events.len() > MAX_STATE_EVENTS {
-                        let cut = self.events.len() - MAX_STATE_EVENTS;
-                        self.events.drain(..cut);
-                    }
-                }
-            }
-            "done" => self.done = true,
-            _ => {} // unknown kind: skip
+        if let Some(r) = decode_line(line)? {
+            self.apply(r);
         }
         Ok(())
     }
-}
 
-/// Parses a whole stream text. A malformed *final* line is tolerated
-/// (crash truncation) and flagged via [`StreamState::truncated`]; a
-/// malformed earlier line is an error.
-pub fn parse_stream(text: &str) -> Result<StreamState, String> {
-    let mut state = StreamState::default();
-    let lines: Vec<&str> = text.split('\n').collect();
-    let last_nonempty = lines.iter().rposition(|l| !l.trim().is_empty());
-    for (i, line) in lines.iter().enumerate() {
-        if let Err(e) = state.apply_line(line) {
-            if Some(i) == last_nonempty {
-                state.truncated = true;
-                break;
+    pub(crate) fn apply(&mut self, r: Record) {
+        if let Some(seq) = r.seq {
+            self.seq = self.seq.max(seq);
+        }
+        if let Some(t) = r.t_us {
+            self.t_us = self.t_us.max(t);
+        }
+        self.records += 1;
+        match r.kind {
+            Kind::Open(v) => self.version = v.unwrap_or(self.version),
+            Kind::Meta(tags, data) => {
+                tags.into_iter()
+                    .for_each(|(k, v)| upsert(&mut self.tags, k, v));
+                data.into_iter()
+                    .for_each(|(k, v)| upsert(&mut self.meta, k, v));
             }
-            return Err(format!("line {}: {e}", i + 1));
+            Kind::Counters(d) => d
+                .into_iter()
+                .for_each(|(k, v)| upsert(&mut self.counters, k, v)),
+            Kind::Gauges(d) => d
+                .into_iter()
+                .for_each(|(k, v)| upsert(&mut self.gauges, k, v)),
+            Kind::Hists(d) => d
+                .into_iter()
+                .for_each(|(k, v)| upsert(&mut self.hists, k, v)),
+            Kind::Series(name, reset, pts) => {
+                match self.series.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
+                    Ok(i) if reset => self.series[i].1 = pts,
+                    Ok(i) => self.series[i].1.extend(pts),
+                    Err(i) => self.series.insert(i, (name, pts)),
+                }
+            }
+            Kind::Events(events, dropped) => {
+                self.dropped_events = self.dropped_events.max(dropped.unwrap_or(0));
+                self.events.extend(events);
+                let cut = self.events.len().saturating_sub(MAX_STATE_EVENTS);
+                self.events.drain(..cut);
+            }
+            Kind::Spans(_, dropped) => {
+                self.dropped_spans = self.dropped_spans.max(dropped.unwrap_or(0));
+            }
+            Kind::Done => self.done = true,
+            Kind::Unknown => {}
         }
     }
-    Ok(state)
+}
+
+/// Parses a whole stream text into the analysis view. A malformed
+/// *final* line is tolerated (crash truncation) and flagged via
+/// [`StreamState::truncated`]; a malformed earlier line, or a text
+/// whose first record is not `open`, is an error.
+pub fn parse_stream(text: &str) -> Result<TraceData, String> {
+    let mut data = TraceData::default();
+    data.state.truncated = decode_stream(text, |r| data.apply(r))?;
+    Ok(data)
 }
 
 /// Reads and parses a stream file in one shot.
-pub fn read_stream(path: impl AsRef<Path>) -> Result<StreamState, String> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
-    parse_stream(&text)
+pub fn read_stream(path: impl AsRef<Path>) -> Result<TraceData, String> {
+    let path = path.as_ref();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_stream(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Sniffs whether `text` looks like a metrics stream (first line is an
-/// `open` record) as opposed to a Chrome trace or JSON summary.
-pub fn is_stream(text: &str) -> bool {
-    text.lines()
-        .next()
-        .is_some_and(|l| l.trim_start().starts_with("{\"k\":\"open\""))
-}
+/// Bytes a [`StreamFollower`] reads at a time.
+const FOLLOW_CHUNK: u64 = 1 << 20;
 
 /// Incremental tail over a growing stream file: remembers the byte
 /// offset and any partial trailing line between polls.
@@ -619,7 +791,8 @@ pub fn is_stream(text: &str) -> bool {
 pub struct StreamFollower {
     path: PathBuf,
     offset: u64,
-    carry: String,
+    /// Bytes of a partial trailing line.
+    carry: Vec<u8>,
     /// The accumulated state; read after each [`StreamFollower::poll`].
     pub state: StreamState,
 }
@@ -631,14 +804,15 @@ impl StreamFollower {
         Self {
             path: path.as_ref().to_path_buf(),
             offset: 0,
-            carry: String::new(),
+            carry: Vec::new(),
             state: StreamState::default(),
         }
     }
 
-    /// Reads newly appended bytes and applies all complete lines.
-    /// Returns whether any record was applied. A shrunken file (the
-    /// run restarted and truncated it) resets the follower.
+    /// Reads the bytes appended since the last poll, a chunk at a time,
+    /// and applies all complete lines. Returns whether any record was
+    /// applied. A shrunken file (the run restarted and truncated it)
+    /// resets the follower.
     pub fn poll(&mut self) -> std::io::Result<bool> {
         let mut f = match std::fs::File::open(&self.path) {
             Ok(f) => f,
@@ -651,20 +825,26 @@ impl StreamFollower {
             self.carry.clear();
             self.state = StreamState::default();
         }
-        if len == self.offset {
-            return Ok(false);
-        }
         f.seek(std::io::SeekFrom::Start(self.offset))?;
-        let mut buf = Vec::with_capacity((len - self.offset) as usize);
-        f.read_to_end(&mut buf)?;
-        self.offset = len;
-        self.carry.push_str(&String::from_utf8_lossy(&buf));
+        let mut f = f.take(len - self.offset);
         let before = self.state.records;
-        while let Some(pos) = self.carry.find('\n') {
-            let line: String = self.carry.drain(..=pos).collect();
-            // A torn or corrupt line mid-stream is skipped rather than
-            // fatal: a live tail must survive writer races.
-            let _ = self.state.apply_line(&line);
+        loop {
+            let mut scan = self.carry.len();
+            let n = (&mut f).take(FOLLOW_CHUNK).read_to_end(&mut self.carry)?;
+            if n == 0 {
+                break;
+            }
+            self.offset += n as u64;
+            let mut start = 0;
+            while let Some(pos) = self.carry[scan..].iter().position(|&b| b == b'\n') {
+                // A torn or corrupt line mid-stream is skipped rather than
+                // fatal: a live tail must survive writer races.
+                let line = String::from_utf8_lossy(&self.carry[start..scan + pos]);
+                let _ = self.state.apply_line(&line);
+                start = scan + pos + 1;
+                scan = start;
+            }
+            self.carry.drain(..start);
         }
         Ok(self.state.records != before)
     }
@@ -674,7 +854,7 @@ impl StreamFollower {
 // rendering
 // ---------------------------------------------------------------------
 
-fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if !s.is_finite() || s < 0.0 {
         return "—".into();
     }
@@ -698,7 +878,7 @@ fn fmt_bytes(b: f64) -> String {
     format!("{v:.2} {}", UNITS[u])
 }
 
-fn sparkline(pts: &[SeriesPoint], width: usize) -> String {
+pub(crate) fn sparkline(pts: &[SeriesPoint], width: usize) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     if pts.is_empty() || width == 0 {
         return String::new();
@@ -730,18 +910,18 @@ fn bar(frac: f64, width: usize) -> String {
 
 /// Per-worker scheduler stats extracted from `pool.w{i}.*` gauges.
 #[derive(Debug, Clone, Default)]
-struct WorkerRow {
-    pushes: f64,
-    pops: f64,
-    steals: f64,
-    steal_fails: f64,
-    busy_ns: f64,
-    idle_ns: f64,
+pub(crate) struct WorkerRow {
+    pub(crate) pushes: f64,
+    pub(crate) pops: f64,
+    pub(crate) steals: f64,
+    pub(crate) steal_fails: f64,
+    pub(crate) busy_ns: f64,
+    pub(crate) idle_ns: f64,
 }
 
 /// Worker rows keyed by the index parsed from the gauge name — only the
 /// indexes present, so a crafted `pool.w{huge}.*` name costs one row.
-fn worker_rows(state: &StreamState) -> BTreeMap<u64, WorkerRow> {
+pub(crate) fn worker_rows(state: &StreamState) -> BTreeMap<u64, WorkerRow> {
     let mut rows = BTreeMap::new();
     for (name, v) in &state.gauges {
         let Some(rest) = name.strip_prefix("pool.w") else {
@@ -766,133 +946,20 @@ fn worker_rows(state: &StreamState) -> BTreeMap<u64, WorkerRow> {
 }
 
 /// The lowest point of the `anneal.best_haspl` series, with the series.
-fn best_haspl(state: &StreamState) -> Option<(f64, &[SeriesPoint])> {
+pub(crate) fn best_haspl(state: &StreamState) -> Option<(f64, &[SeriesPoint])> {
     let pts = state
         .series("anneal.best_haspl")
         .filter(|p| !p.is_empty())?;
     Some((pts.iter().map(|p| p.y).fold(f64::MAX, f64::min), pts))
 }
 
-/// Static text report over a stream — the `orp report` view of a
-/// solver metrics file.
-pub fn render_stream_report(state: &StreamState) -> String {
-    let mut o = String::with_capacity(4096);
-    let _ = writeln!(o, "== telemetry stream report ==");
-    if !state.tags.is_empty() {
-        let tags: Vec<String> = state.tags.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        let _ = writeln!(o, "run: {}", tags.join(" "));
-    }
-    if !state.meta.is_empty() {
-        let meta: Vec<String> = state.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        let _ = writeln!(o, "params: {}", meta.join(" "));
-    }
-    let _ = writeln!(
-        o,
-        "status: {} · last update {} · {} records (seq {}){}",
-        if state.done { "done" } else { "live" },
-        fmt_secs(state.t_us as f64 / 1e6),
-        state.records,
-        state.seq,
-        if state.truncated {
-            " · TRUNCATED tail skipped"
-        } else {
-            ""
-        },
-    );
-    if let Some((best, pts)) = best_haspl(state) {
-        let _ = writeln!(
-            o,
-            "best h-ASPL: {best:.6} over {} recorded points  {}",
-            pts.len(),
-            sparkline(pts, 40)
-        );
-    }
-    render_eval_mix(&mut o, |n| {
-        state
-            .counter(n)
-            .or_else(|| state.gauge(n).map(|g| g as u64))
-    });
-    let rows = worker_rows(state);
-    if !rows.is_empty() {
-        let _ = writeln!(
-            o,
-            "workers:   {:>12} {:>12} {:>12} {:>9} {:>10}",
-            "pops", "steals", "fail-steals", "busy-s", "idle-s"
-        );
-        for (i, r) in &rows {
-            let _ = writeln!(
-                o,
-                "  w{i:<7} {:>12} {:>12} {:>12} {:>9.2} {:>10.2}",
-                r.pops as u64,
-                r.steals as u64,
-                r.steal_fails as u64,
-                r.busy_ns / 1e9,
-                r.idle_ns / 1e9
-            );
-        }
-    }
-    render_watchdog(
-        &mut o,
-        state.t_us,
-        state.counter("watchdog.stalls"),
-        state.gauge("watchdog.heartbeat_us"),
-        state
-            .events
-            .iter()
-            .filter(|e| e.name == "watchdog.stalled")
-            .count() as u64,
-    );
-    if !state.counters.is_empty() {
-        let _ = writeln!(o, "counters:");
-        for (name, v) in &state.counters {
-            let _ = writeln!(o, "  {name:<36} {v}");
-        }
-    }
-    if !state.gauges.is_empty() {
-        let _ = writeln!(o, "gauges:");
-        for (name, v) in &state.gauges {
-            let _ = writeln!(o, "  {name:<36} {v}");
-        }
-    }
-    if !state.hists.is_empty() {
-        let _ = writeln!(
-            o,
-            "histograms:                        {:>10} {:>12} {:>12} {:>12}",
-            "count", "mean", "p50", "p99"
-        );
-        for (name, h) in &state.hists {
-            let _ = writeln!(
-                o,
-                "  {name:<32} {:>10} {:>12.1} {:>12} {:>12}",
-                h.count, h.mean, h.p50, h.p99
-            );
-        }
-    }
-    if !state.events.is_empty() {
-        let show = state.events.len().min(8);
-        let _ = writeln!(o, "recent events:");
-        for e in &state.events[state.events.len() - show..] {
-            let args: Vec<String> = e.args.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let _ = writeln!(
-                o,
-                "  [{}] {} {}",
-                fmt_secs(e.ts_us as f64 / 1e6),
-                e.name,
-                args.join(" ")
-            );
-        }
-    }
-    o
-}
-
 /// Renders the eval-path mix (full vs incremental vs early-reject) if
-/// the counters are present. Shared by the stream report and the
-/// snapshot report.
+/// the counters are present. Shared by the report and the dashboard.
 pub(crate) fn render_eval_mix(o: &mut String, get: impl Fn(&str) -> Option<u64>) {
     let full = get("eval.full").unwrap_or(0);
     let inc = get("eval.incremental").unwrap_or(0);
     let early = get("eval.early_reject").unwrap_or(0);
-    let total = full + inc + early;
+    let total = full.saturating_add(inc).saturating_add(early);
     if total == 0 {
         return;
     }
@@ -1162,7 +1229,10 @@ mod tests {
             name: "round",
             value: 1.0,
         });
-        sink.finish(&rec, || rec.gauge("progress.iter", 100.0));
+        sink.finish(&rec, || {
+            rec.gauge("progress.iter", 100.0);
+            rec.gauge("huge", -1e300); // plain digits would not read back
+        });
 
         let text = std::fs::read_to_string(&path).unwrap();
         for kind in [
@@ -1173,7 +1243,8 @@ mod tests {
                 "missing record kind {kind} in:\n{text}"
             );
         }
-        let state = parse_stream(&text).expect("parses");
+        let data = parse_stream(&text).expect("parses");
+        let state = &data.state;
         assert!(state.done);
         assert!(!state.truncated);
         assert_eq!(state.version, STREAM_VERSION);
@@ -1181,6 +1252,7 @@ mod tests {
         assert_eq!(state.counter("eval.incremental"), Some(90));
         assert_eq!(state.gauge("pool.w0.steals"), Some(17.0));
         assert_eq!(state.gauge("progress.iter"), Some(100.0));
+        assert_eq!(state.gauge("huge"), Some(-1e300));
         let h = state
             .hists
             .iter()
@@ -1196,6 +1268,71 @@ mod tests {
     }
 
     #[test]
+    fn every_event_and_span_is_streamed_once_in_chunks() {
+        let path = tmp("lossless.jsonl");
+        let sink = StreamSink::with_interval(&path, Duration::ZERO).unwrap();
+        let rec = Recorder::enabled();
+        for i in 0..1000u64 {
+            rec.emit(Event::Best {
+                iter: i,
+                value: 1.0,
+            });
+            if i % 300 == 0 {
+                drop(rec.span("step"));
+                sink.maybe_flush(&rec, || {});
+            }
+        }
+        sink.finish(&rec, || {});
+        let text = std::fs::read_to_string(&path).unwrap();
+        let data = parse_stream(&text).unwrap();
+        assert_eq!(data.state.version, STREAM_VERSION);
+        assert_eq!(data.event_counts["anneal.best"], 1000);
+        assert_eq!(data.spans.len(), 4);
+        assert_eq!(data.state.dropped_events, 0);
+        // the newest events survive in the bounded summary, in order
+        let last = data.state.events.last().unwrap();
+        assert_eq!(last.args[0], ("iter".to_string(), 999.0));
+        let widest = text
+            .lines()
+            .filter(|l| l.starts_with("{\"k\":\"events\""))
+            .map(|l| l.matches("\"ts_us\"").count())
+            .max();
+        assert_eq!(widest, Some(DELTA_CHUNK));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_sink_streams_each_recorder_it_is_handed() {
+        let path = tmp("three-recorders.jsonl");
+        let sink = StreamSink::with_interval(&path, Duration::ZERO).unwrap();
+        // each recorder streams its journal and spans from their
+        // beginning, whether it has emitted more events than the one
+        // before it (b) or fewer (c)
+        let mut last = 0;
+        for (name, events) in [("a", 100), ("b", 150), ("c", 30)] {
+            let rec = Recorder::enabled();
+            for iter in last..last + events {
+                rec.emit(Event::Best { iter, value: 1.0 });
+            }
+            last += events;
+            drop(rec.span(name));
+            if name == "c" {
+                sink.finish(&rec, || {});
+            } else {
+                sink.flush_now(&rec, || {});
+            }
+        }
+        let data = read_stream(&path).unwrap();
+        assert_eq!(data.event_counts["anneal.best"], 280);
+        let iters: Vec<f64> = data.state.events.iter().map(|e| e.args[0].1).collect();
+        assert_eq!(iters, (24..280).map(|i| i as f64).collect::<Vec<_>>());
+        let spans: Vec<&str> = data.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(spans, ["a", "b", "c"]);
+        assert_eq!(data.state.dropped_events, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn truncated_final_line_is_tolerated() {
         let path = tmp("torn.jsonl");
         let sink = StreamSink::with_interval(&path, Duration::from_secs(0)).unwrap();
@@ -1203,10 +1340,10 @@ mod tests {
         assert!(sink.maybe_flush(&rec, || {}));
         let mut text = std::fs::read_to_string(&path).unwrap();
         let full = parse_stream(&text).unwrap();
-        assert!(full.counter("eval.full").is_some());
+        assert!(full.state.counter("eval.full").is_some());
         // simulate a crash mid-append: chop the file mid final line
         text.truncate(text.len() - 7);
-        let state = parse_stream(&text).expect("torn tail tolerated");
+        let state = parse_stream(&text).expect("torn tail tolerated").state;
         assert!(state.truncated);
         assert!(!state.done);
         // a torn line *before* the end is corruption, not truncation
@@ -1268,7 +1405,7 @@ mod tests {
             rec.series("s", i as f64, i as f64);
         }
         sink.finish(&rec, || {});
-        let state = read_stream(&path).unwrap();
+        let state = read_stream(&path).unwrap().state;
         let pts = state.series("s").unwrap();
         // decimated but endpoints survive, and no duplicated prefix
         assert!(pts.iter().any(|p| p.x == 0.0));
@@ -1278,10 +1415,24 @@ mod tests {
     }
 
     #[test]
-    fn is_stream_sniffs_first_line() {
-        assert!(is_stream("{\"k\":\"open\",\"v\":1}\n"));
-        assert!(!is_stream("{\"displayTimeUnit\": \"ms\"}"));
-        assert!(!is_stream(""));
+    fn only_a_stream_decodes() {
+        for text in [
+            "",
+            "\n",
+            "{\"displayTimeUnit\": \"ms\", \"traceEvents\": []}",
+            "not json",
+        ] {
+            let e = parse_stream(text).unwrap_err();
+            assert!(e.contains("not a metrics stream"), "{text:?}: {e}");
+        }
+        assert!(
+            parse_stream("{\"k\":\"gauges\",\"data\":{}}\n{\"k\":\"open\",\"v\":2}")
+                .unwrap_err()
+                .contains("first record is not `open`")
+        );
+        // v1 streams and unknown record kinds still load
+        let v1 = parse_stream("{\"k\":\"open\",\"v\":1}\n{\"k\":\"later\",\"x\":1}\n").unwrap();
+        assert_eq!((v1.state.version, v1.state.records), (1, 2));
     }
 
     #[test]
@@ -1300,11 +1451,12 @@ mod tests {
         rec.gauge_dyn("pool.w1000000000000.pops", 3.0);
         rec.gauge_dyn("pool.w18446744073709551615.pops", 4.0);
         sink.finish(&rec, || {});
-        let state = read_stream(&path).unwrap();
+        let data = read_stream(&path).unwrap();
+        let state = &data.state;
 
-        let report = render_stream_report(&state);
+        let report = crate::analyze::render_report(&data, 10);
         for needle in [
-            "telemetry stream report",
+            "telemetry report",
             "eval path mix",
             "workers",
             "w1000000000000 ",
@@ -1317,7 +1469,7 @@ mod tests {
                 "report missing {needle:?}:\n{report}"
             );
         }
-        let dash = render_dashboard(&state, None);
+        let dash = render_dashboard(state, None);
         for needle in [
             "orp watch",
             "DONE",
@@ -1340,7 +1492,7 @@ mod tests {
         let rec = Recorder::enabled();
         rec.gauge("cache.resident_bytes", 0.0);
         sink.finish(&rec, || {});
-        let dash = render_dashboard(&read_stream(&path).unwrap(), None);
+        let dash = render_dashboard(&read_stream(&path).unwrap().state, None);
         assert!(dash.contains("cache: off\n"), "{dash}");
         let _ = std::fs::remove_file(&path);
     }
@@ -1352,7 +1504,7 @@ mod tests {
         let rec = Recorder::disabled();
         assert!(!sink.maybe_flush(&rec, || panic!("publish must not run")));
         sink.finish(&rec, || panic!("publish must not run"));
-        let state = read_stream(&path).unwrap();
+        let state = read_stream(&path).unwrap().state;
         assert_eq!(state.records, 1); // just the open record
         let _ = std::fs::remove_file(&path);
     }

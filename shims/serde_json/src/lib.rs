@@ -31,6 +31,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -124,9 +125,16 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
     }
 }
 
+/// Deepest array/object nesting [`from_str`] accepts: the parser
+/// recurses per level, so unbounded nesting in hostile input would
+/// overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,8 +183,22 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(DeError(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             Some(b) => Err(DeError(format!(
                 "unexpected `{}` at byte {}",
@@ -345,6 +367,18 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str::<Value>(&ok).is_ok());
+        let deep = format!("{}{}", "[{\"a\":".repeat(100_000), "1");
+        let err = from_str::<Value>(&deep).unwrap_err();
+        assert!(
+            format!("{err:?}").contains("nesting deeper than 128"),
+            "{err:?}"
+        );
+    }
 
     #[test]
     fn roundtrip_nested() {

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! orp bounds  <n> <r>                  lower bounds and m_opt prediction
-//! orp solve   <n> <r> [iters] [out] [--trace t.json] [--metrics m.jsonl]
+//! orp solve   <n> <r> [iters] [out] [--metrics m.jsonl]
 //!             [--checkpoint ck.orp] [--every N] [--resume] [--watchdog secs]
 //!             [--mem-budget bytes] [--workers w]
 //!                                      anneal a topology, optionally save it;
-//!                                      --trace writes a Chrome trace of the run;
-//!                                      --metrics streams live JSONL telemetry
-//!                                      you can tail with `orp watch` mid-run;
+//!                                      --metrics streams the run's telemetry
+//!                                      (JSONL) you can tail with `orp watch`
+//!                                      mid-run and analyse with `orp report`;
 //!                                      --checkpoint saves crash-safe snapshots
 //!                                      (resumable with --resume, bit-identical);
 //!                                      --mem-budget caps the distance cache
@@ -17,12 +17,12 @@
 //!                                      --workers pins the evaluation pool
 //! orp eval    <file.hsg>               metrics of a saved host-switch graph
 //! orp compare <n> <r>                  ORP vs torus/dragonfly/fat-tree table
-//! orp simulate <file.hsg> [bench] [iters] [--trace t.json] [--metrics m.jsonl]
+//! orp simulate <file.hsg> [bench] [iters] [--metrics m.jsonl]
 //!             [--checkpoint ck.orp] [--resume] [--watchdog secs]
 //!             [--sharing exact|approx] [--inject flows] [--seed s]
 //!                                      run an NPB kernel on a saved graph;
-//!                                      --trace records flow/hop telemetry;
-//!                                      --metrics streams live progress gauges;
+//!                                      --metrics streams progress gauges and
+//!                                      the flow/hop/link journal;
 //!                                      --checkpoint/--resume work as for solve;
 //!                                      --inject N replaces the kernel with an
 //!                                      open-loop random workload of N flows
@@ -30,10 +30,13 @@
 //!                                      live terminal dashboard over a metrics
 //!                                      stream (refreshes until the run's done
 //!                                      record lands; --once renders one frame)
-//! orp report  <trace.json|m.jsonl> [--top k] [--collapsed]
-//!                                      latency attribution of a recorded trace;
-//!                                      metrics streams get a progress report
-//! orp diff    <a.json> <b.json>        attribute the makespan delta of two runs
+//! orp report  <m.jsonl> [--top k] [--collapsed | --chrome]
+//!                                      report of a metrics stream: status,
+//!                                      search engine, latency attribution,
+//!                                      hotspots, spans, metrics; --collapsed
+//!                                      prints flamegraph folded stacks and
+//!                                      --chrome a Chrome trace_event document
+//! orp diff    <a.jsonl> <b.jsonl>      attribute the makespan delta of two runs
 //! orp partition <file.hsg> [k]         bandwidth (edge cut) for P = 2..k
 //! orp layout  <file.hsg> [per_cab]     floorplan power/cost (naive + optimized)
 //! ```
@@ -61,11 +64,10 @@ use orp::netsim::npb::Benchmark;
 use orp::netsim::report::run_benchmark_configured;
 use orp::netsim::{InjectedFlow, SharingMode, Simulator};
 use orp::obs::analyze::{
-    aggregate_spans, collapsed_stacks, diff, render_diff, render_report, TraceData,
+    aggregate_spans, collapsed_stacks, diff, render_chrome, render_diff, render_report,
 };
 use orp::obs::{
-    is_stream, parse_stream, read_stream, render_dashboard, render_stream_report, ChromeTrace,
-    ObsConfig, Recorder, StreamFollower, StreamSink, StreamState,
+    read_stream, render_dashboard, ObsConfig, Recorder, StreamFollower, StreamSink, StreamState,
 };
 use orp::partition::{partition, Graph as CutGraph, PartitionConfig};
 use rand::{Rng, SeedableRng};
@@ -136,9 +138,9 @@ fn watchdog_timeout(secs: Option<String>, usage: &str) -> Result<Option<Duration
     .transpose()
 }
 
-/// A recorder sized for full-fidelity trace export: NPB runs at n=128
-/// emit hundreds of thousands of flow/hop events, far past the default
-/// journal ring.
+/// A recorder sized for full-fidelity simulator streams: NPB runs at
+/// n=128 emit hundreds of thousands of flow/hop events, far past the
+/// default journal ring, which also bounds what one stream holds.
 fn trace_recorder() -> Recorder {
     Recorder::with_config(ObsConfig {
         journal_capacity: 1 << 21,
@@ -168,11 +170,10 @@ fn cmd_bounds(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    let usage = "usage: orp solve <n> <r> [iters] [out.hsg] [--trace t.json] \
-                 [--metrics m.jsonl] [--checkpoint ck.orp] [--every N] [--resume] \
-                 [--watchdog secs] [--mem-budget bytes] [--workers w]";
-    let (trace, pos) = split_value_flag(args, "--trace")?;
-    let (metrics, pos) = split_value_flag(&pos, "--metrics")?;
+    let usage = "usage: orp solve <n> <r> [iters] [out.hsg] [--metrics m.jsonl] \
+                 [--checkpoint ck.orp] [--every N] [--resume] [--watchdog secs] \
+                 [--mem-budget bytes] [--workers w]";
+    let (metrics, pos) = split_value_flag(args, "--metrics")?;
     let (workers, pos) = split_value_flag(&pos, "--workers")?;
     let (ckpt, pos) = split_value_flag(&pos, "--checkpoint")?;
     let (every, pos) = split_value_flag(&pos, "--every")?;
@@ -207,7 +208,7 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
     if let Some(w) = workers {
         cfg.eval_workers = Some(w.parse().map_err(|_| "--workers needs a thread count")?);
     }
-    let rec = if trace.is_some() || metrics.is_some() {
+    let rec = if metrics.is_some() {
         Recorder::enabled()
     } else {
         Recorder::disabled()
@@ -276,11 +277,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
         println!("wrote {out}");
-    }
-    if let Some(path) = trace {
-        rec.export_to(&ChromeTrace, &path)
-            .map_err(|e| e.to_string())?;
-        println!("wrote {path} (open in chrome://tracing or Perfetto)");
     }
     if let Some(s) = &sink {
         // the engine already published its final batch; this appends the
@@ -390,11 +386,10 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let usage = "usage: orp simulate <file.hsg> [bench] [iters] [--trace t.json] \
-                 [--metrics m.jsonl] [--checkpoint ck.orp] [--resume] [--watchdog secs] \
+    let usage = "usage: orp simulate <file.hsg> [bench] [iters] [--metrics m.jsonl] \
+                 [--checkpoint ck.orp] [--resume] [--watchdog secs] \
                  [--sharing exact|approx] [--inject flows] [--seed s]";
-    let (trace, pos) = split_value_flag(args, "--trace")?;
-    let (metrics, pos) = split_value_flag(&pos, "--metrics")?;
+    let (metrics, pos) = split_value_flag(args, "--metrics")?;
     let (ckpt, pos) = split_value_flag(&pos, "--checkpoint")?;
     let (watchdog, pos) = split_value_flag(&pos, "--watchdog")?;
     let (sharing, pos) = split_value_flag(&pos, "--sharing")?;
@@ -430,7 +425,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("unknown benchmark {name}; one of BT CG EP FT IS LU MG SP"))?;
     let iters: usize = arg_num(&pos, 2, 1);
     let ranks = g.num_hosts();
-    let rec = if trace.is_some() || metrics.is_some() {
+    let rec = if metrics.is_some() {
         trace_recorder()
     } else {
         Recorder::disabled()
@@ -485,11 +480,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         res.flows,
         res.bytes.to_bits()
     );
-    if let Some(path) = trace {
-        rec.export_to(&ChromeTrace, &path)
-            .map_err(|e| e.to_string())?;
-        println!("wrote {path} (open in chrome://tracing, or run `orp report {path}`)");
-    }
     if let Some(s) = &sink {
         s.finish(&rec, || ());
         println!(
@@ -582,31 +572,35 @@ fn simulate_injection(
     Ok(())
 }
 
-fn load_trace(path: &str) -> Result<TraceData, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    TraceData::parse_chrome(&text).map_err(|e| format!("{path}: {e}"))
-}
-
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let usage = "usage: orp report <trace.json|metrics.jsonl> [--top k] [--collapsed]";
+    let usage = "usage: orp report <metrics.jsonl> [--top k] [--collapsed | --chrome]";
     let (top, pos) = split_value_flag(args, "--top")?;
-    let collapsed = pos.iter().any(|a| a == "--collapsed");
-    let pos: Vec<String> = pos.into_iter().filter(|a| a != "--collapsed").collect();
+    let (collapsed, chrome) = (
+        pos.iter().any(|a| a == "--collapsed"),
+        pos.iter().any(|a| a == "--chrome"),
+    );
+    let pos: Vec<String> = pos
+        .into_iter()
+        .filter(|a| a != "--collapsed" && a != "--chrome")
+        .collect();
     reject_unknown_flags(&pos, usage)?;
+    if collapsed && chrome {
+        return Err(format!(
+            "--collapsed and --chrome are alternatives\n{usage}"
+        ));
+    }
     let top: usize = top.and_then(|t| t.parse().ok()).unwrap_or(10);
     let path = pos.first().ok_or(usage)?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    if is_stream(&text) {
-        // a live-telemetry stream, not a Chrome trace: summarize the
-        // final state instead of attributing spans
-        if collapsed {
-            return Err("--collapsed needs a Chrome trace, not a metrics stream".into());
-        }
-        let state = parse_stream(&text).map_err(|e| format!("{path}: {e}"))?;
-        print!("{}", render_stream_report(&state));
+    if chrome {
+        // rendered record by record, without the analysis view
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        print!(
+            "{}",
+            render_chrome(&text).map_err(|e| format!("{path}: {e}"))?
+        );
         return Ok(());
     }
-    let data = TraceData::parse_chrome(&text).map_err(|e| format!("{path}: {e}"))?;
+    let data = read_stream(path)?;
     if collapsed {
         // folded stacks for flamegraph tooling instead of the report
         print!("{}", collapsed_stacks(&aggregate_spans(&data.spans)));
@@ -627,14 +621,17 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         Some(ms) => ms.parse().map_err(|_| "--interval needs milliseconds")?,
         None => 500,
     });
+    let mut follower = StreamFollower::new(path);
     if once {
         // single frame, no screen clearing: scriptable / CI-friendly
-        let state = read_stream(path)?;
-        print!("{}", render_dashboard(&state, None));
+        follower.poll().map_err(|e| format!("{path}: {e}"))?;
+        if follower.state.records == 0 {
+            return Err(format!("{path}: no metrics stream records"));
+        }
+        print!("{}", render_dashboard(&follower.state, None));
         return Ok(());
     }
     use std::io::Write as _;
-    let mut follower = StreamFollower::new(path);
     let mut prev: Option<StreamState> = None;
     loop {
         let advanced = follower.poll().map_err(|e| format!("{path}: {e}"))?;
@@ -659,12 +656,12 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let usage = "usage: orp diff <a.json> <b.json>";
+    let usage = "usage: orp diff <a.jsonl> <b.jsonl>";
     reject_unknown_flags(args, usage)?;
     let a_path = args.first().ok_or(usage)?;
     let b_path = args.get(1).ok_or(usage)?;
-    let a = load_trace(a_path)?;
-    let b = load_trace(b_path)?;
+    let a = read_stream(a_path)?;
+    let b = read_stream(b_path)?;
     let d = diff(&a, &b)?;
     print!("{}", render_diff(a_path, b_path, &d));
     Ok(())

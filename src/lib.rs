@@ -17,7 +17,7 @@
 //! | [`netsim`] | `orp-netsim` | fluid + packet simulators, MPI, NPB skeletons |
 //! | [`partition`] | `orp-partition` | multilevel k-way partitioner, max-flow |
 //! | [`layout`] | `orp-layout` | floorplans, cables, power/cost, placement |
-//! | [`obs`] | `orp-obs` | zero-cost-when-off telemetry: spans, counters, histograms, trace export |
+//! | [`obs`] | `orp-obs` | zero-cost-when-off telemetry: spans, counters, histograms, the JSONL metrics stream and its readers |
 //!
 //! ## The 30-second tour
 //!
@@ -40,7 +40,9 @@
 //! The solver and simulator are driven through builders that optionally
 //! carry an [`obs::Recorder`]; a disabled recorder (the default) costs
 //! one branch per probe, so the same code path serves production runs
-//! and instrumented ones:
+//! and instrumented ones. A [`obs::StreamSink`] writes what the run
+//! recorded to the toolkit's one telemetry format, which
+//! [`obs::read_stream`] decodes for analysis:
 //!
 //! ```
 //! use orp::prelude::*;
@@ -52,8 +54,13 @@
 //!     .run()
 //!     .unwrap();
 //! assert!(result.metrics.haspl > 0.0);
-//! let json = rec.snapshot().map(|s| JsonSummary.render(&s)).unwrap();
-//! assert!(json.contains("anneal.proposed"));
+//! let path = std::env::temp_dir().join("orp-tour-anneal.jsonl");
+//! StreamSink::create(&path)?.finish(&rec, || ());
+//! let run = read_stream(&path)?;
+//! assert_eq!(run.state.counter("anneal.proposed"), Some(result.proposed as u64));
+//! assert!(run.spans.iter().any(|s| s.name == "anneal.run"));
+//! # std::fs::remove_file(&path)?;
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use orp_core as core;
@@ -151,6 +158,6 @@ pub mod prelude {
         Program, SharingMode, SimCheckpoint, SimError, SimReport, Simulator, SimulatorBuilder,
         WaitReason,
     };
-    pub use crate::obs::{ChromeTrace, JsonSummary, Recorder, Sink, TextProgress};
+    pub use crate::obs::{read_stream, Recorder, StreamSink};
     pub use crate::Error;
 }

@@ -10,7 +10,9 @@
 //! `--mem-budget` is the distance cache's only knob: `0` runs uncached
 //! to the same answer, and the retired `--cache-mode` is an unknown
 //! flag, as are the retired tempering flags `--replicas` and
-//! `--exchange-every`. `--checkpoint` writes the named file itself,
+//! `--exchange-every` and the retired Chrome export `--trace` of
+//! `solve` and `simulate` (`--metrics` streams everything it wrote).
+//! `--checkpoint` writes the named file itself,
 //! `--every 0` writes none, and a parallel-tempering checkpoint of an
 //! older build fails `--resume` with an error naming its kind.
 
@@ -58,6 +60,7 @@ fn simulate_rejects_unknown_and_retired_flags() {
     );
     // without --inject a leftover flag would be read as the benchmark
     assert_rejects(&["simulate", g, "--workers", "2"], "--workers");
+    assert_rejects(&["simulate", g, "EP", "--trace", "t.json"], "--trace");
     // known flags alone still run
     let out = orp(&["simulate", g, "--inject", "50", "--seed", "3"]);
     assert!(
@@ -159,8 +162,8 @@ fn every_subcommand_rejects_unknown_flags() {
         &["compare", "16", "4"],
         &["simulate", g, "EP"],
         &["watch", "m.jsonl", "--once"],
-        &["report", "t.json"],
-        &["diff", "a.json", "b.json"],
+        &["report", "m.jsonl"],
+        &["diff", "a.jsonl", "b.jsonl"],
         &["partition", g, "2"],
         &["layout", g],
     ];
@@ -237,6 +240,7 @@ fn unusable_flag_values_fail_with_a_usage_error() {
         &words("solve 64 8 100 --exchange-every 100"),
         "--exchange-every",
     );
+    assert_rejects(&words("solve 64 8 100 --trace t.json"), "--trace");
     let checkpointed = [
         words("solve 64 8 100 --replicas 2"),
         vec!["--checkpoint", ck],
