@@ -5,10 +5,15 @@
 //! for the partitioner, and the four-panel comparison of Figs. 9–11
 //! (performance / bandwidth / power / cost).
 //!
-//! Every binary prints a human-readable table and writes a JSON series
-//! next to it (under `results/`), and scales its effort with the
+//! Every figure binary prints a human-readable table and writes a JSON
+//! series next to it (under `results/`), and scales its effort with the
 //! `ORP_SA_ITERS`, `ORP_NPB_ITERS` and `ORP_FULL` environment variables
 //! so quick smoke runs and paper-fidelity runs share one code path.
+//!
+//! Performance has one harness, the `perf_ledger` bin (its own
+//! README). Two measurement bins cover what it does not run:
+//! `ckpt_overhead` (checkpoint cost) and `eventsim_scale` (the
+//! simulator at 120k and 1M concurrent open-loop flows).
 
 #![warn(missing_docs)]
 

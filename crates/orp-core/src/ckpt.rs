@@ -269,14 +269,6 @@ impl Encoder {
             self.put_u32(x);
         }
     }
-
-    /// Appends a length-prefixed `f64` slice (raw bits per element).
-    pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_u64(v.len() as u64);
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
 }
 
 /// Reads little-endian primitives back out of a byte slice, returning
@@ -361,12 +353,6 @@ impl<'a> Decoder<'a> {
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, CkptError> {
         let n = self.get_len(4)?;
         (0..n).map(|_| self.get_u32()).collect()
-    }
-
-    /// Reads a length-prefixed `f64` vector (raw bits per element).
-    pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CkptError> {
-        let n = self.get_len(8)?;
-        (0..n).map(|_| self.get_f64()).collect()
     }
 }
 

@@ -61,12 +61,6 @@ impl FaultSet {
         self.links.len()
     }
 
-    /// Number of failed host uplinks (excluding those implied by switch
-    /// failures).
-    pub fn num_failed_host_links(&self) -> usize {
-        self.host_links.len()
-    }
-
     /// The failed switches, sorted.
     pub fn failed_switches(&self) -> &[Switch] {
         &self.switches

@@ -343,14 +343,6 @@ impl HostSwitchGraph {
         Ok(())
     }
 
-    /// Removes all host attachments, keeping the switch fabric.
-    pub fn clear_hosts(&mut self) {
-        self.host_sw.clear();
-        for v in &mut self.sw_hosts {
-            v.clear();
-        }
-    }
-
     /// Sorts adjacency and host lists so that two graphs with identical
     /// structure compare equal with `==` regardless of insertion order.
     pub fn canonicalize(&mut self) {

@@ -64,7 +64,7 @@ pub use ckpt::{Checkpointable, CkptError};
 pub use error::{GraphError, SaError};
 pub use fault::{DegradedMetrics, FaultSet, FaultView};
 pub use graph::{Host, HostSwitchGraph, Switch};
-pub use metrics::{path_metrics, path_metrics_par, PathMetrics};
+pub use metrics::{path_metrics, PathMetrics};
 pub use search::{PoolWorkerStats, SearchConfig, SearchState};
 pub use solver::{SolveReport, Solver};
 pub use watchdog::{WatchSource, Watchdog, WatchdogConfig};

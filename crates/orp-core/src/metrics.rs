@@ -7,7 +7,7 @@
 //! hosts per switch — `O(m·(m + L))` with `L` switch links, independent of
 //! `n`.
 
-use crate::graph::{HostSwitchGraph, Switch};
+use crate::graph::HostSwitchGraph;
 
 /// Compressed sparse row view of the switch graph, the workhorse for the
 /// BFS sweeps. Rebuild after structural mutations.
@@ -85,41 +85,6 @@ pub struct PathMetrics {
     pub total_length: u64,
 }
 
-/// Per-source contribution of a BFS sweep (internal).
-struct SourceContribution {
-    /// Σ over other host-bearing switches of `k_a·k_b·(d+2)`.
-    weighted: u64,
-    /// max `d(a,b)` over host-bearing `b ≠ a`, or `None` if unreachable.
-    ecc: Option<u32>,
-}
-
-fn source_contribution(
-    csr: &SwitchCsr,
-    counts: &[u32],
-    a: Switch,
-    dist: &mut Vec<u32>,
-    queue: &mut Vec<u32>,
-) -> Option<SourceContribution> {
-    csr.bfs(a, dist, queue);
-    let ka = counts[a as usize] as u64;
-    let mut weighted = 0u64;
-    let mut ecc = 0u32;
-    for (b, (&d, &kb)) in dist.iter().zip(counts).enumerate() {
-        if kb == 0 || b as u32 == a {
-            continue;
-        }
-        if d == u32::MAX {
-            return None;
-        }
-        weighted += ka * kb as u64 * (d as u64 + 2);
-        ecc = ecc.max(d);
-    }
-    Some(SourceContribution {
-        weighted,
-        ecc: Some(ecc),
-    })
-}
-
 /// Shared metric accounting for every evaluator (the source-at-a-time
 /// oracle here and the batched/incremental engine in
 /// [`crate::search::SearchState`]): halves the ordered inter-switch sum,
@@ -176,77 +141,24 @@ pub fn path_metrics_with(csr: &SwitchCsr, counts: &[u32], n: u32) -> Option<Path
     let mut max_d = 0u32;
     let mut any = false;
     for a in 0..csr.len() as u32 {
-        if counts[a as usize] == 0 {
+        let ka = counts[a as usize] as u64;
+        if ka == 0 {
             continue;
         }
-        let c = source_contribution(csr, counts, a, &mut dist, &mut queue)?;
-        ordered_sum += c.weighted;
-        if let Some(e) = c.ecc {
-            if c.weighted > 0 {
-                any = true;
+        csr.bfs(a, &mut dist, &mut queue);
+        for (b, (&d, &kb)) in dist.iter().zip(counts).enumerate() {
+            if kb == 0 || b as u32 == a {
+                continue;
             }
-            max_d = max_d.max(e);
+            if d == u32::MAX {
+                return None;
+            }
+            ordered_sum += ka * kb as u64 * (d as u64 + 2);
+            max_d = max_d.max(d);
+            any = true;
         }
     }
     Some(finalize_metrics(n as u64, counts, ordered_sum, max_d, any))
-}
-
-/// Parallel variant of [`path_metrics`]; worthwhile from a few hundred
-/// switches upward (BFS sources sliced across OS threads).
-pub fn path_metrics_par(g: &HostSwitchGraph) -> Option<PathMetrics> {
-    let csr = SwitchCsr::from_graph(g);
-    let counts = g.host_counts();
-    let n = g.num_hosts();
-    if n < 2 {
-        return None;
-    }
-    let sources: Vec<u32> = (0..csr.len() as u32)
-        .filter(|&a| counts[a as usize] > 0)
-        .collect();
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(sources.len().max(1));
-    if workers <= 1 {
-        return path_metrics_with(&csr, &counts, n);
-    }
-    let chunk = sources.len().div_ceil(workers);
-    // (ordered_sum, max ecc, any inter-switch pair seen) per worker;
-    // None propagates a disconnected host pair.
-    let partial: Vec<Option<(u64, u32, bool)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sources
-            .chunks(chunk)
-            .map(|slice| {
-                let (csr, counts) = (&csr, &counts);
-                scope.spawn(move || {
-                    let (mut dist, mut queue) = (Vec::new(), Vec::new());
-                    let (mut sum, mut max_d, mut any) = (0u64, 0u32, false);
-                    for &a in slice {
-                        let c = source_contribution(csr, counts, a, &mut dist, &mut queue)?;
-                        sum += c.weighted;
-                        if let Some(e) = c.ecc {
-                            if c.weighted > 0 {
-                                any = true;
-                            }
-                            max_d = max_d.max(e);
-                        }
-                    }
-                    Some((sum, max_d, any))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("metrics worker panicked"))
-            .collect()
-    });
-    let (mut ordered_sum, mut max_d, mut any) = (0u64, 0u32, false);
-    for p in partial {
-        let (s, d, a) = p?;
-        ordered_sum += s;
-        max_d = max_d.max(d);
-        any |= a;
-    }
-    Some(finalize_metrics(n as u64, &counts, ordered_sum, max_d, any))
 }
 
 /// h-ASPL of a regular host-switch graph from the ASPL of its switch
@@ -374,7 +286,6 @@ mod tests {
         g.attach_host(0).unwrap();
         g.attach_host(1).unwrap();
         assert!(path_metrics(&g).is_none());
-        assert!(path_metrics_par(&g).is_none());
     }
 
     #[test]
@@ -383,15 +294,6 @@ mod tests {
         assert!(path_metrics(&g).is_none());
         g.attach_host(0).unwrap();
         assert!(path_metrics(&g).is_none());
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = ring4();
-        let a = path_metrics(&g).unwrap();
-        let b = path_metrics_par(&g).unwrap();
-        assert_eq!(a.total_length, b.total_length);
-        assert_eq!(a.diameter, b.diameter);
     }
 
     #[test]

@@ -2544,11 +2544,6 @@ impl SearchState {
             .map_or(0, DistCache::resident_bytes)
     }
 
-    /// Consumes the engine, returning the graph.
-    pub fn into_graph(self) -> HostSwitchGraph {
-        self.g
-    }
-
     // ---- transactional mutation ------------------------------------
 
     /// Opens a transaction. Transactions nest; each `begin` must be

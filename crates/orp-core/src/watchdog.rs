@@ -113,12 +113,6 @@ impl ProgressHandle {
         self.shared.progress.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reports `n` units of work at once (batch loops).
-    #[inline]
-    pub fn tick_by(&self, n: u64) {
-        self.shared.progress.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// True once the monitor has declared the run stalled. The
     /// supervised loop checks this at iteration boundaries; on `true`
     /// it should force-checkpoint and return a resumable error.
@@ -300,7 +294,9 @@ mod tests {
             rec.clone(),
         );
         let h = wd.handle();
-        h.tick_by(17);
+        for _ in 0..17 {
+            h.tick();
+        }
         let deadline = Instant::now() + Duration::from_secs(5);
         while !h.is_stalled() {
             assert!(Instant::now() < deadline, "watchdog never fired");

@@ -11,7 +11,7 @@
 use orp_core::construct::random_general;
 use orp_core::metrics::{path_metrics, PathMetrics};
 use orp_core::ops::{sample_swap, sample_swing, Swing};
-use orp_core::search::{SearchConfig, SearchState};
+use orp_core::search::{EvalOutcome, SearchConfig, SearchState};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -91,6 +91,86 @@ fn step(st: &mut SearchState, rng: &mut ChaCha8Rng) {
     }
 }
 
+/// An evaluation's observable result: h-ASPL bits, total length and
+/// diameter, or `None` when disconnected.
+fn bits(m: Option<PathMetrics>) -> Option<(u64, u64, u32)> {
+    m.map(|m| (m.haspl.to_bits(), m.total_length, m.diameter))
+}
+
+/// The annealer's own walk shape at n = 1024 (m = 256, radix 12): 24
+/// accept-improving proposals per move mix from seed 11, each move
+/// applied to the cache on 1 worker and to the uncached engine,
+/// evaluated by both and committed only when the h-ASPL falls. Every
+/// outcome must agree bit for bit, with the cache active throughout.
+#[test]
+fn accept_improving_walks_match_the_uncached_engine_at_n1024() {
+    let g = random_general(1024, 256, 12, 7).unwrap();
+    for mix in ["swing", "swap", "mixed"] {
+        let mut cached = SearchState::with_search(g.clone(), 1, SearchConfig::default()).unwrap();
+        let mut plain = SearchState::with_search(g.clone(), 1, SearchConfig::off()).unwrap();
+        assert!(!plain.cache_active());
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut best = plain.evaluate().expect("connected").haspl;
+        let mut proposed = 0;
+        while proposed < 24 {
+            let pick_swing = match mix {
+                "swing" => true,
+                "swap" => false,
+                _ => rng.gen(),
+            };
+            let (swing, swap) = if pick_swing {
+                (
+                    sample_swing(cached.graph(), cached.edges(), &mut rng, 32),
+                    None,
+                )
+            } else {
+                (
+                    None,
+                    sample_swap(cached.graph(), cached.edges(), &mut rng, 32),
+                )
+            };
+            if swing.is_none() && swap.is_none() {
+                continue;
+            }
+            proposed += 1;
+            let [a, b] = [&mut cached, &mut plain].map(|st| {
+                st.begin();
+                if let Some(s) = swing {
+                    st.apply_swing(s).unwrap();
+                }
+                if let Some(s) = swap {
+                    st.apply_swap(s).unwrap();
+                }
+                match st.evaluate_guarded(None) {
+                    EvalOutcome::Metrics(m) => Some(m),
+                    EvalOutcome::Disconnected => None,
+                    early => panic!("an unguarded evaluation returned {early:?}"),
+                }
+            });
+            assert!(
+                cached.cache_active(),
+                "{mix} {proposed}: the cache was released"
+            );
+            assert_eq!(bits(a), bits(b), "{mix} {proposed}: outcomes differ");
+            match a {
+                Some(m) if m.haspl < best => {
+                    best = m.haspl;
+                    cached.commit();
+                    plain.commit();
+                }
+                _ => {
+                    cached.rollback();
+                    plain.rollback();
+                }
+            }
+        }
+        assert!(
+            cached.eval_stats().incremental > 0,
+            "{mix}: no evaluation took the affected-source path"
+        );
+    }
+}
+
 /// Graph-Golf scale: at n = 8192 (m = 4096, radix 16) the cache on 3
 /// workers — sharded row repairs through the pool — against the
 /// uncached engine on 1 worker, over one fixed 100-step history. Every
@@ -112,8 +192,6 @@ fn sharded_cache_matches_the_uncached_engine_at_n8192() {
         step(&mut plain, &mut rb);
         assert!(cached.cache_active(), "step {s}: the cache was released");
         let (a, b) = (cached.evaluate(), plain.evaluate());
-        let bits =
-            |m: Option<PathMetrics>| m.map(|m| (m.haspl.to_bits(), m.total_length, m.diameter));
         assert_eq!(
             bits(a),
             bits(b),

@@ -59,15 +59,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Blocking point-to-point message.
-    pub fn p2p(&mut self, src: u32, dst: u32, bytes: f64) {
-        if src == dst {
-            return;
-        }
-        self.push(src, Op::Send { to: dst, bytes });
-        self.push(dst, Op::Recv { from: src });
-    }
-
     /// Paired exchange on both ranks (each sends `bytes` to the other).
     pub fn exchange(&mut self, a: u32, b: u32, bytes: f64) {
         if a == b {

@@ -172,32 +172,6 @@ impl<T> EventQueue<T> {
         EventId::pack(slot, self.slab[slot as usize].gen)
     }
 
-    /// Bulk-schedules a batch of events in iteration order (each gets
-    /// the next sequence number, exactly as repeated [`schedule`] calls
-    /// would). Heapifies in O(n) instead of n pushes — the fast path for
-    /// seeding a run with a large open-loop injection list.
-    ///
-    /// [`schedule`]: EventQueue::schedule
-    pub fn schedule_batch(&mut self, items: impl IntoIterator<Item = (f64, T)>) {
-        let mut keys: Vec<Reverse<(TimeKey, u64, u32)>> = Vec::new();
-        for (t, payload) in items {
-            debug_assert!(t.is_finite(), "scheduled event at non-finite time {t}");
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = self.alloc(t, seq, payload);
-            keys.push(Reverse((TimeKey(t), seq, slot)));
-            self.scheduled += 1;
-            self.live += 1;
-        }
-        self.note_depth();
-        if self.heap.is_empty() {
-            self.heap = BinaryHeap::from(keys);
-        } else {
-            let mut more = BinaryHeap::from(keys);
-            self.heap.append(&mut more);
-        }
-    }
-
     /// Cancels a scheduled event. Returns the payload if the event was
     /// still pending, `None` if it already fired or was already
     /// cancelled — cancellation is idempotent and never delivers stale
@@ -445,25 +419,6 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(q.pop(), Some((1.0, i)));
         }
-    }
-
-    #[test]
-    fn batch_schedule_matches_individual_schedules() {
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        let items: Vec<(f64, u32)> = (0..200u32).map(|i| (((i * 37) % 50) as f64, i)).collect();
-        for &(t, p) in &items {
-            a.schedule(t, p);
-        }
-        b.schedule_batch(items);
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-        assert_eq!(a.scheduled(), b.scheduled());
     }
 
     #[test]

@@ -31,16 +31,6 @@ impl Torus {
         }
     }
 
-    /// A binary hypercube of the given dimension (a base-2 torus: the
-    /// 1970s Cosmic-Cube-era topology of the paper's history section).
-    pub fn hypercube(dim: u32, radix: u32) -> Self {
-        Self {
-            dim,
-            base: 2,
-            radix,
-        }
-    }
-
     /// Switch address → id (`Σ aᵢ·Nⁱ`).
     fn index(&self, addr: &[u32]) -> Switch {
         let mut id = 0u64;

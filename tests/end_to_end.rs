@@ -7,7 +7,8 @@ use orp::core::bounds::{
     continuous_moore_haspl, diameter_lower_bound, haspl_lower_bound, optimal_switch_count,
 };
 use orp::core::io;
-use orp::core::metrics::{path_metrics, path_metrics_par};
+use orp::core::metrics::path_metrics;
+use orp::core::search::{SearchConfig, SearchState};
 use orp::core::solver::Solver;
 use orp::topo::attach::relabel_hosts_dfs;
 
@@ -90,15 +91,22 @@ fn solution_survives_serialization() {
     assert_eq!(res.graph.host_counts(), parsed.host_counts());
 }
 
+/// The engine's full sweep on three workers scores a solution exactly
+/// as the source-at-a-time reference does. At m_opt = 85 the solution
+/// keeps more than 64 hostful switches, so the sweep runs on the pool
+/// every solve uses.
 #[test]
 fn sequential_and_parallel_metrics_agree_on_solutions() {
-    let res = Solver::builder(128, 12)
+    let res = Solver::builder(256, 8)
         .config(small_cfg())
         .run()
         .expect("feasible")
         .result;
     let s = path_metrics(&res.graph).unwrap();
-    let p = path_metrics_par(&res.graph).unwrap();
+    let mut st = SearchState::with_search(res.graph, 3, SearchConfig::off()).unwrap();
+    let p = st.evaluate().unwrap();
+    assert!(st.eval_stats().pool_jobs > 0, "the sweep ran inline");
+    assert_eq!(s.haspl.to_bits(), p.haspl.to_bits());
     assert_eq!(s.total_length, p.total_length);
     assert_eq!(s.diameter, p.diameter);
 }

@@ -7,8 +7,9 @@ use orp::core::bounds::{
 };
 use orp::core::construct::random_general;
 use orp::core::io;
-use orp::core::metrics::{host_distances, path_metrics, path_metrics_par};
+use orp::core::metrics::{host_distances, path_metrics};
 use orp::core::ops::{sample_swap, sample_swing, EdgeSet};
+use orp::core::search::{SearchConfig, SearchState};
 use orp::partition::{partition, PartitionConfig};
 use orp::route::{RoutingTable, UpDownRouting};
 use orp_bench::to_cut_graph;
@@ -26,6 +27,13 @@ fn instance() -> impl Strategy<Value = (u32, u32, u32, u64)> {
     })
 }
 
+/// Strategy: a random instance with more than 64 switches, every one of
+/// them hostful — the size from which the engine's full sweep runs on
+/// its worker pool.
+fn pooled_instance() -> impl Strategy<Value = (u32, u32, u32, u64)> {
+    (65u32..128, 6u32..14, any::<u64>()).prop_map(|(m, r, seed)| (m * (r - 2) / 2, m, r, seed))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -40,10 +48,13 @@ proptest! {
     }
 
     #[test]
-    fn parallel_metrics_match((n, m, r, seed) in instance()) {
+    fn parallel_metrics_match((n, m, r, seed) in pooled_instance()) {
         let g = random_general(n, m, r, seed).unwrap();
         let a = path_metrics(&g).unwrap();
-        let b = path_metrics_par(&g).unwrap();
+        let mut st = SearchState::with_search(g, 3, SearchConfig::off()).unwrap();
+        let b = st.evaluate().unwrap();
+        prop_assert!(st.eval_stats().pool_jobs > 0, "the sweep ran inline");
+        prop_assert_eq!(a.haspl.to_bits(), b.haspl.to_bits());
         prop_assert_eq!(a.total_length, b.total_length);
         prop_assert_eq!(a.diameter, b.diameter);
     }
