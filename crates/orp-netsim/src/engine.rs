@@ -23,7 +23,7 @@ use crate::network::{LinkId, Network};
 use crate::queue::EventQueue;
 use crate::rank::{BlockedRank, Ranks, Step};
 use crate::sharing::{
-    make_model, Flow, FlowAux, LinkStats, RouteBuf, SharingMode, ThroughputSharingModel,
+    make_model, Flow, FlowAux, FlowTable, LinkStats, RouteBuf, SharingMode, ThroughputSharingModel,
 };
 use orp_core::ckpt::{self, Checkpointable, CkptError, Decoder, Encoder};
 use orp_core::graph::Host;
@@ -275,7 +275,8 @@ const NO_FLOW: u64 = u64::MAX;
 pub struct Simulator<'a> {
     net: &'a Network,
     ranks: Ranks,
-    flows: Vec<Flow>,
+    /// Every flow by global id; stores the in-flight window only.
+    flows: FlowTable,
     model: Box<dyn ThroughputSharingModel>,
     queue: EventQueue<Event>,
     now: f64,
@@ -572,7 +573,7 @@ impl<'a> Simulator<'a> {
         Self {
             net,
             ranks: Ranks::new(programs),
-            flows: Vec::new(),
+            flows: FlowTable::new(rec.is_enabled()),
             model: make_model(sharing, nl, net.config().bandwidth),
             queue: EventQueue::new(),
             now: 0.0,
@@ -663,28 +664,27 @@ impl<'a> Simulator<'a> {
         injected: bool,
     ) {
         let delay = self.net.message_delay(route.len());
-        let id = self.flows.len() as u32;
         debug_assert!(hash <= u32::MAX as u64, "flow sequence outgrew u32");
-        self.flows.push(Flow {
-            route,
-            remaining: bytes.max(0.0),
-            rate: 0.0,
-            src,
-            dst,
-            hash: hash as u32,
-            active: false,
-            finished: false,
-            bytes: bytes.max(0.0),
-            injected,
-        });
-        if self.tel.tracking() {
-            self.tel.aux.push(FlowAux {
+        let id = self.flows.push(
+            Flow {
+                route,
+                remaining: bytes.max(0.0),
+                rate: 0.0,
+                src,
+                dst,
+                hash: hash as u32,
+                active: false,
+                finished: false,
+                bytes: bytes.max(0.0),
+                injected,
+            },
+            FlowAux {
                 created: self.now,
                 prop: delay,
                 active_time: 0.0,
                 activated: self.now,
-            });
-        }
+            },
+        );
         self.total_flows += 1;
         self.total_bytes += bytes.max(0.0);
         if self.rec.is_enabled() {
@@ -788,16 +788,18 @@ impl<'a> Simulator<'a> {
     /// A flow's activation delay elapsed: hand it to the sharing model
     /// (or complete it immediately if it carries no bytes).
     fn activate(&mut self, fid: u32) {
-        let f = &mut self.flows[fid as usize];
-        if f.finished || f.active {
-            // stale event for a flow re-issued by a fault
-        } else if f.remaining <= 0.0 {
+        // a stale event for a flow re-issued by a fault finds it
+        // streaming or finished (a retired id reads as finished)
+        let Some(f) = self.flows.get(fid).filter(|f| !f.finished && !f.active) else {
+            return;
+        };
+        if f.remaining <= 0.0 {
             self.finish_flow(fid);
         } else {
-            f.active = true;
             let (src, dst, remaining) = (f.src, f.dst, f.remaining);
+            self.flows[fid].active = true;
             if self.tel.tracking() {
-                self.tel.aux[fid as usize].activated = self.now;
+                self.flows.aux_mut(fid).activated = self.now;
             }
             {
                 let mut ctx = SimContext::new(self.now, &mut self.queue);
@@ -823,19 +825,19 @@ impl<'a> Simulator<'a> {
     /// (injected flows have no receiver to wake). The sharing model has
     /// already dropped the flow when this is called.
     fn finish_flow(&mut self, fid: u32) {
-        let f = &mut self.flows[fid as usize];
+        let f = &mut self.flows[fid];
         f.active = false;
         f.finished = true;
         let (src, dst, injected) = (f.src, f.dst, f.injected);
         if self.rec.is_enabled() {
-            let f = &self.flows[fid as usize];
+            let f = &self.flows[fid];
             let bytes = f.bytes;
             let FlowAux {
                 created,
                 prop,
                 active_time,
                 ..
-            } = self.tel.aux[fid as usize];
+            } = *self.flows.aux(fid);
             let route: Vec<LinkId> = f.route.to_vec();
             let cfg = *self.net.config();
             self.rec.emit(ObsEvent::Flow {
@@ -884,9 +886,9 @@ impl<'a> Simulator<'a> {
             }
         }
         // the route is never read again (the fault-reroute scan skips
-        // finished flows): free it so route memory tracks the
-        // *concurrent* flow count, not the total
-        self.flows[fid as usize].route = RouteBuf::EMPTY;
+        // finished flows): free it now rather than at the record's
+        // retirement
+        self.flows[fid].route = RouteBuf::EMPTY;
         if injected {
             self.injected_live -= 1;
         } else {
@@ -957,10 +959,11 @@ impl<'a> Simulator<'a> {
         self.fault_table = Some(RoutingTable::build_adj(
             &self.net.adjacency_excluding(&self.dead_link),
         ));
-        // re-route unfinished flows that crossed a now-dead link
+        // re-route unfinished flows that crossed a now-dead link (every
+        // retired flow is finished)
         let mut rerouted = 0u64;
-        for fid in 0..self.flows.len() as u32 {
-            let f = &self.flows[fid as usize];
+        for fid in self.flows.ids() {
+            let f = &self.flows[fid];
             if f.finished || !f.route.iter().any(|&l| self.dead_link[l as usize]) {
                 continue;
             }
@@ -979,7 +982,7 @@ impl<'a> Simulator<'a> {
                     id: fid as u64,
                     src,
                     dst,
-                    bytes: self.flows[fid as usize].remaining,
+                    bytes: self.flows[fid].remaining,
                 });
             }
             let delay = self.net.message_delay(new_route.len());
@@ -991,9 +994,9 @@ impl<'a> Simulator<'a> {
                 let mut ctx = SimContext::new(self.now, &mut self.queue);
                 self.model
                     .remove(fid, &mut self.flows, &mut ctx, &mut self.tel);
-                self.flows[fid as usize].active = false;
+                self.flows[fid].active = false;
             }
-            self.flows[fid as usize].route = new_route;
+            self.flows[fid].route = new_route;
             if was_active {
                 self.queue.schedule(self.now + delay, Event::Activate(fid));
             }
@@ -1055,11 +1058,11 @@ impl<'a> Simulator<'a> {
         let mut ranks = Encoder::new();
         self.ranks.encode_state(&mut ranks);
         let mut flows = Encoder::new();
-        encode_flows(&self.flows, &self.tel.aux, &mut flows);
+        self.flows.encode(&mut flows);
         let mut queue = Encoder::new();
         encode_queue(&self.queue, &mut queue);
         let mut model = Encoder::new();
-        self.model.encode_state(&mut model);
+        self.model.encode_state(&mut model, &self.flows);
         SimCheckpoint {
             cfg_crc: self.cfg_crc(),
             num_ranks: self.ranks.len() as u32,
@@ -1122,12 +1125,17 @@ impl<'a> Simulator<'a> {
         let max_flows = self.ranks.sends() + self.injections.len();
         let max_events = max_flows + self.ranks.len() + self.fault_events.len() + nl;
         let mut fdec = Decoder::new(&ck.flows);
-        let (flows, aux) = decode_flows(&mut fdec, self.net.num_links(), max_flows)?;
+        let flows = FlowTable::decode(
+            &mut fdec,
+            self.net.num_links(),
+            max_flows,
+            self.rec.is_enabled(),
+        )?;
         // delivery indexes the rank table by a finished flow's endpoints
         let ends = |f: &Flow| if f.injected { nh } else { self.ranks.len() };
         if flows
             .iter()
-            .any(|f| !f.finished && f.src.max(f.dst) as usize >= ends(f))
+            .any(|(_, f)| !f.finished && f.src.max(f.dst) as usize >= ends(f))
         {
             return Err(bad("live flow names an endpoint outside the configuration"));
         }
@@ -1135,7 +1143,7 @@ impl<'a> Simulator<'a> {
         let queue = decode_queue(&mut qdec, max_events)?;
         for (_, _, _, _, ev) in queue.live_entries() {
             let ok = match *ev {
-                Event::Activate(fid) => (fid as usize) < flows.len(),
+                Event::Activate(fid) => fid < flows.next_id(),
                 Event::ComputeDone(r) => (r as usize) < self.ranks.len(),
                 Event::Fault(i) => (i as usize) < self.fault_events.len(),
                 Event::Model(token) => (token as usize) < nl,
@@ -1144,17 +1152,16 @@ impl<'a> Simulator<'a> {
                 return Err(bad("queued event addresses a component out of range"));
             }
         }
-        if ck.inj_next > self.injections.len() as u64 {
-            return Err(bad("injection cursor past the end of the injection list"));
+        // each injection is pending on the cursor, in flight, or done
+        let unreleased = (self.injections.len() as u64).checked_sub(ck.inj_next);
+        let in_flight = flows.iter().filter(|(_, f)| !f.finished && f.injected);
+        if unreleased.map(|u| u + in_flight.count() as u64) != Some(ck.injected_live) {
+            return Err(bad(
+                "injections in flight disagree with the injection cursor",
+            ));
         }
         let mut mdec = Decoder::new(&ck.model);
         self.model.decode_state(&mut mdec, &flows)?;
-        if self.tel.tracking() {
-            // timing table only matters while recording; a snapshot
-            // saved without a recorder restores as zeros (same contract
-            // as dep_parent — telemetry never feeds back)
-            self.tel.aux = aux;
-        }
         self.flows = flows;
         self.queue = queue;
         self.now = ck.now;
@@ -1249,6 +1256,12 @@ impl<'a> Simulator<'a> {
     /// [`SimError::UnknownPeer`] when a program names a rank outside
     /// the run.
     pub fn run(mut self) -> Result<SimReport, SimError> {
+        self.run_in_place()
+    }
+
+    /// [`Simulator::run`], leaving the simulator's state behind for
+    /// inspection.
+    fn run_in_place(&mut self) -> Result<SimReport, SimError> {
         if let Some((rank, op, peer)) = self.ranks.first_unknown_peer() {
             return Err(SimError::UnknownPeer {
                 rank,
@@ -1274,9 +1287,6 @@ impl<'a> Simulator<'a> {
             self.inj_seq_base = self.queue.reserve_seqs(self.injections.len() as u64);
             self.injected_live += self.injections.len();
             self.flows.reserve(self.injections.len());
-            if self.tel.tracking() {
-                self.tel.aux.reserve(self.injections.len());
-            }
             self.ranks.enqueue_all();
         }
         // the cursor's iteration order is derived state, rebuilt
@@ -1319,8 +1329,11 @@ impl<'a> Simulator<'a> {
             }
             // crash-safety boundary: every in-flight transition is fully
             // in the queue/ranks/model here, so this is where periodic
-            // saves happen and where a stall verdict is converted into a
-            // resumable error
+            // saves happen, where a stall verdict is converted into a
+            // resumable error, and where finished flows leave the table
+            if let Some(base) = self.flows.retire() {
+                self.model.retire(base);
+            }
             let stalled = watch.as_ref().is_some_and(|h| h.is_stalled());
             if stalled
                 || self
@@ -1360,7 +1373,8 @@ impl<'a> Simulator<'a> {
             }
             self.model.settle(&mut self.flows, &mut self.tel);
             // 2. next completion the model tracks intrinsically
-            let flow_t = self.model.next_completion_time(&self.flows, self.now);
+            let flow_dt = self.model.next_completion_in(&self.flows);
+            let flow_t = self.now + flow_dt;
             // 3. next queued event or injection release
             let mut next_t = match self.queue.peek_time() {
                 Some(et) => et.min(flow_t),
@@ -1379,6 +1393,15 @@ impl<'a> Simulator<'a> {
             let mut finished = std::mem::take(&mut self.finished_scratch);
             finished.clear();
             self.model.collect_finished(&mut self.flows, &mut finished);
+            if finished.is_empty() && flow_t <= self.now && flow_dt > 0.0 {
+                // the clock cannot resolve the next completion (past
+                // ~8,192 s of simulated time it is coarser than the
+                // model's 1e-12 s completion slack): stream it out
+                // without moving the clock, or every later pass would
+                // find the same state and the loop would spin forever
+                self.model.advance(&mut self.flows, flow_dt, &mut self.tel);
+                self.model.collect_finished(&mut self.flows, &mut finished);
+            }
             for &fid in &finished {
                 self.finish_flow(fid);
             }
@@ -1748,116 +1771,6 @@ fn encode_faults(faults: &[FaultEvent], enc: &mut Encoder) {
     }
 }
 
-/// Serializes the flow table bit-exactly (floats as raw bits).
-///
-/// Finished flows are stored as bare tombstones — once `finish_flow`
-/// has emitted a flow's completion records, the engine only ever reads
-/// its `finished` flag again (the fault-reroute scan short-circuits on
-/// it), so the checkpoint stays proportional to *live* state instead of
-/// growing linearly with run history.
-fn encode_flows(flows: &[Flow], aux: &[FlowAux], enc: &mut Encoder) {
-    enc.put_u64(flows.len() as u64);
-    let live = flows.iter().filter(|f| !f.finished).count();
-    enc.put_u64(live as u64);
-    // the per-flow timing table exists only while a recorder is
-    // attached; a snapshot taken without one stores zeros and a
-    // recorder-attached resume starts its decomposition from those
-    // (same contract as the dependency-parent table)
-    enc.put_bool(!aux.is_empty());
-    for (fid, f) in flows.iter().enumerate().filter(|(_, f)| !f.finished) {
-        enc.put_u64(fid as u64);
-        enc.put_u32_slice(&f.route);
-        enc.put_f64(f.remaining);
-        enc.put_f64(f.rate);
-        enc.put_u32(f.src);
-        enc.put_u32(f.dst);
-        enc.put_u64(f.hash as u64);
-        enc.put_bool(f.active);
-        enc.put_f64(f.bytes);
-        enc.put_bool(f.injected);
-        if !aux.is_empty() {
-            let a = &aux[fid];
-            enc.put_f64(a.created);
-            enc.put_f64(a.prop);
-            enc.put_f64(a.active_time);
-            enc.put_f64(a.activated);
-        }
-    }
-}
-
-/// Inverse of [`encode_flows`], validating routes against the network
-/// and the table size against `max_flows`, the most the configuration
-/// can issue. Returns the flow table plus the per-flow timing table
-/// (all-zeros when the snapshot was taken without a recorder).
-#[allow(clippy::type_complexity)]
-fn decode_flows(
-    dec: &mut Decoder<'_>,
-    num_links: u32,
-    max_flows: usize,
-) -> Result<(Vec<Flow>, Vec<FlowAux>), CkptError> {
-    let bad = |what: &str| CkptError::BadSection(format!("flow table: {what}"));
-    let n = dec.get_u64()?;
-    if n > max_flows as u64 {
-        return Err(bad("more flows than the programs and injections issue"));
-    }
-    let n = n as usize;
-    let live = dec.get_u64()? as usize;
-    if live > n {
-        return Err(bad("more live flows than flows"));
-    }
-    let has_aux = dec.get_bool()?;
-    let tombstone = || Flow {
-        route: RouteBuf::EMPTY,
-        remaining: 0.0,
-        rate: 0.0,
-        src: 0,
-        dst: 0,
-        hash: 0,
-        active: false,
-        finished: true,
-        bytes: 0.0,
-        injected: false,
-    };
-    let mut flows: Vec<Flow> = (0..n).map(|_| tombstone()).collect();
-    let mut aux: Vec<FlowAux> = vec![FlowAux::default(); n];
-    let mut prev: Option<u64> = None;
-    for _ in 0..live {
-        let fid = dec.get_u64()?;
-        if fid as usize >= n {
-            return Err(bad("live flow id out of range"));
-        }
-        if prev.is_some_and(|p| fid <= p) {
-            return Err(bad("live flow ids out of order"));
-        }
-        prev = Some(fid);
-        let route = dec.get_u32_vec()?;
-        if route.iter().any(|&l| l >= num_links) {
-            return Err(bad("route crosses a link outside the network"));
-        }
-        flows[fid as usize] = Flow {
-            route: RouteBuf::from_slice(&route),
-            remaining: dec.get_f64()?,
-            rate: dec.get_f64()?,
-            src: dec.get_u32()?,
-            dst: dec.get_u32()?,
-            hash: dec.get_u64()? as u32,
-            active: dec.get_bool()?,
-            finished: false,
-            bytes: dec.get_f64()?,
-            injected: dec.get_bool()?,
-        };
-        if has_aux {
-            aux[fid as usize] = FlowAux {
-                created: dec.get_f64()?,
-                prop: dec.get_f64()?,
-                active_time: dec.get_f64()?,
-                activated: dec.get_f64()?,
-            };
-        }
-    }
-    Ok((flows, aux))
-}
-
 /// Queue snapshot format version: bumped when the slab arena replaced
 /// the hashed payload map (entries now carry slot + generation so
 /// cancellation handles held by the sharing model survive a resume).
@@ -1904,6 +1817,22 @@ fn decode_queue(dec: &mut Decoder<'_>, max_events: usize) -> Result<EventQueue<E
     let compactions = dec.get_u64()?;
     let peak_depth = dec.get_u64()? as usize;
     let n = dec.get_u64()? as usize;
+    // every event counted was scheduled first, every compaction reclaims
+    // a cancelled event's key, and no run schedules 2^62 events: a file
+    // that says otherwise would overflow the counters
+    let consistent = next_seq == scheduled
+        && scheduled < 1 << 62
+        && [processed, cancelled, n as u64]
+            .into_iter()
+            .try_fold(0u64, u64::checked_add)
+            .is_some_and(|counted| counted <= scheduled)
+        && compactions <= compacted
+        && compacted <= cancelled;
+    if !consistent {
+        return Err(CkptError::BadSection(
+            "event queue counters disagree with each other".into(),
+        ));
+    }
     let mut entries = Vec::new();
     let mut slots_seen = std::collections::HashSet::new();
     for _ in 0..n {
@@ -3049,7 +2978,13 @@ mod tests {
         twice.push(active[0]);
         let mut with_idle = active.clone();
         with_idle.push(idle);
-        for (what, list) in [("duplicate", twice), ("idle", with_idle)] {
+        // a fault would tear down the streaming flow the list misses
+        let missing = active[1..].to_vec();
+        for (what, list) in [
+            ("duplicate", twice),
+            ("idle", with_idle),
+            ("missing", missing),
+        ] {
             match crafted(list) {
                 Err(SimError::Ckpt(CkptError::BadSection(msg))) => {
                     assert!(msg.contains("max-min model"), "{what}: {msg}")
@@ -3122,15 +3057,16 @@ mod tests {
         let path = temp_dir("crafted").join("sim-flows.orp");
         let make = || busy_builder(&net, SharingMode::ExactMaxMin);
         let ck = cut_at(make, &path, 5);
-        // `n` flows, the first live ones from `(src, injected)` to 0
-        let table = |n: u64, live: &[(u32, bool)]| {
+        // `n` flows, the first live ones from `(src, injected)` to 0 over
+        // `route`
+        let table = |n: u64, live: &[(u32, bool)], route: &[u32]| {
             let mut enc = Encoder::new();
             enc.put_u64(n);
             enc.put_u64(live.len() as u64);
             enc.put_bool(false);
             for (fid, &(src, injected)) in (0u64..).zip(live) {
                 enc.put_u64(fid);
-                enc.put_u32_slice(&[]);
+                enc.put_u32_slice(route);
                 enc.put_f64(1.0);
                 enc.put_f64(0.0);
                 enc.put_u32(src);
@@ -3145,10 +3081,11 @@ mod tests {
         // four ranks on four hosts; four network sends and eight
         // injections issue at most 12 flows
         for (what, flows, expect) in [
-            ("2^40 flows", table(1 << 40, &[]), "more flows than"),
-            ("13 flows", table(13, &[]), "more flows than"),
-            ("from rank 4", table(1, &[(4, false)]), "endpoint"),
-            ("from host 4", table(1, &[(4, true)]), "endpoint"),
+            ("2^40 flows", table(1 << 40, &[], &[0]), "more flows than"),
+            ("13 flows", table(13, &[], &[0]), "more flows than"),
+            ("from rank 4", table(1, &[(4, false)], &[0]), "endpoint"),
+            ("from host 4", table(1, &[(4, true)], &[0]), "endpoint"),
+            ("no route", table(1, &[(0, false)], &[]), "route empty"),
         ] {
             match resume_edited(make, &ck, &path, |c| c.flows = flows) {
                 Err(SimError::Ckpt(CkptError::BadSection(msg))) => {
@@ -3374,5 +3311,178 @@ mod tests {
         // both models must land in the same ballpark (factor-α bound)
         let ratio = approx.time / exact.time;
         assert!((0.2..5.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn long_simulated_horizons_terminate_under_both_models() {
+        // the first message ends at 2e15 s, where the clock's resolution
+        // (0.25 s) is coarser than the second message's 0.2 ms
+        let net = dumbbell(1);
+        let programs = vec![
+            vec![
+                Op::Send { to: 1, bytes: 1e25 },
+                Op::Send { to: 1, bytes: 1e6 },
+            ],
+            vec![Op::Recv { from: 0 }, Op::Recv { from: 0 }],
+        ];
+        for mode in [SharingMode::ExactMaxMin, SharingMode::ApproxFair] {
+            let rep = Simulator::builder(&net)
+                .programs(programs.clone())
+                .sharing(mode)
+                .run()
+                .unwrap();
+            assert_eq!(rep.flows, 2, "{}", mode.name());
+            assert!(rep.time >= 1e25 / net.config().bandwidth, "{}", mode.name());
+        }
+    }
+
+    // ---- the flow window ----
+
+    /// IS at 64 ranks on a 16-switch random fabric: 4,800 flows, a few
+    /// all-to-all exchanges deep.
+    fn is64() -> (Network, Vec<Program>) {
+        let g = orp_core::construct::random_general(64, 16, 8, 3).unwrap();
+        let bench = crate::npb::Benchmark::Is;
+        (
+            Network::builder(&g).build(),
+            bench.build(64, bench.paper_class(), 1),
+        )
+    }
+
+    /// The table stores at most 2 × the span from the oldest unfinished
+    /// flow to the newest: IS at 64 ranks never stored more than 200
+    /// records at once (197 under the approximate model) of its 4,800.
+    #[test]
+    fn flow_table_stores_a_bounded_window_through_is() {
+        let (net, programs) = is64();
+        for mode in [SharingMode::ExactMaxMin, SharingMode::ApproxFair] {
+            let mut sim = Simulator::builder(&net)
+                .programs(programs.clone())
+                .sharing(mode)
+                .build();
+            let rep = sim.run_in_place().unwrap();
+            assert_eq!(rep.flows, 4800, "{}", mode.name());
+            assert_eq!(
+                u64::from(sim.flows.next_id()),
+                rep.flows,
+                "every id issued once"
+            );
+            assert!(
+                sim.flows.peak <= 256,
+                "{}: {} records stored at once",
+                mode.name(),
+                sim.flows.peak
+            );
+        }
+    }
+
+    /// The flow windows of the eight kernels on the ledger's npb-suite
+    /// instance (seed 1): flows issued, the most records stored at once
+    /// and the longest span from the oldest unfinished flow to the
+    /// newest. `cargo test --release -p orp-netsim --lib
+    /// npb_flow_windows -- --ignored --nocapture`
+    #[test]
+    #[ignore]
+    fn npb_flow_windows_at_1024_ranks() {
+        let g = orp_core::construct::random_general(1024, 195, 15, 1).unwrap();
+        let net = Network::builder(&g).build();
+        for bench in crate::npb::Benchmark::all() {
+            let mut sim = Simulator::builder(&net)
+                .programs(bench.build(1024, bench.paper_class(), 1))
+                .build();
+            let rep = sim.run_in_place().unwrap();
+            println!(
+                "{}: {} flows issued, {} records stored at most, span {}",
+                bench.name(),
+                rep.flows,
+                sim.flows.peak,
+                sim.flows.peak_span
+            );
+        }
+    }
+
+    #[test]
+    fn resume_after_retirement_is_bit_identical_for_both_models() {
+        let (net, programs) = is64();
+        let dir = temp_dir("window");
+        for mode in [SharingMode::ExactMaxMin, SharingMode::ApproxFair] {
+            let make = || {
+                Simulator::builder(&net)
+                    .programs(programs.clone())
+                    .sharing(mode)
+            };
+            let reference = make().run().unwrap();
+            let path = dir.join(format!("sim-{}.orp", mode.name().replace(' ', "-")));
+            for cut in [1, 2, 3].map(|q| reference.events * q / 4) {
+                let mut sim = make().checkpoint(&path).build();
+                sim.stop_after_events = Some(cut);
+                let cut_run = sim.run_in_place();
+                assert!(
+                    matches!(cut_run, Err(SimError::Wedged { .. })),
+                    "{cut_run:?}"
+                );
+                assert!(
+                    sim.flows.base() > 0,
+                    "{} cut@{cut}: nothing retired",
+                    mode.name()
+                );
+                let resumed = make().checkpoint(&path).resume_from(&path).run().unwrap();
+                assert_reports_identical(
+                    &reference,
+                    &resumed,
+                    &format!("{} cut@{cut}", mode.name()),
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// Checkpoints written before the flow table kept only in-flight
+    /// flows (commit 6c3bd8c): IS at 16 ranks on `random_general(16, 4,
+    /// 8, 3)`, cut after half of its events, one per sharing model. The
+    /// approximate model's section lists a slot for every id from 0.
+    #[test]
+    fn checkpoints_from_before_the_window_resume_bit_identically() {
+        let g = orp_core::construct::random_general(16, 4, 8, 3).unwrap();
+        let net = Network::builder(&g).build();
+        let bench = crate::npb::Benchmark::Is;
+        let programs = bench.build(16, bench.paper_class(), 1);
+        let files: [(SharingMode, &[u8]); 2] = [
+            (
+                SharingMode::ExactMaxMin,
+                include_bytes!("../tests/data/pre_window_is16_exact.orp"),
+            ),
+            (
+                SharingMode::ApproxFair,
+                include_bytes!("../tests/data/pre_window_is16_approx.orp"),
+            ),
+        ];
+        let dir = temp_dir("pre-window");
+        for (mode, bytes) in files {
+            let path = dir.join(format!("{}.orp", mode.name().replace(' ', "-")));
+            std::fs::write(&path, bytes).unwrap();
+            let make = || {
+                Simulator::builder(&net)
+                    .programs(programs.clone())
+                    .sharing(mode)
+            };
+            let reference = make().run().unwrap();
+            let ck = SimCheckpoint::load(&path).unwrap();
+            let table = FlowTable::decode(
+                &mut Decoder::new(&ck.flows),
+                net.num_links(),
+                1 << 20,
+                false,
+            )
+            .unwrap();
+            assert!(
+                table.base() > 0,
+                "{}: the file's oldest live flow is id 0",
+                mode.name()
+            );
+            let resumed = make().resume_from(&path).run().unwrap();
+            assert_reports_identical(&reference, &resumed, mode.name());
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

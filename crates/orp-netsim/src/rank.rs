@@ -124,6 +124,8 @@ pub(crate) struct Ranks {
     /// received; counts are never zero.
     pending: Vec<Vec<(u32, u32)>>,
     runnable: VecDeque<u32>,
+    /// Ranks whose program ended (those with `done` set).
+    finished: usize,
 }
 
 impl Ranks {
@@ -140,6 +142,7 @@ impl Ranks {
             ],
             pending: vec![Vec::new(); n],
             runnable: VecDeque::new(),
+            finished: 0,
         }
     }
 
@@ -148,7 +151,7 @@ impl Ranks {
     }
 
     pub(crate) fn all_done(&self) -> bool {
-        self.ctx.iter().all(|c| c.done)
+        self.finished == self.ctx.len()
     }
 
     pub(crate) fn is_done(&self, r: u32) -> bool {
@@ -182,6 +185,7 @@ impl Ranks {
             let pc = self.ctx[r as usize].pc as usize;
             let Some(&op) = self.programs[r as usize].get(pc) else {
                 self.ctx[r as usize].done = true;
+                self.finished += 1;
                 return Step::Idle;
             };
             self.ctx[r as usize].pc += 1;
@@ -368,6 +372,7 @@ impl Ranks {
         if runnable.iter().any(|&r| out(r)) {
             return bad("runnable rank out of range");
         }
+        self.finished = ctx.iter().filter(|c| c.done).count();
         self.ctx = ctx;
         self.pending = pending;
         self.runnable = runnable;
@@ -527,6 +532,35 @@ mod tests {
             assert_eq!(r.pop_runnable(), Some(dst));
             assert_eq!(r.pop_runnable(), None);
         }
+    }
+
+    #[test]
+    fn finished_count_matches_the_scan_after_a_resume() {
+        let scan = |r: &Ranks| r.ctx.iter().filter(|c| c.done).count();
+        let programs = vec![
+            vec![Op::Send { to: 1, bytes: B }],
+            vec![Op::Recv { from: 0 }, Op::Recv { from: 2 }],
+            vec![],
+            vec![Op::Compute(1.0)],
+        ];
+        let mut r = started(programs.clone());
+        r.deliver(0, 1);
+        drain(&mut r);
+        // ranks 0 and 2 ended, 1 waits on 2's message, 3 computes
+        assert_eq!((r.finished, scan(&r)), (2, 2));
+        let mut enc = Encoder::new();
+        r.encode_state(&mut enc);
+        let mut resumed = Ranks::new(programs);
+        resumed
+            .decode_state(&mut Decoder::new(&enc.into_bytes()))
+            .unwrap();
+        assert_eq!((resumed.finished, scan(&resumed)), (2, 2));
+        assert!(!resumed.all_done());
+        resumed.deliver(2, 1);
+        resumed.compute_done(3);
+        drain(&mut resumed);
+        assert_eq!((resumed.finished, scan(&resumed)), (4, 4));
+        assert!(resumed.all_done());
     }
 
     /// A rank section in the checkpoint layout, written out by hand.

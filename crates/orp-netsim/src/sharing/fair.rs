@@ -22,7 +22,7 @@
 //! α` flows serves each at `bw/c`. Hence per-flow streaming times agree
 //! within a factor of `α` either way.
 
-use super::{Flow, LinkStats, ThroughputSharingModel};
+use super::{FlowTable, LinkStats, ThroughputSharingModel};
 use crate::context::SimContext;
 use crate::event::EventId;
 use crate::network::LinkId;
@@ -63,7 +63,8 @@ struct FairLink {
     dead: u32,
 }
 
-/// Per-flow queueing state (indexed by flow id, grown on demand).
+/// Per-flow queueing state, kept for the flow table's window (grown on
+/// demand, retired with the table's finished prefix).
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Link the flow is queued (throttled) on.
@@ -79,6 +80,18 @@ struct Slot {
 }
 
 const NO_LINK: LinkId = LinkId::MAX;
+
+/// Tag in front of the checkpointed slot window (older checkpoints
+/// list every slot from id 0, under a count that cannot reach it).
+const SLOT_WINDOW: u64 = u64::MAX;
+
+/// True if heap entry `(fid, gen)` still refers to a queued flow, given
+/// the slots of ids `base..`; a retired id reads as removed.
+fn is_live(slots: &[Slot], base: u32, fid: u32, gen: u32) -> bool {
+    slots
+        .get(fid.wrapping_sub(base) as usize)
+        .is_some_and(|s| !s.removed && s.gen == gen)
+}
 
 impl Default for Slot {
     fn default() -> Self {
@@ -97,7 +110,10 @@ impl Default for Slot {
 pub struct ApproxFairSharing {
     bw: f64,
     links: Vec<FairLink>,
+    /// Slot of flow `slot_base + i` at `i`; ids below `slot_base` are
+    /// retired and read as removed.
     slots: Vec<Slot>,
+    slot_base: u32,
     n_active: usize,
     /// Scratch copy of the route being mutated (avoids aliasing flows).
     scratch: Vec<LinkId>,
@@ -117,6 +133,7 @@ impl ApproxFairSharing {
             bw: bandwidth,
             links,
             slots: Vec::new(),
+            slot_base: 0,
             n_active: 0,
             scratch: Vec::new(),
             compacted: 0,
@@ -136,10 +153,14 @@ impl ApproxFairSharing {
         self.links[l as usize].last = t;
     }
 
+    /// Index of flow `fid`'s slot (the flow must be in the window).
+    fn slot_ix(&self, fid: u32) -> usize {
+        (fid - self.slot_base) as usize
+    }
+
     /// True if a heap entry no longer refers to a queued flow.
     fn is_tombstone(&self, fid: u32, gen: u32) -> bool {
-        let s = &self.slots[fid as usize];
-        s.removed || s.gen != gen
+        !is_live(&self.slots, self.slot_base, fid, gen)
     }
 
     /// Rebuilds link `l`'s heap keeping only live entries — O(live) —
@@ -150,11 +171,8 @@ impl ApproxFairSharing {
         if lk.heap.len() >= LINK_COMPACT_MIN && (lk.dead as usize) * 2 > lk.heap.len() {
             let before = lk.heap.len();
             let mut entries = std::mem::take(&mut lk.heap).into_vec();
-            let slots = &self.slots;
-            entries.retain(|&Reverse((_, fid, gen))| {
-                let s = &slots[fid as usize];
-                !s.removed && s.gen == gen
-            });
+            let (slots, base) = (&self.slots, self.slot_base);
+            entries.retain(|&Reverse((_, fid, gen))| is_live(slots, base, fid, gen));
             self.compacted += (before - entries.len()) as u64;
             let lk = &mut self.links[l as usize];
             lk.heap = BinaryHeap::from(entries);
@@ -190,21 +208,22 @@ impl ApproxFairSharing {
     /// Completes flow `fid` at time `t`: zeroes it, charges telemetry,
     /// and detaches it from every link on its route (heap entries stay
     /// behind as tombstones). Caller reschedules the touched links.
-    fn complete_flow(&mut self, fid: u32, t: f64, flows: &mut [Flow], tel: &mut LinkStats) {
-        self.slots[fid as usize].removed = true;
-        let served = self.slots[fid as usize].queued_rem;
-        let f = &mut flows[fid as usize];
+    fn complete_flow(&mut self, fid: u32, t: f64, flows: &mut FlowTable, tel: &mut LinkStats) {
+        let i = self.slot_ix(fid);
+        self.slots[i].removed = true;
+        let served = self.slots[i].queued_rem;
+        let f = &mut flows[fid];
         f.remaining = 0.0;
         f.rate = 0.0;
         if tel.tracking() {
-            let a = &mut tel.aux[fid as usize];
-            a.active_time += t - a.activated;
             for &l in f.route.iter() {
                 tel.link_bytes[l as usize] += served;
             }
+            let a = flows.aux_mut(fid);
+            a.active_time += t - a.activated;
         }
         self.scratch.clear();
-        self.scratch.extend_from_slice(&f.route);
+        self.scratch.extend_from_slice(&flows[fid].route);
         for i in 0..self.scratch.len() {
             let l = self.scratch[i];
             self.settle_link(l, t, tel);
@@ -226,16 +245,17 @@ impl ThroughputSharingModel for ApproxFairSharing {
     fn insert(
         &mut self,
         fid: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         ctx: &mut SimContext<'_>,
         tel: &mut LinkStats,
     ) {
         let t = ctx.now();
-        if self.slots.len() <= fid as usize {
-            self.slots.resize(fid as usize + 1, Slot::default());
+        let i = self.slot_ix(fid);
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, Slot::default());
         }
         self.scratch.clear();
-        self.scratch.extend_from_slice(&flows[fid as usize].route);
+        self.scratch.extend_from_slice(&flows[fid].route);
         // settle every crossed link at the old population, then join
         for i in 0..self.scratch.len() {
             let l = self.scratch[i];
@@ -258,8 +278,8 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 b = l;
             }
         }
-        let rem = flows[fid as usize].remaining;
-        let s = &mut self.slots[fid as usize];
+        let rem = flows[fid].remaining;
+        let s = &mut self.slots[i];
         s.bottleneck = b;
         s.v_finish = self.links[b as usize].vtime + rem;
         s.queued_rem = rem;
@@ -267,9 +287,9 @@ impl ThroughputSharingModel for ApproxFairSharing {
         s.removed = false;
         let tag = (VKey(s.v_finish), fid, s.gen);
         self.links[b as usize].heap.push(Reverse(tag));
-        flows[fid as usize].rate = self.bw / self.links[b as usize].count as f64;
+        flows[fid].rate = self.bw / self.links[b as usize].count as f64;
         if tel.tracking() {
-            tel.aux[fid as usize].activated = t;
+            flows.aux_mut(fid).activated = t;
         }
         self.n_active += 1;
         // Lazy re-arm: joining only rescales the crossed links' clock
@@ -296,37 +316,38 @@ impl ThroughputSharingModel for ApproxFairSharing {
     fn remove(
         &mut self,
         fid: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         ctx: &mut SimContext<'_>,
         tel: &mut LinkStats,
     ) {
         let t = ctx.now();
-        debug_assert!(!self.slots[fid as usize].removed, "flow is queued");
+        let i = self.slot_ix(fid);
+        debug_assert!(!self.slots[i].removed, "flow is queued");
         self.scratch.clear();
-        self.scratch.extend_from_slice(&flows[fid as usize].route);
+        self.scratch.extend_from_slice(&flows[fid].route);
         for i in 0..self.scratch.len() {
             let l = self.scratch[i];
             self.settle_link(l, t, tel);
         }
         // progress = virtual work served on the bottleneck since queueing
-        let s = self.slots[fid as usize];
+        let s = self.slots[i];
         let rem_now = (s.v_finish - self.links[s.bottleneck as usize].vtime)
             .max(0.0)
             .min(s.queued_rem);
         let served = s.queued_rem - rem_now;
-        self.slots[fid as usize].removed = true;
+        self.slots[i].removed = true;
         // the flow's tag stays behind in the bottleneck heap as a
         // tombstone until it surfaces or compaction reclaims it
         self.links[s.bottleneck as usize].dead += 1;
-        let f = &mut flows[fid as usize];
+        let f = &mut flows[fid];
         f.remaining = rem_now;
         f.rate = 0.0;
         if tel.tracking() {
-            let a = &mut tel.aux[fid as usize];
-            a.active_time += t - a.activated;
             for &l in f.route.iter() {
                 tel.link_bytes[l as usize] += served;
             }
+            let a = flows.aux_mut(fid);
+            a.active_time += t - a.activated;
         }
         for i in 0..self.scratch.len() {
             let l = self.scratch[i];
@@ -339,25 +360,25 @@ impl ThroughputSharingModel for ApproxFairSharing {
         }
     }
 
-    fn settle(&mut self, _flows: &mut [Flow], _tel: &mut LinkStats) {}
+    fn settle(&mut self, _flows: &mut FlowTable, _tel: &mut LinkStats) {}
 
-    fn settle_tail(&mut self, _flows: &mut [Flow], _tel: &mut LinkStats) {}
+    fn settle_tail(&mut self, _flows: &mut FlowTable, _tel: &mut LinkStats) {}
 
-    fn next_completion_time(&self, _flows: &[Flow], _now: f64) -> f64 {
+    fn next_completion_in(&self, _flows: &FlowTable) -> f64 {
         // completions arrive as scheduled drain events, never intrinsically
         f64::INFINITY
     }
 
-    fn advance(&mut self, _flows: &mut [Flow], _dt: f64, _tel: &mut LinkStats) {
+    fn advance(&mut self, _flows: &mut FlowTable, _dt: f64, _tel: &mut LinkStats) {
         // per-link virtual clocks settle lazily when a change touches them
     }
 
-    fn collect_finished(&mut self, _flows: &mut [Flow], _out: &mut Vec<u32>) {}
+    fn collect_finished(&mut self, _flows: &mut FlowTable, _out: &mut Vec<u32>) {}
 
     fn on_event(
         &mut self,
         token: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         ctx: &mut SimContext<'_>,
         tel: &mut LinkStats,
         finished: &mut Vec<u32>,
@@ -375,7 +396,12 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 lk.dead = lk.dead.saturating_sub(1);
                 continue;
             }
-            if v <= self.links[l as usize].vtime + Self::eps(v) {
+            let lk = &self.links[l as usize];
+            // a head whose drain time the clock cannot resolve (never
+            // below ~2 s of simulated time at 5 GB/s, where `eps` is the
+            // coarser slack) is due now: waiting would re-fire this event
+            // at `t` forever
+            if v <= lk.vtime + Self::eps(v) || t + (v - lk.vtime) * lk.count as f64 / self.bw <= t {
                 self.links[l as usize].heap.pop();
                 self.complete_flow(fid, t, flows, tel);
                 finished.push(fid);
@@ -388,7 +414,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
         for &fid in &finished[mark..] {
             // `reschedule` never touches `flows`, so the route can be
             // read in place — no per-completion copy.
-            for &l2 in flows[fid as usize].route.iter() {
+            for &l2 in flows[fid].route.iter() {
                 if l2 != l {
                     self.reschedule(l2, t, ctx);
                 }
@@ -396,11 +422,18 @@ impl ThroughputSharingModel for ApproxFairSharing {
         }
     }
 
+    fn retire(&mut self, base: u32) {
+        let k = ((base - self.slot_base) as usize).min(self.slots.len());
+        debug_assert!(self.slots[..k].iter().all(|s| s.removed));
+        self.slots.drain(..k);
+        self.slot_base = base;
+    }
+
     fn active_count(&self) -> usize {
         self.n_active
     }
 
-    fn encode_state(&self, enc: &mut Encoder) {
+    fn encode_state(&self, enc: &mut Encoder, flows: &FlowTable) {
         enc.put_f64(self.bw);
         enc.put_u64(self.links.len() as u64);
         for l in &self.links {
@@ -427,8 +460,15 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 None => enc.put_bool(false),
             }
         }
-        enc.put_u64(self.slots.len() as u64);
-        for s in &self.slots {
+        // slots of flows older than the oldest unfinished one are all
+        // removed, and a retired id reads as removed: the window from
+        // there on is the whole state
+        let start = flows.first_live();
+        let from = ((start - self.slot_base) as usize).min(self.slots.len());
+        enc.put_u64(SLOT_WINDOW);
+        enc.put_u64(u64::from(start));
+        enc.put_u64((self.slots.len() - from) as u64);
+        for s in &self.slots[from..] {
             enc.put_u32(s.bottleneck);
             enc.put_f64(s.v_finish);
             enc.put_f64(s.queued_rem);
@@ -441,8 +481,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
         // `dead` counts are recomputed from the heaps at decode
     }
 
-    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &[Flow]) -> Result<(), CkptError> {
-        let num_flows = flows.len();
+    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &FlowTable) -> Result<(), CkptError> {
         let bad = |what: &str| CkptError::BadSection(format!("approx-fair model: {what}"));
         let bw = dec.get_f64()?;
         if bw.to_bits() != self.bw.to_bits() {
@@ -457,6 +496,9 @@ impl ThroughputSharingModel for ApproxFairSharing {
             let count = dec.get_u32()?;
             let vtime = dec.get_f64()?;
             let last = dec.get_f64()?;
+            if !(vtime.is_finite() && last.is_finite()) {
+                return Err(bad("non-finite link clock"));
+            }
             let ne = dec.get_len(16)?;
             let mut heap = BinaryHeap::with_capacity(ne);
             for _ in 0..ne {
@@ -466,6 +508,9 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 }
                 let fid = dec.get_u32()?;
                 let gen = dec.get_u32()?;
+                if fid >= flows.next_id() {
+                    return Err(bad("heap entry names a flow never issued"));
+                }
                 heap.push(Reverse((VKey(v), fid, gen)));
             }
             let event = if dec.get_bool()? {
@@ -482,12 +527,24 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 dead: 0,
             });
         }
-        let ns = dec.get_u64()? as usize;
-        if ns > num_flows {
-            return Err(bad("more slots than flows"));
+        // the slot window, or (older checkpoints) every slot from id 0;
+        // slots below the flow table's window must all be removed
+        let tag = dec.get_u64()?;
+        let (start, ns) = if tag == SLOT_WINDOW {
+            (dec.get_u64()?, dec.get_u64()?)
+        } else {
+            (0, tag)
+        };
+        let base = flows.base();
+        if start > u64::from(base)
+            || start
+                .checked_add(ns)
+                .is_none_or(|end| end > u64::from(flows.next_id()))
+        {
+            return Err(bad("slot window outside the flow table"));
         }
-        let mut slots = Vec::with_capacity(ns);
-        for _ in 0..ns {
+        let mut slots = Vec::with_capacity((start + ns).saturating_sub(u64::from(base)) as usize);
+        for id in start..start + ns {
             let s = Slot {
                 bottleneck: dec.get_u32()?,
                 v_finish: dec.get_f64()?,
@@ -498,26 +555,65 @@ impl ThroughputSharingModel for ApproxFairSharing {
             if s.bottleneck != NO_LINK && s.bottleneck as usize >= nl {
                 return Err(bad("slot bottleneck out of range"));
             }
-            slots.push(s);
+            if id >= u64::from(base) {
+                slots.push(s);
+            } else if !s.removed {
+                return Err(bad("queued slot below the oldest unfinished flow"));
+            }
+        }
+        let n_active = dec.get_u64()?;
+        let compacted = dec.get_u64()?;
+        // The state must be one the model can reach: exactly the
+        // streaming flows are queued, each on a link of its route with
+        // one live heap entry there, and every link counts the streaming
+        // flows crossing it. Anything else would unbalance the counts
+        // the model decrements.
+        let slot = |fid: u32| slots.get(fid.wrapping_sub(base) as usize);
+        let mut counts = vec![0u32; nl];
+        let mut streaming = 0u64;
+        for (fid, f) in flows.iter() {
+            match (f.active, slot(fid).filter(|s| !s.removed)) {
+                (false, None) => continue,
+                (true, Some(s)) if f.route.contains(&s.bottleneck) => {}
+                _ => return Err(bad("queued slots disagree with the streaming flows")),
+            }
+            streaming += 1;
+            for &l in f.route.iter() {
+                counts[l as usize] += 1;
+            }
+        }
+        if n_active != streaming || links.iter().zip(&counts).any(|(l, &c)| l.count != c) {
+            return Err(bad("flow counts disagree with the streaming flows"));
+        }
+        let mut entered = vec![false; slots.len()];
+        for (l, link) in links.iter_mut().enumerate() {
+            for &Reverse((_, fid, gen)) in link.heap.iter() {
+                let Some(s) = slot(fid) else {
+                    link.dead += 1; // a retired flow's tombstone
+                    continue;
+                };
+                if gen > s.gen {
+                    return Err(bad("heap entry ahead of its flow's slot"));
+                }
+                if s.removed || gen != s.gen {
+                    link.dead += 1;
+                    continue;
+                }
+                let seen = &mut entered[(fid - base) as usize];
+                if s.bottleneck as usize != l || *seen {
+                    return Err(bad("queued flow without exactly one live heap entry"));
+                }
+                *seen = true;
+            }
+        }
+        if entered.iter().filter(|&&e| e).count() as u64 != streaming {
+            return Err(bad("queued flow without exactly one live heap entry"));
         }
         self.links = links;
         self.slots = slots;
-        self.n_active = dec.get_u64()? as usize;
-        self.compacted = dec.get_u64()?;
-        // recount tombstones now that both heaps and slots are in place
-        for i in 0..self.links.len() {
-            let slots = &self.slots;
-            let dead = self.links[i]
-                .heap
-                .iter()
-                .filter(|&&Reverse((_, fid, gen))| {
-                    slots
-                        .get(fid as usize)
-                        .is_none_or(|s| s.removed || s.gen != gen)
-                })
-                .count() as u32;
-            self.links[i].dead = dead;
-        }
+        self.slot_base = base;
+        self.n_active = n_active as usize;
+        self.compacted = compacted;
         Ok(())
     }
 

@@ -43,7 +43,7 @@
 //! round, flows of different groups never interact, so only the relative
 //! order of a group's own members matters (rule 3).
 
-use super::{Flow, LinkStats, ThroughputSharingModel};
+use super::{FlowTable, LinkStats, ThroughputSharingModel};
 use crate::context::SimContext;
 use crate::network::LinkId;
 use orp_core::ckpt::{CkptError, Decoder, Encoder};
@@ -92,12 +92,12 @@ impl Filler {
         &mut self,
         bw: f64,
         members: &[u32],
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         shares: &mut Vec<f64>,
     ) -> bool {
         shares.clear();
         for &fid in members {
-            for &l in flows[fid as usize].route.iter() {
+            for &l in flows[fid].route.iter() {
                 if self.link_count[l as usize] == 0 {
                     self.touched.push(l);
                     self.link_cap[l as usize] = bw;
@@ -131,13 +131,13 @@ impl Filler {
             self.still.clear();
             let eps = share * 1e-9;
             for &fid in &self.unfrozen {
-                let tight = flows[fid as usize].route.iter().any(|&l| {
+                let tight = flows[fid].route.iter().any(|&l| {
                     let c = self.link_count[l as usize];
                     c > 0 && self.link_cap[l as usize] / c as f64 <= share + eps
                 });
                 if tight {
-                    flows[fid as usize].rate = share;
-                    for &l in flows[fid as usize].route.iter() {
+                    flows[fid].rate = share;
+                    for &l in flows[fid].route.iter() {
                         self.link_cap[l as usize] -= share;
                         self.link_count[l as usize] -= 1;
                     }
@@ -152,7 +152,7 @@ impl Filler {
             if self.still.len() == self.unfrozen.len() {
                 // numerical corner: freeze everything at the current share
                 for &fid in &self.still {
-                    flows[fid as usize].rate = share;
+                    flows[fid].rate = share;
                 }
                 progressed = false;
                 break;
@@ -293,7 +293,7 @@ impl MaxMinFair {
     /// Merges the groups listed in `closure` (all stamped `mark`) into
     /// `target`, relabelling their slots and links, and leaves the
     /// merged group's slots in `work`, in activation order.
-    fn merge_closure(&mut self, mark: u32, target: u32, flows: &[Flow]) {
+    fn merge_closure(&mut self, mark: u32, target: u32, flows: &FlowTable) {
         let mut size = 0;
         for k in 0..self.closure.len() {
             let g = self.closure[k];
@@ -307,7 +307,7 @@ impl MaxMinFair {
             if self.groups[s.group as usize].mark == mark {
                 if s.group != target {
                     s.group = target;
-                    for &l in flows[self.active[i] as usize].route.iter() {
+                    for &l in flows[self.active[i]].route.iter() {
                         self.owner[l as usize] = target;
                     }
                 }
@@ -322,8 +322,8 @@ impl MaxMinFair {
     /// Adds flow `fid` at the end of the activation order: its links
     /// are counted, and the groups of every flow sharing one of them
     /// merge into the flow's group (rule 1).
-    fn attach(&mut self, fid: u32, flows: &[Flow]) {
-        let route = &flows[fid as usize].route;
+    fn attach(&mut self, fid: u32, flows: &FlowTable) {
+        let route = &flows[fid].route;
         let mark = self.next_stamp();
         self.closure.clear();
         for &l in route.iter() {
@@ -367,10 +367,10 @@ impl MaxMinFair {
 
     /// Drops the flow in activation slot `i` (swap-remove: the last
     /// flow moves into the hole).
-    fn detach(&mut self, i: usize, flows: &[Flow]) {
+    fn detach(&mut self, i: usize, flows: &FlowTable) {
         let fid = self.active.swap_remove(i);
         let g = self.slots.swap_remove(i).group;
-        for &l in flows[fid as usize].route.iter() {
+        for &l in flows[fid].route.iter() {
             let u = &mut self.users[l as usize];
             *u -= 1;
             if *u == 0 {
@@ -395,7 +395,7 @@ impl MaxMinFair {
     /// members, in order) and re-indexes its shares if they changed.
     /// Returns whether they changed, and whether the fill progressed
     /// (false on the numerical corner).
-    fn refill(&mut self, g: u32, flows: &mut [Flow]) -> (bool, bool) {
+    fn refill(&mut self, g: u32, flows: &mut FlowTable) -> (bool, bool) {
         self.members.clear();
         for (k, &i) in self.work.iter().enumerate() {
             self.slots[i as usize].rank = k as u32;
@@ -457,7 +457,7 @@ impl MaxMinFair {
 
     /// Rule 4: merges every group into one and fills it whole — the
     /// whole-network fill, corner handling included.
-    fn fill_everything(&mut self, flows: &mut [Flow]) {
+    fn fill_everything(&mut self, flows: &mut FlowTable) {
         let mark = self.next_stamp();
         self.closure.clear();
         for g in 0..self.groups.len() as u32 {
@@ -473,7 +473,7 @@ impl MaxMinFair {
     }
 
     /// Re-solves every group the changes since the last solve touched.
-    fn solve(&mut self, flows: &mut [Flow]) {
+    fn solve(&mut self, flows: &mut FlowTable) {
         // members of the dirty groups, by group, each in activation
         // order; after a swap-remove, rule 3 first: a clean group's
         // members must still appear with ranks 0, 1, 2, … (the order of
@@ -557,7 +557,7 @@ impl MaxMinFair {
         }
     }
 
-    fn resolve(&mut self, flows: &mut [Flow], tel: &mut LinkStats) {
+    fn resolve(&mut self, flows: &mut FlowTable, tel: &mut LinkStats) {
         self.sample_links(tel);
         self.solve(flows);
         self.dirty = false;
@@ -577,7 +577,7 @@ impl ThroughputSharingModel for MaxMinFair {
     fn insert(
         &mut self,
         fid: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         _ctx: &mut SimContext<'_>,
         _tel: &mut LinkStats,
     ) {
@@ -587,11 +587,11 @@ impl ThroughputSharingModel for MaxMinFair {
     fn remove(
         &mut self,
         fid: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         _ctx: &mut SimContext<'_>,
         _tel: &mut LinkStats,
     ) {
-        flows[fid as usize].rate = 0.0;
+        flows[fid].rate = 0.0;
         let pos = self
             .active
             .iter()
@@ -600,22 +600,22 @@ impl ThroughputSharingModel for MaxMinFair {
         self.detach(pos, flows);
     }
 
-    fn settle(&mut self, flows: &mut [Flow], tel: &mut LinkStats) {
+    fn settle(&mut self, flows: &mut FlowTable, tel: &mut LinkStats) {
         if self.dirty {
             self.resolve(flows, tel);
         }
     }
 
-    fn settle_tail(&mut self, flows: &mut [Flow], tel: &mut LinkStats) {
+    fn settle_tail(&mut self, flows: &mut FlowTable, tel: &mut LinkStats) {
         if self.dirty && !self.active.is_empty() {
             self.resolve(flows, tel);
         }
     }
 
-    fn next_completion_time(&self, flows: &[Flow], now: f64) -> f64 {
+    fn next_completion_in(&self, flows: &FlowTable) -> f64 {
         let mut flow_dt = f64::INFINITY;
         for &fid in &self.active {
-            let f = &flows[fid as usize];
+            let f = &flows[fid];
             let dt = if f.rate > 0.0 {
                 f.remaining / f.rate
             } else {
@@ -625,19 +625,19 @@ impl ThroughputSharingModel for MaxMinFair {
                 flow_dt = dt;
             }
         }
-        now + flow_dt
+        flow_dt
     }
 
-    fn advance(&mut self, flows: &mut [Flow], dt: f64, tel: &mut LinkStats) {
+    fn advance(&mut self, flows: &mut FlowTable, dt: f64, tel: &mut LinkStats) {
         if dt > 0.0 {
             let track = tel.tracking();
             for &fid in &self.active {
-                let f = &mut flows[fid as usize];
+                let f = &mut flows[fid];
                 let moved = (f.rate * dt).min(f.remaining);
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
                 if track {
-                    tel.aux[fid as usize].active_time += dt;
-                    for &l in f.route.iter() {
+                    flows.aux_mut(fid).active_time += dt;
+                    for &l in flows[fid].route.iter() {
                         tel.link_bytes[l as usize] += moved;
                         // flow-seconds; divided by the makespan at the end
                         // of the run this is the time-averaged sharing
@@ -648,11 +648,11 @@ impl ThroughputSharingModel for MaxMinFair {
         }
     }
 
-    fn collect_finished(&mut self, flows: &mut [Flow], out: &mut Vec<u32>) {
+    fn collect_finished(&mut self, flows: &mut FlowTable, out: &mut Vec<u32>) {
         let mut i = 0;
         while i < self.active.len() {
             let fid = self.active[i];
-            let f = &flows[fid as usize];
+            let f = &flows[fid];
             let left_t = if f.rate > 0.0 {
                 f.remaining / f.rate
             } else {
@@ -670,7 +670,7 @@ impl ThroughputSharingModel for MaxMinFair {
     fn on_event(
         &mut self,
         _token: u32,
-        _flows: &mut [Flow],
+        _flows: &mut FlowTable,
         _ctx: &mut SimContext<'_>,
         _tel: &mut LinkStats,
         _finished: &mut Vec<u32>,
@@ -682,7 +682,7 @@ impl ThroughputSharingModel for MaxMinFair {
         self.active.len()
     }
 
-    fn encode_state(&self, enc: &mut Encoder) {
+    fn encode_state(&self, enc: &mut Encoder, _flows: &FlowTable) {
         enc.put_f64(self.bw);
         enc.put_u32_slice(&self.active);
         enc.put_bool(self.dirty);
@@ -691,7 +691,7 @@ impl ThroughputSharingModel for MaxMinFair {
         // fill scratch is all-zero between fills.
     }
 
-    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &[Flow]) -> Result<(), CkptError> {
+    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &FlowTable) -> Result<(), CkptError> {
         let bad = |what: &str| CkptError::BadSection(format!("max-min model: {what}"));
         let bw = dec.get_f64()?;
         if bw.to_bits() != self.bw.to_bits() {
@@ -699,19 +699,23 @@ impl ThroughputSharingModel for MaxMinFair {
         }
         let active = dec.get_u32_vec()?;
         let dirty = dec.get_bool()?;
-        if active.iter().any(|&f| f as usize >= flows.len()) {
+        if active.iter().any(|&f| f >= flows.next_id()) {
             return Err(bad("active flow out of range"));
         }
-        if active.iter().any(|&f| {
-            let f = &flows[f as usize];
-            !f.active || f.finished
-        }) {
+        if active
+            .iter()
+            .any(|&f| flows.get(f).is_none_or(|f| !f.active || f.finished))
+        {
             return Err(bad("listed flow is not streaming"));
         }
         let mut ids = active.clone();
         ids.sort_unstable();
         if ids.windows(2).any(|w| w[0] == w[1]) {
             return Err(bad("flow listed twice"));
+        }
+        // a fault tears down every streaming flow through the list
+        if flows.iter().filter(|(_, f)| f.active).count() != active.len() {
+            return Err(bad("streaming flow missing from the list"));
         }
         // rebuild the link index and the groups as if every flow had
         // just been inserted in order: every group is dirty, so the next
@@ -732,7 +736,7 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::queue::EventQueue;
-    use crate::sharing::RouteBuf;
+    use crate::sharing::{Flow, FlowAux, RouteBuf};
     use orp_obs::Recorder;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -742,13 +746,13 @@ mod tests {
     /// operation for operation: every streaming flow, activation order.
     /// Returns each flow's rate keyed by activation slot (flows the loop
     /// never freezes keep their current rate, as in the original).
-    fn whole_set_rates(bw: f64, num_links: usize, active: &[u32], flows: &[Flow]) -> Vec<f64> {
-        let mut rate: Vec<f64> = active.iter().map(|&f| flows[f as usize].rate).collect();
+    fn whole_set_rates(bw: f64, num_links: usize, active: &[u32], flows: &FlowTable) -> Vec<f64> {
+        let mut rate: Vec<f64> = active.iter().map(|&f| flows[f].rate).collect();
         let mut link_count = vec![0u32; num_links];
         let mut link_cap = vec![0.0f64; num_links];
         let mut touched_links: Vec<LinkId> = Vec::new();
         for &fid in active {
-            for &l in flows[fid as usize].route.iter() {
+            for &l in flows[fid].route.iter() {
                 if link_count[l as usize] == 0 {
                     touched_links.push(l);
                     link_cap[l as usize] = bw;
@@ -774,7 +778,7 @@ mod tests {
             let mut still = Vec::with_capacity(unfrozen.len());
             let eps = share * 1e-9;
             for &slot in &unfrozen {
-                let route = &flows[active[slot] as usize].route;
+                let route = &flows[active[slot]].route;
                 let tight = route.iter().any(|&l| {
                     let c = link_count[l as usize];
                     c > 0 && link_cap[l as usize] / c as f64 <= share + eps
@@ -819,7 +823,7 @@ mod tests {
     /// after every settle.
     struct Harness {
         model: MaxMinFair,
-        flows: Vec<Flow>,
+        flows: FlowTable,
         queue: EventQueue<Event>,
         tel: LinkStats,
         num_links: usize,
@@ -831,7 +835,7 @@ mod tests {
         fn new(num_links: usize, bw: f64) -> Self {
             Self {
                 model: MaxMinFair::new(num_links, bw),
-                flows: Vec::new(),
+                flows: FlowTable::new(false),
                 queue: EventQueue::new(),
                 tel: LinkStats::new(Recorder::disabled(), num_links),
                 num_links,
@@ -841,10 +845,9 @@ mod tests {
         }
 
         fn insert(&mut self, route: &[LinkId]) -> u32 {
-            let fid = self.flows.len() as u32;
             let mut f = flow(route);
             f.active = true;
-            self.flows.push(f);
+            let fid = self.flows.push(f, FlowAux::default());
             let mut ctx = SimContext::new(0.0, &mut self.queue);
             self.model
                 .insert(fid, &mut self.flows, &mut ctx, &mut self.tel);
@@ -855,20 +858,23 @@ mod tests {
             let mut ctx = SimContext::new(0.0, &mut self.queue);
             self.model
                 .remove(fid, &mut self.flows, &mut ctx, &mut self.tel);
-            self.flows[fid as usize].active = false;
+            self.flows[fid].active = false;
         }
 
         /// Drains `fids` through `collect_finished` (its swap-removes).
         fn finish(&mut self, fids: &[u32]) -> Vec<u32> {
             for &f in fids {
-                self.flows[f as usize].remaining = 0.0;
+                self.flows[f].remaining = 0.0;
             }
             let mut out = Vec::new();
             self.model.collect_finished(&mut self.flows, &mut out);
             for &f in &out {
-                let fl = &mut self.flows[f as usize];
+                let fl = &mut self.flows[f];
                 fl.active = false;
                 fl.finished = true;
+            }
+            if let Some(base) = self.flows.retire() {
+                self.model.retire(base);
             }
             out
         }
@@ -877,7 +883,7 @@ mod tests {
         /// the flow table, as a simulator checkpoint/resume does.
         fn roundtrip(&mut self) {
             let mut enc = Encoder::new();
-            self.model.encode_state(&mut enc);
+            self.model.encode_state(&mut enc, &self.flows);
             let bytes = enc.into_bytes();
             let mut fresh = MaxMinFair::new(self.num_links, self.bw);
             fresh
@@ -893,7 +899,7 @@ mod tests {
             self.model.settle(&mut self.flows, &mut self.tel);
             self.solves += 1;
             for (slot, &fid) in self.model.active.iter().enumerate() {
-                let got = self.flows[fid as usize].rate;
+                let got = self.flows[fid].rate;
                 if got.to_bits() != expect[slot].to_bits() {
                     return Err(format!(
                         "solve {}: flow {fid} (slot {slot}) rate {got:e} != whole-set {:e}",
@@ -912,7 +918,7 @@ mod tests {
             for (i, &fid) in m.active.iter().enumerate() {
                 let g = m.slots[i].group;
                 sizes[g as usize] += 1;
-                for &l in self.flows[fid as usize].route.iter() {
+                for &l in self.flows[fid].route.iter() {
                     users[l as usize] += 1;
                     if m.owner[l as usize] != g {
                         return Err(format!("link {l} owned by {} not {g}", m.owner[l as usize]));
@@ -961,7 +967,7 @@ mod tests {
         assert_eq!(second, 1666666666.6666665);
         assert_eq!(bw / 3.0, 1666666666.6666667);
         for &f in &c {
-            assert_eq!(h.flows[f as usize].rate.to_bits(), second.to_bits());
+            assert_eq!(h.flows[f].rate.to_bits(), second.to_bits());
         }
         assert_eq!(
             h.model.groups.iter().filter(|g| g.size > 0).count(),

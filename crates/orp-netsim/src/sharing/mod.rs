@@ -21,6 +21,9 @@
 
 pub mod fair;
 pub mod maxmin;
+mod table;
+
+pub use table::FlowTable;
 
 use crate::context::SimContext;
 use crate::network::LinkId;
@@ -138,8 +141,8 @@ pub struct Flow {
     pub(crate) injected: bool,
 }
 
-/// Telemetry-only timing state of one flow, indexed by flow id in
-/// [`LinkStats::aux`]. Only the latency decomposition reads these, so
+/// Telemetry-only timing state of one flow, stored beside its record in
+/// the [`FlowTable`]. Only the latency decomposition reads these, so
 /// they live off the simulation hot path and are maintained (and
 /// allocated) only while a recorder is attached.
 #[derive(Debug, Clone, Copy, Default)]
@@ -171,9 +174,6 @@ pub struct LinkStats {
     pub(crate) link_busy: Vec<f64>,
     /// Per-link peak flow multiplicity.
     pub(crate) link_peak: Vec<u32>,
-    /// Per-flow timing state for the latency decomposition (indexed by
-    /// flow id, one entry per created flow); empty when not recording.
-    pub(crate) aux: Vec<FlowAux>,
 }
 
 impl LinkStats {
@@ -192,7 +192,6 @@ impl LinkStats {
             link_bytes,
             link_busy,
             link_peak,
-            aux: Vec::new(),
         }
     }
 
@@ -207,13 +206,13 @@ impl LinkStats {
 ///
 /// The engine calls these hooks at fixed points of its event loop; a
 /// model may keep completion times either *intrinsically* (report the
-/// next one from [`next_completion_time`] and drain flows in
+/// next one from [`next_completion_in`] and drain flows in
 /// [`collect_finished`], like the exact model) or *extrinsically*
 /// (schedule per-link events through the [`SimContext`] and finish flows
 /// in [`on_event`], like the approximate model). Both mechanisms may be
 /// mixed. See DESIGN.md §5 for the full contract.
 ///
-/// [`next_completion_time`]: ThroughputSharingModel::next_completion_time
+/// [`next_completion_in`]: ThroughputSharingModel::next_completion_in
 /// [`collect_finished`]: ThroughputSharingModel::collect_finished
 /// [`on_event`]: ThroughputSharingModel::on_event
 pub trait ThroughputSharingModel: std::fmt::Debug {
@@ -222,7 +221,7 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
     fn insert(
         &mut self,
         fid: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         ctx: &mut SimContext<'_>,
         tel: &mut LinkStats,
     );
@@ -233,31 +232,31 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
     fn remove(
         &mut self,
         fid: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         ctx: &mut SimContext<'_>,
         tel: &mut LinkStats,
     );
 
     /// Re-solves the allocation if flow membership changed since the
     /// last solve (called before the engine asks for completion times).
-    fn settle(&mut self, flows: &mut [Flow], tel: &mut LinkStats);
+    fn settle(&mut self, flows: &mut FlowTable, tel: &mut LinkStats);
 
     /// Late settle after the engine drained its event batch; models that
     /// solve on settle refresh here so rates are current for the next
     /// advance (the exact model skips it when nothing streams).
-    fn settle_tail(&mut self, flows: &mut [Flow], tel: &mut LinkStats);
+    fn settle_tail(&mut self, flows: &mut FlowTable, tel: &mut LinkStats);
 
-    /// Absolute time of the model's next intrinsic flow completion, or
+    /// Time from now to the model's next intrinsic flow completion, or
     /// `f64::INFINITY` if it has none (or schedules them as events).
-    fn next_completion_time(&self, flows: &[Flow], now: f64) -> f64;
+    fn next_completion_in(&self, flows: &FlowTable) -> f64;
 
     /// Advances simulated time by `dt`, streaming whatever the model
     /// tracks intrinsically.
-    fn advance(&mut self, flows: &mut [Flow], dt: f64, tel: &mut LinkStats);
+    fn advance(&mut self, flows: &mut FlowTable, dt: f64, tel: &mut LinkStats);
 
     /// Appends flows that have intrinsically drained (remaining ≈ 0) to
     /// `out`; the engine completes them in append order.
-    fn collect_finished(&mut self, flows: &mut [Flow], out: &mut Vec<u32>);
+    fn collect_finished(&mut self, flows: &mut FlowTable, out: &mut Vec<u32>);
 
     /// Delivers a model event previously scheduled through
     /// [`SimContext::schedule_model_event`]; flows the event completed
@@ -265,11 +264,16 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
     fn on_event(
         &mut self,
         token: u32,
-        flows: &mut [Flow],
+        flows: &mut FlowTable,
         ctx: &mut SimContext<'_>,
         tel: &mut LinkStats,
         finished: &mut Vec<u32>,
     );
+
+    /// The flow table retired every id below `base` (all finished):
+    /// per-flow state the model keeps for those ids can go. A retired id
+    /// must read as finished from then on.
+    fn retire(&mut self, _base: u32) {}
 
     /// Number of flows currently streaming under this model.
     fn active_count(&self) -> usize;
@@ -285,12 +289,13 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
     /// checkpoint. Everything a future [`insert`]/[`advance`]/
     /// [`on_event`] depends on must be captured bit-exactly (floats as
     /// raw bits); pure scratch buffers whose contents are recomputed
-    /// before being read may be skipped.
+    /// before being read may be skipped, and so may per-flow state of
+    /// flows older than `flows`' oldest unfinished one.
     ///
     /// [`insert`]: ThroughputSharingModel::insert
     /// [`advance`]: ThroughputSharingModel::advance
     /// [`on_event`]: ThroughputSharingModel::on_event
-    fn encode_state(&self, enc: &mut Encoder);
+    fn encode_state(&self, enc: &mut Encoder, flows: &FlowTable);
 
     /// Restores state written by [`encode_state`] into a freshly
     /// constructed model of the same mode/size, validating flow ids
@@ -299,7 +304,7 @@ pub trait ThroughputSharingModel: std::fmt::Debug {
     /// against the construction arguments.
     ///
     /// [`encode_state`]: ThroughputSharingModel::encode_state
-    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &[Flow]) -> Result<(), CkptError>;
+    fn decode_state(&mut self, dec: &mut Decoder<'_>, flows: &FlowTable) -> Result<(), CkptError>;
 }
 
 /// Constructs the model for `mode` on a fabric of `num_links` links with
