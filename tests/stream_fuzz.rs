@@ -1,6 +1,6 @@
 //! Mutation fuzzing of the metrics-stream decoder and every renderer
 //! behind it. Two real streams — `tests/data/tempering_stream.jsonl`
-//! (format v1) and the committed `results/TRACE_anneal_n128.jsonl`
+//! (format v1) and the committed `tests/data/TRACE_anneal_n128.jsonl`
 //! (v2) — are damaged the ways a crash, a bad disk or a hostile writer
 //! damages a file: truncated at a byte, bytes flipped, lines deleted,
 //! duplicated or swapped, numbers replaced by huge, negative,
@@ -23,7 +23,7 @@ fn corpus() -> [String; 2] {
     let root = env!("CARGO_MANIFEST_DIR");
     [
         "tests/data/tempering_stream.jsonl",
-        "results/TRACE_anneal_n128.jsonl",
+        "tests/data/TRACE_anneal_n128.jsonl",
     ]
     .map(|p| std::fs::read_to_string(format!("{root}/{p}")).expect("corpus file"))
 }

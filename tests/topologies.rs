@@ -107,9 +107,9 @@ fn bandwidth_series_covers_p2_to_16() {
         .build_with_hosts(64, AttachOrder::Sequential)
         .unwrap();
     let s = bandwidth_series(&g, 1);
-    assert_eq!(s.first().unwrap().0, 2);
-    assert_eq!(s.last().unwrap().0, 16);
-    assert!(s.iter().all(|&(_, c)| c > 0));
+    assert_eq!(s.first().unwrap().parts, 2);
+    assert_eq!(s.last().unwrap().parts, 16);
+    assert!(s.iter().all(|c| c.cut > 0 && c.max_part_ratio >= 1.0));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Golden-trace smoke tests: the committed metrics streams under
-//! `results/` must keep decoding and producing non-empty reports, and
+//! `tests/data/` must keep decoding and producing non-empty reports, and
 //! `diff` over the two committed NPB streams must keep attributing at
 //! least 95% of the makespan delta. These run against checked-in
 //! files, so a format drift in either the writer or the decoder fails
@@ -15,7 +15,7 @@ use orp::obs::read_stream;
 use std::process::{Command, Output};
 
 fn load(name: &str) -> TraceData {
-    let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
     read_stream(&path).unwrap_or_else(|e| panic!("committed stream {path} must decode: {e}"))
 }
 
@@ -122,7 +122,7 @@ fn metrics_stream_of_a_tempering_solve_still_renders() {
 #[test]
 fn report_renders_chrome_and_folded_stacks_of_a_stream() {
     let path = format!(
-        "{}/results/TRACE_anneal_n128.jsonl",
+        "{}/tests/data/TRACE_anneal_n128.jsonl",
         env!("CARGO_MANIFEST_DIR")
     );
     let out = orp(&["report", &path, "--chrome"]);
@@ -164,7 +164,7 @@ fn report_and_diff_refuse_what_is_not_a_stream() {
     let text = dir.join("notes.txt");
     std::fs::write(&text, "a plain text file\n").unwrap();
     let stream = format!(
-        "{}/results/TRACE_anneal_n128.jsonl",
+        "{}/tests/data/TRACE_anneal_n128.jsonl",
         env!("CARGO_MANIFEST_DIR")
     );
     for bad in [&chrome, &text] {
