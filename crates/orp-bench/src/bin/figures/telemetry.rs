@@ -3,6 +3,7 @@
 //! `(128, 8)`, three matched baselines and one recorded CG run on each.
 
 use crate::{export, Job, TopoSummary};
+use orp_bench::fault_targets;
 use orp_core::anneal::MoveKind;
 use orp_core::fault::{FaultSet, FaultView};
 use orp_core::graph::{Host, HostSwitchGraph};
@@ -176,9 +177,11 @@ struct Sample {
 /// Outcome of the mid-run link-death scenario.
 #[derive(Serialize)]
 struct MidRun {
-    /// The killed switch–switch link.
+    /// The killed switch–switch link: the one most fabric flows cross
+    /// at `at`.
     link: (u32, u32),
-    /// Fault injection time (half the fault-free makespan).
+    /// Fault injection time: midway through the healthy run's longest
+    /// stretch with the most fabric flows in flight.
     at: f64,
     healthy_time: f64,
     /// Degraded CG makespan when the run survives the cut.
@@ -286,10 +289,11 @@ fn samples(job: &Job, g: &HostSwitchGraph, healthy: &SimReport) -> Vec<Sample> {
 /// Resilience of the proposed topology against the paper's three
 /// baselines at 128 hosts: random failure sets over the budget's rates
 /// and seeds ([`FaultSet::sample`] fails each switch and link
-/// independently), plus CG with the first link of host 0's switch dying
-/// at half the fault-free makespan — the run completes over recomputed
-/// routes or reports the partition, never hangs. The proposed
-/// topology's mid-run scenario is exported as a metrics stream.
+/// independently), plus CG with its busiest fabric link dying at its
+/// peak of fabric traffic ([`fault_targets`], the rule of `sim_compat`'s
+/// fault rows) — the run completes over recomputed routes or reports
+/// the partition, never hangs. The proposed topology's mid-run scenario
+/// is exported as a metrics stream.
 pub fn resilience(job: &mut Job) {
     println!(
         "resilience sweep: n=128, rates {:?}, seeds {:?}",
@@ -299,10 +303,12 @@ pub fn resilience(job: &mut Job) {
     // the proposed topology comes first; its mid-run run is the stream
     let mut stream = None;
     for (name, key, g) in matched(job) {
-        let (_, healthy) = healthy_cg(job, &key, &g);
+        let (traced, healthy) = healthy_cg(job, &key, &g);
         let samples = samples(job, &g, &healthy);
-        let (s, t) = (g.switch_of(0), g.neighbors(g.switch_of(0))[0]);
-        let at = healthy.time / 2.0;
+        let (at, faults) = fault_targets(&g, &traced.rec.snapshot().expect("recording"));
+        let Some(&NetFault::Link(s, t)) = faults.first() else {
+            panic!("{key}: CG crosses no fabric link");
+        };
         let fault = [FaultEvent {
             time: at,
             fault: NetFault::Link(s, t),
@@ -368,7 +374,7 @@ pub fn resilience(job: &mut Job) {
             );
         }
     }
-    println!("\n== mid-run link death at 50% of healthy CG makespan ==");
+    println!("\n== mid-run death of the busiest fabric link at the healthy CG traffic peak ==");
     for t in &topologies {
         let m = &t.midrun;
         let outcome = match (&m.slowdown, &m.error) {
@@ -376,8 +382,11 @@ pub fn resilience(job: &mut Job) {
             (None, e) => e.clone().unwrap_or_default(),
         };
         println!(
-            "{:<20} link {:?} died at t={:.4e}: {outcome}",
-            t.summary.name, m.link, m.at
+            "{:<20} link {:?} died at t={:.4e} ({:.0}% of the healthy makespan): {outcome}",
+            t.summary.name,
+            m.link,
+            m.at,
+            100.0 * m.at / m.healthy_time
         );
     }
     job.write(

@@ -31,18 +31,16 @@
 //!
 //! CI runs the check mode as the `sim-compat` smoke step.
 
-use orp_bench::write_json;
+use orp_bench::{fault_targets, write_json};
 use orp_core::construct::random_general;
 use orp_core::graph::HostSwitchGraph;
 use orp_netsim::network::Network;
 use orp_netsim::npb::Benchmark;
 use orp_netsim::report::{run_benchmark, run_benchmark_with};
-use orp_netsim::{FaultEvent, NetFault, SharingMode, SimError, SimReport, Simulator};
-use orp_obs::{Event, ObsConfig, Recorder, Snapshot};
+use orp_netsim::{FaultEvent, SharingMode, SimError, SimReport, Simulator};
+use orp_obs::{ObsConfig, Recorder};
 use orp_topo::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
 
 /// One reference row: a benchmark on a topology, bit-exact.
 #[derive(Debug, Serialize, Deserialize)]
@@ -226,73 +224,6 @@ struct FaultFile {
 }
 
 const FAULT_ARTIFACT: &str = "SIM_COMPAT_faults";
-
-/// Where a fault hurts the run that `snap` recorded: midway through
-/// the first longest-lasting stretch with the most flows crossing the
-/// fabric in flight, the fabric link most of those flows cross and the
-/// hostless switch most of them cross (when one is crossed), so that a
-/// death re-routes much of the traffic without killing a rank.
-fn fault_targets(g: &HostSwitchGraph, snap: &Snapshot) -> (f64, Vec<NetFault>) {
-    assert_eq!(snap.dropped_events, 0, "the journal holds the whole run");
-    let mut life = HashMap::new();
-    let mut hops: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
-    for e in &snap.events {
-        match e.event {
-            Event::FlowDone {
-                id,
-                created,
-                completed,
-                ..
-            } => {
-                life.insert(id, (created, completed));
-            }
-            Event::Hop { flow, from, to, .. } => hops.entry(flow).or_default().push((from, to)),
-            _ => {}
-        }
-    }
-    // sweep the lifetimes of the flows that cross the fabric, ends
-    // before starts at equal times
-    let mut edges: Vec<(f64, i32)> = hops
-        .keys()
-        .flat_map(|id| {
-            let (c, d) = life[id];
-            [(c, 1), (d, -1)]
-        })
-        .collect();
-    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let (mut now, mut best, mut at) = (0, (0, 0.0), 0.0);
-    for w in edges.windows(2) {
-        now += w[0].1;
-        let stretch = (now, w[1].0 - w[0].0);
-        if stretch.0 > best.0 || (stretch.0 == best.0 && stretch.1 > best.1) {
-            (best, at) = (stretch, (w[0].0 + w[1].0) / 2.0);
-        }
-    }
-    let mut links: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-    let mut switches: BTreeMap<u32, u32> = BTreeMap::new();
-    for (id, route) in &hops {
-        let (c, d) = life[id];
-        if !(c <= at && at < d) {
-            continue;
-        }
-        for &(a, b) in route {
-            *links.entry((a, b)).or_default() += 1;
-            if g.host_count(b) == 0 {
-                *switches.entry(b).or_default() += 1;
-            }
-        }
-    }
-    let mut faults = vec![];
-    faults.extend(busiest(&links).map(|(a, b)| NetFault::Link(a, b)));
-    faults.extend(busiest(&switches).map(NetFault::Switch));
-    (at, faults)
-}
-
-/// The key crossed most often (the lowest such).
-fn busiest<K: Copy + Ord>(uses: &BTreeMap<K, u32>) -> Option<K> {
-    let (&k, _) = uses.iter().max_by_key(|(&k, &v)| (v, Reverse(k)))?;
-    Some(k)
-}
 
 fn fault_rows(iters: usize) -> Vec<FaultRow> {
     let ranks = SUITES[0].ranks;

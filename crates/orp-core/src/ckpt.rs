@@ -171,25 +171,58 @@ static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 /// CRC-32 (IEEE) of `data`. Public so tests can construct deliberately
 /// corrupted files with a *valid* checksum over *invalid* contents.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A CRC-32 (IEEE) fed in pieces: any split of the input gives the
+/// [`crc32`] of the whole, so a large encoding can be checksummed
+/// through a fixed-size buffer instead of being materialised.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+}
+
+impl Crc32 {
+    /// The CRC of no bytes yet.
+    pub fn new() -> Self {
+        Self { state: 0xFFFF_FFFF }
     }
-    !c
+
+    /// Feeds the next bytes of the input.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = self.state;
+        let mut chunks = data.chunks_exact(8);
+        for ch in &mut chunks {
+            let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
+            let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The CRC-32 of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -224,6 +257,14 @@ impl Encoder {
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Feeds the bytes written so far to `crc` and empties the buffer,
+    /// keeping its capacity: checksumming a long encoding through a
+    /// buffer of bounded size.
+    pub fn drain_into(&mut self, crc: &mut Crc32) {
+        crc.update(&self.buf);
+        self.buf.clear();
     }
 
     /// Appends one byte.
@@ -549,6 +590,27 @@ mod tests {
     fn crc32_known_vector() {
         // CRC-32/IEEE of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_fed_in_pieces_matches_the_whole() {
+        let mut crc = Crc32::new();
+        for piece in b"123456789".chunks(2) {
+            crc.update(piece);
+        }
+        assert_eq!(crc.finish(), 0xCBF4_3926);
+        // every two-cut split of a buffer longer than the 8-byte fold
+        let data: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = crc32(&data);
+        for a in 0..=data.len() {
+            for b in a..=data.len() {
+                let mut crc = Crc32::new();
+                crc.update(&data[..a]);
+                crc.update(&data[a..b]);
+                crc.update(&data[b..]);
+                assert_eq!(crc.finish(), whole, "cuts at {a} and {b}");
+            }
+        }
     }
 
     #[test]

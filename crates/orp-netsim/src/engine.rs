@@ -25,7 +25,7 @@ use crate::rank::{BlockedRank, Ranks, Step};
 use crate::sharing::{
     make_model, Flow, FlowAux, FlowTable, LinkStats, RouteBuf, SharingMode, ThroughputSharingModel,
 };
-use orp_core::ckpt::{self, Checkpointable, CkptError, Decoder, Encoder};
+use orp_core::ckpt::{self, Checkpointable, CkptError, Crc32, Decoder, Encoder};
 use orp_core::graph::Host;
 use orp_core::watchdog::{WatchSource, Watchdog, WatchdogConfig};
 use orp_obs::{Event as ObsEvent, FaultKind, FlowStage, Recorder, StreamSink};
@@ -1688,11 +1688,20 @@ fn get_bools(dec: &mut Decoder<'_>) -> Result<Vec<bool>, CkptError> {
         .collect()
 }
 
+/// Bytes of the configuration encoding buffered before they are fed to
+/// the fingerprint's CRC.
+const FINGERPRINT_CHUNK: usize = 64 * 1024;
+
 /// CRC-32 fingerprint of everything that must be identical between the
 /// saving and the resuming run for bit-identical continuation: network
 /// shape and timing parameters, sharing mode, programs, placement, and
 /// the injection list. (The fault schedule is compared in full instead
 /// — see [`SimCheckpoint::faults`].)
+///
+/// The encoding streams into the CRC through a buffer of about
+/// [`FINGERPRINT_CHUNK`] bytes and is never held whole: for IS at 1,024
+/// ranks it runs to 18 MB, which a run's first save would otherwise
+/// allocate next to the programs it encodes.
 fn config_fingerprint(
     net: &Network,
     programs: &[Program],
@@ -1700,7 +1709,13 @@ fn config_fingerprint(
     injections: &[InjectedFlow],
     sharing: SharingMode,
 ) -> u32 {
+    let mut crc = Crc32::new();
     let mut enc = Encoder::new();
+    let mut spill = |enc: &mut Encoder| {
+        if enc.len() >= FINGERPRINT_CHUNK {
+            enc.drain_into(&mut crc);
+        }
+    };
     enc.put_u32(net.num_hosts());
     enc.put_u32(net.num_links());
     let cfg = net.config();
@@ -1737,17 +1752,25 @@ fn config_fingerprint(
                     enc.put_u32(from);
                 }
             }
+            spill(&mut enc);
         }
     }
-    enc.put_u32_slice(placement);
+    // `put_u32_slice`'s layout, one host at a time
+    enc.put_u64(placement.len() as u64);
+    for &h in placement {
+        enc.put_u32(h);
+        spill(&mut enc);
+    }
     enc.put_u64(injections.len() as u64);
     for i in injections {
         enc.put_f64(i.at);
         enc.put_u32(i.src);
         enc.put_u32(i.dst);
         enc.put_f64(i.bytes);
+        spill(&mut enc);
     }
-    ckpt::crc32(&enc.into_bytes())
+    enc.drain_into(&mut crc);
+    crc.finish()
 }
 
 /// Canonical encoding of the fault schedule (for the checkpoint's
@@ -2718,11 +2741,32 @@ mod tests {
 
     // ---- checkpoint / resume ----
 
-    /// Fresh per-test scratch dir under the system temp dir.
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("orp-netsim-{tag}-{}", std::process::id()));
+    /// A fresh scratch directory under the system temp dir, removed
+    /// with everything in it when the guard drops (a failing test's
+    /// unwinding included).
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A new [`TempDir`]; the counter keeps concurrent tests with the
+    /// same tag apart.
+    fn temp_dir(tag: &str) -> TempDir {
+        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("orp-netsim-{tag}-{}-{k}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TempDir(d)
     }
 
     fn assert_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
@@ -2998,7 +3042,8 @@ mod tests {
     #[test]
     fn resume_bounds_and_checks_the_rank_section() {
         let net = ring_net();
-        let path = temp_dir("crafted").join("sim-ranks.orp");
+        let dir = temp_dir("crafted");
+        let path = dir.join("sim-ranks.orp");
         // after the first event rank 0 has a receive posted on rank 1,
         // which finished computing and waits in the runnable queue
         let make = || {
@@ -3054,7 +3099,8 @@ mod tests {
     #[test]
     fn resume_bounds_the_flow_table_by_the_configuration() {
         let net = ring_net();
-        let path = temp_dir("crafted").join("sim-flows.orp");
+        let dir = temp_dir("crafted");
+        let path = dir.join("sim-flows.orp");
         let make = || busy_builder(&net, SharingMode::ExactMaxMin);
         let ck = cut_at(make, &path, 5);
         // `n` flows, the first live ones from `(src, injected)` to 0 over
@@ -3100,7 +3146,8 @@ mod tests {
     #[test]
     fn resume_bounds_event_slots_by_the_configuration() {
         let net = ring_net();
-        let path = temp_dir("crafted").join("sim-queue.orp");
+        let dir = temp_dir("crafted");
+        let path = dir.join("sim-queue.orp");
         let make = || busy_builder(&net, SharingMode::ExactMaxMin);
         let ck = cut_at(make, &path, 5);
         // the first live entry's slot follows the format byte, seven
@@ -3122,7 +3169,8 @@ mod tests {
     #[test]
     fn resume_bounds_approx_fair_link_heaps_by_the_bytes_left() {
         let net = ring_net();
-        let path = temp_dir("crafted").join("sim-heaps.orp");
+        let dir = temp_dir("crafted");
+        let path = dir.join("sim-heaps.orp");
         let make = || busy_builder(&net, SharingMode::ApproxFair);
         let ck = cut_at(make, &path, 5);
         let err = resume_edited(make, &ck, &path, |c| {

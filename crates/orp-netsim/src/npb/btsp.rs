@@ -37,46 +37,46 @@ pub fn program(n: u32, class: Class, iters: usize, variant: Variant) -> Vec<Prog
     };
     let face_bytes = cell * cell * face_vals * 8.0;
     let sweep_flops = grid.powi(3) / n as f64 * flops_per_point / 3.0;
-    let mut b = ProgramBuilder::new(n);
-    for _ in 0..iters.max(1) {
-        // x-sweep: pipeline along process rows; `rows` cells per rank
-        // means each rank forwards `rows` faces to its east neighbour
-        for _cellstep in 0..rows {
-            for i in 0..rows {
-                for j in 0..cols {
-                    let r = rank2(i, j, cols);
-                    let east = rank2(i, (j + 1) % cols, cols);
-                    b.compute(r, sweep_flops / rows as f64);
-                    b.exchange(r, east, face_bytes);
+    ProgramBuilder::build(n, |b| {
+        for _ in 0..iters.max(1) {
+            // x-sweep: pipeline along process rows; `rows` cells per rank
+            // means each rank forwards `rows` faces to its east neighbour
+            for _cellstep in 0..rows {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let r = rank2(i, j, cols);
+                        let east = rank2(i, (j + 1) % cols, cols);
+                        b.compute(r, sweep_flops / rows as f64);
+                        b.exchange(r, east, face_bytes);
+                    }
                 }
             }
-        }
-        // y-sweep: along columns
-        for _cellstep in 0..rows {
-            for i in 0..rows {
-                for j in 0..cols {
-                    let r = rank2(i, j, cols);
-                    let south = rank2((i + 1) % rows, j, cols);
-                    b.compute(r, sweep_flops / rows as f64);
-                    b.exchange(r, south, face_bytes);
+            // y-sweep: along columns
+            for _cellstep in 0..rows {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let r = rank2(i, j, cols);
+                        let south = rank2((i + 1) % rows, j, cols);
+                        b.compute(r, sweep_flops / rows as f64);
+                        b.exchange(r, south, face_bytes);
+                    }
                 }
             }
-        }
-        // z-sweep: along the wrapped diagonal of the process grid
-        for _cellstep in 0..rows {
-            for i in 0..rows {
-                for j in 0..cols {
-                    let r = rank2(i, j, cols);
-                    let diag = rank2((i + 1) % rows, (j + 1) % cols, cols);
-                    b.compute(r, sweep_flops / rows as f64);
-                    b.exchange(r, diag, face_bytes);
+            // z-sweep: along the wrapped diagonal of the process grid
+            for _cellstep in 0..rows {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let r = rank2(i, j, cols);
+                        let diag = rank2((i + 1) % rows, (j + 1) % cols, cols);
+                        b.compute(r, sweep_flops / rows as f64);
+                        b.exchange(r, diag, face_bytes);
+                    }
                 }
             }
+            // residual norm over the `vars` variables
+            b.allreduce(vars * 8.0);
         }
-        // residual norm over the `vars` variables
-        b.allreduce(vars * 8.0);
-    }
-    b.build()
+    })
 }
 
 #[cfg(test)]

@@ -22,51 +22,51 @@ pub fn program(n: u32, class: Class, iters: usize) -> Vec<Program> {
     let seg = na / rows as f64; // vector segment per process row
     let seg_bytes = seg * 8.0;
     let nnz_per_rank = na * (nonzer + 1.0) * nonzer / n as f64;
-    let mut b = ProgramBuilder::new(n);
-    for _ in 0..iters.max(1) {
-        // local mat-vec
-        b.compute_all(2.0 * nnz_per_rank);
-        // sum partial results across each process row: recursive halving —
-        // each stage exchanges half of the remaining piece (NPB CG's
-        // reduce_exch/reduce_send loops), so sizes go seg/2, seg/4, …
-        let mut span = cols;
-        let mut chunk = seg_bytes / 2.0;
-        while span > 1 {
-            let half = span / 2;
-            for i in 0..rows {
-                for j in 0..cols {
-                    let r = rank2(i, j, cols);
-                    let pos = j % span;
-                    let partner_j = if pos < half { j + half } else { j - half };
-                    let partner = rank2(i, partner_j, cols);
-                    if r < partner {
-                        b.exchange(r, partner, chunk);
+    ProgramBuilder::build(n, |b| {
+        for _ in 0..iters.max(1) {
+            // local mat-vec
+            b.compute_all(2.0 * nnz_per_rank);
+            // sum partial results across each process row: recursive halving —
+            // each stage exchanges half of the remaining piece (NPB CG's
+            // reduce_exch/reduce_send loops), so sizes go seg/2, seg/4, …
+            let mut span = cols;
+            let mut chunk = seg_bytes / 2.0;
+            while span > 1 {
+                let half = span / 2;
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let r = rank2(i, j, cols);
+                        let pos = j % span;
+                        let partner_j = if pos < half { j + half } else { j - half };
+                        let partner = rank2(i, partner_j, cols);
+                        if r < partner {
+                            b.exchange(r, partner, chunk);
+                        }
+                    }
+                }
+                span = half;
+                chunk /= 2.0;
+            }
+            // transpose exchange: (i, j) swaps its fully reduced na/np piece
+            // with (j, i) — small and long-distance in rank space, the
+            // "irregular communication" the paper blames for fat-tree CG
+            let piece = seg_bytes / cols as f64;
+            if rows == cols {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        if i < j {
+                            b.exchange(rank2(i, j, cols), rank2(j, i, cols), piece);
+                        }
                     }
                 }
             }
-            span = half;
-            chunk /= 2.0;
+            // two dot products
+            b.allreduce(8.0);
+            b.allreduce(8.0);
+            // axpy updates
+            b.compute_all(4.0 * na / rows as f64);
         }
-        // transpose exchange: (i, j) swaps its fully reduced na/np piece
-        // with (j, i) — small and long-distance in rank space, the
-        // "irregular communication" the paper blames for fat-tree CG
-        let piece = seg_bytes / cols as f64;
-        if rows == cols {
-            for i in 0..rows {
-                for j in 0..cols {
-                    if i < j {
-                        b.exchange(rank2(i, j, cols), rank2(j, i, cols), piece);
-                    }
-                }
-            }
-        }
-        // two dot products
-        b.allreduce(8.0);
-        b.allreduce(8.0);
-        // axpy updates
-        b.compute_all(4.0 * na / rows as f64);
-    }
-    b.build()
+    })
 }
 
 #[cfg(test)]

@@ -20,12 +20,12 @@ pub fn program(n: u32, class: Class) -> Vec<Program> {
         Class::B => 30,
     };
     let pairs = 2f64.powi(m as i32);
-    let mut b = ProgramBuilder::new(n);
-    b.compute_all(pairs * FLOPS_PER_PAIR / n as f64);
-    // sx, sy sums (2 doubles) and the 10 annulus counts
-    b.allreduce(16.0);
-    b.allreduce(80.0);
-    b.build()
+    ProgramBuilder::build(n, |b| {
+        b.compute_all(pairs * FLOPS_PER_PAIR / n as f64);
+        // sx, sy sums (2 doubles) and the 10 annulus counts
+        b.allreduce(16.0);
+        b.allreduce(80.0);
+    })
 }
 
 #[cfg(test)]

@@ -20,21 +20,20 @@ pub fn program(n: u32, class: Class, iters: usize) -> Vec<Program> {
     let points: f64 = nx * ny * nz;
     let total_bytes = points * 16.0; // complex double
     let fft_flops = 5.0 * points * points.log2(); // classic 5 N log N
-    let mut b = ProgramBuilder::new(n);
-    // initial forward FFT incl. transpose
-    for it in 0..iters.max(1) {
-        // evolve + two local 1-D FFT passes
-        b.compute_all((fft_flops * 2.0 / 3.0 + 6.0 * points) / n as f64);
-        // the distributed transpose: every pair exchanges its block
-        let pair_bytes = total_bytes / (n as f64 * n as f64);
-        b.alltoall(pair_bytes);
-        // remaining 1-D pass
-        b.compute_all(fft_flops / 3.0 / n as f64);
-        // checksum
-        b.allreduce(16.0);
-        let _ = it;
-    }
-    b.build()
+    ProgramBuilder::build(n, |b| {
+        // initial forward FFT incl. transpose
+        for _ in 0..iters.max(1) {
+            // evolve + two local 1-D FFT passes
+            b.compute_all((fft_flops * 2.0 / 3.0 + 6.0 * points) / n as f64);
+            // the distributed transpose: every pair exchanges its block
+            let pair_bytes = total_bytes / (n as f64 * n as f64);
+            b.alltoall(pair_bytes);
+            // remaining 1-D pass
+            b.compute_all(fft_flops / 3.0 / n as f64);
+            // checksum
+            b.allreduce(16.0);
+        }
+    })
 }
 
 #[cfg(test)]

@@ -28,16 +28,16 @@ pub fn program(n: u32, class: Class, iters: usize) -> Vec<Program> {
     let keys_per_rank = total_keys / n as f64;
     // uniform keys: every rank sends ~keys/n to every other rank, 4 B each
     let pair_bytes = keys_per_rank / n as f64 * 4.0;
-    let mut b = ProgramBuilder::new(n);
-    for _ in 0..iters.max(1) {
-        b.compute_all(keys_per_rank * FLOPS_PER_KEY);
-        b.allreduce(buckets * 4.0);
-        b.alltoallv(|_, _| pair_bytes);
-        b.compute_all(keys_per_rank * FLOPS_PER_KEY / 2.0);
-        // partial verification
-        b.allreduce(40.0);
-    }
-    b.build()
+    ProgramBuilder::build(n, |b| {
+        for _ in 0..iters.max(1) {
+            b.compute_all(keys_per_rank * FLOPS_PER_KEY);
+            b.allreduce(buckets * 4.0);
+            b.alltoallv(|_, _| pair_bytes);
+            b.compute_all(keys_per_rank * FLOPS_PER_KEY / 2.0);
+            // partial verification
+            b.allreduce(40.0);
+        }
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! bound the event count; the pipeline depth in ranks is preserved.
 
 use super::{coords2, grid2, rank2, Class};
-use crate::engine::{Op, Program};
+use crate::engine::Program;
 use crate::mpi::ProgramBuilder;
 
 /// z-planes aggregated into one pipeline stage.
@@ -36,67 +36,51 @@ pub fn program(n: u32, class: Class, iters: usize) -> Vec<Program> {
     let msg_x = 5.0 * 8.0 * local_y * PLANE_AGG as f64;
     let msg_y = 5.0 * 8.0 * local_x * PLANE_AGG as f64;
     let stage_flops = local_x * local_y * PLANE_AGG as f64 * FLOPS_PER_POINT;
-    let mut b = ProgramBuilder::new(n);
-    for _ in 0..iters.max(1) {
-        // lower-triangular sweep: NW → SE
-        for _ in 0..stages {
-            for r in 0..n {
-                let (i, j) = coords2(r, cols);
-                if i > 0 {
-                    b.push_recv(r, rank2(i - 1, j, cols));
-                }
-                if j > 0 {
-                    b.push_recv(r, rank2(i, j - 1, cols));
-                }
-                b.compute(r, stage_flops);
-                if i + 1 < rows {
-                    b.push_send(r, rank2(i + 1, j, cols), msg_x);
-                }
-                if j + 1 < cols {
-                    b.push_send(r, rank2(i, j + 1, cols), msg_y);
-                }
-            }
-        }
-        // upper-triangular sweep: SE → NW
-        for _ in 0..stages {
-            for r in 0..n {
-                let (i, j) = coords2(r, cols);
-                if i + 1 < rows {
-                    b.push_recv(r, rank2(i + 1, j, cols));
-                }
-                if j + 1 < cols {
-                    b.push_recv(r, rank2(i, j + 1, cols));
-                }
-                b.compute(r, stage_flops);
-                if i > 0 {
-                    b.push_send(r, rank2(i - 1, j, cols), msg_x);
-                }
-                if j > 0 {
-                    b.push_send(r, rank2(i, j - 1, cols), msg_y);
+    ProgramBuilder::build(n, |b| {
+        for _ in 0..iters.max(1) {
+            // lower-triangular sweep: NW → SE
+            for _ in 0..stages {
+                for r in 0..n {
+                    let (i, j) = coords2(r, cols);
+                    if i > 0 {
+                        b.recv(r, rank2(i - 1, j, cols));
+                    }
+                    if j > 0 {
+                        b.recv(r, rank2(i, j - 1, cols));
+                    }
+                    b.compute(r, stage_flops);
+                    if i + 1 < rows {
+                        b.send(r, rank2(i + 1, j, cols), msg_x);
+                    }
+                    if j + 1 < cols {
+                        b.send(r, rank2(i, j + 1, cols), msg_y);
+                    }
                 }
             }
+            // upper-triangular sweep: SE → NW
+            for _ in 0..stages {
+                for r in 0..n {
+                    let (i, j) = coords2(r, cols);
+                    if i + 1 < rows {
+                        b.recv(r, rank2(i + 1, j, cols));
+                    }
+                    if j + 1 < cols {
+                        b.recv(r, rank2(i, j + 1, cols));
+                    }
+                    b.compute(r, stage_flops);
+                    if i > 0 {
+                        b.send(r, rank2(i - 1, j, cols), msg_x);
+                    }
+                    if j > 0 {
+                        b.send(r, rank2(i, j - 1, cols), msg_y);
+                    }
+                }
+            }
+            // RHS + residual norm
+            b.compute_all(local_x * local_y * grid * 20.0);
+            b.allreduce(40.0);
         }
-        // RHS + residual norm
-        b.compute_all(local_x * local_y * grid * 20.0);
-        b.allreduce(40.0);
-    }
-    b.build()
-}
-
-/// Wavefront helpers: LU needs raw sends/recvs in pipeline order, which
-/// the [`ProgramBuilder`] exposes via these thin extensions.
-trait Wavefront {
-    fn push_send(&mut self, r: u32, to: u32, bytes: f64);
-    fn push_recv(&mut self, r: u32, from: u32);
-}
-
-impl Wavefront for ProgramBuilder {
-    fn push_send(&mut self, r: u32, to: u32, bytes: f64) {
-        self.raw(r, Op::Send { to, bytes });
-    }
-    fn push_recv(&mut self, r: u32, from: u32) {
-        self.raw(r, Op::Recv { from });
-    }
+    })
 }
 
 #[cfg(test)]

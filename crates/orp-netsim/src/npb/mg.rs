@@ -25,58 +25,58 @@ pub fn program(n: u32, class: Class, iters: usize) -> Vec<Program> {
     };
     let (px, py, pz) = grid3(n);
     let rank = |x: u32, y: u32, z: u32| (x * py + y) * pz + z;
-    let mut b = ProgramBuilder::new(n);
-    for _ in 0..iters.max(1) {
-        // one V-cycle: down the hierarchy and back up
-        let mut level_list: Vec<u32> = (0..levels).collect();
-        level_list.extend((0..levels.saturating_sub(1)).rev());
-        for &l in &level_list {
-            let pts = grid / 2f64.powi(l as i32);
-            // Coarse levels have fewer points per dimension than the
-            // process grid: only a strided subgrid of processes stays
-            // active, and its neighbours sit `stride` ranks apart — the
-            // paper's "long-distance communication" in MG.
-            let qx = (px as f64).min(pts).max(1.0) as u32;
-            let qy = (py as f64).min(pts).max(1.0) as u32;
-            let qz = (pz as f64).min(pts).max(1.0) as u32;
-            let (sx, sy, sz) = (px / qx, py / qy, pz / qz);
-            let fx = (pts / qy as f64).max(1.0) * (pts / qz as f64).max(1.0);
-            let fy = (pts / qx as f64).max(1.0) * (pts / qz as f64).max(1.0);
-            let fz = (pts / qx as f64).max(1.0) * (pts / qy as f64).max(1.0);
-            let local_pts = (pts / qx as f64).max(1.0)
-                * (pts / qy as f64).max(1.0)
-                * (pts / qz as f64).max(1.0);
-            // only active ranks compute at this level
-            for x in 0..qx {
-                for y in 0..qy {
-                    for z in 0..qz {
-                        b.compute(rank(x * sx, y * sy, z * sz), local_pts * FLOPS_PER_POINT);
-                    }
-                }
-            }
-            // ghost-face exchange with the six periodic neighbours of the
-            // active subgrid, one axis at a time (each pair appended once)
-            for x in 0..qx {
-                for y in 0..qy {
-                    for z in 0..qz {
-                        let r = rank(x * sx, y * sy, z * sz);
-                        if qx > 1 {
-                            b.exchange(r, rank((x + 1) % qx * sx, y * sy, z * sz), fx * 8.0);
-                        }
-                        if qy > 1 {
-                            b.exchange(r, rank(x * sx, (y + 1) % qy * sy, z * sz), fy * 8.0);
-                        }
-                        if qz > 1 {
-                            b.exchange(r, rank(x * sx, y * sy, (z + 1) % qz * sz), fz * 8.0);
+    ProgramBuilder::build(n, |b| {
+        for _ in 0..iters.max(1) {
+            // one V-cycle: down the hierarchy and back up
+            let mut level_list: Vec<u32> = (0..levels).collect();
+            level_list.extend((0..levels.saturating_sub(1)).rev());
+            for &l in &level_list {
+                let pts = grid / 2f64.powi(l as i32);
+                // Coarse levels have fewer points per dimension than the
+                // process grid: only a strided subgrid of processes stays
+                // active, and its neighbours sit `stride` ranks apart — the
+                // paper's "long-distance communication" in MG.
+                let qx = (px as f64).min(pts).max(1.0) as u32;
+                let qy = (py as f64).min(pts).max(1.0) as u32;
+                let qz = (pz as f64).min(pts).max(1.0) as u32;
+                let (sx, sy, sz) = (px / qx, py / qy, pz / qz);
+                let fx = (pts / qy as f64).max(1.0) * (pts / qz as f64).max(1.0);
+                let fy = (pts / qx as f64).max(1.0) * (pts / qz as f64).max(1.0);
+                let fz = (pts / qx as f64).max(1.0) * (pts / qy as f64).max(1.0);
+                let local_pts = (pts / qx as f64).max(1.0)
+                    * (pts / qy as f64).max(1.0)
+                    * (pts / qz as f64).max(1.0);
+                // only active ranks compute at this level
+                for x in 0..qx {
+                    for y in 0..qy {
+                        for z in 0..qz {
+                            b.compute(rank(x * sx, y * sy, z * sz), local_pts * FLOPS_PER_POINT);
                         }
                     }
                 }
+                // ghost-face exchange with the six periodic neighbours of the
+                // active subgrid, one axis at a time (each pair appended once)
+                for x in 0..qx {
+                    for y in 0..qy {
+                        for z in 0..qz {
+                            let r = rank(x * sx, y * sy, z * sz);
+                            if qx > 1 {
+                                b.exchange(r, rank((x + 1) % qx * sx, y * sy, z * sz), fx * 8.0);
+                            }
+                            if qy > 1 {
+                                b.exchange(r, rank(x * sx, (y + 1) % qy * sy, z * sz), fy * 8.0);
+                            }
+                            if qz > 1 {
+                                b.exchange(r, rank(x * sx, y * sy, (z + 1) % qz * sz), fz * 8.0);
+                            }
+                        }
+                    }
+                }
             }
+            // residual norm
+            b.allreduce(8.0);
         }
-        // residual norm
-        b.allreduce(8.0);
-    }
-    b.build()
+    })
 }
 
 #[cfg(test)]

@@ -146,6 +146,7 @@ pub fn coords2(r: u32, cols: u32) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Op;
 
     #[test]
     fn grid2_factors() {
@@ -178,6 +179,83 @@ mod tests {
         assert_eq!(Benchmark::Is.paper_class(), Class::A);
         assert_eq!(Benchmark::Ft.paper_class(), Class::A);
         assert_eq!(Benchmark::Mg.paper_class(), Class::B);
+    }
+
+    /// FNV-1a over every rank's op count and every op's tag and fields
+    /// (floats as their bits), in rank and program order.
+    fn fingerprint(progs: &[Program]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for p in progs {
+            eat(&(p.len() as u64).to_le_bytes());
+            for op in p {
+                match *op {
+                    Op::Compute(f) => {
+                        eat(&[0]);
+                        eat(&f.to_bits().to_le_bytes());
+                    }
+                    Op::Send { to, bytes } => {
+                        eat(&[1]);
+                        eat(&to.to_le_bytes());
+                        eat(&bytes.to_bits().to_le_bytes());
+                    }
+                    Op::Recv { from } => {
+                        eat(&[2]);
+                        eat(&from.to_le_bytes());
+                    }
+                    Op::SendRecv { to, bytes, from } => {
+                        eat(&[3]);
+                        eat(&to.to_le_bytes());
+                        eat(&bytes.to_bits().to_le_bytes());
+                        eat(&from.to_le_bytes());
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// Every kernel's programs at 64 and 1,024 ranks (paper class, one
+    /// iteration), pinned op for op: total op count and [`fingerprint`],
+    /// recorded before the builder sized programs exactly. Every rank's
+    /// buffer holds exactly its ops.
+    #[test]
+    fn kernel_programs_match_their_golden_fingerprints() {
+        let golden = [
+            ("BT", 64, 5_376, 0xc9ba_fc11_a1e1_c025),
+            ("CG", 64, 1_912, 0x1137_d375_c169_5035),
+            ("EP", 64, 1_600, 0x0bc3_01d0_e447_a7e5),
+            ("FT", 64, 4_928, 0x4eb1_3b0c_1a6a_bb65),
+            ("IS", 64, 5_696, 0xe9f0_d6d5_448e_4ba5),
+            ("LU", 64, 7_744, 0x2f9f_f12a_dd67_de1d),
+            ("MG", 64, 7_096, 0xb7e0_a63c_e8e2_093d),
+            ("SP", 64, 5_376, 0x0f7a_4ea8_c5d3_99e5),
+            ("BT", 1024, 315_392, 0x33f7_32aa_d332_4925),
+            ("CG", 1024, 49_120, 0xeea9_ea59_6eee_c7b5),
+            ("EP", 1024, 41_984, 0x148d_9017_139e_5525),
+            ("FT", 1024, 1_070_080, 0xea57_3bd1_8524_2f25),
+            ("IS", 1024, 1_090_560, 0xdb29_fda1_0881_c925),
+            ("LU", 1024, 141_312, 0xbf01_b838_b9ae_eb05),
+            ("MG", 1024, 100_280, 0x2f6f_1257_cd6e_55ad),
+            ("SP", 1024, 315_392, 0xce17_a71a_db99_f925),
+        ];
+        for (name, n, ops, fnv) in golden {
+            let b = Benchmark::all()
+                .into_iter()
+                .find(|b| b.name() == name)
+                .unwrap();
+            let progs = b.build(n, b.paper_class(), 1);
+            let total: usize = progs.iter().map(Vec::len).sum();
+            assert_eq!((total, fingerprint(&progs)), (ops, fnv), "{name} at {n}");
+            assert_eq!(progs.capacity(), progs.len(), "{name} at {n}");
+            for (r, p) in progs.iter().enumerate() {
+                assert_eq!(p.capacity(), p.len(), "{name} at {n}: rank {r}");
+            }
+        }
     }
 
     #[test]

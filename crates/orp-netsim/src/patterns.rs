@@ -3,7 +3,8 @@
 //! nearest neighbour, hotspot) as rank programs, complementing the NPB
 //! skeletons for microbenchmark-style topology studies.
 
-use crate::engine::{Op, Program};
+use crate::engine::Program;
+use crate::mpi::ProgramBuilder;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,60 +57,115 @@ impl Pattern {
     /// The destination of `rank` under this pattern (`None` = no send,
     /// e.g. the hotspot target itself).
     pub fn destination(&self, rank: u32, n: u32, seed: u64) -> Option<u32> {
-        match self {
-            Pattern::UniformPermutation => {
-                // deterministic permutation shared by all ranks
-                let mut perm: Vec<u32> = (0..n).collect();
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                perm.shuffle(&mut rng);
-                let d = perm[rank as usize];
-                (d != rank).then_some(d)
-            }
+        self.map(rank, n, &self.permutation(n, seed))
+    }
+
+    /// Every rank's [`destination`](Self::destination), drawing the
+    /// uniform permutation once.
+    fn destinations(&self, n: u32, seed: u64) -> Vec<Option<u32>> {
+        let perm = self.permutation(n, seed);
+        (0..n).map(|r| self.map(r, n, &perm)).collect()
+    }
+
+    /// The seeded permutation shared by all ranks under
+    /// [`Pattern::UniformPermutation`]; empty for the other patterns.
+    fn permutation(&self, n: u32, seed: u64) -> Vec<u32> {
+        if *self != Pattern::UniformPermutation {
+            return Vec::new();
+        }
+        let mut perm: Vec<u32> = (0..n).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        perm.shuffle(&mut rng);
+        perm
+    }
+
+    /// The destination of `rank`, given [`Self::permutation`].
+    fn map(&self, rank: u32, n: u32, perm: &[u32]) -> Option<u32> {
+        let d = match self {
+            Pattern::UniformPermutation => perm[rank as usize],
             Pattern::Transpose => {
                 let side = (n as f64).sqrt() as u32;
                 if side * side != n {
                     return None;
                 }
                 let (i, j) = (rank / side, rank % side);
-                let d = j * side + i;
-                (d != rank).then_some(d)
+                j * side + i
             }
             Pattern::BitReversal => {
                 if !n.is_power_of_two() {
                     return None;
                 }
                 let bits = n.trailing_zeros();
-                let d = rank.reverse_bits() >> (32 - bits);
-                (d != rank).then_some(d)
+                rank.reverse_bits() >> (32 - bits)
             }
             Pattern::BitComplement => {
                 if !n.is_power_of_two() {
                     return None;
                 }
-                let d = !rank & (n - 1);
-                (d != rank).then_some(d)
+                !rank & (n - 1)
             }
-            Pattern::NearestNeighbor => {
-                let d = (rank + 1) % n;
-                (d != rank).then_some(d)
-            }
-            Pattern::Hotspot => (rank != 0).then_some(0),
-        }
+            Pattern::NearestNeighbor => (rank + 1) % n,
+            Pattern::Hotspot => 0,
+        };
+        (d != rank).then_some(d)
     }
 
     /// Builds the programs: every rank sends `bytes` to its destination
-    /// and receives whatever the pattern directs at it, `repeats` times.
+    /// and receives whatever the pattern directs at it, in ascending
+    /// source order, `repeats` times. The destination map and its
+    /// inverse are computed once, so this is linear in `n` per repeat.
     pub fn programs(&self, n: u32, bytes: f64, repeats: usize, seed: u64) -> Vec<Program> {
+        let dest = self.destinations(n, seed);
+        let mut sources = vec![Vec::new(); n as usize];
+        for (src, d) in (0..n).zip(&dest) {
+            if let Some(d) = *d {
+                sources[d as usize].push(src);
+            }
+        }
+        ProgramBuilder::build(n, |b| {
+            for _ in 0..repeats.max(1) {
+                for (r, d) in (0..n).zip(&dest) {
+                    if let Some(d) = *d {
+                        b.send(r, d, bytes);
+                    }
+                }
+                for (r, srcs) in (0..n).zip(&sources) {
+                    for &src in srcs {
+                        b.recv(r, src);
+                    }
+                }
+            }
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{Op, Simulator};
+    use crate::network::Network;
+    use orp_core::construct::random_general;
+
+    /// The construction `programs` replaced: every (receiver, source)
+    /// pair asks [`Pattern::destination`] afresh, O(n³) for the uniform
+    /// permutation.
+    fn reference_programs(
+        p: Pattern,
+        n: u32,
+        bytes: f64,
+        repeats: usize,
+        seed: u64,
+    ) -> Vec<Program> {
         let mut progs: Vec<Program> = vec![Vec::new(); n as usize];
         for _ in 0..repeats.max(1) {
             for r in 0..n {
-                if let Some(d) = self.destination(r, n, seed) {
+                if let Some(d) = p.destination(r, n, seed) {
                     progs[r as usize].push(Op::Send { to: d, bytes });
                 }
             }
             for r in 0..n {
                 for src in 0..n {
-                    if self.destination(src, n, seed) == Some(r) {
+                    if p.destination(src, n, seed) == Some(r) {
                         progs[r as usize].push(Op::Recv { from: src });
                     }
                 }
@@ -117,14 +173,36 @@ impl Pattern {
         }
         progs
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::Simulator;
-    use crate::network::Network;
-    use orp_core::construct::random_general;
+    #[test]
+    fn programs_match_the_pairwise_reference() {
+        // the reference costs O(n³) shuffles: one repeat at 256 ranks
+        for (n, repeats) in [(12u32, 2), (16, 2), (64, 2), (256, 1)] {
+            for seed in [7u64, 8] {
+                for p in Pattern::all() {
+                    let fast = p.programs(n, 1e4, repeats, seed);
+                    assert_eq!(
+                        fast,
+                        reference_programs(p, n, 1e4, repeats, seed),
+                        "{} at n = {n}, seed {seed}",
+                        p.name()
+                    );
+                    assert_eq!(fast.capacity(), fast.len());
+                    assert!(fast.iter().all(|q| q.capacity() == q.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn destinations_agree_with_destination() {
+        for p in Pattern::all() {
+            let all = p.destinations(16, 3);
+            for r in 0..16u32 {
+                assert_eq!(all[r as usize], p.destination(r, 16, 3), "{}", p.name());
+            }
+        }
+    }
 
     fn net16() -> Network {
         let g = random_general(16, 4, 8, 1).unwrap();

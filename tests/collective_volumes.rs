@@ -13,11 +13,10 @@ fn net(n: u32) -> Network {
     Network::builder(&g).build()
 }
 
-fn run(n: u32, f: impl FnOnce(&mut ProgramBuilder)) -> (u64, f64) {
+fn run(n: u32, f: impl Fn(&mut ProgramBuilder)) -> (u64, f64) {
     let net = net(n);
-    let mut b = ProgramBuilder::new(n);
-    f(&mut b);
-    let rep = Simulator::builder(&net).programs(b.build()).run().unwrap();
+    let progs = ProgramBuilder::build(n, f);
+    let rep = Simulator::builder(&net).programs(progs).run().unwrap();
     (rep.flows, rep.bytes)
 }
 
@@ -117,9 +116,8 @@ fn barrier_volume_is_tokens_only() {
 #[test]
 fn reduce_computes_combines() {
     let net = net(16);
-    let mut b = ProgramBuilder::new(16);
-    b.reduce(0, 8000.0);
-    let rep = Simulator::builder(&net).programs(b.build()).run().unwrap();
+    let progs = ProgramBuilder::build(16, |b| b.reduce(0, 8000.0));
+    let rep = Simulator::builder(&net).programs(progs).run().unwrap();
     // 15 combine steps of bytes/8 flops each
     assert!((rep.flops - 15.0 * 1000.0).abs() < 1e-6);
 }

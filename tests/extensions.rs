@@ -116,13 +116,8 @@ fn ecmp_never_slower_than_single_path_on_fat_tree_alltoall() {
                 ..Default::default()
             })
             .build();
-        let mut b = orp::netsim::mpi::ProgramBuilder::new(128);
-        b.alltoall(64.0 * 1024.0);
-        Simulator::builder(&net)
-            .programs(b.build())
-            .run()
-            .unwrap()
-            .time
+        let progs = orp::netsim::mpi::ProgramBuilder::build(128, |b| b.alltoall(64.0 * 1024.0));
+        Simulator::builder(&net).programs(progs).run().unwrap().time
     };
     let single = mk(RouteMode::SinglePath);
     let ecmp = mk(RouteMode::Ecmp);

@@ -96,10 +96,28 @@ fn is_the_final_stall(e: &SimError) -> bool {
         if blocked_ranks.len() == 1 && blocked_ranks[0].rank == RANKS)
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("orp-sim-ckpt-fuzz-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(format!("{tag}.orp"))
+/// A fresh scratch directory under the system temp dir, removed with
+/// everything in it when the guard drops (a failing case included).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("orp-sim-ckpt-fuzz-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        Self(dir)
+    }
+
+    /// The checkpoint file in this directory.
+    fn checkpoint(&self) -> PathBuf {
+        self.0.join("sim.orp")
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The checkpoint payload saved halfway through the run under `mode`,
@@ -108,7 +126,8 @@ fn temp_path(tag: &str) -> PathBuf {
 /// whatever flows it restored.
 fn base_payload(mode: SharingMode) -> (Vec<u8>, FaultEvent) {
     let net = network();
-    let path = temp_path(&format!("base-{}", mode.name().replace(' ', "-")));
+    let dir = TempDir::new(&format!("base-{}", mode.name().replace(' ', "-")));
+    let path = dir.checkpoint();
     let bench = Benchmark::Is;
     let healthy = Simulator::builder(&net)
         .programs(bench.build(RANKS, bench.paper_class(), 1))
@@ -136,7 +155,6 @@ fn base_payload(mode: SharingMode) -> (Vec<u8>, FaultEvent) {
     );
     let clean = simulator(&net, mode, fault).resume_from(&path).run();
     assert!(is_the_final_stall(clean.as_ref().unwrap_err()), "{clean:?}");
-    std::fs::remove_file(&path).ok();
     (payload, fault)
 }
 
@@ -258,7 +276,8 @@ proptest! {
         let mut section = payload[range.1..range.2].to_vec();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let what: Vec<String> = (0..rounds).map(|_| mutate(&mut section, &mut rng)).collect();
-        let path = temp_path(&format!("case-{seed:x}"));
+        let dir = TempDir::new(&format!("case-{seed:x}"));
+        let path = dir.checkpoint();
         ckpt::write_checkpoint(&path, ckpt::KIND_SIM, &splice(payload, range, &section))
             .expect("write the damaged checkpoint");
         let net = network();
@@ -267,7 +286,6 @@ proptest! {
             simulator(&net, mode, *fault).resume_from(&path).run()
         }));
         let largest = LARGEST.load(Ordering::Relaxed);
-        std::fs::remove_file(&path).ok();
         let section_name = ["flow", "queue", "model"][which];
         let case = format!("{} {section_name} section, {what:?}", mode.name());
         prop_assert!(outcome.is_ok(), "{case}: the resume panicked");

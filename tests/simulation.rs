@@ -12,13 +12,8 @@ use orp::topo::prelude::*;
 
 fn alltoall_time(g: &orp::core::HostSwitchGraph, ranks: u32, bytes: f64) -> f64 {
     let net = Network::builder(g).build();
-    let mut b = ProgramBuilder::new(ranks);
-    b.alltoall(bytes);
-    Simulator::builder(&net)
-        .programs(b.build())
-        .run()
-        .unwrap()
-        .time
+    let progs = ProgramBuilder::build(ranks, |b| b.alltoall(bytes));
+    Simulator::builder(&net).programs(progs).run().unwrap().time
 }
 
 #[test]
@@ -136,29 +131,30 @@ fn contention_slows_shared_links() {
     }
     let net = Network::builder(&g).build();
     let bytes = 10e6;
-    let mut pb = ProgramBuilder::new(4);
     // hosts 0,1 on switch 0; hosts 2,3 on switch 1
-    pb.raw(0, orp::netsim::Op::Send { to: 2, bytes });
-    pb.raw(1, orp::netsim::Op::Send { to: 3, bytes });
-    pb.raw(
-        2,
-        orp::netsim::Op::SendRecv {
-            to: 0,
-            bytes,
-            from: 0,
-        },
-    );
-    pb.raw(
-        3,
-        orp::netsim::Op::SendRecv {
-            to: 1,
-            bytes,
-            from: 1,
-        },
-    );
-    pb.raw(0, orp::netsim::Op::Recv { from: 2 });
-    pb.raw(1, orp::netsim::Op::Recv { from: 3 });
-    let rep = Simulator::builder(&net).programs(pb.build()).run().unwrap();
+    let progs = ProgramBuilder::build(4, |pb| {
+        pb.raw(0, orp::netsim::Op::Send { to: 2, bytes });
+        pb.raw(1, orp::netsim::Op::Send { to: 3, bytes });
+        pb.raw(
+            2,
+            orp::netsim::Op::SendRecv {
+                to: 0,
+                bytes,
+                from: 0,
+            },
+        );
+        pb.raw(
+            3,
+            orp::netsim::Op::SendRecv {
+                to: 1,
+                bytes,
+                from: 1,
+            },
+        );
+        pb.raw(0, orp::netsim::Op::Recv { from: 2 });
+        pb.raw(1, orp::netsim::Op::Recv { from: 3 });
+    });
+    let rep = Simulator::builder(&net).programs(progs).run().unwrap();
     let cfg = net.config();
     let one_flow = bytes / cfg.bandwidth;
     // 2 flows per direction share each unidirectional link: 2× serialization
