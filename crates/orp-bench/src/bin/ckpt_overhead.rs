@@ -10,11 +10,12 @@
 //! run performs. Results are asserted bit-identical across all variants
 //! (writing snapshots must never perturb a run). The acceptance bar is
 //! ≤ 2% at the default strides and the bin exits non-zero above it; the
-//! measured numbers land in `results/BENCH_ckpt_overhead.json`. The
+//! measured numbers land in `results/BENCH_ckpt_overhead.json`, stamped
+//! with their provenance. The
 //! workloads are sized so that one ~0.5 ms save stays well inside the
 //! bar's resolution: a 20 ms run cannot carry a 2% bar.
 
-use orp_bench::write_json;
+use orp_bench::Stamp;
 use orp_core::anneal::{Anneal, SaConfig, DEFAULT_CHECKPOINT_EVERY};
 use orp_core::construct::random_general;
 use orp_netsim::npb::{Benchmark, Class};
@@ -164,6 +165,8 @@ fn sim_row(bench: Benchmark, iters: usize, reps: usize, dir: &std::path::Path) -
 const BAR_PCT: f64 = 2.0;
 
 fn main() -> ExitCode {
+    let started = Instant::now();
+    let stamp = Stamp::new();
     let dir = std::env::temp_dir().join(format!("orp-ckpt-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create ckpt dir");
     let rows = vec![
@@ -186,7 +189,7 @@ fn main() -> ExitCode {
         .map(|r| r.overhead_pct_at_default_stride)
         .fold(f64::NEG_INFINITY, f64::max);
     println!("worst overhead: {worst:+.3}% (bar: <= {BAR_PCT}%)");
-    let path = write_json("BENCH_ckpt_overhead", &rows);
+    let path = stamp.write("BENCH_ckpt_overhead", Vec::new(), started, &rows);
     println!("wrote {}", path.display());
     std::fs::remove_dir_all(&dir).ok();
     if worst > BAR_PCT {

@@ -4,21 +4,20 @@
 //! touches, which at this density is most of the network, and is
 //! quadratic at this scale — the whole point of the pluggable model).
 //!
-//! Writes `results/BENCH_eventsim.json` with one row per flow count:
-//! makespan, event-queue throughput (events/sec of wall time), peak
-//! queue depth, compaction counters, the cancellation (tombstone)
-//! ratio, and the process peak RSS. Knobs:
+//! The fabric is `random_general(256, 64, 16, 7)` and the workload seed
+//! 42, the ledger's `openloop-1m` at `--seed 1`. Writes
+//! `results/BENCH_eventsim.json`, stamped with its provenance, with one
+//! row per flow count: makespan, event-queue throughput (events/sec of
+//! wall time), peak queue depth, compaction counters, the cancellation
+//! (tombstone) ratio, and the process peak RSS. Knobs:
 //!
 //! * `ORP_EVENTSIM_FLOWS` — comma-separated injected flow counts
 //!   (default `120000,1000000`).
-//! * `ORP_EVENTSIM_HOSTS` — fabric size (default 256 hosts; switches
-//!   and radix scale with it).
-//! * `ORP_EVENTSIM_SEED` — workload RNG seed (default 42).
 //! * `ORP_EVENTSIM_BUDGET_S` — wall-clock budget in seconds per row;
 //!   the run fails if simulation exceeds it (default 300, CI smoke
 //!   uses less).
 
-use orp_bench::write_json;
+use orp_bench::Stamp;
 use orp_core::construct::random_general;
 use orp_netsim::network::Network;
 use orp_netsim::{InjectedFlow, SharingMode, Simulator};
@@ -26,6 +25,17 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::time::Instant;
+
+/// Hosts of the fabric.
+const HOSTS: u32 = 256;
+/// Switches of the fabric.
+const SWITCHES: u32 = 64;
+/// Ports per switch.
+const RADIX: u32 = 16;
+/// Seed of the fabric.
+const FABRIC_SEED: u64 = 7;
+/// Seed of the injected flows.
+const SEED: u64 = 42;
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -98,16 +108,12 @@ fn peak_rss_bytes() -> u64 {
 }
 
 fn main() {
+    let started = Instant::now();
+    let stamp = Stamp::new();
     let flow_counts = env_list("ORP_EVENTSIM_FLOWS", &[120_000, 1_000_000]);
-    let hosts: u32 = env_num("ORP_EVENTSIM_HOSTS", 256);
-    let seed: u64 = env_num("ORP_EVENTSIM_SEED", 42);
     let budget_s: f64 = env_num("ORP_EVENTSIM_BUDGET_S", 300.0);
 
-    // switch count and radix scale with the fabric so the topology
-    // stays feasible at any ORP_EVENTSIM_HOSTS
-    let switches = (hosts / 4).max(2);
-    let radix = 8 + hosts / 32;
-    let g = random_general(hosts, switches, radix, 7).expect("feasible fabric");
+    let g = random_general(HOSTS, SWITCHES, RADIX, FABRIC_SEED).expect("feasible fabric");
     let net = Network::builder(&g).build();
 
     let mut rows = Vec::new();
@@ -115,13 +121,13 @@ fn main() {
         // all flows released within 1 ms; a 1 MB flow needs ≥0.2 ms solo
         // and far longer under this contention, so nearly all stream at
         // once
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
         let flows: Vec<InjectedFlow> = (0..n_flows)
             .map(|_| {
-                let src = rng.gen_range(0..hosts);
-                let mut dst = rng.gen_range(0..hosts);
+                let src = rng.gen_range(0..HOSTS);
+                let mut dst = rng.gen_range(0..HOSTS);
                 while dst == src {
-                    dst = rng.gen_range(0..hosts);
+                    dst = rng.gen_range(0..HOSTS);
                 }
                 InjectedFlow {
                     at: rng.gen_range(0u32..1_000_000) as f64 * 1e-9,
@@ -193,11 +199,11 @@ fn main() {
 
     let bench = EventSimBench {
         sharing: SharingMode::ApproxFair.name().into(),
-        hosts,
-        switches,
-        seed,
+        hosts: HOSTS,
+        switches: SWITCHES,
+        seed: SEED,
         rows,
     };
-    let path = write_json("BENCH_eventsim", &bench);
+    let path = stamp.write("BENCH_eventsim", Vec::new(), started, &bench);
     println!("wrote {}", path.display());
 }

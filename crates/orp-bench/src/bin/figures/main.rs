@@ -18,7 +18,7 @@ mod extra;
 mod paper;
 mod telemetry;
 
-use orp_bench::{bandwidth_series, check_topology, write_json, CutPoint};
+use orp_bench::{bandwidth_series, check_topology, CutPoint, Stamp};
 use orp_core::anneal::{MoveKind, SaConfig, SaResult};
 use orp_core::bounds::optimal_switch_count;
 use orp_core::graph::HostSwitchGraph;
@@ -33,7 +33,7 @@ use orp_topo::attach::relabel_hosts_dfs;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -97,24 +97,13 @@ const ARTIFACTS: [Artifact; 16] = [
     ("latency_attrib", telemetry::latency_attrib),
 ];
 
-#[derive(Serialize)]
-struct Provenance {
-    rev: String,
-    dirty: bool,
-    budget: &'static str,
-    seed: u64,
-    nproc: usize,
-    /// Seconds from the start of this artifact to its write; a solve or
-    /// simulation shared with an earlier artifact is charged to that one.
-    wall_s: f64,
-}
-
 /// One run's budget and its memo tables.
 pub(crate) struct Job {
     pub budget: &'static Budget,
-    rev: String,
-    dirty: bool,
-    nproc: usize,
+    stamp: Stamp,
+    /// Start of the current artifact: its provenance's `wall_s` runs
+    /// from here to its write, so a solve or simulation shared with an
+    /// earlier artifact is charged to that one.
     started: Instant,
     solves: HashMap<String, Option<Rc<SaResult>>>,
     graphs: HashMap<String, Rc<HostSwitchGraph>>,
@@ -126,24 +115,11 @@ pub(crate) struct Job {
     pub traced: HashMap<String, Rc<telemetry::Traced>>,
 }
 
-fn git(args: &[&str]) -> Option<String> {
-    let out = Command::new("git")
-        .arg("-C")
-        .arg(env!("CARGO_MANIFEST_DIR"))
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())?;
-    Some(String::from_utf8_lossy(&out.stdout).trim().to_string())
-}
-
 impl Job {
     fn new(budget: &'static Budget) -> Self {
         Self {
             budget,
-            rev: git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()),
-            dirty: git(&["status", "--porcelain"]).is_none_or(|s| !s.is_empty()),
-            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            stamp: Stamp::new(),
             started: Instant::now(),
             solves: HashMap::new(),
             graphs: HashMap::new(),
@@ -290,21 +266,14 @@ impl Job {
         cuts
     }
 
-    /// Writes `results/<name>.json` stamped with this run's provenance.
+    /// Writes `results/<name>.json` stamped with this run's provenance,
+    /// the budget's name and seed among its settings.
     pub fn write<T: Serialize>(&self, name: &str, data: &T) {
-        let provenance = Provenance {
-            rev: self.rev.clone(),
-            dirty: self.dirty,
-            budget: self.budget.name,
-            seed: self.budget.seed,
-            nproc: self.nproc,
-            wall_s: self.started.elapsed().as_secs_f64(),
-        };
-        let stamped = serde::Value::Object(vec![
-            ("provenance".into(), provenance.to_value()),
-            ("data".into(), data.to_value()),
-        ]);
-        let path = write_json(name, &stamped);
+        let settings = vec![
+            ("budget", self.budget.name.to_value()),
+            ("seed", self.budget.seed.to_value()),
+        ];
+        let path = self.stamp.write(name, settings, self.started, data);
         println!("wrote {}", path.display());
     }
 }

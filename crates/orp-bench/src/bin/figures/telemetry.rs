@@ -144,6 +144,21 @@ fn healthy_cg(job: &mut Job, key: &str, g: &HostSwitchGraph) -> (Rc<Traced>, Sim
     (run, report)
 }
 
+/// The makespan of CG on `g` at one rank per host with the fabric link
+/// `{s, t}` dead from the start, or `None` when that partitions it.
+fn cg_without_link(job: &Job, g: &HostSwitchGraph, (s, t): (u32, u32)) -> Option<f64> {
+    let mut faults = FaultSet::new();
+    faults.fail_link(s, t);
+    let net = Network::builder(g).faults(&faults).build();
+    let programs = Benchmark::Cg.build(
+        g.num_hosts(),
+        Benchmark::Cg.paper_class(),
+        job.budget.npb_iters,
+    );
+    let report = Simulator::builder(&net).programs(programs).run();
+    report.ok().map(|r| r.time)
+}
+
 /// Mop/s of a simulation report.
 fn mops(rep: &SimReport) -> f64 {
     rep.flops / rep.time.max(1e-30) / 1e6
@@ -189,6 +204,9 @@ struct MidRun {
     slowdown: Option<f64>,
     /// Structured error when it does not (partition), as a string.
     error: Option<String>,
+    /// CG makespan with the same link dead from t = 0, every route
+    /// computed around it (`None` when that partitions the ranks).
+    dead_from_start_time: Option<f64>,
 }
 
 /// Per-rate aggregate across seeds.
@@ -292,8 +310,9 @@ fn samples(job: &Job, g: &HostSwitchGraph, healthy: &SimReport) -> Vec<Sample> {
 /// independently), plus CG with its busiest fabric link dying at its
 /// peak of fabric traffic ([`fault_targets`], the rule of `sim_compat`'s
 /// fault rows) — the run completes over recomputed routes or reports
-/// the partition, never hangs. The proposed topology's mid-run scenario
-/// is exported as a metrics stream.
+/// the partition, never hangs — and, beside it, CG with that link dead
+/// from the start. The proposed topology's mid-run scenario is exported
+/// as a metrics stream.
 pub fn resilience(job: &mut Job) {
     println!(
         "resilience sweep: n=128, rates {:?}, seeds {:?}",
@@ -328,6 +347,7 @@ pub fn resilience(job: &mut Job) {
             faulted_time: faulted.map(|r| r.time),
             slowdown: faulted.map(|r| r.time / healthy.time),
             error: run.report.as_ref().err().map(|e| e.to_string()),
+            dead_from_start_time: cg_without_link(job, &g, (s, t)),
         };
         stream.get_or_insert_with(|| run.rec.clone());
         let aggregates = job
@@ -381,8 +401,12 @@ pub fn resilience(job: &mut Job) {
             (Some(s), _) => format!("completed, slowdown {s:.3}x"),
             (None, e) => e.clone().unwrap_or_default(),
         };
+        let from_start = m.dead_from_start_time.map_or("partitioned".into(), |d| {
+            format!("{:.3}x", d / m.healthy_time)
+        });
         println!(
-            "{:<20} link {:?} died at t={:.4e} ({:.0}% of the healthy makespan): {outcome}",
+            "{:<20} link {:?} died at t={:.4e} ({:.0}% of the healthy makespan): {outcome}; \
+             dead from t=0: {from_start}",
             t.summary.name,
             m.link,
             m.at,

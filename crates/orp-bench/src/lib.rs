@@ -12,7 +12,9 @@
 //! This library holds what the bins and the tests share: the
 //! partitioner view of a host-switch graph and the bandwidth series of
 //! panels (b), the topology oracles, where a mid-run fault hurts a
-//! recorded run, and the atomic artifact writer.
+//! recorded run, the atomic artifact writer and the provenance stamp
+//! (commit, tree state, settings, `nproc`, wall time) that the figure
+//! job, `ckpt_overhead` and `eventsim_scale` put on their artifacts.
 //!
 //! Performance has one harness, the `perf_ledger` bin (its own
 //! README). Two measurement bins cover what it does not run:
@@ -31,6 +33,8 @@ use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
+use std::process::Command;
+use std::time::Instant;
 
 /// Converts a host-switch graph into the partitioner's format over
 /// `V = H ∪ S` (hosts first), unit weights — the §6.2.2 setup.
@@ -186,6 +190,71 @@ pub fn fault_targets(g: &HostSwitchGraph, snap: &Snapshot) -> (f64, Vec<NetFault
 fn busiest<K: Copy + Ord>(uses: &BTreeMap<K, u32>) -> Option<K> {
     let (&k, _) = uses.iter().max_by_key(|(&k, &v)| (v, Reverse(k)))?;
     Some(k)
+}
+
+/// Where an artifact comes from: the commit of this crate's checkout,
+/// whether that checkout had uncommitted changes, and the machine's
+/// `nproc`. [`Stamp::write`] puts it, with the run's settings and wall
+/// time, in front of the artifact's data.
+pub struct Stamp {
+    rev: String,
+    dirty: bool,
+    nproc: usize,
+}
+
+/// `git <args>` in this crate's checkout, or `None` when it fails.
+fn git(args: &[&str]) -> Option<String> {
+    let out = Command::new("git")
+        .arg("-C")
+        .arg(env!("CARGO_MANIFEST_DIR"))
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())?;
+    Some(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+impl Stamp {
+    /// Reads the commit and the tree state (`rev` "unknown" and dirty
+    /// where `git` is unavailable) and the machine's parallelism.
+    pub fn new() -> Self {
+        Self {
+            rev: git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()),
+            dirty: git(&["status", "--porcelain"]).is_none_or(|s| !s.is_empty()),
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// Writes `results/<name>.json` as `{"provenance": …, "data": …}`
+    /// (see [`write_json`]) and returns the path. The provenance holds
+    /// `rev`, `dirty`, the run's `settings` in order, `nproc` and
+    /// `wall_s`, the seconds since `started`.
+    pub fn write<T: Serialize>(
+        &self,
+        name: &str,
+        settings: Vec<(&str, serde::Value)>,
+        started: Instant,
+        data: &T,
+    ) -> PathBuf {
+        let mut provenance = vec![
+            ("rev".into(), self.rev.to_value()),
+            ("dirty".into(), self.dirty.to_value()),
+        ];
+        provenance.extend(settings.into_iter().map(|(k, v)| (k.to_string(), v)));
+        provenance.push(("nproc".into(), self.nproc.to_value()));
+        provenance.push(("wall_s".into(), started.elapsed().as_secs_f64().to_value()));
+        let stamped = serde::Value::Object(vec![
+            ("provenance".into(), serde::Value::Object(provenance)),
+            ("data".into(), data.to_value()),
+        ]);
+        write_json(name, &stamped)
+    }
+}
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Writes a JSON artifact under `results/` (created on demand), and

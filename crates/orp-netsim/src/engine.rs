@@ -30,7 +30,6 @@ use orp_core::graph::Host;
 use orp_core::watchdog::{WatchSource, Watchdog, WatchdogConfig};
 use orp_obs::{Event as ObsEvent, FaultKind, FlowStage, Recorder, StreamSink};
 use orp_route::RoutingTable;
-use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -234,6 +233,11 @@ pub struct InjectedFlow {
     pub bytes: f64,
 }
 
+const _: () = assert!(
+    size_of::<InjectedFlow>() == 24,
+    "one cursor entry per injection"
+);
+
 /// Simulation outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct SimReport {
@@ -294,18 +298,20 @@ pub struct Simulator<'a> {
     dead_host: Vec<bool>,
     fault_table: Option<RoutingTable>,
     // open-loop injection cursor: injections never enter the event
-    // heap — they are released from this sorted cursor, merged with the
-    // queue by `(time, seq)`, which keeps the heap cache-hot at
-    // million-flow scale (see DESIGN.md §9)
+    // heap — they are released from this cursor, merged with the queue
+    // by `(time, seq)`, which keeps the heap cache-hot at million-flow
+    // scale (see DESIGN.md §9b)
+    /// The injections in input order until `run` starts; from then on
+    /// the unreleased ones, stably sorted by release time and reversed,
+    /// so the next release is the last entry. Each release pops it, and
+    /// the buffer shrinks each time half of it has been released.
     injections: Vec<InjectedFlow>,
-    /// Injection indices stably sorted by release time — the cursor's
-    /// iteration order (for equal times, input order, which is also
-    /// sequence order).
-    inj_order: Vec<u32>,
-    /// Cursor position: next entry of `inj_order` to release.
-    inj_next: usize,
+    /// Injections in the configuration (released or not).
+    inj_total: usize,
     /// First of the sequence numbers reserved from the queue for the
     /// injection list (injection `i` carries seq `inj_seq_base + i`).
+    /// Every queued event's seq lies outside the block, so a release
+    /// orders against it by the block's base alone.
     inj_seq_base: u64,
     injected_live: usize,
     // telemetry (no-op recorder unless attached; never feeds back into
@@ -328,8 +334,10 @@ pub struct Simulator<'a> {
     /// CRC over the full immutable configuration (programs, placement,
     /// injections, sharing mode, network parameters); echoed into every
     /// checkpoint so a snapshot can never silently resume under a
-    /// different setup. Computed on first use (see [`Simulator::cfg_crc`]).
-    cfg_crc: OnceCell<u32>,
+    /// different setup. Computed when a run that saves or resumes starts,
+    /// before the cursor reorders the injections; 0 in any other run,
+    /// which never reads it.
+    cfg_crc: u32,
     ckpt_path: Option<PathBuf>,
     ckpt_every: u64,
     last_ckpt_events: u64,
@@ -588,9 +596,8 @@ impl<'a> Simulator<'a> {
             dead_link: vec![false; nl],
             dead_host,
             fault_table: None,
+            inj_total: injections.len(),
             injections,
-            inj_order: Vec::new(),
-            inj_next: 0,
             inj_seq_base: 0,
             injected_live: 0,
             tel: LinkStats::new(rec.clone(), nl),
@@ -599,7 +606,7 @@ impl<'a> Simulator<'a> {
             finished_scratch: Vec::new(),
             route_scratch: Vec::new(),
             sharing,
-            cfg_crc: OnceCell::new(),
+            cfg_crc: 0,
             ckpt_path: None,
             ckpt_every: SIM_CKPT_EVERY_DEFAULT,
             last_ckpt_events: 0,
@@ -675,10 +682,10 @@ impl<'a> Simulator<'a> {
                 hash: hash as u32,
                 active: false,
                 finished: false,
-                bytes: bytes.max(0.0),
                 injected,
             },
             FlowAux {
+                bytes: bytes.max(0.0),
                 created: self.now,
                 prop: delay,
                 active_time: 0.0,
@@ -724,17 +731,19 @@ impl<'a> Simulator<'a> {
         Ok(())
     }
 
-    /// Releases the open-loop injection at cursor position `pos` (its
-    /// release time has come up in the `(time, seq)` merge with the
-    /// event queue).
-    fn release_injection(&mut self, pos: usize) -> Result<(), SimError> {
-        let idx = self.inj_order[pos];
+    /// Releases the cursor's next injection (its release time has come
+    /// up in the `(time, seq)` merge with the event queue).
+    fn release_injection(&mut self) -> Result<(), SimError> {
+        let inj = self.injections.pop().expect("an injection is due");
+        if self.injections.len() * 2 <= self.injections.capacity() {
+            // the released half goes back to the allocator
+            self.injections.shrink_to_fit();
+        }
         self.queue.note_external_processed();
         if self.rec.is_enabled() {
             self.rec
                 .record("sim.event_queue_depth", self.queue.len() as u64);
         }
-        let inj = self.injections[idx as usize];
         if inj.src == inj.dst {
             // degenerate same-host demand: delivered by definition,
             // consumes no flow sequence number
@@ -831,8 +840,8 @@ impl<'a> Simulator<'a> {
         let (src, dst, injected) = (f.src, f.dst, f.injected);
         if self.rec.is_enabled() {
             let f = &self.flows[fid];
-            let bytes = f.bytes;
             let FlowAux {
+                bytes,
                 created,
                 prop,
                 active_time,
@@ -1032,22 +1041,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The configuration fingerprint, computed once per simulator when a
-    /// save or a resume first needs it: encoding every op of every
-    /// program and every injection costs more than the rest of a
-    /// million-flow build, and a run without checkpoints never reads it.
-    fn cfg_crc(&self) -> u32 {
-        *self.cfg_crc.get_or_init(|| {
-            config_fingerprint(
-                self.net,
-                self.ranks.programs(),
-                &self.placement,
-                &self.injections,
-                self.sharing,
-            )
-        })
-    }
-
     /// Snapshots the complete mutable simulation state. Only valid at
     /// the top of the event loop (the quiescent boundary `run` saves
     /// at): every in-flight state transition is then either fully in
@@ -1064,7 +1057,7 @@ impl<'a> Simulator<'a> {
         let mut model = Encoder::new();
         self.model.encode_state(&mut model, &self.flows);
         SimCheckpoint {
-            cfg_crc: self.cfg_crc(),
+            cfg_crc: self.cfg_crc,
             num_ranks: self.ranks.len() as u32,
             faults: faults.into_bytes(),
             now: self.now,
@@ -1075,7 +1068,8 @@ impl<'a> Simulator<'a> {
             flow_seq: self.flow_seq,
             faults_struck: self.faults_struck as u64,
             injected_live: self.injected_live as u64,
-            inj_next: self.inj_next as u64,
+            // the cursor position: injections released so far
+            inj_next: (self.inj_total - self.injections.len()) as u64,
             inj_seq_base: self.inj_seq_base,
             dead_link: self.dead_link.clone(),
             dead_host: self.dead_host.clone(),
@@ -1090,10 +1084,11 @@ impl<'a> Simulator<'a> {
     /// Restores a freshly built simulator to the snapshotted state,
     /// validating the snapshot against this simulator's configuration
     /// (it must have been built with identical programs, placement,
-    /// faults, injections, sharing mode, and network).
+    /// faults, injections, sharing mode, and network). The cursor must
+    /// hold every injection, sorted; the released ones are dropped.
     fn restore(&mut self, ck: SimCheckpoint) -> Result<(), CkptError> {
         let bad = |what: &str| CkptError::BadSection(format!("simulator: {what}"));
-        if ck.cfg_crc != self.cfg_crc() {
+        if ck.cfg_crc != self.cfg_crc {
             return Err(bad(
                 "configuration does not match the checkpoint (programs/placement/\
                  injections/sharing/network must be identical)",
@@ -1122,7 +1117,7 @@ impl<'a> Simulator<'a> {
         // re-issue keeps the flow's id), and one queue slot per event
         // that can be live at once (an activation per flow, a compute
         // timer per rank, each fault, a model event per link)
-        let max_flows = self.ranks.sends() + self.injections.len();
+        let max_flows = self.ranks.sends() + self.inj_total;
         let max_events = max_flows + self.ranks.len() + self.fault_events.len() + nl;
         let mut fdec = Decoder::new(&ck.flows);
         let flows = FlowTable::decode(
@@ -1141,7 +1136,7 @@ impl<'a> Simulator<'a> {
         }
         let mut qdec = Decoder::new(&ck.queue);
         let queue = decode_queue(&mut qdec, max_events)?;
-        for (_, _, _, _, ev) in queue.live_entries() {
+        for (_, seq, _, _, ev) in queue.live_entries() {
             let ok = match *ev {
                 Event::Activate(fid) => fid < flows.next_id(),
                 Event::ComputeDone(r) => (r as usize) < self.ranks.len(),
@@ -1151,9 +1146,18 @@ impl<'a> Simulator<'a> {
             if !ok {
                 return Err(bad("queued event addresses a component out of range"));
             }
+            // the injections' block was reserved whole: every event was
+            // scheduled before it or after it, which is what lets the
+            // cursor merge by the block's base
+            if seq
+                .checked_sub(ck.inj_seq_base)
+                .is_some_and(|k| k < self.inj_total as u64)
+            {
+                return Err(bad("queued event inside the injections' sequence block"));
+            }
         }
         // each injection is pending on the cursor, in flight, or done
-        let unreleased = (self.injections.len() as u64).checked_sub(ck.inj_next);
+        let unreleased = (self.inj_total as u64).checked_sub(ck.inj_next);
         let in_flight = flows.iter().filter(|(_, f)| !f.finished && f.injected);
         if unreleased.map(|u| u + in_flight.count() as u64) != Some(ck.injected_live) {
             return Err(bad(
@@ -1172,7 +1176,10 @@ impl<'a> Simulator<'a> {
         self.flow_seq = ck.flow_seq;
         self.faults_struck = ck.faults_struck as usize;
         self.injected_live = ck.injected_live as usize;
-        self.inj_next = ck.inj_next as usize;
+        // the released injections sit at the end of the reversed cursor
+        self.injections
+            .truncate(self.inj_total - ck.inj_next as usize);
+        self.injections.shrink_to_fit();
         self.inj_seq_base = ck.inj_seq_base;
         self.dead_link = ck.dead_link;
         self.dead_host = ck.dead_host;
@@ -1217,10 +1224,8 @@ impl<'a> Simulator<'a> {
             .gauge("sim.events_processed", self.queue.processed() as f64);
         self.rec
             .gauge("sim.event_queue_depth", self.queue.len() as f64);
-        self.rec.gauge(
-            "sim.injections_pending",
-            self.inj_order.len().saturating_sub(self.inj_next) as f64,
-        );
+        self.rec
+            .gauge("sim.injections_pending", self.injections.len() as f64);
         self.rec.gauge("sim.flows_done", self.total_flows as f64);
         self.rec.gauge("sim.bytes", self.total_bytes);
         self.rec.gauge("sim.peak_flows", self.peak_flows as f64);
@@ -1271,7 +1276,25 @@ impl<'a> Simulator<'a> {
             });
         }
         let _span = self.rec.span("sim.run");
-        if let Some(p) = self.resume_from.take() {
+        let resume = self.resume_from.take();
+        if resume.is_some() || self.ckpt_path.is_some() {
+            // the fingerprint's only readers are saves and resumes, and
+            // it covers the injections in input order: hash them before
+            // the cursor reorders and consumes them
+            self.cfg_crc = config_fingerprint(
+                self.net,
+                self.ranks.programs(),
+                &self.placement,
+                &self.injections,
+                self.sharing,
+            );
+        }
+        // the cursor, identical on fresh runs and resumes: sorted by
+        // release time with equal times in input (= sequence) order,
+        // then reversed, so each release pops the last entry
+        self.injections.sort_by_key(|inj| time_sort_bits(inj.at));
+        self.injections.reverse();
+        if let Some(p) = resume {
             let ck = SimCheckpoint::load(&p)?;
             self.restore(ck)?;
         } else {
@@ -1283,28 +1306,13 @@ impl<'a> Simulator<'a> {
             // numbers (so they order against queued events exactly as
             // if scheduled here) and release them from the sorted
             // cursor instead — a million-flow open-loop scenario costs
-            // one sort, not a million heap entries
-            self.inj_seq_base = self.queue.reserve_seqs(self.injections.len() as u64);
-            self.injected_live += self.injections.len();
-            self.flows.reserve(self.injections.len());
+            // one sort, not a million heap entries. The flow table's
+            // reservation also sizes the approximate model's slots.
+            self.inj_seq_base = self.queue.reserve_seqs(self.inj_total as u64);
+            self.injected_live += self.inj_total;
+            self.flows.reserve(self.inj_total);
             self.ranks.enqueue_all();
         }
-        // the cursor's iteration order is derived state, rebuilt
-        // identically on fresh runs and resumes: sorted by release
-        // time with equal times in input (= sequence) order. Sorting
-        // (integer time key, index) pairs keeps the comparator free of
-        // random `injections` lookups — at a million entries that is
-        // several times faster than an index sort with a deref key —
-        // and the index tie-break makes the key total, so the unstable
-        // sort gives exactly the stable-sort order.
-        let mut keyed: Vec<(u64, u32)> = self
-            .injections
-            .iter()
-            .enumerate()
-            .map(|(i, inj)| (time_sort_bits(inj.at), i as u32))
-            .collect();
-        keyed.sort_unstable();
-        self.inj_order = keyed.into_iter().map(|(_, i)| i).collect();
         let watchdog = self.watchdog.map(|window| {
             Watchdog::spawn(
                 WatchdogConfig::new(window).source(WatchSource::Sim),
@@ -1380,8 +1388,8 @@ impl<'a> Simulator<'a> {
                 Some(et) => et.min(flow_t),
                 None => flow_t,
             };
-            if let Some(&i) = self.inj_order.get(self.inj_next) {
-                next_t = next_t.min(self.injections[i as usize].at);
+            if let Some(inj) = self.injections.last() {
+                next_t = next_t.min(inj.at);
             }
             if !next_t.is_finite() {
                 return Err(self.no_progress_error());
@@ -1407,25 +1415,26 @@ impl<'a> Simulator<'a> {
             }
             // 4b. pop due events, merging queued events with cursor
             // releases by their total (time, seq) order — exactly the
-            // order the heap would deliver if the injections were in it
+            // order the heap would deliver if the injections were in it.
+            // Every queued seq lies below the injections' block or above
+            // it, so the block's base orders a release against the queue
+            // as its own seq (`inj_seq_base` + input index) would
             loop {
                 let deadline = self.now + 1e-15;
-                let inj_key = self
-                    .inj_order
-                    .get(self.inj_next)
-                    .map(|&i| (self.injections[i as usize].at, self.inj_seq_base + i as u64))
-                    .filter(|&(t, _)| t <= deadline);
-                let take_inj = match (inj_key, self.queue.peek_key()) {
-                    (Some((it, iseq)), Some((qt, qseq))) => {
-                        (TimeKey(it), iseq) < (TimeKey(qt), qseq)
+                let inj_t = self
+                    .injections
+                    .last()
+                    .map(|inj| inj.at)
+                    .filter(|&t| t <= deadline);
+                let take_inj = match (inj_t, self.queue.peek_key()) {
+                    (Some(it), Some((qt, qseq))) => {
+                        (TimeKey(it), self.inj_seq_base) < (TimeKey(qt), qseq)
                     }
                     (Some(_), None) => true,
                     (None, _) => false,
                 };
                 if take_inj {
-                    let pos = self.inj_next;
-                    self.inj_next += 1;
-                    self.release_injection(pos)?;
+                    self.release_injection()?;
                     continue;
                 }
                 let Some((_, ev)) = self.queue.pop_due(deadline) else {
@@ -3190,6 +3199,80 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Offset in `ck`'s approximate-model section of the first queued
+    /// slot's queued-bytes field, if a slot is queued.
+    fn queued_bytes_offset(ck: &SimCheckpoint) -> Option<usize> {
+        let mut d = Decoder::new(&ck.model);
+        d.get_f64().unwrap(); // bandwidth
+        for _ in 0..d.get_u64().unwrap() {
+            d.get_u32().unwrap(); // count
+            d.get_f64().unwrap(); // virtual clock
+            d.get_f64().unwrap(); // last settle
+            for _ in 0..d.get_u64().unwrap() {
+                d.get_f64().unwrap();
+                d.get_u32().unwrap();
+                d.get_u32().unwrap();
+            }
+            if d.get_bool().unwrap() {
+                d.get_u64().unwrap(); // pending drain event
+            }
+        }
+        d.get_u64().unwrap(); // window tag
+        d.get_u64().unwrap(); // first id
+        for _ in 0..d.get_u64().unwrap() {
+            d.get_u32().unwrap(); // bottleneck
+            d.get_f64().unwrap(); // virtual finish tag
+            let at = ck.model.len() - d.remaining();
+            d.get_f64().unwrap(); // queued bytes
+            d.get_u32().unwrap(); // generation
+            if !d.get_bool().unwrap() {
+                return Some(at);
+            }
+        }
+        None
+    }
+
+    /// Two states no run reaches are refused: a queued event whose seq
+    /// lies inside the injections' block (the cursor orders a release
+    /// by the block's base), and a queued slot whose queued bytes are
+    /// not its flow's bytes left (the model reads them from the record).
+    #[test]
+    fn resume_rejects_a_seq_in_the_injection_block_and_stale_queued_bytes() {
+        let net = ring_net();
+        let dir = temp_dir("crafted");
+        let path = dir.join("sim-cursor.orp");
+        let make = || busy_builder(&net, SharingMode::ApproxFair);
+        let reference = make().run().unwrap();
+        let (ck, at) = (1..reference.events)
+            .find_map(|cut| {
+                let ck = cut_at(make, &path, cut);
+                let at = queued_bytes_offset(&ck)?;
+                (ck.inj_next > 0).then_some((ck, at))
+            })
+            .expect("some cut after a release has a streaming flow");
+        let resumed = resume_edited(make, &ck, &path, |_| {}).unwrap();
+        assert_reports_identical(&reference, &resumed, "unedited");
+        let queue = decode_queue(&mut Decoder::new(&ck.queue), usize::MAX).unwrap();
+        let &(_, seq, ..) = queue.live_entries().first().expect("a queued event");
+        let in_block = resume_edited(make, &ck, &path, |c| c.inj_seq_base = seq);
+        let bytes = f64::from_le_bytes(ck.model[at..at + 8].try_into().unwrap());
+        let stale = resume_edited(make, &ck, &path, |c| {
+            c.model[at..at + 8].copy_from_slice(&(bytes + 1.0).to_le_bytes())
+        });
+        for (what, err, msg) in [
+            ("seq in the block", in_block, "sequence block"),
+            ("stale queued bytes", stale, "queued bytes"),
+        ] {
+            match err {
+                Err(SimError::Ckpt(CkptError::BadSection(m))) => {
+                    assert!(m.contains(msg), "{what}: {m}")
+                }
+                other => panic!("{what}: expected BadSection, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn resume_after_completion_reproduces_the_report() {
         // the completion snapshot makes resuming a finished run a no-op
@@ -3532,5 +3615,181 @@ mod tests {
             assert_reports_identical(&reference, &resumed, mode.name());
             std::fs::remove_file(&path).unwrap();
         }
+    }
+
+    /// Injections that tie with queued events. Four fall at the instant
+    /// a link dies by a fault scheduled before the run, and follow it:
+    /// its seq lies below the injections' block, so the release that
+    /// crosses the dead link is routed around it, with the detour's
+    /// message delay. Sixteen fall at the instant rank 0's compute
+    /// completes and four at the instant rank 1's first flow activates,
+    /// and precede those events, which were scheduled after the block
+    /// was reserved. Rank 0 then blocks without scheduling anything, so
+    /// the sixteen releases ahead of its completion make the run's peak
+    /// queue depth.
+    fn tie_builder(net: &Network, mode: SharingMode) -> SimulatorBuilder<'_> {
+        let t_fault = 4e-3;
+        // rank 0 computes from t = 0; rank 1's send, issued at t = 0,
+        // crosses one fabric link between two host links
+        let t_compute = 2e8 / net.config().flops;
+        let t_activate = net.message_delay(3);
+        let programs = vec![
+            vec![Op::Compute(2e8), Op::Recv { from: 3 }],
+            vec![Op::Send { to: 2, bytes: 20e6 }],
+            vec![Op::Recv { from: 1 }],
+            vec![Op::Compute(3e8), Op::Send { to: 0, bytes: 10e6 }],
+        ];
+        let inj: Vec<InjectedFlow> = [(t_fault, 4), (t_compute, 16), (t_activate, 4)]
+            .into_iter()
+            .flat_map(|(at, k)| {
+                (0..k).map(move |i| InjectedFlow {
+                    at,
+                    src: i % 4,
+                    dst: (i + 1) % 4,
+                    bytes: 4e6,
+                })
+            })
+            .collect();
+        Simulator::builder(net)
+            .programs(programs)
+            .sharing(mode)
+            .fault_schedule(&[FaultEvent {
+                time: t_fault,
+                fault: NetFault::Link(0, 1),
+            }])
+            .inject(&inj)
+    }
+
+    /// The cursor merges by `(time, the block's base)`: the tie scenario
+    /// reproduces the report bits recorded when each release carried its
+    /// own seq, under both models, uninterrupted and resumed.
+    #[test]
+    fn cursor_releases_keep_their_order_at_ties() {
+        let net = ring_net();
+        // time bits, events, cancelled events and peak queue depth,
+        // recorded at 6544a8e; both runs move 26 flows (0x419e0a6e
+        // 00000000 bytes) with at most 22 streaming at once
+        let pinned = [
+            (SharingMode::ExactMaxMin, 0x3f82_0634_cd67_267f, 57, 0, 19),
+            (SharingMode::ApproxFair, 0x3f82_0634_cd67_2681, 79, 6, 20),
+        ];
+        for (mode, time_bits, events, cancelled, peak_depth) in pinned {
+            let what = mode.name();
+            let rec = Recorder::enabled();
+            let rep = tie_builder(&net, mode).recorder(rec.clone()).run().unwrap();
+            assert_eq!(rep.time.to_bits(), time_bits, "{what}: time");
+            assert_eq!(
+                (rep.flows, rep.bytes.to_bits(), rep.peak_flows),
+                (26, 0x419e_0a6e_0000_0000, 22),
+                "{what}: flows"
+            );
+            assert_eq!(
+                (rep.events, rep.events_cancelled, rep.peak_queue_depth),
+                (events, cancelled, peak_depth),
+                "{what}: events"
+            );
+            // the journal shows each tie's side: injections created
+            // before the rank flow's first activation and before the
+            // link death
+            let snap = rec.snapshot().unwrap();
+            let (mut created, mut at_activation, mut at_fault) = (0, None, None);
+            for e in &snap.events {
+                match e.event {
+                    ObsEvent::Flow {
+                        stage: FlowStage::Created,
+                        bytes: 4e6,
+                        ..
+                    } => created += 1,
+                    ObsEvent::Flow {
+                        stage: FlowStage::Activated,
+                        id: 0,
+                        ..
+                    } => {
+                        at_activation.get_or_insert(created);
+                    }
+                    ObsEvent::Fault { .. } => at_fault = Some(created),
+                    _ => {}
+                }
+            }
+            assert_eq!(at_activation, Some(4), "{what}: releases at the activation");
+            assert_eq!(at_fault, Some(20), "{what}: releases before the fault");
+            let plain = tie_builder(&net, mode).run().unwrap();
+            assert_reports_identical(&rep, &plain, what);
+            for cut in [1, 2, 3].map(|q| rep.events * q / 4) {
+                cut_and_resume(|| tie_builder(&net, mode), what, cut, &rep);
+            }
+        }
+    }
+
+    /// `sim.injections_pending` reads the cursor: the unreleased count
+    /// right after a resume, 0 once the run is done.
+    #[test]
+    fn injections_pending_reads_the_unreleased_count() {
+        let net = ring_net();
+        let dir = temp_dir("pending");
+        let path = dir.join("sim-pending.orp");
+        let make = || tie_builder(&net, SharingMode::ApproxFair);
+        let ck = (1..)
+            .map(|cut| cut_at(make, &path, cut))
+            .find(|ck| ck.inj_next > 0)
+            .unwrap();
+        let pending = |sim: &Simulator<'_>, rec: &Recorder| {
+            sim.publish_live();
+            rec.snapshot().unwrap().gauge("sim.injections_pending")
+        };
+        let rec = Recorder::enabled();
+        let mut sim = make().recorder(rec.clone()).resume_from(&path).build();
+        sim.stop_after_events = Some(0);
+        let stopped = sim.run_in_place();
+        assert!(
+            matches!(stopped, Err(SimError::Wedged { .. })),
+            "{stopped:?}"
+        );
+        assert_eq!(pending(&sim, &rec), Some((24 - ck.inj_next) as f64));
+        let rec = Recorder::enabled();
+        let mut sim = make().recorder(rec.clone()).resume_from(&path).build();
+        sim.run_in_place().unwrap();
+        assert_eq!(pending(&sim, &rec), Some(0.0));
+    }
+
+    /// A checkpoint written at 6544a8e, before the cursor consumed its
+    /// list and the approximate model read the queued bytes from the
+    /// flow record: `burst_workload(11, 300, 16)` on `random_general(16,
+    /// 4, 8, 3)` under the approximate model, the fabric link {0, 1}
+    /// dying mid-burst, cut at the first boundary after the death. The
+    /// cursor stops inside the burst after a degenerate demand, and
+    /// three flows the death tore down wait to re-activate, their slots
+    /// removed.
+    #[test]
+    fn an_open_loop_checkpoint_from_before_the_consumed_cursor_resumes() {
+        let g = orp_core::construct::random_general(16, 4, 8, 3).unwrap();
+        let net = Network::builder(&g).build();
+        let inj = burst_workload(11, 300, net.num_hosts());
+        let make = || {
+            Simulator::builder(&net)
+                .inject(&inj)
+                .sharing(SharingMode::ApproxFair)
+                .fault_schedule(&[FaultEvent {
+                    time: f64::from_bits(0x3f7b_20cc_6d1a_4e7a),
+                    fault: NetFault::Link(0, 1),
+                }])
+        };
+        let reference = make().run().unwrap();
+        let dir = temp_dir("open-loop");
+        let path = dir.join("open-loop.orp");
+        std::fs::write(
+            &path,
+            include_bytes!("../tests/data/open_loop_burst_fault_approx.orp"),
+        )
+        .unwrap();
+        let ck = SimCheckpoint::load(&path).unwrap();
+        assert_eq!(
+            (ck.faults_struck, ck.inj_next, ck.flow_seq),
+            (1, 181, 161),
+            "the cut"
+        );
+        let resumed = make().resume_from(&path).run().unwrap();
+        assert_reports_identical(&reference, &resumed, "open-loop file");
+        assert_eq!(resumed.time.to_bits(), 0x3f89_04df_ccf3_addf);
     }
 }

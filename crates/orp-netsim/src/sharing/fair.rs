@@ -54,7 +54,7 @@ struct FairLink {
     last: f64,
     /// Flows bottlenecked on this link, keyed by virtual finish tag.
     /// Entries are tombstoned lazily via slot generation checks.
-    heap: BinaryHeap<Reverse<(VKey, u32, u32)>>,
+    heap: BinaryHeap<HeapEntry>,
     /// Pending drain event for the heap head, if any.
     event: Option<EventId>,
     /// Tombstoned entries still in `heap` (flows torn down by
@@ -63,23 +63,37 @@ struct FairLink {
     dead: u32,
 }
 
-/// Per-flow queueing state, kept for the flow table's window (grown on
-/// demand, retired with the table's finished prefix).
+/// Per-flow queueing state, kept for the flow table's window (reserved
+/// up to the table's capacity, retired with its finished prefix).
+///
+/// The bytes a queued flow had left when it queued are its record's
+/// `remaining`: nothing writes that field between [`insert`] and the
+/// flow's removal or completion under this model.
+///
+/// [`insert`]: ThroughputSharingModel::insert
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// Link the flow is queued (throttled) on.
+    /// Link the flow is queued (throttled) on; [`NO_LINK`] once the
+    /// flow finished or was torn down (its heap entries are stale).
     bottleneck: LinkId,
-    /// Virtual finish tag on the bottleneck link.
-    v_finish: f64,
-    /// Bytes remaining when the flow was queued.
-    queued_rem: f64,
     /// Insert generation; heap entries from older generations are dead.
     gen: u32,
-    /// Flow finished or was torn down; heap entries are stale.
-    removed: bool,
+    /// Virtual finish tag on the bottleneck link.
+    v_finish: f64,
 }
 
+/// A per-link heap entry: virtual finish tag, flow id, insert generation.
+type HeapEntry = Reverse<(VKey, u32, u32)>;
+
+const _: () = assert!(size_of::<Slot>() == 16 && size_of::<HeapEntry>() == 16);
+
 const NO_LINK: LinkId = LinkId::MAX;
+
+impl Slot {
+    fn queued(&self) -> bool {
+        self.bottleneck != NO_LINK
+    }
+}
 
 /// Tag in front of the checkpointed slot window (older checkpoints
 /// list every slot from id 0, under a count that cannot reach it).
@@ -90,17 +104,15 @@ const SLOT_WINDOW: u64 = u64::MAX;
 fn is_live(slots: &[Slot], base: u32, fid: u32, gen: u32) -> bool {
     slots
         .get(fid.wrapping_sub(base) as usize)
-        .is_some_and(|s| !s.removed && s.gen == gen)
+        .is_some_and(|s| s.queued() && s.gen == gen)
 }
 
 impl Default for Slot {
     fn default() -> Self {
         Self {
             bottleneck: NO_LINK,
-            v_finish: 0.0,
-            queued_rem: 0.0,
             gen: 0,
-            removed: true,
+            v_finish: 0.0,
         }
     }
 }
@@ -210,9 +222,9 @@ impl ApproxFairSharing {
     /// behind as tombstones). Caller reschedules the touched links.
     fn complete_flow(&mut self, fid: u32, t: f64, flows: &mut FlowTable, tel: &mut LinkStats) {
         let i = self.slot_ix(fid);
-        self.slots[i].removed = true;
-        let served = self.slots[i].queued_rem;
+        self.slots[i].bottleneck = NO_LINK;
         let f = &mut flows[fid];
+        let served = f.remaining;
         f.remaining = 0.0;
         f.rate = 0.0;
         if tel.tracking() {
@@ -252,6 +264,10 @@ impl ThroughputSharingModel for ApproxFairSharing {
         let t = ctx.now();
         let i = self.slot_ix(fid);
         if self.slots.len() <= i {
+            // the slots mirror the flow table's window: one reservation
+            // there sizes both
+            let cap = flows.capacity().max(i + 1);
+            self.slots.reserve_exact(cap - self.slots.len());
             self.slots.resize(i + 1, Slot::default());
         }
         self.scratch.clear();
@@ -278,13 +294,10 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 b = l;
             }
         }
-        let rem = flows[fid].remaining;
         let s = &mut self.slots[i];
         s.bottleneck = b;
-        s.v_finish = self.links[b as usize].vtime + rem;
-        s.queued_rem = rem;
+        s.v_finish = self.links[b as usize].vtime + flows[fid].remaining;
         s.gen = s.gen.wrapping_add(1);
-        s.removed = false;
         let tag = (VKey(s.v_finish), fid, s.gen);
         self.links[b as usize].heap.push(Reverse(tag));
         flows[fid].rate = self.bw / self.links[b as usize].count as f64;
@@ -322,7 +335,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
     ) {
         let t = ctx.now();
         let i = self.slot_ix(fid);
-        debug_assert!(!self.slots[i].removed, "flow is queued");
+        debug_assert!(self.slots[i].queued(), "flow is queued");
         self.scratch.clear();
         self.scratch.extend_from_slice(&flows[fid].route);
         for i in 0..self.scratch.len() {
@@ -331,11 +344,12 @@ impl ThroughputSharingModel for ApproxFairSharing {
         }
         // progress = virtual work served on the bottleneck since queueing
         let s = self.slots[i];
+        let queued_rem = flows[fid].remaining;
         let rem_now = (s.v_finish - self.links[s.bottleneck as usize].vtime)
             .max(0.0)
-            .min(s.queued_rem);
-        let served = s.queued_rem - rem_now;
-        self.slots[i].removed = true;
+            .min(queued_rem);
+        let served = queued_rem - rem_now;
+        self.slots[i].bottleneck = NO_LINK;
         // the flow's tag stays behind in the bottleneck heap as a
         // tombstone until it surfaces or compaction reclaims it
         self.links[s.bottleneck as usize].dead += 1;
@@ -424,7 +438,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
 
     fn retire(&mut self, base: u32) {
         let k = ((base - self.slot_base) as usize).min(self.slots.len());
-        debug_assert!(self.slots[..k].iter().all(|s| s.removed));
+        debug_assert!(self.slots[..k].iter().all(|s| !s.queued()));
         self.slots.drain(..k);
         self.slot_base = base;
     }
@@ -462,18 +476,19 @@ impl ThroughputSharingModel for ApproxFairSharing {
         }
         // slots of flows older than the oldest unfinished one are all
         // removed, and a retired id reads as removed: the window from
-        // there on is the whole state
+        // there on is the whole state. A slot's queued-bytes field is
+        // its flow's bytes left, which nothing writes while it is queued
         let start = flows.first_live();
         let from = ((start - self.slot_base) as usize).min(self.slots.len());
         enc.put_u64(SLOT_WINDOW);
         enc.put_u64(u64::from(start));
         enc.put_u64((self.slots.len() - from) as u64);
-        for s in &self.slots[from..] {
+        for (fid, s) in (start..).zip(&self.slots[from..]) {
             enc.put_u32(s.bottleneck);
             enc.put_f64(s.v_finish);
-            enc.put_f64(s.queued_rem);
+            enc.put_f64(flows[fid].remaining);
             enc.put_u32(s.gen);
-            enc.put_bool(s.removed);
+            enc.put_bool(!s.queued());
         }
         enc.put_u64(self.n_active as u64);
         enc.put_u64(self.compacted);
@@ -500,7 +515,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 return Err(bad("non-finite link clock"));
             }
             let ne = dec.get_len(16)?;
-            let mut heap = BinaryHeap::with_capacity(ne);
+            let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(ne);
             for _ in 0..ne {
                 let v = dec.get_f64()?;
                 if v.is_nan() {
@@ -545,20 +560,29 @@ impl ThroughputSharingModel for ApproxFairSharing {
         }
         let mut slots = Vec::with_capacity((start + ns).saturating_sub(u64::from(base)) as usize);
         for id in start..start + ns {
-            let s = Slot {
-                bottleneck: dec.get_u32()?,
-                v_finish: dec.get_f64()?,
-                queued_rem: dec.get_f64()?,
-                gen: dec.get_u32()?,
-                removed: dec.get_bool()?,
-            };
-            if s.bottleneck != NO_LINK && s.bottleneck as usize >= nl {
-                return Err(bad("slot bottleneck out of range"));
+            let bottleneck = dec.get_u32()?;
+            let v_finish = dec.get_f64()?;
+            let queued_rem = dec.get_f64()?;
+            let gen = dec.get_u32()?;
+            let removed = dec.get_bool()?;
+            if !removed {
+                if bottleneck as usize >= nl {
+                    return Err(bad("slot bottleneck out of range"));
+                }
+                if id < u64::from(base) {
+                    return Err(bad("queued slot below the oldest unfinished flow"));
+                }
+                if flows[id as u32].remaining.to_bits() != queued_rem.to_bits() {
+                    return Err(bad("queued bytes disagree with the flow's bytes left"));
+                }
             }
             if id >= u64::from(base) {
-                slots.push(s);
-            } else if !s.removed {
-                return Err(bad("queued slot below the oldest unfinished flow"));
+                // a removed slot's queued bytes and bottleneck are stale
+                slots.push(Slot {
+                    bottleneck: if removed { NO_LINK } else { bottleneck },
+                    gen,
+                    v_finish,
+                });
             }
         }
         let n_active = dec.get_u64()?;
@@ -572,7 +596,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
         let mut counts = vec![0u32; nl];
         let mut streaming = 0u64;
         for (fid, f) in flows.iter() {
-            match (f.active, slot(fid).filter(|s| !s.removed)) {
+            match (f.active, slot(fid).filter(|s| s.queued())) {
                 (false, None) => continue,
                 (true, Some(s)) if f.route.contains(&s.bottleneck) => {}
                 _ => return Err(bad("queued slots disagree with the streaming flows")),
@@ -595,7 +619,7 @@ impl ThroughputSharingModel for ApproxFairSharing {
                 if gen > s.gen {
                     return Err(bad("heap entry ahead of its flow's slot"));
                 }
-                if s.removed || gen != s.gen {
+                if !s.queued() || gen != s.gen {
                     link.dead += 1;
                     continue;
                 }

@@ -814,7 +814,6 @@ mod tests {
             hash: 0,
             active: false,
             finished: false,
-            bytes: 1e6,
             injected: true,
         }
     }

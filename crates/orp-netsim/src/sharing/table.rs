@@ -48,7 +48,6 @@ const TOMBSTONE: Flow = Flow {
     hash: 0,
     active: false,
     finished: true,
-    bytes: 0.0,
     injected: false,
 };
 
@@ -81,6 +80,13 @@ impl FlowTable {
     /// The stored ids, oldest first.
     pub(crate) fn ids(&self) -> Range<u32> {
         self.base..self.next_id()
+    }
+
+    /// Records the window can hold without reallocating: per-flow state
+    /// kept outside the table (the approximate model's slots) reserves
+    /// up to this, so one [`FlowTable::reserve`] sizes both.
+    pub(crate) fn capacity(&self) -> usize {
+        self.flows.capacity()
     }
 
     /// Reserves room for `n` more records.
@@ -165,9 +171,10 @@ impl FlowTable {
         enc.put_u64(u64::from(self.next_id()));
         let live = self.flows.iter().filter(|f| !f.finished).count();
         enc.put_u64(live as u64);
-        // a snapshot taken without a recorder stores no timings, and a
-        // recorder-attached resume starts the decomposition from zeros
-        // (the contract of the dependency-parent table)
+        // a snapshot taken without a recorder stores no timings and, in
+        // the payload field, the bytes still to deliver: a
+        // recorder-attached resume starts the decomposition at the
+        // resume (the contract of the dependency-parent table)
         enc.put_bool(self.track_aux);
         for (fid, f) in self.iter().filter(|(_, f)| !f.finished) {
             enc.put_u64(u64::from(fid));
@@ -178,7 +185,11 @@ impl FlowTable {
             enc.put_u32(f.dst);
             enc.put_u64(u64::from(f.hash));
             enc.put_bool(f.active);
-            enc.put_f64(f.bytes);
+            enc.put_f64(if self.track_aux {
+                self.aux(fid).bytes
+            } else {
+                f.remaining
+            });
             enc.put_bool(f.injected);
             if self.track_aux {
                 let a = self.aux(fid);
@@ -233,35 +244,37 @@ impl FlowTable {
             if route.is_empty() || route.iter().any(|&l| l >= num_links) {
                 return Err(bad("route empty or crossing a link outside the network"));
             }
+            let remaining = dec.get_f64()?;
+            let rate = dec.get_f64()?;
+            let (src, dst) = (dec.get_u32()?, dec.get_u32()?);
+            let hash = dec.get_u64()? as u32;
+            let active = dec.get_bool()?;
+            let bytes = dec.get_f64()?;
             let flow = Flow {
                 route: RouteBuf::from_slice(&route),
-                remaining: dec.get_f64()?,
-                rate: dec.get_f64()?,
-                src: dec.get_u32()?,
-                dst: dec.get_u32()?,
-                hash: dec.get_u64()? as u32,
-                active: dec.get_bool()?,
+                remaining,
+                rate,
+                src,
+                dst,
+                hash,
+                active,
                 finished: false,
-                bytes: dec.get_f64()?,
                 injected: dec.get_bool()?,
             };
             // the models divide by and order on these: never NaN or below 0
-            if ![flow.remaining, flow.rate, flow.bytes]
-                .iter()
-                .all(|&x| x >= 0.0)
-            {
+            if ![remaining, rate, bytes].iter().all(|&x| x >= 0.0) {
                 return Err(bad("negative or NaN byte count or rate"));
             }
-            let aux = if has_aux {
-                FlowAux {
-                    created: dec.get_f64()?,
-                    prop: dec.get_f64()?,
-                    active_time: dec.get_f64()?,
-                    activated: dec.get_f64()?,
-                }
-            } else {
-                FlowAux::default()
+            let mut aux = FlowAux {
+                bytes,
+                ..FlowAux::default()
             };
+            if has_aux {
+                aux.created = dec.get_f64()?;
+                aux.prop = dec.get_f64()?;
+                aux.active_time = dec.get_f64()?;
+                aux.activated = dec.get_f64()?;
+            }
             table.push(flow, aux);
         }
         // ids past the newest live flow finished before the snapshot
@@ -299,7 +312,6 @@ mod tests {
             route: RouteBuf::from_slice(&[0]),
             finished: false,
             remaining: 1.0,
-            bytes: 1.0,
             ..TOMBSTONE
         }
     }

@@ -6,14 +6,24 @@
 //! * a checkpointed IS run's first save raises the run's live peak by
 //!   at most 1 MiB: the configuration fingerprint over those programs
 //!   streams through a fixed-size buffer instead of holding their
-//!   encoding whole.
+//!   encoding whole;
+//! * an open-loop run holds each in-flight flow once: at 100k
+//!   concurrent flows under the approximate model it peaks within the
+//!   flow's records (its 56-byte flow record, its 16-byte model slot
+//!   and its 16-byte entry in a link heap grown by doubling) of live
+//!   memory per flow, since the cursor releases its copy of the
+//!   injections as it passes them.
 //!
 //! A tracking global allocator counts the live bytes of the measuring
 //! thread only, so the harness's other threads never inflate a peak.
 
 use orp_core::construct::random_general;
 use orp_netsim::npb::Benchmark;
-use orp_netsim::{FaultEvent, NetFault, Network, Op, Program, SimError, Simulator};
+use orp_netsim::{
+    FaultEvent, InjectedFlow, NetFault, Network, Op, Program, SharingMode, SimError, Simulator,
+};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -149,5 +159,42 @@ fn the_first_save_of_an_is_run_adds_at_most_a_mebibyte() {
     assert!(
         saved <= plain + MIB,
         "the save raised the run's peak from {plain} to {saved} bytes"
+    );
+}
+
+#[test]
+fn an_open_loop_run_holds_each_flow_once() {
+    // the ledger's open-loop fabric and flow shape, 100k flows of 1 MB
+    // between distinct random hosts: all are released within 1 ms and
+    // stream at once
+    let flows = 100_000;
+    let g = random_general(256, 64, 16, 7).expect("the open-loop fabric");
+    let net = Network::builder(&g).build();
+    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let inj: Vec<InjectedFlow> = (0..flows)
+        .map(|_| {
+            let src = rng.gen_range(0u32..256);
+            let dst = (src + rng.gen_range(1u32..256)) % 256;
+            InjectedFlow {
+                at: f64::from(rng.gen_range(0u32..1_000_000)) * 1e-9,
+                src,
+                dst,
+                bytes: 1e6,
+            }
+        })
+        .collect();
+    let sim = Simulator::builder(&net)
+        .inject(&inj)
+        .sharing(SharingMode::ApproxFair)
+        .build();
+    let (report, peak) = peak_of(|| sim.run());
+    let report = report.expect("the open-loop run completes");
+    assert_eq!(report.peak_flows, flows, "every flow streams at once");
+    // flow record, model slot and up to twice a 16-byte heap entry
+    let per_flow = 56 + 16 + 2 * 16;
+    assert!(
+        peak <= flows * per_flow,
+        "{flows} flows peaked at {peak} bytes, {} per flow (bound {per_flow})",
+        peak / flows
     );
 }
